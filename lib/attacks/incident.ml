@@ -77,32 +77,22 @@ type coverage = {
 (* Attack replays bypass the outcome cache (attack closures are not part
    of any key), but the replay itself is deterministic — so the verdict
    and incident list are a pure function of (program, mechanism, flight
-   capacity) and memoize under the engine's [incident] stage. The
-   payload crosses the engine boundary serialized ([Marshal] of plain
-   data: the incident types carry no closures), because the cache
-   library sits below the attack types. *)
-let run_key (sc : Scenario.t) mech flight =
-  Printf.sprintf "%s|%s|fl%d|inc1"
-    (Cache.source_key ~file:(sc.Scenario.id ^ ".c") sc.Scenario.program)
-    (RT.mechanism_to_string mech)
-    flight
+   capacity) and memoize under this module's [incident] stage. *)
+let st_incident : (Scenario.verdict * Interp.incident list) Cache.stage =
+  Cache.stage "incident"
 
-let raw_run (sc : Scenario.t) mech flight :
-    Scenario.verdict * Interp.incident list =
-  let payload =
-    Cache.incident ~key:(run_key sc mech flight) (fun () ->
-        let rr = Scenario.run ~flight sc mech in
-        Marshal.to_string
-          ((rr.Scenario.verdict, rr.Scenario.outcome.Interp.incidents)
-            : Scenario.verdict * Interp.incident list)
-          [])
-  in
-  (Marshal.from_string payload 0 : Scenario.verdict * Interp.incident list)
-
-let analyzed (sc : Scenario.t) =
-  Pipeline.analyze
-    (Pipeline.compile
-       (Pipeline.source ~file:(sc.Scenario.id ^ ".c") sc.Scenario.program))
+let raw_run src (sc : Scenario.t) mech flight =
+  Cache.memo st_incident
+    ~key:
+      (String.concat "|"
+         [
+           Pipeline.digest src;
+           RT.mechanism_to_string mech;
+           "fl" ^ string_of_int flight;
+         ])
+    (fun () ->
+      let rr = Scenario.run ~flight sc mech in
+      (rr.Scenario.verdict, rr.Scenario.outcome.Interp.incidents))
 
 (* ----------------------------------------------------------------- *)
 (* Static correlation                                                  *)
@@ -183,8 +173,9 @@ let catalog_rows () =
   @ List.map (fun (sc, _) -> ("table2", sc)) Memory_safety.expected
 
 let run_one ~table (sc : Scenario.t) mech flight =
-  let verdict, incidents = raw_run sc mech flight in
-  let anal = analyzed sc in
+  let src = Pipeline.source ~file:(sc.Scenario.id ^ ".c") sc.Scenario.program in
+  let verdict, incidents = raw_run src sc mech flight in
+  let anal = Pipeline.analyze (Pipeline.compile src) in
   let surface = Pipeline.attack_surface mech anal in
   let feasible =
     Pipeline.attack_surface ~mode:Points_to.Insensitive mech anal

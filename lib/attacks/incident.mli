@@ -20,8 +20,8 @@
 
     Attack replays bypass the engine's outcome cache, but they are
     deterministic — so the per-run (verdict, incidents) extraction is
-    memoized under the engine cache's [incident] stage, keyed on
-    (program digest, mechanism, flight capacity). *)
+    memoized under the [incident] cache stage this module owns, keyed
+    on (program digest, mechanism, flight capacity). *)
 
 val mechanisms : Rsti_sti.Rsti_type.mechanism list
 (** STWC, STC, STL, PARTS — the coverage columns. *)

@@ -676,13 +676,18 @@ let confinement ?(windowed = []) (pt : t) =
   done;
   seeds := IntSet.union !seeds !(pt.escaped);
   (* a struct field cell lives inside its instances: if any instance is
-     attacker memory, the field cell is attacker-writable *)
+     attacker memory, the field cell is attacker-writable. Only cells the
+     solve interned can pass pointers on, and the query interns nothing,
+     so reading a (cached, shared) solution never changes it. *)
   let field_attacker attacker =
     Hashtbl.fold
       (fun sname is acc ->
         if IntSet.exists (fun o -> IntSet.mem o attacker) !is then
           List.fold_left
-            (fun acc (fname, _) -> IntSet.add (obj_id pt (Ofield (sname, fname))) acc)
+            (fun acc (fname, _) ->
+              match Hashtbl.find_opt pt.obj_ids (Ofield (sname, fname)) with
+              | Some o -> IntSet.add o acc
+              | None -> acc)
             acc
             (match List.assoc_opt sname pt.modul.Ir.m_structs with
             | Some fs -> fs
@@ -704,9 +709,17 @@ let confinement ?(windowed = []) (pt : t) =
   in
   { pt; attacker = close !seeds }
 
+(* Field cells are attacker memory whenever an instance of their struct
+   is, interned or not. *)
+let attacker_instance c sname =
+  match Hashtbl.find_opt c.pt.instances sname with
+  | Some is -> IntSet.exists (fun o -> IntSet.mem o c.attacker) !is
+  | None -> false
+
 let attacker_obj c o =
   (* [o] is a base object; any reachable per-context clone taints it *)
-  List.exists
+  (match o with Ofield (s, _) -> attacker_instance c s | _ -> false)
+  || List.exists
     (fun v ->
       match Hashtbl.find_opt c.pt.obj_ids v with
       | Some i -> IntSet.mem i c.attacker
@@ -741,9 +754,7 @@ let confined_slot c (slot : Ir.slot) =
           | None -> true)
         (with_variants pt (Ovar id))
   | Ir.Sfield (s, f) ->
-      (match Hashtbl.find_opt pt.instances s with
-      | Some is -> not (IntSet.exists att !is)
-      | None -> true)
+      (not (attacker_instance c s))
       && (match Hashtbl.find_opt pt.obj_ids (Ofield (s, f)) with
          | Some o -> not (att o)
          | None -> true)

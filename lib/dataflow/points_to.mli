@@ -101,7 +101,9 @@ val confinement : ?windowed:int list -> t -> confinement
 (** Compute the attacker-writable object closure. [windowed] lists the
     var ids of globals behind a linear-overflow window (the static
     checker's layout walk) to include as seeds alongside heap objects,
-    extern data, int-laundered pointers and extern-call escapees. *)
+    extern data, int-laundered pointers and extern-call escapees. Reads
+    the solution without changing it, so {!stats} are the same before
+    and after. *)
 
 val attacker_obj : confinement -> obj -> bool
 val attacker_objects : confinement -> obj list

@@ -1,130 +1,92 @@
-module RT = Rsti_sti.Rsti_type
-module Elide = Rsti_staticcheck.Elide
 module Observe = Rsti_observe.Observe
 
 type stats = { hits : int; misses : int; duplicated : int }
 
-(* Per-stage counters live in the observability registry
-   (cache.<stage>.{hits,misses,duplicated}); the cache holds direct
-   references so a bump is one lock-free atomic increment. Counting
-   discipline: a lookup that finds the artifact is a hit; a lookup that
-   computed and installed it is a miss; a lookup that computed but lost
-   the install race counts as a hit *and* a duplicated — so hits/misses
-   are deterministic across job counts (they match the serial schedule)
-   and [duplicated] surfaces exactly the racing recomputations that used
-   to be invisible. *)
-type stage = {
-  sg_name : string;
-  sg_hits : Observe.Metrics.counter;
-  sg_misses : Observe.Metrics.counter;
-  sg_dup : Observe.Metrics.counter;
+(* What the registry keeps of a stage, whatever its value type: the
+   counters (direct references into the metrics registry, so a bump is
+   one lock-free atomic increment) and a way to drop the table. *)
+type counters = {
+  name : string;
+  span : string;
+  hit : Observe.Metrics.counter;
+  miss : Observe.Metrics.counter;
+  dup : Observe.Metrics.counter;
+  drop : unit -> unit;
 }
+
+type 'a stage = { c : counters; table : (string, 'a) Hashtbl.t }
+
+(* One lock guards every table and the registry. *)
+let lock = Mutex.create ()
+let registry : counters list ref = ref [] (* newest first *)
 
 let stage name =
-  {
-    sg_name = name;
-    sg_hits = Observe.Metrics.counter ("cache." ^ name ^ ".hits");
-    sg_misses = Observe.Metrics.counter ("cache." ^ name ^ ".misses");
-    sg_dup = Observe.Metrics.counter ("cache." ^ name ^ ".duplicated");
-  }
+  let table = Hashtbl.create 64 in
+  let counter field = Observe.Metrics.counter ("cache." ^ name ^ "." ^ field) in
+  let c =
+    {
+      name;
+      span = "cache." ^ name;
+      hit = counter "hits";
+      miss = counter "misses";
+      dup = counter "duplicated";
+      drop = (fun () -> Hashtbl.reset table);
+    }
+  in
+  Mutex.protect lock (fun () ->
+      if List.exists (fun c' -> c'.name = name) !registry then
+        invalid_arg ("Cache.stage: " ^ name ^ " is already registered");
+      registry := c :: !registry);
+  { c; table }
 
-let st_compile = stage "compile"
-let st_analysis = stage "analysis"
-let st_points_to = stage "points_to"
-let st_points_to_cs = stage "points_to_cs"
-let st_scope = stage "scope_escape"
-let st_elide = stage "elide"
-let st_elide_pt = stage "elide_pt"
-let st_elide_ctx = stage "elide_ctx"
-let st_instrument = stage "instrument"
-let st_validate = stage "validate"
-let st_outcome = stage "outcome"
-let st_equiv = stage "attack_surface"
-let st_incident = stage "incident"
+let memo st ~key compute =
+  let c = st.c in
+  Observe.Span.with_span c.span @@ fun sp ->
+  let found = Mutex.protect lock (fun () -> Hashtbl.find_opt st.table key) in
+  let v, result =
+    match found with
+    | Some v ->
+        Observe.Metrics.incr c.hit;
+        (v, "hit")
+    | None -> (
+        let v = compute () in
+        let winner =
+          Mutex.protect lock (fun () ->
+              let w = Hashtbl.find_opt st.table key in
+              if Option.is_none w then Hashtbl.replace st.table key v;
+              w)
+        in
+        match winner with
+        | Some w ->
+            Observe.Metrics.incr c.hit;
+            Observe.Metrics.incr c.dup;
+            (w, "duplicated")
+        | None ->
+            Observe.Metrics.incr c.miss;
+            (v, "miss"))
+  in
+  Observe.Span.add_attr sp "result" result;
+  v
 
-let stages =
-  [
-    st_compile; st_analysis; st_points_to; st_points_to_cs; st_scope;
-    st_elide; st_elide_pt; st_elide_ctx; st_instrument; st_validate;
-    st_outcome; st_equiv; st_incident;
-  ]
-
-let span st = Observe.Span.enter ("cache." ^ st.sg_name)
-
-let hit st sp =
-  Observe.Metrics.incr st.sg_hits;
-  Observe.Span.add_attr sp "result" "hit"
-
-let miss st sp =
-  Observe.Metrics.incr st.sg_misses;
-  Observe.Span.add_attr sp "result" "miss"
-
-let duplicated st sp =
-  Observe.Metrics.incr st.sg_hits;
-  Observe.Metrics.incr st.sg_dup;
-  Observe.Span.add_attr sp "result" "duplicated"
-
-type entry = {
-  modul : Rsti_ir.Ir.modul;
-  mutable analysis : Rsti_sti.Analysis.t option;
-  mutable points_to :
-    (Rsti_dataflow.Points_to.mode * Rsti_dataflow.Points_to.t) list;
-      (* one solve per precision mode (k is part of the mode key) *)
-  mutable scope :
-    (Rsti_dataflow.Points_to.mode * Rsti_dataflow.Scope_escape.t) list;
-  mutable elide_pred : (Rsti_ir.Ir.slot -> bool) option;
-  mutable elide_pred_pt : (Rsti_ir.Ir.slot -> bool) option;
-  mutable elide_pred_ctx : (int * (Rsti_ir.Ir.slot -> bool)) list;
-      (* context-mode predicates, keyed by k *)
-  mutable instrumented :
-    ((RT.mechanism * Elide.mode) * Rsti_rsti.Instrument.result) list;
-  mutable validated :
-    ((RT.mechanism * Elide.mode) * Rsti_dataflow.Validate.report) list;
-  mutable equiv :
-    ((RT.mechanism * Rsti_dataflow.Points_to.mode option)
-    * Rsti_dataflow.Equiv.result)
-    list;
-      (* attack-surface partitions, keyed per (mechanism, confinement
-         precision); [None] is the unconfined oracle model *)
-}
-
-let lock = Mutex.create ()
-let table : (string, entry) Hashtbl.t = Hashtbl.create 64
-let outcomes :
-    (string, Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) Hashtbl.t =
-  Hashtbl.create 64
-(* Serialized incident-extraction artifacts, keyed like {!outcome} by a
-   caller-assembled string. Values are opaque payload strings (rendered
-   JSON) because the incident types live above this library. *)
-let incidents_tbl : (string, string) Hashtbl.t = Hashtbl.create 64
-let enabled_flag = Atomic.make true
-
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
+let registered () = Mutex.protect lock (fun () -> List.rev !registry)
 
 let clear () =
-  Mutex.lock lock;
-  Hashtbl.reset table;
-  Hashtbl.reset outcomes;
-  Hashtbl.reset incidents_tbl;
-  Mutex.unlock lock;
   List.iter
-    (fun st ->
-      Observe.Metrics.set st.sg_hits 0;
-      Observe.Metrics.set st.sg_misses 0;
-      Observe.Metrics.set st.sg_dup 0)
-    stages
+    (fun c ->
+      Mutex.protect lock c.drop;
+      List.iter (fun m -> Observe.Metrics.set m 0) [ c.hit; c.miss; c.dup ])
+    (registered ())
 
 let stage_stats () =
   List.map
-    (fun st ->
-      ( st.sg_name,
+    (fun c ->
+      ( c.name,
         {
-          hits = Observe.Metrics.value st.sg_hits;
-          misses = Observe.Metrics.value st.sg_misses;
-          duplicated = Observe.Metrics.value st.sg_dup;
+          hits = Observe.Metrics.value c.hit;
+          misses = Observe.Metrics.value c.miss;
+          duplicated = Observe.Metrics.value c.dup;
         } ))
-    stages
+    (registered ())
 
 let stats () =
   List.fold_left
@@ -136,386 +98,3 @@ let stats () =
       })
     { hits = 0; misses = 0; duplicated = 0 }
     (stage_stats ())
-
-let key ~file text = Digest.to_hex (Digest.string (file ^ "\x00" ^ text))
-let source_key = key
-
-(* Find the entry for a source, compiling on a miss. The compile runs
-   outside the lock; if two domains miss the same key at once the second
-   insert is dropped in favour of the first (both modules are equal —
-   the stage is deterministic) and the loser counts as duplicated.
-   [count] is false when the lookup is a sub-step of a later stage, so
-   the compile stage counts each access once. *)
-let entry ?(count = true) ~file text =
-  let k = key ~file text in
-  let sp = if count then span st_compile else Observe.Span.none in
-  Mutex.lock lock;
-  let found = Hashtbl.find_opt table k in
-  Mutex.unlock lock;
-  let e =
-    match found with
-    | Some e ->
-        if count then hit st_compile sp;
-        e
-    | None ->
-        let e =
-          {
-            modul = Rsti_ir.Lower.compile ~file text;
-            analysis = None;
-            points_to = [];
-            scope = [];
-            elide_pred = None;
-            elide_pred_pt = None;
-            elide_pred_ctx = [];
-            instrumented = [];
-            validated = [];
-            equiv = [];
-          }
-        in
-        Mutex.lock lock;
-        let winner = Hashtbl.find_opt table k in
-        let e =
-          match winner with
-          | Some w -> w
-          | None ->
-              Hashtbl.replace table k e;
-              e
-        in
-        Mutex.unlock lock;
-        if count then
-          (match winner with
-          | Some _ -> duplicated st_compile sp
-          | None -> miss st_compile sp);
-        e
-  in
-  Observe.Span.exit sp;
-  e
-
-let compiled ~file text =
-  if not (enabled ()) then Rsti_ir.Lower.compile ~file text
-  else (entry ~file text).modul
-
-(* Attack-free runs of a deterministic machine are pure functions of the
-   caller-assembled [key] (source digest x base-ISA prices x machine
-   knobs), so their outcomes memoize like any other artifact. The entry
-   remembers the full cost record the run was priced under, so a hit
-   whose instrumentation prices differ can be re-priced by the caller
-   instead of re-simulated ({!Rsti_machine.Interp.reprice}). The compute
-   runs outside the lock; first writer wins on a racing miss. *)
-let outcome ~key:k compute =
-  if not (enabled ()) then compute ()
-  else begin
-    let sp = span st_outcome in
-    Mutex.lock lock;
-    let found = Hashtbl.find_opt outcomes k in
-    Mutex.unlock lock;
-    let o =
-      match found with
-      | Some o ->
-          hit st_outcome sp;
-          o
-      | None ->
-          let o = compute () in
-          Mutex.lock lock;
-          let winner = Hashtbl.find_opt outcomes k in
-          let o =
-            match winner with
-            | Some w -> w
-            | None ->
-                Hashtbl.replace outcomes k o;
-                o
-          in
-          Mutex.unlock lock;
-          (match winner with
-          | Some _ -> duplicated st_outcome sp
-          | None -> miss st_outcome sp);
-          o
-    in
-    Observe.Span.exit sp;
-    o
-  end
-
-(* Incident extraction (replaying an attack scenario with the flight
-   recorder on and correlating the incident against the static class
-   partition) is deterministic like every stage, so its serialized
-   artifact memoizes under the caller's key with the same first-writer-
-   wins discipline as {!outcome}. *)
-let incident ~key:k compute =
-  if not (enabled ()) then compute ()
-  else begin
-    let sp = span st_incident in
-    Mutex.lock lock;
-    let found = Hashtbl.find_opt incidents_tbl k in
-    Mutex.unlock lock;
-    let v =
-      match found with
-      | Some v ->
-          hit st_incident sp;
-          v
-      | None ->
-          let v = compute () in
-          Mutex.lock lock;
-          let winner = Hashtbl.find_opt incidents_tbl k in
-          let v =
-            match winner with
-            | Some w -> w
-            | None ->
-                Hashtbl.replace incidents_tbl k v;
-                v
-          in
-          Mutex.unlock lock;
-          (match winner with
-          | Some _ -> duplicated st_incident sp
-          | None -> miss st_incident sp);
-          v
-    in
-    Observe.Span.exit sp;
-    v
-  end
-
-(* Fill a memoized field of an entry. The compute runs outside the lock
-   (it can take seconds); a racing duplicate is resolved in favour of
-   the first writer. *)
-let memo_field ~stage:st ~get ~set ~compute e =
-  let sp = span st in
-  Mutex.lock lock;
-  let found = get e in
-  Mutex.unlock lock;
-  let v =
-    match found with
-    | Some v ->
-        hit st sp;
-        v
-    | None ->
-        let v = compute e in
-        Mutex.lock lock;
-        let winner = get e in
-        let v = match winner with Some w -> w | None -> set e v; v in
-        Mutex.unlock lock;
-        (match winner with
-        | Some _ -> duplicated st sp
-        | None -> miss st sp);
-        v
-  in
-  Observe.Span.exit sp;
-  v
-
-(* Memoize one slot of an entry's association-list field; same
-   first-writer-wins discipline as {!memo_field}. *)
-let memo_assoc ~stage:st ~get ~add ~key:k ~compute e =
-  let sp = span st in
-  Mutex.lock lock;
-  let found = List.assoc_opt k (get e) in
-  Mutex.unlock lock;
-  let v =
-    match found with
-    | Some v ->
-        hit st sp;
-        v
-    | None ->
-        let v = compute e in
-        Mutex.lock lock;
-        let winner = List.assoc_opt k (get e) in
-        let v =
-          match winner with
-          | Some w -> w
-          | None ->
-              add e k v;
-              v
-        in
-        Mutex.unlock lock;
-        (match winner with
-        | Some _ -> duplicated st sp
-        | None -> miss st sp);
-        v
-  in
-  Observe.Span.exit sp;
-  v
-
-let analysis ~file text =
-  if not (enabled ()) then
-    Rsti_sti.Analysis.analyze (Rsti_ir.Lower.compile ~file text)
-  else
-    memo_field ~stage:st_analysis
-      ~get:(fun e -> e.analysis)
-      ~set:(fun e v -> e.analysis <- Some v)
-      ~compute:(fun e -> Rsti_sti.Analysis.analyze e.modul)
-      (entry ~count:false ~file text)
-
-let elide_of anal modul =
-  Rsti_staticcheck.Elide.elide (Rsti_staticcheck.Elide.analyze anal modul)
-
-(* Points-to solves are memoized per precision mode — [Cloning k]
-   carries its k in the key, so each (k, mode) pair is one stage slot.
-   The insensitive and cloned solves report under separate stage
-   counters. *)
-let points_to_mode ~file ~mode text =
-  if not (enabled ()) then
-    Rsti_dataflow.Points_to.analyze ~mode (Rsti_ir.Lower.compile ~file text)
-  else
-    let st =
-      match mode with
-      | Rsti_dataflow.Points_to.Insensitive -> st_points_to
-      | Rsti_dataflow.Points_to.Cloning _ -> st_points_to_cs
-    in
-    memo_assoc ~stage:st
-      ~get:(fun e -> e.points_to)
-      ~add:(fun e k v -> e.points_to <- (k, v) :: e.points_to)
-      ~key:mode
-      ~compute:(fun e -> Rsti_dataflow.Points_to.analyze ~mode e.modul)
-      (entry ~count:false ~file text)
-
-let points_to ~file text =
-  points_to_mode ~file ~mode:Rsti_dataflow.Points_to.Insensitive text
-
-let scope ~file ~mode text =
-  if not (enabled ()) then
-    let m = Rsti_ir.Lower.compile ~file text in
-    Rsti_dataflow.Scope_escape.analyze
-      ~points_to:(Rsti_dataflow.Points_to.analyze ~mode m)
-      m
-  else
-    let pt = points_to_mode ~file ~mode text in
-    memo_assoc ~stage:st_scope
-      ~get:(fun e -> e.scope)
-      ~add:(fun e k v -> e.scope <- (k, v) :: e.scope)
-      ~key:mode
-      ~compute:(fun e -> Rsti_dataflow.Scope_escape.analyze ~points_to:pt e.modul)
-      (entry ~count:false ~file text)
-
-let elide ~file text =
-  if not (enabled ()) then begin
-    let m = Rsti_ir.Lower.compile ~file text in
-    elide_of (Rsti_sti.Analysis.analyze m) m
-  end
-  else begin
-    let anal = analysis ~file text in
-    memo_field ~stage:st_elide
-      ~get:(fun e -> e.elide_pred)
-      ~set:(fun e v -> e.elide_pred <- Some v)
-      ~compute:(fun e -> elide_of anal e.modul)
-      (entry ~count:false ~file text)
-  end
-
-let elide_pt ~file text =
-  if not (enabled ()) then begin
-    let m = Rsti_ir.Lower.compile ~file text in
-    let anal = Rsti_sti.Analysis.analyze m in
-    let pt = Rsti_dataflow.Points_to.analyze m in
-    Elide.elide (Elide.analyze ~points_to:pt anal m)
-  end
-  else begin
-    let anal = analysis ~file text in
-    let pt = points_to ~file text in
-    memo_field ~stage:st_elide_pt
-      ~get:(fun e -> e.elide_pred_pt)
-      ~set:(fun e v -> e.elide_pred_pt <- Some v)
-      ~compute:(fun e -> Elide.elide (Elide.analyze ~points_to:pt anal e.modul))
-      (entry ~count:false ~file text)
-  end
-
-let elide_ctx ~file ~k text =
-  let mode = Rsti_dataflow.Points_to.Cloning k in
-  if not (enabled ()) then begin
-    let m = Rsti_ir.Lower.compile ~file text in
-    let anal = Rsti_sti.Analysis.analyze m in
-    let pt = Rsti_dataflow.Points_to.analyze ~mode m in
-    let scope = Rsti_dataflow.Scope_escape.analyze ~points_to:pt m in
-    Elide.elide (Elide.analyze ~points_to:pt ~scope anal m)
-  end
-  else begin
-    let anal = analysis ~file text in
-    let pt = points_to_mode ~file ~mode text in
-    let sc = scope ~file ~mode text in
-    memo_assoc ~stage:st_elide_ctx
-      ~get:(fun e -> e.elide_pred_ctx)
-      ~add:(fun e k v -> e.elide_pred_ctx <- (k, v) :: e.elide_pred_ctx)
-      ~key:k
-      ~compute:(fun e ->
-        Elide.elide (Elide.analyze ~points_to:pt ~scope:sc anal e.modul))
-      (entry ~count:false ~file text)
-  end
-
-(* The elision predicate at a precision; [Off] means "no predicate" and
-   instruments every candidate site. *)
-let elide_pred ~file ~mode text =
-  match mode with
-  | Elide.Off -> None
-  | Elide.Syntactic -> Some (elide ~file text)
-  | Elide.With_points_to -> Some (elide_pt ~file text)
-  | Elide.With_context k -> Some (elide_ctx ~file ~k text)
-
-let instrumented ~file ~elision mech text =
-  if not (enabled ()) then begin
-    let m = Rsti_ir.Lower.compile ~file text in
-    let anal = Rsti_sti.Analysis.analyze m in
-    let pred = Rsti_staticcheck.Elide.pred elision anal m in
-    Rsti_rsti.Instrument.instrument ?elide:pred mech anal m
-  end
-  else begin
-    let anal = analysis ~file text in
-    let pred = elide_pred ~file ~mode:elision text in
-    memo_assoc ~stage:st_instrument
-      ~get:(fun e -> e.instrumented)
-      ~add:(fun e k r -> e.instrumented <- (k, r) :: e.instrumented)
-      ~key:(mech, elision)
-      ~compute:(fun e ->
-        Rsti_rsti.Instrument.instrument ?elide:pred mech anal e.modul)
-      (entry ~count:false ~file text)
-  end
-
-(* Attack-surface partitions ({!Rsti_dataflow.Equiv}), keyed per
-   (mechanism, points-to precision). [mode = None] computes the paper's
-   unconfined attacker model (what the dynamic oracle cross-validates);
-   [Some mode] refines feasibility with points-to confinement and scope
-   escape at that precision. *)
-let equiv ~file ~mode mech text =
-  let compute anal m =
-    match mode with
-    | None -> Rsti_dataflow.Equiv.analyze anal m mech
-    | Some pt_mode ->
-        let pt = Rsti_dataflow.Points_to.analyze ~mode:pt_mode m in
-        let sc = Rsti_dataflow.Scope_escape.analyze ~points_to:pt m in
-        Rsti_dataflow.Equiv.analyze ~points_to:pt ~scope:sc anal m mech
-  in
-  if not (enabled ()) then begin
-    let m = Rsti_ir.Lower.compile ~file text in
-    compute (Rsti_sti.Analysis.analyze m) m
-  end
-  else begin
-    let anal = analysis ~file text in
-    let compute_cached e =
-      match mode with
-      | None -> Rsti_dataflow.Equiv.analyze anal e.modul mech
-      | Some pt_mode ->
-          let pt = points_to_mode ~file ~mode:pt_mode text in
-          let sc = scope ~file ~mode:pt_mode text in
-          Rsti_dataflow.Equiv.analyze ~points_to:pt ~scope:sc anal e.modul mech
-    in
-    memo_assoc ~stage:st_equiv
-      ~get:(fun e -> e.equiv)
-      ~add:(fun e k v -> e.equiv <- (k, v) :: e.equiv)
-      ~key:(mech, mode)
-      ~compute:compute_cached
-      (entry ~count:false ~file text)
-  end
-
-let validation ~file ~elision mech text =
-  if not (enabled ()) then begin
-    let m = Rsti_ir.Lower.compile ~file text in
-    let anal = Rsti_sti.Analysis.analyze m in
-    let pred = Rsti_staticcheck.Elide.pred elision anal m in
-    let r = Rsti_rsti.Instrument.instrument ?elide:pred mech anal m in
-    Rsti_dataflow.Validate.check anal mech r.Rsti_rsti.Instrument.modul
-  end
-  else begin
-    let anal = analysis ~file text in
-    let r = instrumented ~file ~elision mech text in
-    memo_assoc ~stage:st_validate
-      ~get:(fun e -> e.validated)
-      ~add:(fun e k v -> e.validated <- (k, v) :: e.validated)
-      ~key:(mech, elision)
-      ~compute:(fun _ ->
-        Rsti_dataflow.Validate.check anal mech r.Rsti_rsti.Instrument.modul)
-      (entry ~count:false ~file text)
-  end

@@ -1,171 +1,60 @@
 (** The engine's content-keyed artifact cache.
 
-    Every pipeline stage up to instrumentation is a pure function of the
-    source text plus a small stage key, so its artifacts are memoized
-    under the MD5 digest of [file ^ "\x00" ^ source]:
+    The cache knows nothing about the pipeline. A {!stage} is one typed
+    memo table; the module that computes an artifact owns its stage,
+    declares it once at top level with {!stage}, and looks artifacts up
+    with {!memo}. {!Pipeline} owns compile, analysis, points_to,
+    points_to_cs, scope_escape, elide, elide_pt, elide_ctx, instrument,
+    validate, outcome and attack_surface; [Rsti_attacks.Incident] owns
+    incident. Keys are strings the owner builds: the source digest the
+    stage values carry, plus one key part per stage (the points-to mode
+    with its k, the mechanism, the elision mode, ...).
 
-    - [compiled]      key = digest
-    - [analysis]      key = digest (analysis is a function of the module)
-    - [points_to]     key = digest x precision mode (Andersen solve;
-                      [Cloning k] carries its k in the mode key)
-    - [scope]         key = digest x precision mode (scope-escape over
-                      the matching points-to solution)
-    - [elide]/[elide_pt] key = digest (the proof is a function of both)
-    - [elide_ctx]     key = digest x k (context-precision proof)
-    - [instrumented]  key = digest x (mechanism, elision mode)
-    - [validation]    key = digest x (mechanism, elision mode)
-    - [equiv]         key = digest x (mechanism, points-to mode option) —
-                      the attack-surface partition; [None] is the
-                      unconfined oracle model
-    - [outcome]       key = caller-assembled (digest x base-ISA prices x
-                      machine knobs) — attack-free runs only; the
-                      machine is deterministic, so the outcome is a pure
-                      function of that key up to the instrumentation
-                      prices, which a hit re-prices without
-                      re-simulating
+    Every stage is a pure function of its key, so an artifact is built
+    once per key per process: the seed harness recompiled and
+    re-analyzed every SPEC kernel once per bench section, and the PA-cost
+    ablation alone re-ran the frontend fifteen times per workload.
 
-    This is what makes whole-bench runs cheap: the seed harness
-    recompiled and re-analyzed every SPEC kernel once per section (the
-    PA-cost ablation alone re-ran the frontend fifteen times per
-    workload); with the cache each artifact is built once per process.
+    Counting: each {!memo} call is one lookup and opens one
+    [cache.<stage>] span. Hits count only the lookups callers make — a
+    stage fetches its dependencies inside its compute closure, so they
+    are looked up on a miss only.
 
-    Domain safety: the table and each entry's fields are mutex-guarded,
-    so concurrent lookups are safe. Artifact values themselves
-    ({!Rsti_sti.Analysis.t} in particular) answer some queries by
-    memoizing internally, so the engine's parallel paths hand any given
-    key's artifacts to one domain at a time (tasks are partitioned by
-    workload, and each workload owns its keys). Cache misses are computed
-    outside the lock; a duplicated computation under a racing miss is
-    benign because stages are deterministic. *)
+    Domain safety: the tables are mutex-guarded, so concurrent lookups
+    are safe. Artifact values themselves (the STI analysis in
+    particular) answer some queries by memoizing internally, so the
+    engine's parallel paths hand any given key's artifacts to one domain
+    at a time (tasks are partitioned by workload, and each workload owns
+    its keys). A miss is computed outside the lock; a duplicated
+    computation under a racing miss is benign because stages are
+    deterministic, and the first writer wins. *)
 
 type stats = { hits : int; misses : int; duplicated : int }
 (** A lookup that found its artifact is a hit; one that computed and
     installed it is a miss; one that computed but lost the install race
-    to a concurrent miss counts as a hit *and* a [duplicated]. Hits and
+    to a concurrent miss counts as a hit {e and} a [duplicated]. Hits and
     misses therefore match the serial schedule for any job count, and
-    [duplicated] counts exactly the racing recomputations that the old
-    global pair silently misfiled as misses. *)
+    [duplicated] counts exactly the racing recomputations. *)
 
-val set_enabled : bool -> unit
-(** Default [true]. Disabling makes every accessor compute fresh
-    artifacts without touching the table (and without counting). *)
+type 'a stage
+(** A memo table of ['a] artifacts under string keys, with its
+    [cache.<name>.{hits,misses,duplicated}] counters in
+    {!Rsti_observe.Observe.Metrics}. *)
 
-val enabled : unit -> bool
+val stage : string -> 'a stage
+(** [stage name] registers a new stage. Call it once per stage, at the
+    owner's top level; registration order is {!stage_stats} order.
+    Raises [Invalid_argument] if [name] is already registered. *)
+
+val memo : 'a stage -> key:string -> (unit -> 'a) -> 'a
+(** [memo st ~key compute] returns the artifact stored under [key],
+    computing and installing it on a miss. *)
 
 val clear : unit -> unit
-(** Drop all entries and reset {!stats}. *)
+(** Drop every stage's artifacts and zero its counters. *)
 
 val stats : unit -> stats
 (** Aggregate over {!stage_stats}. *)
 
 val stage_stats : unit -> (string * stats) list
-(** Per-stage counts in pipeline order: compile, analysis, points_to,
-    points_to_cs, scope_escape, elide, elide_pt, elide_ctx, instrument,
-    validate, outcome, attack_surface, incident. The same counters back
-    the [cache.<stage>.{hits,misses,duplicated}] entries of
-    {!Rsti_observe.Observe.Metrics}. *)
-
-val source_key : file:string -> string -> string
-(** The digest both the cache and {!Pipeline}'s run keys are built on. *)
-
-val compiled : file:string -> string -> Rsti_ir.Ir.modul
-(** [Lower.compile], memoized. *)
-
-val outcome :
-  key:string ->
-  (unit -> Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) ->
-  Rsti_machine.Interp.outcome * Rsti_machine.Cost.t
-(** Memoize an attack-free run under a caller-assembled key.
-    {!Pipeline.run} / {!Pipeline.run_baseline} build the key from the
-    source digest, the base ISA prices, and every machine knob ([seed],
-    [fpac], [cfi], [backend], [entry]) — the instrumentation prices
-    ([pac], [strip], [pp], [pac_spill]) are deliberately left out of the
-    key, and the cost record the run actually priced under is stored
-    beside the outcome so a hit under different instrumentation prices
-    is re-priced ({!Rsti_machine.Interp.reprice}) instead of
-    re-simulated. Callers must bypass this for runs with attacks
-    installed — attack closures are not part of any key. *)
-
-val incident : key:string -> (unit -> string) -> string
-(** Memoize a serialized incident-extraction artifact (an opaque
-    marshalled payload — the incident types live above this library,
-    so the caller serializes) under a caller-assembled key. Attack replays are deterministic, so the
-    extraction is a pure function of (scenario, mechanism, flight
-    capacity) and memoizes like every other stage, under the
-    ["incident"] stage counters. *)
-
-val analysis : file:string -> string -> Rsti_sti.Analysis.t
-(** [Sti.Analysis.analyze] of {!compiled}, memoized. *)
-
-val points_to : file:string -> string -> Rsti_dataflow.Points_to.t
-(** The insensitive Andersen points-to analysis over {!compiled},
-    memoized — shorthand for {!points_to_mode} at [Insensitive]. *)
-
-val points_to_mode :
-  file:string ->
-  mode:Rsti_dataflow.Points_to.mode ->
-  string ->
-  Rsti_dataflow.Points_to.t
-(** The points-to solve at a chosen precision mode, memoized per mode
-    (each [Cloning k] is its own slot). *)
-
-val scope :
-  file:string ->
-  mode:Rsti_dataflow.Points_to.mode ->
-  string ->
-  Rsti_dataflow.Scope_escape.t
-(** The scope-escape analysis over {!points_to_mode} at the same mode,
-    memoized per mode. *)
-
-val elide : file:string -> string -> Rsti_ir.Ir.slot -> bool
-(** The static checker's syntactic elision proof ([Staticcheck.Elide])
-    over {!analysis}, memoized. *)
-
-val elide_pt : file:string -> string -> Rsti_ir.Ir.slot -> bool
-(** The elision proof at points-to precision: {!elide}'s obligations
-    discharged through {!points_to} confinement, memoized. *)
-
-val elide_ctx : file:string -> k:int -> string -> Rsti_ir.Ir.slot -> bool
-(** The elision proof at context precision: obligations discharged
-    through the [Cloning k] solution plus the scope-escape checker,
-    memoized per k. *)
-
-val elide_pred :
-  file:string ->
-  mode:Rsti_staticcheck.Elide.mode ->
-  string ->
-  (Rsti_ir.Ir.slot -> bool) option
-(** {!elide} / {!elide_pt} / {!elide_ctx} selected by elision mode;
-    [None] when [Off]. *)
-
-val instrumented :
-  file:string ->
-  elision:Rsti_staticcheck.Elide.mode ->
-  Rsti_sti.Rsti_type.mechanism ->
-  string ->
-  Rsti_rsti.Instrument.result
-(** [Rsti.Instrument.instrument] over {!analysis}, memoized per
-    (mechanism, elision mode) stage key. *)
-
-val validation :
-  file:string ->
-  elision:Rsti_staticcheck.Elide.mode ->
-  Rsti_sti.Rsti_type.mechanism ->
-  string ->
-  Rsti_dataflow.Validate.report
-(** The PAC-typestate validator's report over {!instrumented}, memoized
-    per (mechanism, elision mode) stage key. *)
-
-val equiv :
-  file:string ->
-  mode:Rsti_dataflow.Points_to.mode option ->
-  Rsti_sti.Rsti_type.mechanism ->
-  string ->
-  Rsti_dataflow.Equiv.result
-(** The substitution-attack-surface partition
-    ({!Rsti_dataflow.Equiv.analyze}) over {!analysis}, memoized per
-    (mechanism, points-to mode) stage key. [mode = None] computes the
-    paper's unconfined attacker model — the configuration the dynamic
-    oracle cross-validates; [Some m] refines feasibility with
-    {!points_to_mode} confinement and {!scope} escape results at that
-    precision. *)
+(** Per-stage counts in registration order. *)

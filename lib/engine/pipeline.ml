@@ -1,5 +1,6 @@
 module RT = Rsti_sti.Rsti_type
 module Elide = Rsti_staticcheck.Elide
+module Points_to = Rsti_dataflow.Points_to
 module Observe = Rsti_observe.Observe
 
 (* Stage spans carry just enough attrs to read a trace: the file for
@@ -33,7 +34,7 @@ let default =
 
 exception Validation_failed of Rsti_dataflow.Validate.report
 
-type source = { file : string; text : string }
+type source = { file : string; text : string; digest : string }
 type compiled = { src : source; modul : Rsti_ir.Ir.modul }
 type analyzed = { comp : compiled; anal : Rsti_sti.Analysis.t }
 
@@ -44,17 +45,54 @@ type instrumented = {
   result : Rsti_rsti.Instrument.result;
 }
 
-let source ?(file = "<memory>.c") text = { file; text }
+(* The cache stages this module owns, in pipeline order. *)
+let st_compile : Rsti_ir.Ir.modul Cache.stage = Cache.stage "compile"
+let st_analysis : Rsti_sti.Analysis.t Cache.stage = Cache.stage "analysis"
+let st_points_to : Points_to.t Cache.stage = Cache.stage "points_to"
+let st_points_to_cs : Points_to.t Cache.stage = Cache.stage "points_to_cs"
 
-(* Each stage consults the cache exactly when [config.cache] is set; the
-   cache key is the stage value's source, so a stage value built with
-   cache off composes with later stages run with cache on. *)
+let st_scope : Rsti_dataflow.Scope_escape.t Cache.stage =
+  Cache.stage "scope_escape"
+
+let st_elide : (Rsti_ir.Ir.slot -> bool) Cache.stage = Cache.stage "elide"
+let st_elide_pt : (Rsti_ir.Ir.slot -> bool) Cache.stage = Cache.stage "elide_pt"
+
+let st_elide_ctx : (Rsti_ir.Ir.slot -> bool) Cache.stage =
+  Cache.stage "elide_ctx"
+
+let st_instrument : Rsti_rsti.Instrument.result Cache.stage =
+  Cache.stage "instrument"
+
+let st_validate : Rsti_dataflow.Validate.report Cache.stage =
+  Cache.stage "validate"
+
+let st_outcome :
+    (Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) Cache.stage =
+  Cache.stage "outcome"
+
+let st_attack_surface : Rsti_dataflow.Equiv.result Cache.stage =
+  Cache.stage "attack_surface"
+
+(* Every stage's computation is written once, as the [compute] of this
+   helper: it consults and fills [st] exactly when [config.cache] is
+   set. Dependencies are fetched inside [compute], so they are looked up
+   on a miss only. *)
+let memo config st key compute =
+  if config.cache then Cache.memo st ~key compute else compute ()
+
+(* Keys: the source digest (hashed once, in {!source}) plus the stage's
+   own key parts. A stage value built with cache off composes with later
+   stages run with cache on. *)
+let key (s : source) parts = String.concat "|" (s.digest :: parts)
+
+let source ?(file = "<memory>.c") text =
+  { file; text; digest = Digest.to_hex (Digest.string (file ^ "\x00" ^ text)) }
 
 let compile ?(config = default) (s : source) =
   stage_span "pipeline.compile" (fun () -> [ ("file", s.file) ]) @@ fun () ->
   let modul =
-    if config.cache then Cache.compiled ~file:s.file s.text
-    else Rsti_ir.Lower.compile ~file:s.file s.text
+    memo config st_compile s.digest (fun () ->
+        Rsti_ir.Lower.compile ~file:s.file s.text)
   in
   { src = s; modul }
 
@@ -62,98 +100,100 @@ let analyze ?(config = default) (c : compiled) =
   stage_span "pipeline.analyze" (fun () -> [ ("file", c.src.file) ])
   @@ fun () ->
   let anal =
-    if config.cache then Cache.analysis ~file:c.src.file c.src.text
-    else Rsti_sti.Analysis.analyze c.modul
+    memo config st_analysis c.src.digest (fun () ->
+        Rsti_sti.Analysis.analyze c.modul)
   in
   { comp = c; anal }
 
-let points_to ?(config = default)
-    ?(mode = Rsti_dataflow.Points_to.Insensitive) (c : compiled) =
-  stage_span "pipeline.points_to"
-    (fun () ->
-      [
-        ("file", c.src.file);
-        ("mode", Rsti_dataflow.Points_to.mode_to_string mode);
-      ])
+(* The insensitive and cloned solves report under separate stage
+   counters; the key carries the mode, so each k is its own artifact. *)
+let points_to ?(config = default) ?(mode = Points_to.Insensitive)
+    (c : compiled) =
+  let mode_s = Points_to.mode_to_string mode in
+  stage_span "pipeline.points_to" (fun () ->
+      [ ("file", c.src.file); ("mode", mode_s) ])
   @@ fun () ->
-  if config.cache then Cache.points_to_mode ~file:c.src.file ~mode c.src.text
-  else Rsti_dataflow.Points_to.analyze ~mode c.modul
+  let st =
+    match mode with
+    | Points_to.Insensitive -> st_points_to
+    | Points_to.Cloning _ -> st_points_to_cs
+  in
+  memo config st (key c.src [ mode_s ]) (fun () ->
+      Points_to.analyze ~mode c.modul)
 
-let scope_escape ?(config = default)
-    ?(mode = Rsti_dataflow.Points_to.Insensitive) (c : compiled) =
-  stage_span "pipeline.scope_escape"
-    (fun () ->
-      [
-        ("file", c.src.file);
-        ("mode", Rsti_dataflow.Points_to.mode_to_string mode);
-      ])
+let scope_escape ?(config = default) ?(mode = Points_to.Insensitive)
+    (c : compiled) =
+  let mode_s = Points_to.mode_to_string mode in
+  stage_span "pipeline.scope_escape" (fun () ->
+      [ ("file", c.src.file); ("mode", mode_s) ])
   @@ fun () ->
-  if config.cache then Cache.scope ~file:c.src.file ~mode c.src.text
-  else
-    Rsti_dataflow.Scope_escape.analyze
-      ~points_to:(Rsti_dataflow.Points_to.analyze ~mode c.modul)
-      c.modul
+  memo config st_scope (key c.src [ mode_s ]) (fun () ->
+      Rsti_dataflow.Scope_escape.analyze
+        ~points_to:(points_to ~config ~mode c)
+        c.modul)
+
+(* The points-to solution and scope-escape result at one precision, as
+   the optional arguments the context-precision proof and the confined
+   attack surface take. *)
+let confinement ~config mode c =
+  let pt = points_to ~config ~mode c in
+  (Some pt, Some (scope_escape ~config ~mode c))
 
 (* The static substitution-attack-surface partition for one mechanism.
    [mode = None] is the unconfined (oracle) attacker model; [Some m]
    refines feasibility with points-to confinement and scope escape at
-   that precision. Cached per (mechanism, mode). *)
+   that precision. *)
 let attack_surface ?(config = default) ?mode mech (a : analyzed) =
-  stage_span "pipeline.attack_surface"
-    (fun () ->
-      [
-        ("file", a.comp.src.file);
-        ("mech", RT.mechanism_to_string mech);
-        ( "mode",
-          match mode with
-          | None -> "oracle"
-          | Some m -> Rsti_dataflow.Points_to.mode_to_string m );
-      ])
+  let mech_s = RT.mechanism_to_string mech in
+  let mode_s =
+    match mode with None -> "oracle" | Some m -> Points_to.mode_to_string m
+  in
+  stage_span "pipeline.attack_surface" (fun () ->
+      [ ("file", a.comp.src.file); ("mech", mech_s); ("mode", mode_s) ])
   @@ fun () ->
-  if config.cache then
-    Cache.equiv ~file:a.comp.src.file ~mode mech a.comp.src.text
-  else
-    match mode with
-    | None -> Rsti_dataflow.Equiv.analyze a.anal a.comp.modul mech
-    | Some pt_mode ->
-        let pt = points_to ~config ~mode:pt_mode a.comp in
-        let sc = scope_escape ~config ~mode:pt_mode a.comp in
-        Rsti_dataflow.Equiv.analyze ~points_to:pt ~scope:sc a.anal a.comp.modul
-          mech
+  memo config st_attack_surface (key a.comp.src [ mech_s; mode_s ])
+    (fun () ->
+      let points_to, scope =
+        match mode with
+        | None -> (None, None)
+        | Some mode -> confinement ~config mode a.comp
+      in
+      Rsti_dataflow.Equiv.analyze ?points_to ?scope a.anal a.comp.modul mech)
 
+(* The elision proof at a precision; each precision has its own stage,
+   the way {!points_to} splits insensitive and cloned solves. *)
 let elide_pred ?(config = default) ?(mode = Elide.Syntactic) (a : analyzed) =
+  let proof st confine =
+    memo config st (key a.comp.src [ Elide.mode_to_string mode ]) (fun () ->
+        let points_to, scope = confine () in
+        Elide.elide (Elide.analyze ?points_to ?scope a.anal a.comp.modul))
+  in
   match mode with
   | Elide.Off -> fun _ -> false
-  | Elide.Syntactic ->
-      if config.cache then Cache.elide ~file:a.comp.src.file a.comp.src.text
-      else Elide.elide (Elide.analyze a.anal a.comp.modul)
+  | Elide.Syntactic -> proof st_elide (fun () -> (None, None))
   | Elide.With_points_to ->
-      if config.cache then Cache.elide_pt ~file:a.comp.src.file a.comp.src.text
-      else
-        let pt = points_to ~config a.comp in
-        Elide.elide (Elide.analyze ~points_to:pt a.anal a.comp.modul)
+      proof st_elide_pt (fun () -> (Some (points_to ~config a.comp), None))
   | Elide.With_context k ->
-      if config.cache then
-        Cache.elide_ctx ~file:a.comp.src.file ~k a.comp.src.text
-      else
-        let pmode = Rsti_dataflow.Points_to.Cloning k in
-        let pt = points_to ~config ~mode:pmode a.comp in
-        let scope = scope_escape ~config ~mode:pmode a.comp in
-        Elide.elide (Elide.analyze ~points_to:pt ~scope a.anal a.comp.modul)
+      proof st_elide_ctx (fun () ->
+          confinement ~config (Points_to.Cloning k) a.comp)
+
+(* Instrumentation and validation share one key: mechanism x elision. *)
+let mech_key (a : analyzed) mech elision =
+  key a.comp.src [ RT.mechanism_to_string mech; Elide.mode_to_string elision ]
 
 (* The PAC-typestate validator over an instrumented module: re-checks
    the rewriter's output against the signed-at-rest discipline. *)
 let validation ?(config = default) (i : instrumented) =
-  let s = i.stage.comp.src in
   stage_span "pipeline.validate"
     (fun () ->
-      [ ("file", s.file); ("mech", RT.mechanism_to_string i.mech) ])
+      [
+        ("file", i.stage.comp.src.file);
+        ("mech", RT.mechanism_to_string i.mech);
+      ])
   @@ fun () ->
-  if config.cache then
-    Cache.validation ~file:s.file ~elision:i.elision i.mech s.text
-  else
-    Rsti_dataflow.Validate.check i.stage.anal i.mech
-      i.result.Rsti_rsti.Instrument.modul
+  memo config st_validate (mech_key i.stage i.mech i.elision) (fun () ->
+      Rsti_dataflow.Validate.check i.stage.anal i.mech
+        i.result.Rsti_rsti.Instrument.modul)
 
 let instrument ?(config = default) mech (a : analyzed) =
   (* Parts/Nop model toolchains without the whole-program proof; the
@@ -170,11 +210,12 @@ let instrument ?(config = default) mech (a : analyzed) =
           ("elision", Elide.mode_to_string elision);
         ])
     @@ fun () ->
-    if config.cache then
-      Cache.instrumented ~file:a.comp.src.file ~elision mech a.comp.src.text
-    else
-      let pred = Elide.pred elision a.anal a.comp.modul in
-      Rsti_rsti.Instrument.instrument ?elide:pred mech a.anal a.comp.modul
+    memo config st_instrument (mech_key a mech elision) (fun () ->
+        let elide =
+          if elision = Elide.Off then None
+          else Some (elide_pred ~config ~mode:elision a)
+        in
+        Rsti_rsti.Instrument.instrument ?elide mech a.anal a.comp.modul)
   in
   let i = { stage = a; mech; elision; result } in
   if config.validate then begin
@@ -211,8 +252,9 @@ let knobs_key ?seed ?fpac ?cfi ?backend ?entry () =
       Option.value entry ~default:"main";
     ]
 
-let cached_run ~key ~costs ~backend exec =
-  let o, priced = Cache.outcome ~key (fun () -> (exec (), costs)) in
+let cached_run config ~key ~backend exec =
+  let costs = config.costs in
+  let o, priced = memo config st_outcome key (fun () -> (exec (), costs)) in
   if priced == costs || priced = costs then o
   else begin
     Observe.Metrics.incr c_reprices;
@@ -239,14 +281,13 @@ let run ?(config = default) ?(attacks = []) ?seed ?fpac ?backend ?entry
     in
     Rsti_machine.Interp.run ~attacks ?entry vm
   in
-  if (not config.cache) || attacks <> [] then exec ()
+  if attacks <> [] then exec ()
   else
-    let s = i.stage.comp.src in
     let key =
       String.concat "|"
         [
           "run";
-          Cache.source_key ~file:s.file s.text;
+          i.stage.comp.src.digest;
           RT.mechanism_to_string i.mech;
           Elide.mode_to_string i.elision;
           cost_key config.costs;
@@ -257,7 +298,7 @@ let run ?(config = default) ?(attacks = []) ?seed ?fpac ?backend ?entry
           (if flight > 0 then "fl" ^ string_of_int flight else "-");
         ]
     in
-    cached_run ~key ~costs:config.costs ~backend exec
+    cached_run config ~key ~backend exec
 
 let run_baseline ?(config = default) ?(attacks = []) ?seed ?fpac ?cfi ?backend
     ?entry ?(profile = false) ?(flight = 0) (c : compiled) =
@@ -270,7 +311,7 @@ let run_baseline ?(config = default) ?(attacks = []) ?seed ?fpac ?cfi ?backend
     in
     Rsti_machine.Interp.run ~attacks ?entry vm
   in
-  if (not config.cache) || attacks <> [] then exec ()
+  if attacks <> [] then exec ()
   else
     (* An uninstrumented module executes no PA/xpac/pp instructions, so
        on top of the key's price-blindness the whole PA-cost ablation
@@ -280,17 +321,18 @@ let run_baseline ?(config = default) ?(attacks = []) ?seed ?fpac ?cfi ?backend
       String.concat "|"
         [
           "base";
-          Cache.source_key ~file:c.src.file c.src.text;
+          c.src.digest;
           cost_key config.costs;
           knobs_key ?seed ?fpac ?cfi ?backend ?entry ();
           (if profile then "prof" else "-");
           (if flight > 0 then "fl" ^ string_of_int flight else "-");
         ]
     in
-    cached_run ~key ~costs:config.costs ~backend exec
+    cached_run config ~key ~backend exec
 
 let file (s : source) = s.file
 let text (s : source) = s.text
+let digest (s : source) = s.digest
 let source_of_compiled (c : compiled) = c.src
 let ir (c : compiled) = c.modul
 let compiled_of_analyzed (a : analyzed) = a.comp

@@ -14,8 +14,13 @@
     run time travels inside the {!instrumented} stage value, so {!run}
     wires it into the machine automatically.
 
-    Every stage is memoized in the content-keyed {!Cache} (switched by
-    [config.cache]); fan-out over workloads happens in {!Scheduler}.
+    Every stage is memoized in the content-keyed {!Cache} when
+    [config.cache] is set: this module owns the compile, analysis,
+    points_to, points_to_cs, scope_escape, elide, elide_pt, elide_ctx,
+    instrument, validate, outcome and attack_surface stages, and writes
+    each stage's computation once. Keys start from the source digest
+    {!source} computes once; a stage looks up its dependencies only when
+    it misses. Fan-out over workloads happens in {!Scheduler}.
     Attack-free runs memoize too — the machine is deterministic, so an
     outcome is a pure function of the source digest, the cost record and
     the machine knobs. {!run}/{!run_baseline} key on the source digest,
@@ -42,7 +47,9 @@ type config = {
           rewriter broke the signed-at-rest discipline *)
   mechanisms : Rsti_sti.Rsti_type.mechanism list;
       (** the mechanism sweep {!instrument_all} expands *)
-  cache : bool;  (** consult/fill the artifact {!Cache} *)
+  cache : bool;
+      (** consult/fill the artifact {!Cache}; [false] computes every
+          stage fresh and counts nothing *)
   jobs : int option;
       (** fan-out width for suite-level consumers; [None] defers to
           {!Scheduler.default_jobs} *)
@@ -64,7 +71,8 @@ type instrumented
 
 val source : ?file:string -> string -> source
 (** Wrap MiniC text; [file] (default ["<memory>.c"]) names it in
-    diagnostics and debug metadata and is part of the cache key. *)
+    diagnostics and debug metadata. Hashes (file, text) once into the
+    {!digest} every cache key of this source starts with. *)
 
 val compile : ?config:config -> source -> compiled
 (** Parse, type-check, lower ([Ir.Lower.compile]). Frontend errors
@@ -124,6 +132,10 @@ val run_baseline :
 
 val file : source -> string
 val text : source -> string
+
+val digest : source -> string
+(** The MD5 of (file, text), hex: the part of every cache key that names
+    the source. Stages owned outside this module key on it too. *)
 
 val source_of_compiled : compiled -> source
 val ir : compiled -> Rsti_ir.Ir.modul

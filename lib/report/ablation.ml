@@ -12,8 +12,9 @@ let pac_cost_sweep () =
       (fun pac ->
         let config =
           {
-            Run.default_config with
-            Run.costs = Rsti_machine.Cost.with_pac Rsti_machine.Cost.default pac;
+            Pipeline.default with
+            Pipeline.costs =
+              Rsti_machine.Cost.with_pac Rsti_machine.Cost.default pac;
           }
         in
         let cells =
@@ -162,7 +163,7 @@ let elision () =
     c.signs + c.auths + (2 * c.resigns)
   in
   let elide_config =
-    { Run.default_config with Run.elision = Rsti_staticcheck.Elide.Syntactic }
+    { Pipeline.default with Pipeline.elision = Rsti_staticcheck.Elide.Syntactic }
   in
   let full = ref [] and elided = ref [] in
   let rows =

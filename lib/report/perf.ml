@@ -15,7 +15,7 @@ let mechs = RT.all_mechanisms
 (* One scheduler task per workload across every suite at once (the
    widest fan-out the data allows), then regroup per suite in workload
    order — the result is independent of the job count. *)
-let collect ?(config = Run.default_config) () =
+let collect () =
   let suites =
     [
       Rsti_workloads.Spec2006.all;
@@ -29,9 +29,7 @@ let collect ?(config = Run.default_config) () =
     List.concat (List.mapi (fun i ws -> List.map (fun w -> (i, w)) ws) suites)
   in
   let measured =
-    Scheduler.map ?jobs:config.Run.jobs
-      (fun (i, w) -> (i, Run.measure ~config w mechs))
-      tagged
+    Scheduler.map (fun (i, w) -> (i, Run.measure w mechs)) tagged
   in
   let of_suite i =
     List.concat_map (fun (j, ms) -> if i = j then ms else []) measured

@@ -12,10 +12,11 @@ type t = {
   nginx : Rsti_workloads.Run.measurement list;
 }
 
-val collect : ?config:Rsti_workloads.Run.config -> unit -> t
-(** Run everything (takes tens of seconds of simulation at one job;
-    [config.jobs] parallelizes, [config.cache] reuses compile/analysis
-    artifacts across sections). *)
+val collect : unit -> t
+(** Run everything under {!Rsti_engine.Pipeline.default} (takes tens of
+    seconds of simulation at one job; the scheduler's default job count
+    parallelizes, and the engine cache reuses compile/analysis artifacts
+    across sections). *)
 
 val of_mech : Rsti_workloads.Run.measurement list -> Rsti_sti.Rsti_type.mechanism ->
   Rsti_workloads.Run.measurement list

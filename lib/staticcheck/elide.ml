@@ -375,17 +375,3 @@ let analyze ?points_to ?scope anal m =
   let t = analyze ?points_to ?scope anal m in
   tally t;
   t
-
-(* The elision predicate handed to [Instrument.instrument ~elide], at a
-   chosen precision; [Off] means no predicate (instrument everything). *)
-let pred mode anal (m : Ir.modul) : (Ir.slot -> bool) option =
-  match mode with
-  | Off -> None
-  | Syntactic -> Some (elide (analyze anal m))
-  | With_points_to ->
-      let pt = Points_to.analyze m in
-      Some (elide (analyze ~points_to:pt anal m))
-  | With_context k ->
-      let pt = Points_to.analyze ~mode:(Points_to.Cloning k) m in
-      let scope = Scope_escape.analyze ~points_to:pt m in
-      Some (elide (analyze ~points_to:pt ~scope anal m))

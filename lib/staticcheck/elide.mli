@@ -96,15 +96,6 @@ val elide : t -> Rsti_ir.Ir.slot -> bool
 (** [true] iff {!verdict} is [Provably_safe] — the predicate handed to
     [Rsti.Instrument.instrument ~elide]. *)
 
-val pred :
-  mode ->
-  Rsti_sti.Analysis.t ->
-  Rsti_ir.Ir.modul ->
-  (Rsti_ir.Ir.slot -> bool) option
-(** The elision predicate at a chosen precision ([None] when [Off]);
-    [With_points_to] runs {!Rsti_dataflow.Points_to.analyze} internally.
-    The engine's cache computes and memoizes the pieces itself. *)
-
 type summary = {
   candidates : int;  (** slots the instrumentation pass would touch *)
   safe : int;        (** of those, provably safe *)

@@ -5,23 +5,6 @@ module Scheduler = Rsti_engine.Scheduler
 
 exception Divergence of string
 
-type config = {
-  costs : Rsti_machine.Cost.t;
-  elision : Rsti_staticcheck.Elide.mode;
-  validate : bool;
-  cache : bool;
-  jobs : int option;
-}
-
-let default_config =
-  {
-    costs = Rsti_machine.Cost.default;
-    elision = Rsti_staticcheck.Elide.Off;
-    validate = false;
-    cache = true;
-    jobs = None;
-  }
-
 type measurement = {
   workload : Workload.t;
   mech : RT.mechanism;
@@ -32,16 +15,6 @@ type measurement = {
   static_counts : Rsti_rsti.Instrument.static_counts;
 }
 
-let pipeline_config ?(mechs = RT.all_mechanisms) (c : config) =
-  {
-    Pipeline.costs = c.costs;
-    elision = c.elision;
-    validate = c.validate;
-    cache = c.cache;
-    jobs = c.jobs;
-    mechanisms = mechs;
-  }
-
 let exit_code (o : Interp.outcome) =
   match o.Interp.status with
   | Interp.Exited code -> code
@@ -49,15 +22,15 @@ let exit_code (o : Interp.outcome) =
       invalid_arg
         (Printf.sprintf "workload trapped: %s" (Interp.trap_to_string tr))
 
-let measure ?(config = default_config) (w : Workload.t) mechs =
-  let pcfg = pipeline_config ~mechs config in
+let measure ?(config = Pipeline.default) (w : Workload.t) mechs =
+  let config = { config with Pipeline.mechanisms = mechs } in
   let analyzed =
-    Pipeline.analyze ~config:pcfg
-      (Pipeline.compile ~config:pcfg
+    Pipeline.analyze ~config
+      (Pipeline.compile ~config
          (Pipeline.source ~file:(w.Workload.name ^ ".c") w.Workload.source))
   in
   let base_outcome =
-    Pipeline.run_baseline ~config:pcfg (Pipeline.compiled_of_analyzed analyzed)
+    Pipeline.run_baseline ~config (Pipeline.compiled_of_analyzed analyzed)
   in
   let base_code = exit_code base_outcome in
   List.map
@@ -65,16 +38,16 @@ let measure ?(config = default_config) (w : Workload.t) mechs =
       let run_cfg =
         if mech = RT.Parts then
           {
-            pcfg with
+            config with
             Pipeline.costs =
               {
                 Rsti_machine.Cost.parts_codegen with
-                pac = config.costs.Rsti_machine.Cost.pac;
+                pac = config.Pipeline.costs.Rsti_machine.Cost.pac;
               };
           }
-        else pcfg
+        else config
       in
-      let inst = Pipeline.instrument ~config:pcfg mech analyzed in
+      let inst = Pipeline.instrument ~config mech analyzed in
       let o = Pipeline.run ~config:run_cfg inst in
       let code = exit_code o in
       if code <> base_code || o.Interp.output <> base_outcome.Interp.output then
@@ -97,15 +70,16 @@ let measure ?(config = default_config) (w : Workload.t) mechs =
       })
     mechs
 
-let measure_suite ?(config = default_config) ws mechs =
+let measure_suite ?(config = Pipeline.default) ws mechs =
   List.concat
-    (Scheduler.map ?jobs:config.jobs (fun w -> measure ~config w mechs) ws)
+    (Scheduler.map ?jobs:config.Pipeline.jobs
+       (fun w -> measure ~config w mechs)
+       ws)
 
-let analyze_workload ?(config = default_config) (w : Workload.t) =
-  let pcfg = pipeline_config config in
+let analyze_workload ?(config = Pipeline.default) (w : Workload.t) =
   Pipeline.analysis
-    (Pipeline.analyze ~config:pcfg
-       (Pipeline.compile ~config:pcfg
+    (Pipeline.analyze ~config
+       (Pipeline.compile ~config
           (Pipeline.source ~file:(w.Workload.name ^ ".c")
              (Workload.analysis_source w))))
 

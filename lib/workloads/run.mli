@@ -10,29 +10,6 @@
 exception Divergence of string
 (** A mechanism changed a workload's observable behaviour. *)
 
-type config = {
-  costs : Rsti_machine.Cost.t;
-      (** cycle model; the [Parts] mechanism always runs under
-          {!Rsti_machine.Cost.parts_codegen} with this record's [pac] *)
-  elision : Rsti_staticcheck.Elide.mode;
-      (** proof-based instrumentation elision ({!Rsti_staticcheck.Elide})
-          for the STWC/STC/STL runs, at syntactic or points-to
-          precision; skipped sites are counted in
-          [static_counts.elided] *)
-  validate : bool;
-      (** run the PAC-typestate validator over every instrumented module
-          ({!Rsti_dataflow.Validate}); failures raise
-          [Rsti_engine.Pipeline.Validation_failed] *)
-  cache : bool;  (** consult the engine's content-keyed artifact cache *)
-  jobs : int option;
-      (** fan-out width of {!measure_suite}; [None] defers to
-          {!Rsti_engine.Scheduler.default_jobs} *)
-}
-
-val default_config : config
-(** [Cost.default], no elision, no validation, cache on, engine-default
-    jobs. *)
-
 type measurement = {
   workload : Workload.t;
   mech : Rsti_sti.Rsti_type.mechanism;
@@ -44,16 +21,19 @@ type measurement = {
 }
 
 val measure :
-  ?config:config ->
+  ?config:Rsti_engine.Pipeline.config ->
   Workload.t ->
   Rsti_sti.Rsti_type.mechanism list ->
   measurement list
-(** One measurement per mechanism, in mechanism order. The
+(** One measurement per mechanism, in mechanism order (the list becomes
+    [config.mechanisms]; default config {!Rsti_engine.Pipeline.default}).
+    The [Parts] mechanism always runs under
+    {!Rsti_machine.Cost.parts_codegen} with [config.costs]'s [pac]. The
     output-equality assertion applies under elision too, so a
     behaviour-changing elision raises [Divergence]. *)
 
 val measure_suite :
-  ?config:config ->
+  ?config:Rsti_engine.Pipeline.config ->
   Workload.t list ->
   Rsti_sti.Rsti_type.mechanism list ->
   measurement list
@@ -61,7 +41,8 @@ val measure_suite :
     ([config.jobs]); the result is flattened in workload order, so it is
     identical for any job count. *)
 
-val analyze_workload : ?config:config -> Workload.t -> Rsti_sti.Analysis.t
+val analyze_workload :
+  ?config:Rsti_engine.Pipeline.config -> Workload.t -> Rsti_sti.Analysis.t
 (** The STI analysis of a workload over its full static population
     ([Workload.analysis_source] — kernel plus the generated module that
     scales types/variables to 1/8 of the real benchmark). *)

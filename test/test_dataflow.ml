@@ -13,6 +13,7 @@ module Elide = Rsti_staticcheck.Elide
 module Analysis = Rsti_sti.Analysis
 module RT = Rsti_sti.Rsti_type
 module Instrument = Rsti_rsti.Instrument
+module Pipeline = Rsti_engine.Pipeline
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -178,6 +179,34 @@ let test_points_to_confinement () =
   let st = Points_to.stats pt in
   checkb "analysis saw objects" true (st.Points_to.objects > 0);
   checkb "fixpoint took at least one pass" true (st.Points_to.iterations >= 1)
+
+(* A struct instance handed to extern code makes every field cell of the
+   struct attacker memory, even [b], which no access ever touched. The
+   query answers that without interning [b]'s cell: a solution shared
+   through the engine cache reads the same before and after its readers
+   ran. *)
+let test_points_to_confinement_read_only () =
+  let m =
+    compile
+      {|
+struct pair { long a; long b; };
+extern void sink(struct pair* p);
+struct pair g;
+int main(void) {
+  g.a = 1;
+  sink(&g);
+  return 0;
+}
+|}
+  in
+  let pt = Points_to.analyze m in
+  let before = Points_to.stats pt in
+  let conf = Points_to.confinement pt in
+  checkb "untouched field of an escaped instance -> not confined" false
+    (Points_to.confined_slot conf (Ir.Sfield ("pair", "b")));
+  checkb "field cell is attacker memory" true
+    (Points_to.attacker_obj conf (Points_to.Ofield ("pair", "b")));
+  checkb "stats unchanged by the query" true (before = Points_to.stats pt)
 
 (* ------------------- context-sensitive points-to ------------------- *)
 
@@ -507,20 +536,26 @@ let modes =
 
 (* Every module Instrument produces — all SPEC2006 workloads, all three
    PAC mechanisms, all three elision precisions — satisfies the
-   signed-at-rest typestate. *)
+   signed-at-rest typestate. The pipeline runs uncached, so each check
+   sees a fresh pass. *)
 let test_validator_green_on_workloads () =
+  let config = { Pipeline.default with Pipeline.cache = false } in
   List.iter
     (fun (w : Rsti_workloads.Workload.t) ->
-      let src = Rsti_workloads.Workload.analysis_source w in
-      let m = Rsti_ir.Lower.compile ~file:(w.name ^ ".c") src in
-      let anal = Analysis.analyze m in
+      let a =
+        Pipeline.analyze ~config
+          (Pipeline.compile ~config
+             (Pipeline.source ~file:(w.name ^ ".c")
+                (Rsti_workloads.Workload.analysis_source w)))
+      in
       List.iter
         (fun mech ->
           List.iter
             (fun mode ->
-              let pred = Elide.pred mode anal m in
-              let r = Instrument.instrument ?elide:pred mech anal m in
-              let rep = Validate.check anal mech r.Instrument.modul in
+              let config = { config with Pipeline.elision = mode } in
+              let rep =
+                Pipeline.validation ~config (Pipeline.instrument ~config mech a)
+              in
               if not (Validate.ok rep) then
                 Alcotest.failf "%s/%s/%s:\n%s" w.name
                   (RT.mechanism_to_string mech)
@@ -585,6 +620,8 @@ let tests =
       test_callgraph_bottom_up;
     Alcotest.test_case "points-to: confinement separates escapees" `Quick
       test_points_to_confinement;
+    Alcotest.test_case "points-to: confinement leaves the solution as is"
+      `Quick test_points_to_confinement_read_only;
     Alcotest.test_case "context: call strings and k=0 degeneration" `Quick
       test_context_call_strings;
     Alcotest.test_case "context: recursion collapses to one context" `Quick

@@ -13,6 +13,12 @@ module Workload = Rsti_workloads.Workload
 module Perf = Rsti_report.Perf
 module Figures = Rsti_report.Figures
 module RT = Rsti_sti.Rsti_type
+module Ir = Rsti_ir.Ir
+module Points_to = Rsti_dataflow.Points_to
+module Scope_escape = Rsti_dataflow.Scope_escape
+module Validate = Rsti_dataflow.Validate
+module Equiv = Rsti_dataflow.Equiv
+module Elide = Rsti_staticcheck.Elide
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -87,28 +93,158 @@ let test_jobs_resolution_override () =
 
 (* ------------------------------- cache ------------------------------ *)
 
-(* A cached artifact must be indistinguishable from a fresh computation:
-   same static counts whether the pipeline runs cold, fills the cache, or
-   is served from it. *)
-let test_cache_hit_identical () =
-  let w = List.hd Rsti_workloads.Nbench.all in
-  let counts ~cache mech =
-    let config = { Pipeline.default with Pipeline.cache } in
-    let src = Pipeline.source ~file:(w.Workload.name ^ ".c") w.Workload.source in
-    Pipeline.counts
-      (Pipeline.instrument ~config mech
-         (Pipeline.analyze ~config (Pipeline.compile ~config src)))
+(* Every key variant of every stage, on one kernel. *)
+let pt_modes = Points_to.[ Insensitive; Cloning 1; Cloning 2 ]
+
+let elide_modes =
+  Elide.[ Off; Syntactic; With_points_to; With_context 1; With_context 2 ]
+
+let mechs = RT.[ Nop; Stwc; Stc; Stl; Parts ]
+
+let surface_modes =
+  [ None; Some Points_to.Insensitive; Some (Points_to.Cloning 2) ]
+
+(* Every slot a load or store of [m] touches, in a fixed order. *)
+let slots (m : Ir.modul) =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (f : Ir.func) ->
+         List.concat_map
+           (fun (b : Ir.block) ->
+             List.filter_map
+               (fun (ins : Ir.instr) ->
+                 match ins.Ir.i with
+                 | Ir.Load { slot; _ } | Ir.Store { slot; _ } -> Some slot
+                 | _ -> None)
+               b.Ir.instrs)
+           (Array.to_list f.Ir.blocks))
+       m.Ir.m_funcs)
+
+let ints l = String.concat " " (List.map string_of_int l)
+
+(* One printable summary per stage and key variant, in a fixed order. *)
+let sweep ~cache (w : Workload.t) =
+  let config = { Pipeline.default with Pipeline.cache } in
+  let c =
+    Pipeline.compile ~config
+      (Pipeline.source ~file:(w.Workload.name ^ ".c") w.Workload.source)
   in
+  let a = Pipeline.analyze ~config c in
+  let pt_mode = Points_to.mode_to_string and mech_s = RT.mechanism_to_string in
+  let points_to =
+    List.map
+      (fun mode ->
+        let s = Points_to.stats (Pipeline.points_to ~config ~mode c) in
+        ( "points_to " ^ pt_mode mode,
+          ints
+            Points_to.
+              [ s.nodes; s.objects; s.iterations; s.heap_objects;
+                s.escaped_objects; s.clones ] ))
+      pt_modes
+  in
+  let scope =
+    List.map
+      (fun mode ->
+        let sc = Pipeline.scope_escape ~config ~mode c in
+        ( "scope_escape " ^ pt_mode mode,
+          String.concat "; "
+            (List.map
+               (fun (e : Scope_escape.escape) ->
+                 Printf.sprintf "%s/%s:%d %s" e.local_name e.func e.line
+                   (Scope_escape.sink_to_string e.sink))
+               (Scope_escape.escapes sc)) ))
+      pt_modes
+  in
+  let elide =
+    List.map
+      (fun mode ->
+        let p = Pipeline.elide_pred ~config ~mode a in
+        ( "elide_pred " ^ Elide.mode_to_string mode,
+          String.concat ""
+            (List.map
+               (fun s -> if p s then "1" else "0")
+               (slots (Pipeline.ir c))) ))
+      elide_modes
+  in
+  let instrument =
+    List.concat_map
+      (fun mech ->
+        List.concat_map
+          (fun elision ->
+            let config = { config with Pipeline.elision } in
+            let i = Pipeline.instrument ~config mech a in
+            let k = Pipeline.counts i in
+            let tag = mech_s mech ^ "/" ^ Elide.mode_to_string elision in
+            [
+              ( "instrument " ^ tag,
+                ints
+                  Rsti_rsti.Instrument.
+                    [ k.signs; k.auths; k.resigns; k.strips; k.pp_ops;
+                      k.elided ] );
+              ( "validation " ^ tag,
+                Validate.report_to_string (Pipeline.validation ~config i) );
+            ])
+          elide_modes)
+      mechs
+  in
+  let surface =
+    List.concat_map
+      (fun mech ->
+        List.map
+          (fun mode ->
+            let m =
+              (Pipeline.attack_surface ~config ?mode mech a).Equiv.r_metrics
+            in
+            ( Printf.sprintf "attack_surface %s/%s" (mech_s mech)
+                (Option.fold ~none:"oracle" ~some:pt_mode mode),
+              ints
+                Equiv.
+                  [ m.m_candidates; m.m_classes; m.m_singletons; m.m_largest;
+                    m.m_replay_edges; m.m_feasible_edges ] ))
+          surface_modes)
+      mechs
+  in
+  List.concat [ points_to; scope; elide; instrument; surface ]
+
+(* Misses of one sweep from an empty cache: one per distinct key. A key
+   that dropped its k or its mode would merge two artifacts and miss too
+   rarely. Parts and Nop force elision Off, so they have one instrument
+   key each. *)
+let sweep_misses =
+  [
+    ("compile", 1); ("analysis", 1);
+    ("points_to", 1); ("points_to_cs", 2); ("scope_escape", 3);
+    ("elide", 1); ("elide_pt", 1); ("elide_ctx", 2);
+    ("instrument", 17); ("validate", 17);
+    ("outcome", 0); ("attack_surface", 15); ("incident", 0);
+  ]
+
+(* A cached artifact must be indistinguishable from a fresh computation:
+   every stage summary is the same whether the sweep runs uncached, fills
+   the cache, or is served from it; filling misses once per key, and
+   serving misses never. The perlbench kernel has a scope escape, safe
+   sets that grow with each elision precision, and non-empty classes. *)
+let test_cache_hit_identical () =
+  let w = List.hd Rsti_workloads.Spec2006.all in
   Cache.clear ();
-  let fresh = counts ~cache:false RT.Stwc in
-  let filling = counts ~cache:true RT.Stwc in
-  let before = Cache.stats () in
-  let served = counts ~cache:true RT.Stwc in
-  let after = Cache.stats () in
-  checkb "second cached call hits" true (after.Cache.hits > before.Cache.hits);
-  checkb "no extra miss on the hit" true (after.Cache.misses = before.Cache.misses);
-  checkb "cold = filling" true (fresh = filling);
-  checkb "filling = served" true (filling = served)
+  let fresh = sweep ~cache:false w in
+  let filling = sweep ~cache:true w in
+  let filled = Cache.stage_stats () in
+  let served = sweep ~cache:true w in
+  List.iter
+    (fun (name, n) ->
+      checki (name ^ " misses = distinct keys") n
+        (List.assoc name filled).Cache.misses)
+    sweep_misses;
+  checki "second sweep adds no miss"
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 sweep_misses)
+    (Cache.stats ()).Cache.misses;
+  List.iter2
+    (fun (label, f) (_, c) -> checks ("uncached = filling: " ^ label) f c)
+    fresh filling;
+  List.iter2
+    (fun (label, f) (_, c) -> checks ("filling = served: " ^ label) f c)
+    filling served
 
 (* Run keys omit the instrumentation prices: a hit under a different
    [pac] cost is re-priced from the outcome's counters instead of
@@ -152,15 +288,40 @@ let test_run_reprice_matches_simulation () =
         fresh_s.Rsti_machine.Interp.cycles cached_s.Rsti_machine.Interp.cycles)
     [ 3; 5; 9; 12 ]
 
+(* [cache = false] computes every stage fresh and never touches a table:
+   the whole chain, run uncached, counts no hit and no miss anywhere. *)
 let test_cache_disabled_bypasses_table () =
   Cache.clear ();
-  Cache.set_enabled false;
   let w = List.hd Rsti_workloads.Nbench.all in
-  ignore (Cache.compiled ~file:"off.c" w.Workload.source);
-  let s = Cache.stats () in
-  Cache.set_enabled true;
-  checki "no hits recorded while disabled" 0 s.Cache.hits;
-  checki "no misses recorded while disabled" 0 s.Cache.misses
+  let config =
+    {
+      Pipeline.default with
+      Pipeline.cache = false;
+      elision = Elide.With_context 2;
+      validate = true;
+    }
+  in
+  let a =
+    Pipeline.analyze ~config
+      (Pipeline.compile ~config
+         (Pipeline.source ~file:"off.c" w.Workload.source))
+  in
+  List.iter
+    (fun mode ->
+      ignore
+        (List.map
+           (Pipeline.elide_pred ~config ~mode a)
+           (slots (Pipeline.analyzed_ir a))))
+    elide_modes;
+  let i = Pipeline.instrument ~config RT.Stwc a in
+  ignore
+    (Pipeline.attack_surface ~config ~mode:(Points_to.Cloning 2) RT.Stwc a);
+  ignore (Pipeline.run ~config i);
+  List.iter
+    (fun (name, s) ->
+      checki (name ^ " hits") 0 s.Cache.hits;
+      checki (name ^ " misses") 0 s.Cache.misses)
+    (Cache.stage_stats ())
 
 (* --------------------- serial vs parallel output -------------------- *)
 
@@ -170,7 +331,7 @@ let take n l = List.filteri (fun i _ -> i < n) l
    affordable while exercising the same fan-out/merge path as the full
    figure reproduction. *)
 let reduced_perf ~jobs () =
-  let config = { Run.default_config with Run.jobs = Some jobs } in
+  let config = { Pipeline.default with Pipeline.jobs = Some jobs } in
   let suite ws = Run.measure_suite ~config (take 2 ws) RT.all_mechanisms in
   {
     Perf.spec2006 = suite Rsti_workloads.Spec2006.all;
