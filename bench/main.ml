@@ -29,7 +29,7 @@
 
 module RT = Rsti_sti.Rsti_type
 module Tab = Rsti_util.Tab
-module J = Rsti_staticcheck.Json
+module J = Rsti_util.Json
 module Perf = Rsti_report.Perf
 
 let section title = print_endline (Tab.section title)

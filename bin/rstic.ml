@@ -218,6 +218,7 @@ let run_cmd =
     | None -> ()
     | Some path ->
         let module Observe = Rsti_observe.Observe in
+        let module Json = Rsti_util.Json in
         List.iter
           (fun inc ->
             Observe.Events.emit ~cat:"incident" ~name:(Filename.basename file)
@@ -225,15 +226,15 @@ let run_cmd =
           o.Interp.incidents;
         Observe.Events.emit ~cat:"run" ~name:(Filename.basename file)
           [
-            ("mech", Observe.Json.Str (RT.mechanism_to_string mech));
-            ("cycles", Observe.Json.Int o.Interp.cycles);
-            ("instrs", Observe.Json.Int o.Interp.counts.Interp.instrs);
-            ("pac_signs", Observe.Json.Int o.Interp.counts.Interp.pac_signs);
-            ("pac_auths", Observe.Json.Int o.Interp.counts.Interp.pac_auths);
+            ("mech", Json.Str (RT.mechanism_to_string mech));
+            ("cycles", Json.Int o.Interp.cycles);
+            ("instrs", Json.Int o.Interp.counts.Interp.instrs);
+            ("pac_signs", Json.Int o.Interp.counts.Interp.pac_signs);
+            ("pac_auths", Json.Int o.Interp.counts.Interp.pac_auths);
             ( "incidents",
-              Observe.Json.Int (List.length o.Interp.incidents) );
+              Json.Int (List.length o.Interp.incidents) );
             ( "status",
-              Observe.Json.Str
+              Json.Str
                 (match o.Interp.status with
                 | Interp.Exited c -> Printf.sprintf "exit:%Ld" c
                 | Interp.Trapped tr -> "trap:" ^ Interp.trap_to_string tr) );
@@ -365,7 +366,7 @@ let analyze_cmd =
       | `Text -> print_attack_surface file results
       | `Json ->
           print_string
-            (Rsti_staticcheck.Json.to_string
+            (Rsti_util.Json.to_string
                (Rsti_staticcheck.Attack_surface.graph_json m results));
           print_newline ()
       | `Sarif ->
@@ -437,7 +438,7 @@ let analyze_cmd =
           c.pp_total_sites
           (List.length c.pp_special)
     | `Json ->
-        let module J = Rsti_staticcheck.Json in
+        let module J = Rsti_util.Json in
         let e = Rsti_staticcheck.Elide.analyze anal m in
         let var si =
           let slot = si.Rsti_sti.Analysis.slot in

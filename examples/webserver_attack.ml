@@ -10,22 +10,15 @@ module RT = Rsti_sti.Rsti_type
 module Interp = Rsti_machine.Interp
 
 let narrate label (r : S.run_result) =
+  let o = r.S.outcome in
   Printf.printf "--- %s ---\n" label;
+  List.iter (Printf.printf "  [attacker] %s\n") o.Interp.notes;
   List.iter
-    (fun ev ->
-      match ev with
-      | Interp.Ev_attack msg -> Printf.printf "  [attacker] %s\n" msg
-      | Interp.Ev_extern ("system", args) ->
-          Printf.printf "  [!] system() reached with arg 0x%Lx\n"
-            (match args with a :: _ -> a | [] -> 0L)
-      | Interp.Ev_auth_fail { func; modifier; ptr } ->
-          Printf.printf
-            "  [PA] authentication FAILED in %s (modifier 0x%Lx, pointer 0x%Lx)\n"
-            func modifier ptr
-      | Interp.Ev_output s -> Printf.printf "  [out] %s" s
-      | Interp.Ev_call _ | Interp.Ev_extern _ -> ())
-    r.S.outcome.Interp.events;
-  (match r.S.outcome.Interp.status with
+    (fun line -> if line <> "" then Printf.printf "  [out] %s\n" line)
+    (String.split_on_char '\n' o.Interp.output);
+  if Rsti_attacks.Checks.extern_called "system" o then
+    print_endline "  [!] system() reached";
+  (match o.Interp.status with
   | Interp.Exited n -> Printf.printf "  program exited with %Ld\n" n
   | Interp.Trapped tr -> Printf.printf "  program TRAPPED: %s\n" (Interp.trap_to_string tr));
   Printf.printf "  verdict: %s\n\n" (S.verdict_to_string r.S.verdict)

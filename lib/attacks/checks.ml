@@ -1,18 +1,11 @@
 module Interp = Rsti_machine.Interp
 
 let extern_called_times name n (o : Interp.outcome) =
-  let count =
-    List.fold_left
-      (fun acc ev ->
-        match ev with Interp.Ev_extern (m, _) when m = name -> acc + 1 | _ -> acc)
-      0 o.events
-  in
-  count >= n
+  Option.value ~default:0 (List.assoc_opt name o.extern_profile) >= n
 
 let extern_called name o = extern_called_times name 1 o
 
-let func_called name (o : Interp.outcome) =
-  List.exists (function Interp.Ev_call m -> m = name | _ -> false) o.events
+let func_called name (o : Interp.outcome) = List.mem_assoc name o.call_profile
 
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in

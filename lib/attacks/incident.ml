@@ -14,7 +14,7 @@ module Pipeline = Rsti_engine.Pipeline
 module Cache = Rsti_engine.Cache
 module Scheduler = Rsti_engine.Scheduler
 module Observe = Rsti_observe.Observe
-module Json = Observe.Json
+module Json = Rsti_util.Json
 
 let mechanisms = RT.all_mechanisms @ [ RT.Parts ]
 let default_flight = 16

@@ -109,17 +109,17 @@ val ok : coverage -> bool
 (** The CI invariant: [cov_unmapped = 0 && cov_missing = []]. *)
 
 val incident_fields :
-  Rsti_machine.Interp.incident -> (string * Rsti_observe.Observe.Json.t) list
+  Rsti_machine.Interp.incident -> (string * Rsti_util.Json.t) list
 (** The raw incident's JSON fields (site, expected/observed signer,
     latency, window size) — what [rstic run --events] emits for a bare
     run, where no scenario/class context exists. *)
 
-val record_fields : record -> (string * Rsti_observe.Observe.Json.t) list
+val record_fields : record -> (string * Rsti_util.Json.t) list
 (** The incident record's JSON fields (the [rsti-events/1] payload and
     the report's raw view share this). Deterministic: every value comes
     from the simulated machine, never a wall clock. *)
 
-val mech_fields : mech_cov -> (string * Rsti_observe.Observe.Json.t) list
+val mech_fields : mech_cov -> (string * Rsti_util.Json.t) list
 
 val emit_events : coverage -> unit
 (** Buffer the coverage map into {!Rsti_observe.Observe.Events}: one

@@ -91,13 +91,13 @@ let write_events path =
 
 let write_trace path =
   write_file path
-    (Rsti_observe.Observe.Json.to_string ~indent:false
+    (Rsti_util.Json.to_string ~indent:false
        (Rsti_observe.Observe.Span.chrome_trace ())
     ^ "\n")
 
 let write_metrics path =
   write_file path
-    (Rsti_observe.Observe.Json.to_string
+    (Rsti_util.Json.to_string
        (Rsti_observe.Observe.Metrics.to_json ())
     ^ "\n")
 

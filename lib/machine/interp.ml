@@ -2,13 +2,6 @@ module Ctype = Rsti_minic.Ctype
 module Ir = Rsti_ir.Ir
 module Ast = Rsti_minic.Ast
 
-type event =
-  | Ev_call of string
-  | Ev_extern of string * int64 list
-  | Ev_auth_fail of { func : string; modifier : int64; ptr : int64 }
-  | Ev_attack of string
-  | Ev_output of string
-
 type trap =
   | Mem_fault of { fault : string; func : string; after_auth_fail : bool }
   | Bad_indirect_call of { target : int64; func : string; after_auth_fail : bool }
@@ -67,6 +60,23 @@ type site = {
   mutable s_pp_calls : int;
 }
 
+let new_site func line =
+  {
+    s_func = func;
+    s_line = line;
+    s_cycles = 0;
+    s_instrs = 0;
+    s_pac_charges = 0;
+    s_strips = 0;
+    s_pp_calls = 0;
+  }
+
+(* Hottest first, ties in site order: the one order of a profile. *)
+let by_cycles a b =
+  match compare b.s_cycles a.s_cycles with
+  | 0 -> compare (a.s_func, a.s_line) (b.s_func, b.s_line)
+  | c -> c
+
 (* One PAC-unit operation captured by the flight recorder. [op_static_mod]
    is the modifier *constant* carried by the instruction (Mconst c and
    Mloc c both record c, before any slot-address XOR), which is exactly
@@ -124,7 +134,6 @@ type outcome = {
   status : status;
   cycles : int;
   counts : counts;
-  events : event list;
   output : string;
   call_profile : (string * int) list;
       (* defined-function call counts, descending *)
@@ -134,6 +143,7 @@ type outcome = {
       (* hot-site profile, cycles descending; [] unless profiling *)
   incidents : incident list;
       (* chronological; [] unless flight recording *)
+  notes : string list;  (* the intruder's notes, chronological *)
 }
 
 let detected (o : outcome) =
@@ -191,10 +201,7 @@ let reprice ~from ~to_ ~pac_spill_charged (o : outcome) =
                 + (d_pp * s.s_pp_calls);
             })
           sites
-        |> List.sort (fun a b ->
-               match compare b.s_cycles a.s_cycles with
-               | 0 -> compare (a.s_func, a.s_line) (b.s_func, b.s_line)
-               | c -> c)
+        |> List.sort by_cycles
   in
   { o with cycles; sites }
 
@@ -232,7 +239,7 @@ type t = {
   mutable sp : int64;
   mutable cycles : int;
   counts : counts;
-  mutable events : event list;  (* reverse *)
+  mutable notes : string list;  (* reverse *)
   out : Buffer.t;
   mutable steps : int;
   mutable step_limit : int;
@@ -273,8 +280,6 @@ type t = {
 exception Trap_exn of trap
 exception Exit_exn of int64
 
-let emit_event t ev = t.events <- ev :: t.events
-
 let builtin_names =
   [
     "malloc"; "calloc"; "free"; "printf"; "puts"; "putchar"; "strlen"; "strcmp";
@@ -284,19 +289,6 @@ let builtin_names =
     "write"; "close"; "getenv"; "snprintf"; "fprintf"; "qsort"; "log"; "strdup";
     "sqrt"; "fabs"; "floor"; "ceil"; "pow"; "exec";
   ]
-
-(* Execution begins (global init, entry dispatch) before any instruction
-   has named a site; those charges land on the _start pseudo-site. *)
-let boot_site () =
-  {
-    s_func = "_start";
-    s_line = 0;
-    s_cycles = 0;
-    s_instrs = 0;
-    s_pac_charges = 0;
-    s_strips = 0;
-    s_pp_calls = 0;
-  }
 
 (* Ring slots are overwritten before they are ever read, so the filler
    op is never observable. *)
@@ -376,7 +368,10 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
         addr)
       m.m_strings
   in
-  let boot = boot_site () in
+  (* Execution begins (global init, entry dispatch) before any
+     instruction has named a site; those charges land on the _start
+     pseudo-site. *)
+  let boot = new_site "_start" 0 in
   (* Pointer-to-pointer CE->FE metadata: read-only, as the paper requires. *)
   let pp_base = Int64.add Layout.rodata_base 0x8000L in
   if pp_table <> [] then begin
@@ -404,7 +399,7 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     counts =
       { instrs = 0; loads = 0; stores = 0; pac_signs = 0; pac_auths = 0;
         pac_strips = 0; pp_calls = 0; pac_charges = 0 };
-    events = [];
+    notes = [];
     out = Buffer.create 256;
     steps = 0;
     step_limit = 200_000_000;
@@ -473,7 +468,7 @@ let intruder_of t =
     global_addr = (fun n -> global_addr t n);
     func_addr = (fun n -> func_addr t n);
     heap_allocs = (fun () -> t.allocs);
-    note = (fun s -> emit_event t (Ev_attack s));
+    note = (fun s -> t.notes <- s :: t.notes);
   }
 
 let bump _t tbl name =
@@ -512,26 +507,9 @@ let set_site t (fn : Ir.func) (ins : Ir.instr) =
     match Hashtbl.find_opt t.prof_sites key with
     | Some s -> t.cur_site <- s
     | None ->
-        let s =
-          {
-            s_func = fn.name;
-            s_line = line;
-            s_cycles = 0;
-            s_instrs = 0;
-            s_pac_charges = 0;
-            s_strips = 0;
-            s_pp_calls = 0;
-          }
-        in
+        let s = new_site fn.name line in
         Hashtbl.replace t.prof_sites key s;
         t.cur_site <- s
-
-let prof_pac t n =
-  if t.profiling then
-    t.cur_site.s_pac_charges <- t.cur_site.s_pac_charges + n
-
-let prof_strip t =
-  if t.profiling then t.cur_site.s_strips <- t.cur_site.s_strips + 1
 
 let prof_pp t =
   if t.profiling then t.cur_site.s_pp_calls <- t.cur_site.s_pp_calls + 1
@@ -553,7 +531,7 @@ let op_kind_to_string = function
   | Op_pp_sign -> "pp_sign"
   | Op_pp_auth -> "pp_auth"
 
-(* Callers guard on [t.recording]; this allocates one op record. *)
+(* The caller guards on [t.recording]; this allocates one op record. *)
 let record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
   let op =
     {
@@ -572,11 +550,10 @@ let record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
   in
   t.fr_buf.(t.fr_next mod Array.length t.fr_buf) <- op;
   t.fr_next <- t.fr_next + 1;
-  (match kind with
+  match kind with
   | Op_sign | Op_pp_sign | Op_resign ->
       if ok then Hashtbl.replace t.signers result op
-  | Op_auth | Op_pp_auth | Op_strip -> ());
-  op
+  | Op_auth | Op_pp_auth | Op_strip -> ()
 
 let flight_window t =
   let cap = Array.length t.fr_buf in
@@ -609,17 +586,53 @@ let record_incident t ~func ~key ~static_mod ~modifier ~ptr =
   in
   t.incidents <- inc :: t.incidents
 
+(* Every PAC-unit operation, on either backend or in the pp runtime, is
+   accounted here and nowhere else: its counters and the profiler's
+   per-site copy, its flight-recorder entry and, when the check failed,
+   the incident and the FPAC trap. The caller charges cycles itself,
+   because the backends price the same op differently. With the profiler
+   and the recorder off, each costs one branch and nothing allocates. *)
+let account t kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
+  let signs, auths, strips, charges =
+    match kind with
+    | Op_sign -> (1, 0, 0, 1)
+    | Op_auth -> (0, 1, 0, 1)
+    | Op_resign -> (1, 1, 0, 2)
+    | Op_strip -> (0, 0, 1, 0)
+    (* the pp runtime's sign/auth price is [pp], counted in [pp_calls] *)
+    | Op_pp_sign -> (1, 0, 0, 0)
+    | Op_pp_auth -> (0, 1, 0, 0)
+  in
+  let c = t.counts in
+  c.pac_signs <- c.pac_signs + signs;
+  c.pac_auths <- c.pac_auths + auths;
+  c.pac_strips <- c.pac_strips + strips;
+  c.pac_charges <- c.pac_charges + charges;
+  if t.profiling then begin
+    let s = t.cur_site in
+    s.s_strips <- s.s_strips + strips;
+    s.s_pac_charges <- s.s_pac_charges + charges
+  end;
+  if t.recording then
+    record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok;
+  if not ok then begin
+    t.auth_failed <- true;
+    if t.recording then
+      record_incident t ~func ~key ~static_mod ~modifier ~ptr:src;
+    (* ARMv8.6 FPAC (implemented by the M1): a failing aut* traps
+       synchronously instead of leaving a corrupted pointer behind.
+       Without it, a later xpac strip could launder the corruption. *)
+    if t.fpac then
+      raise (Trap_exn (Pac_auth_failure { func; modifier; ptr = src }))
+  end
+
+let mem_fault t func fault =
+  Trap_exn
+    (Mem_fault
+       { fault = Memory.fault_to_string fault; func; after_auth_fail = t.auth_failed })
+
 let guard_mem t func f =
-  try f ()
-  with Memory.Fault fault ->
-    raise
-      (Trap_exn
-         (Mem_fault
-            {
-              fault = Memory.fault_to_string fault;
-              func;
-              after_auth_fail = t.auth_failed;
-            }))
+  try f () with Memory.Fault fault -> raise (mem_fault t func fault)
 
 (* Loads and stores honour the C type's width: char is one byte,
    everything else a 64-bit word. *)
@@ -646,6 +659,16 @@ let malloc t size =
   addr
   end
 
+(* C reads a negative length as a huge size_t: the call stores [byte i]
+   at [dst + i] until an access leaves the mapping, and that fault ends
+   the run. *)
+let run_off t dst byte =
+  let rec go i =
+    Memory.write_u8 t.mem (Int64.add dst i) (byte i);
+    go (Int64.succ i)
+  in
+  go 0L
+
 (* ------------------------------------------------------------------ *)
 (* printf                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -665,22 +688,28 @@ let format_printf t fmt args =
   while !i < n do
     let c = fmt.[!i] in
     if c = '%' && !i + 1 < n then begin
+      let start = !i in
       incr i;
       (* skip width/flags *)
       while !i < n && (match fmt.[!i] with '0' .. '9' | '-' | '.' | 'l' -> true | _ -> false) do
         incr i
       done;
-      (match fmt.[!i] with
-      | 'd' | 'i' | 'u' -> Buffer.add_string buf (Int64.to_string (next ()))
-      | 'x' -> Buffer.add_string buf (Printf.sprintf "%Lx" (next ()))
-      | 'p' -> Buffer.add_string buf (Printf.sprintf "0x%Lx" (next ()))
-      | 'c' -> Buffer.add_char buf (Char.chr (Int64.to_int (Int64.logand (next ()) 0xFFL))
-                                    )
-      | 's' -> Buffer.add_string buf (Memory.read_cstring t.mem (next ()))
-      | 'f' | 'g' ->
-          Buffer.add_string buf (Printf.sprintf "%g" (Int64.float_of_bits (next ())))
-      | '%' -> Buffer.add_char buf '%'
-      | c -> Buffer.add_char buf c);
+      if !i = n then
+        (* a conversion cut off by the end of the string prints as text *)
+        Buffer.add_string buf (String.sub fmt start (n - start))
+      else begin
+        match fmt.[!i] with
+        | 'd' | 'i' | 'u' -> Buffer.add_string buf (Int64.to_string (next ()))
+        | 'x' -> Buffer.add_string buf (Printf.sprintf "%Lx" (next ()))
+        | 'p' -> Buffer.add_string buf (Printf.sprintf "0x%Lx" (next ()))
+        | 'c' -> Buffer.add_char buf (Char.chr (Int64.to_int (Int64.logand (next ()) 0xFFL))
+                                      )
+        | 's' -> Buffer.add_string buf (Memory.read_cstring t.mem (next ()))
+        | 'f' | 'g' ->
+            Buffer.add_string buf (Printf.sprintf "%g" (Int64.float_of_bits (next ())))
+        | '%' -> Buffer.add_char buf '%'
+        | c -> Buffer.add_char buf c
+      end;
       incr i
     end
     else begin
@@ -696,9 +725,11 @@ let format_printf t fmt args =
 
 let rec run_builtin t name (args : int64 list) : int64 =
   let n = bump t t.extern_counts name in
-  emit_event t (Ev_extern (name, args));
   charge t t.costs.extern_call;
-  let result = run_builtin_body t name args in
+  let result =
+    try run_builtin_body t name args
+    with Memory.Fault fault -> raise (mem_fault t name fault)
+  in
   (* Hooks fire after the call completes, so "on the nth malloc" sees the
      allocation it corrupts. *)
   fire_attacks t (On_extern (name, n));
@@ -716,7 +747,6 @@ and run_builtin_body t name (args : int64 list) : int64 =
       let off = if name = "fprintf" then 1 else 0 in
       let s = format_printf t (sarg off) (List.filteri (fun i _ -> i > off) args) in
       Buffer.add_string t.out s;
-      emit_event t (Ev_output s);
       Int64.of_int (String.length s)
   | "snprintf" ->
       let s = format_printf t (sarg 2) (List.filteri (fun i _ -> i > 2) args) in
@@ -725,9 +755,7 @@ and run_builtin_body t name (args : int64 list) : int64 =
       Memory.write_cstring t.mem (arg 0) s';
       Int64.of_int (String.length s)
   | "puts" ->
-      let s = sarg 0 ^ "\n" in
-      Buffer.add_string t.out s;
-      emit_event t (Ev_output s);
+      Buffer.add_string t.out (sarg 0 ^ "\n");
       0L
   | "putchar" ->
       Buffer.add_char t.out (Char.chr (Int64.to_int (Int64.logand (arg 0) 0xFFL)));
@@ -735,7 +763,8 @@ and run_builtin_body t name (args : int64 list) : int64 =
   | "strlen" -> Int64.of_int (String.length (sarg 0))
   | "strcmp" -> Int64.of_int (compare (sarg 0) (sarg 1))
   | "strncmp" ->
-      let cap s n = if String.length s > n then String.sub s 0 n else s in
+      (* a negative length is a huge size_t: the whole strings compare *)
+      let cap s n = if n >= 0 && String.length s > n then String.sub s 0 n else s in
       let n = Int64.to_int (arg 2) in
       Int64.of_int (compare (cap (sarg 0) n) (cap (sarg 1) n))
   | "strcpy" ->
@@ -745,6 +774,11 @@ and run_builtin_body t name (args : int64 list) : int64 =
       arg 0
   | "strncpy" ->
       let s = sarg 1 and n = Int64.to_int (arg 2) in
+      if n < 0 then begin
+        (* C pads the copy with NULs up to the length *)
+        Memory.write_cstring t.mem (arg 0) s;
+        run_off t (Int64.add (arg 0) (Int64.of_int (String.length s))) (fun _ -> 0)
+      end;
       let s = if String.length s > n then String.sub s 0 n else s in
       Memory.write_cstring t.mem (arg 0) s;
       arg 0
@@ -755,12 +789,15 @@ and run_builtin_body t name (args : int64 list) : int64 =
       arg 0
   | "memcpy" | "memmove" ->
       let n = Int64.to_int (arg 2) in
+      if n < 0 then
+        run_off t (arg 0) (fun i -> Memory.read_u8 t.mem (Int64.add (arg 1) i));
       let b = Memory.read_bytes t.mem (arg 1) n in
       Memory.write_bytes t.mem (arg 0) b;
       arg 0
   | "memset" ->
       let v = Int64.to_int (Int64.logand (arg 1) 0xFFL) in
       let n = Int64.to_int (arg 2) in
+      if n < 0 then run_off t (arg 0) (fun _ -> v);
       for i = 0 to n - 1 do
         Memory.write_u8 t.mem (Int64.add (arg 0) (Int64.of_int i)) v
       done;
@@ -847,11 +884,11 @@ and run_builtin_body t name (args : int64 list) : int64 =
   | "system" | "mprotect" | "dlopen" | "exec" | "socket" | "send" | "recv"
   | "open" | "read" | "write" | "close" ->
       (* Security-sensitive sinks: reaching one of these with attacker-
-         controlled state is what scenarios check for in the event list. *)
+         controlled state is what scenarios check for in [extern_profile]. *)
       0L
   | _ ->
       (* A declared extern we have no model for behaves as a generic libc
-         stub: it runs (the event is recorded above) and returns 0. This
+         stub: it runs (the call is counted above) and returns 0. This
          is what attack scenarios that redirect control into arbitrary
          libc functions (AOCR's _IO_new_file_overflow, etc.) rely on. *)
       if Hashtbl.mem t.func_addrs name then 0L
@@ -888,178 +925,93 @@ and exec_shadow_mac t fname regs (p : Ir.pac) =
   let src = eval t regs p.p_src in
   let m = modifier_value t regs p.p_mod p.p_slot_addr in
   let slot = eval t regs p.p_slot_addr in
+  let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.load + t.costs.store);
-      t.counts.pac_signs <- t.counts.pac_signs + 1;
-      t.counts.pac_charges <- t.counts.pac_charges + 1;
-      prof_pac t 1;
       if Int64.equal src 0L then Hashtbl.remove t.shadow slot
-      else Hashtbl.replace t.shadow slot (mac_of t p.p_key ~modifier:m src);
-      if t.recording then
-        ignore
-          (record_op t ~kind:Op_sign ~func:fname ~key:p.p_key
-             ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src ~result:src
-             ~ok:true);
+      else Hashtbl.replace t.shadow slot (mac_of t key ~modifier:m src);
+      account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
+        ~ok:true;
       regs.(p.p_dst) <- src
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.load);
-      t.counts.pac_auths <- t.counts.pac_auths + 1;
-      t.counts.pac_charges <- t.counts.pac_charges + 1;
-      prof_pac t 1;
       let ok =
         if Int64.equal src 0L then not (Hashtbl.mem t.shadow slot)
         else
           match Hashtbl.find_opt t.shadow slot with
-          | Some expected -> Int64.equal expected (mac_of t p.p_key ~modifier:m src)
+          | Some expected -> Int64.equal expected (mac_of t key ~modifier:m src)
           | None -> false
       in
-      if ok then begin
-        if t.recording then
-          ignore
-            (record_op t ~kind:Op_auth ~func:fname ~key:p.p_key
-               ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
-               ~result:src ~ok:true);
-        regs.(p.p_dst) <- src
-      end
-      else begin
-        t.auth_failed <- true;
-        emit_event t (Ev_auth_fail { func = fname; modifier = m; ptr = src });
-        if t.recording then begin
-          ignore
-            (record_op t ~kind:Op_auth ~func:fname ~key:p.p_key
-               ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
-               ~result:src ~ok:false);
-          record_incident t ~func:fname ~key:p.p_key
-            ~static_mod:(static_modifier p.p_mod) ~modifier:m ~ptr:src
-        end;
-        if t.fpac then
-          raise (Trap_exn (Pac_auth_failure { func = fname; modifier = m; ptr = src }));
-        regs.(p.p_dst) <- Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src
-      end
+      account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src ~ok;
+      regs.(p.p_dst) <-
+        (if ok then src else Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src)
   | Ir.Kresign ->
       (* casts carry no per-slot state under the shadow backend *)
       charge t (2 * t.costs.pac);
-      t.counts.pac_auths <- t.counts.pac_auths + 1;
-      t.counts.pac_signs <- t.counts.pac_signs + 1;
-      t.counts.pac_charges <- t.counts.pac_charges + 2;
-      prof_pac t 2;
-      if t.recording then
-        ignore
-          (record_op t ~kind:Op_resign ~func:fname ~key:p.p_key
-             ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src ~result:src
-             ~ok:true);
+      account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
+        ~ok:true;
       regs.(p.p_dst) <- src
   | Ir.Kstrip ->
       charge t t.costs.strip;
-      t.counts.pac_strips <- t.counts.pac_strips + 1;
-      prof_strip t;
-      if t.recording then
-        ignore
-          (record_op t ~kind:Op_strip ~func:fname ~key:p.p_key
-             ~static_mod:(static_modifier p.p_mod)
-             ~modifier:(static_modifier p.p_mod) ~src ~result:src ~ok:true);
+      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
+        ~result:src ~ok:true;
       regs.(p.p_dst) <- src
 
 and exec_pac t fname regs (p : Ir.pac) =
   if t.backend = `Shadow_mac then exec_shadow_mac t fname regs p
   else begin
   let src = eval t regs p.p_src in
-  let key = p.p_key in
-  let record_fail ~kind ~static_mod ~result modifier ptr =
-    t.auth_failed <- true;
-    emit_event t (Ev_auth_fail { func = fname; modifier; ptr });
-    if t.recording then begin
-      ignore
-        (record_op t ~kind ~func:fname ~key ~static_mod ~modifier ~src:ptr
-           ~result ~ok:false);
-      record_incident t ~func:fname ~key ~static_mod ~modifier ~ptr
-    end;
-    (* ARMv8.6 FPAC (implemented by the M1): a failing aut* traps
-       synchronously instead of leaving a corrupted pointer behind.
-       Without it, a later xpac strip could launder the corruption. *)
-    if t.fpac then
-      raise (Trap_exn (Pac_auth_failure { func = fname; modifier; ptr }))
-  in
+  let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      t.counts.pac_signs <- t.counts.pac_signs + 1;
-      t.counts.pac_charges <- t.counts.pac_charges + 1;
-      prof_pac t 1;
       let m = modifier_value t regs p.p_mod p.p_slot_addr in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m src in
-      if t.recording then
-        ignore
-          (record_op t ~kind:Op_sign ~func:fname ~key
-             ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
-             ~result:signed ~ok:true);
+      account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:signed
+        ~ok:true;
       regs.(p.p_dst) <- signed
-  | Ir.Kauth -> (
+  | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      t.counts.pac_auths <- t.counts.pac_auths + 1;
-      t.counts.pac_charges <- t.counts.pac_charges + 1;
-      prof_pac t 1;
       let m = modifier_value t regs p.p_mod p.p_slot_addr in
-      match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
-      | Ok v ->
-          if t.recording then
-            ignore
-              (record_op t ~kind:Op_auth ~func:fname ~key
-                 ~static_mod:(static_modifier p.p_mod) ~modifier:m ~src
-                 ~result:v ~ok:true);
-          regs.(p.p_dst) <- v
-      | Error corrupted ->
-          record_fail ~kind:Op_auth ~static_mod:(static_modifier p.p_mod)
-            ~result:corrupted m src;
-          regs.(p.p_dst) <- corrupted)
-  | Ir.Kresign -> (
+      let v, ok =
+        match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
+        | Ok v -> (v, true)
+        | Error corrupted -> (corrupted, false)
+      in
+      account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:v ~ok;
+      regs.(p.p_dst) <- v
+  | Ir.Kresign ->
       charge t (2 * (t.costs.pac + t.costs.pac_spill));
-      t.counts.pac_auths <- t.counts.pac_auths + 1;
-      t.counts.pac_signs <- t.counts.pac_signs + 1;
-      t.counts.pac_charges <- t.counts.pac_charges + 2;
-      prof_pac t 2;
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
-         value (the pp mechanism) gets a real authenticate + re-sign. *)
+         value (the pp mechanism) gets a real authenticate + re-sign. A
+         failure is the auth half's, so it reports the source modifier. *)
+      let mt = modifier_value t regs p.p_mod p.p_slot_addr in
       if not (Rsti_pa.Pac.is_signed t.pac src) then begin
-        if t.recording then
-          ignore
-            (record_op t ~kind:Op_resign ~func:fname ~key
-               ~static_mod:(static_modifier p.p_mod)
-               ~modifier:(modifier_value t regs p.p_mod p.p_slot_addr)
-               ~src ~result:src ~ok:true);
+        account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
+          ~result:src ~ok:true;
         regs.(p.p_dst) <- src
       end
       else begin
         let mf = modifier_value t regs p.p_mod_from p.p_slot_addr in
-        let mt = modifier_value t regs p.p_mod p.p_slot_addr in
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:mf src with
         | Ok v ->
             let resigned = Rsti_pa.Pac.sign t.pac ~key ~modifier:mt v in
-            if t.recording then
-              ignore
-                (record_op t ~kind:Op_resign ~func:fname ~key
-                   ~static_mod:(static_modifier p.p_mod) ~modifier:mt ~src
-                   ~result:resigned ~ok:true);
+            account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
+              ~result:resigned ~ok:true;
             regs.(p.p_dst) <- resigned
         | Error corrupted ->
-            record_fail ~kind:Op_resign
-              ~static_mod:(static_modifier p.p_mod_from) ~result:corrupted mf
-              src;
+            account t Op_resign ~func:fname ~key
+              ~static_mod:(static_modifier p.p_mod_from) ~modifier:mf ~src
+              ~result:corrupted ~ok:false;
             regs.(p.p_dst) <- corrupted
-      end)
+      end
   | Ir.Kstrip ->
       charge t t.costs.strip;
-      t.counts.pac_strips <- t.counts.pac_strips + 1;
-      prof_strip t;
       let stripped = Rsti_pa.Pac.strip t.pac src in
-      if t.recording then
-        ignore
-          (record_op t ~kind:Op_strip ~func:fname ~key
-             ~static_mod:(static_modifier p.p_mod)
-             ~modifier:(static_modifier p.p_mod) ~src ~result:stripped
-             ~ok:true);
+      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
+        ~result:stripped ~ok:true;
       regs.(p.p_dst) <- stripped
   end
 
@@ -1070,50 +1022,31 @@ and exec_pp t fname regs (pp : Ir.pp_call) =
   let fe_modifier ce =
     Memory.read_u64 t.mem (Int64.add pp_meta_base (Int64.of_int (ce * 8)))
   in
+  let key = Rsti_pa.Key.DA in
   match pp with
   | Ir.Pp_add _ -> () (* table is static in our model; cost only *)
   | Ir.Pp_sign { dst; src; ce; slot_addr } ->
       let fe = fe_modifier ce in
       let m = Int64.logxor fe (eval t regs slot_addr) in
-      t.counts.pac_signs <- t.counts.pac_signs + 1;
-      let signed =
-        Rsti_pa.Pac.sign t.pac ~key:Rsti_pa.Key.DA ~modifier:m
-          (eval t regs src)
-      in
-      if t.recording then
-        ignore
-          (record_op t ~kind:Op_pp_sign ~func:fname ~key:Rsti_pa.Key.DA
-             ~static_mod:fe ~modifier:m ~src:(eval t regs src) ~result:signed
-             ~ok:true);
+      let v = eval t regs src in
+      let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m v in
+      account t Op_pp_sign ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
+        ~result:signed ~ok:true;
       regs.(dst) <- signed
   | Ir.Pp_add_tbi { dst; src; ce } ->
       regs.(dst) <- Rsti_pa.Vaddr.with_top_byte (eval t regs src) ce
-  | Ir.Pp_auth { dst; src; slot_addr } -> (
+  | Ir.Pp_auth { dst; src; slot_addr } ->
       let v = eval t regs src in
-      let ce = Rsti_pa.Vaddr.top_byte v in
-      let fe = fe_modifier ce in
+      let fe = fe_modifier (Rsti_pa.Vaddr.top_byte v) in
       let m = Int64.logxor fe (eval t regs slot_addr) in
-      t.counts.pac_auths <- t.counts.pac_auths + 1;
-      match Rsti_pa.Pac.auth t.pac ~key:Rsti_pa.Key.DA ~modifier:m v with
-      | Ok ok ->
-          if t.recording then
-            ignore
-              (record_op t ~kind:Op_pp_auth ~func:fname ~key:Rsti_pa.Key.DA
-                 ~static_mod:fe ~modifier:m ~src:v ~result:ok ~ok:true);
-          regs.(dst) <- Rsti_pa.Vaddr.with_top_byte ok 0
-      | Error corrupted ->
-          t.auth_failed <- true;
-          emit_event t (Ev_auth_fail { func = fname; modifier = m; ptr = v });
-          if t.recording then begin
-            ignore
-              (record_op t ~kind:Op_pp_auth ~func:fname ~key:Rsti_pa.Key.DA
-                 ~static_mod:fe ~modifier:m ~src:v ~result:corrupted ~ok:false);
-            record_incident t ~func:fname ~key:Rsti_pa.Key.DA ~static_mod:fe
-              ~modifier:m ~ptr:v
-          end;
-          if t.fpac then
-            raise (Trap_exn (Pac_auth_failure { func = fname; modifier = m; ptr = v }));
-          regs.(dst) <- corrupted)
+      let r, ok =
+        match Rsti_pa.Pac.auth t.pac ~key ~modifier:m v with
+        | Ok r -> (r, true)
+        | Error corrupted -> (corrupted, false)
+      in
+      account t Op_pp_auth ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
+        ~result:r ~ok;
+      regs.(dst) <- (if ok then Rsti_pa.Vaddr.with_top_byte r 0 else r)
 
 and binop_int op a b fname =
   match op with
@@ -1187,7 +1120,6 @@ and check_cfi_libc t caller arg_tys name =
 
 and call_function t (fn : Ir.func) (args : int64 list) : int64 =
   let n = bump t t.call_counts fn.name in
-  emit_event t (Ev_call fn.name);
   fire_attacks t (On_call (fn.name, n));
   charge t t.costs.call;
   let regs = Array.make (max fn.nregs (List.length args)) 0L in
@@ -1351,21 +1283,18 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
     if not t.profiling then []
     else
       Hashtbl.fold (fun _ s acc -> s :: acc) t.prof_sites []
-      |> List.sort (fun a b ->
-             match compare b.s_cycles a.s_cycles with
-             | 0 -> compare (a.s_func, a.s_line) (b.s_func, b.s_line)
-             | c -> c)
+      |> List.sort by_cycles
   in
   {
     status;
     cycles = t.cycles;
     counts = t.counts;
-    events = List.rev t.events;
     output = Buffer.contents t.out;
     call_profile = profile t.call_counts;
     extern_profile = profile t.extern_counts;
     sites;
     incidents = List.rev t.incidents;
+    notes = List.rev t.notes;
   }
 
 (* A perf-report-style rendering of {!outcome.sites}. The percentage

@@ -2,19 +2,16 @@
     simulated address space with real PA semantics, counts cycles under
     {!Cost}, and exposes the attacker API the security evaluation uses.
 
-    Faithful PA behaviour: a failed [aut*] does not trap — it leaves a
-    corrupted (non-canonical) pointer behind, and the subsequent
-    dereference or indirect call faults, exactly as on ARMv8.3 hardware
-    (paper section 2.4). The machine records the original auth failure so
-    scenarios can attribute the crash. *)
+    A failing [aut*] traps at once under FPAC, the default, as on the
+    Apple M1 the paper evaluates on. Without FPAC (plain ARMv8.3, paper
+    section 2.4) it leaves a corrupted pointer behind and the next
+    dereference or indirect call faults; that trap carries
+    [after_auth_fail], so {!detected} still attributes the crash.
 
-type event =
-  | Ev_call of string                       (** defined function entered *)
-  | Ev_extern of string * int64 list        (** simulated-libc call *)
-  | Ev_auth_fail of { func : string; modifier : int64; ptr : int64 }
-      (** an aut*/resign/pp_auth whose PAC check failed *)
-  | Ev_attack of string                     (** attacker action (from hooks) *)
-  | Ev_output of string                     (** program output *)
+    An {!outcome} records each fact of a run once. The counters,
+    [call_profile], [extern_profile] and [output] say what ran. The
+    flight recorder's [incidents] say which PAC operation failed and who
+    signed the value. [notes] holds what the attack hooks wrote. *)
 
 type trap =
   | Mem_fault of { fault : string; func : string; after_auth_fail : bool }
@@ -127,12 +124,13 @@ type outcome = {
   status : status;
   cycles : int;
   counts : counts;
-  events : event list;       (** chronological *)
   output : string;           (** everything the program printed *)
   call_profile : (string * int) list;
-      (** defined-function call counts, most-called first *)
+      (** defined-function call counts, most-called first; a function
+          that never ran is absent *)
   extern_profile : (string * int) list;
-      (** simulated-libc call counts, most-called first *)
+      (** simulated-libc call counts, most-called first; a function
+          that never ran is absent *)
   sites : site list;
       (** hot-site profile, cycles descending (ties by site); [] unless
           the machine was created with [~profile:true] *)
@@ -140,6 +138,9 @@ type outcome = {
       (** chronological; [] unless the machine was created with a
           [flight] capacity (under FPAC a run holds at most one, since
           the first failing auth traps) *)
+  notes : string list;
+      (** the strings attack hooks passed to [intruder.note],
+          chronological *)
 }
 
 val detected : outcome -> bool
@@ -150,7 +151,7 @@ val reprice :
   from:Cost.t -> to_:Cost.t -> pac_spill_charged:bool -> outcome -> outcome
 (** Re-price a finished run under a different cost record without
     re-simulating: costs never influence control flow, so the trace —
-    and with it {!counts}, status, events, output — is identical, and
+    and with it {!counts}, status, profiles, output — is identical, and
     only the cycle total moves. Valid only when [from] and [to_] differ
     in the instrumentation prices ([pac], [strip], [pp], [pac_spill]);
     the base ISA prices are not reconstructible from {!counts} and a
@@ -182,7 +183,7 @@ type intruder = {
   global_addr : string -> int64;
   func_addr : string -> int64;         (** includes simulated-libc symbols *)
   heap_allocs : unit -> (int64 * int) list;  (** (address, size), newest first *)
-  note : string -> unit;               (** record an [Ev_attack] event *)
+  note : string -> unit;  (** append to the outcome's [notes] *)
 }
 
 type trigger =

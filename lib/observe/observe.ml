@@ -1,5 +1,5 @@
-(* The telemetry core. Sits below every other library in the tree
-   (depends only on the monotonic-clock stub), so the engine, the
+(* The telemetry core. Sits below every library in the tree except
+   [rsti_util] (and the monotonic-clock stub), so the engine, the
    dataflow solvers and the static checker can all report into one
    process-global recorder without dependency cycles.
 
@@ -8,87 +8,12 @@
    counter bumps are lock-free atomics; per-domain nesting state lives
    in Domain.DLS. *)
 
+open Rsti_util
+
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 let now_ns () = Monotonic_clock.now ()
-
-(* ------------------------------ JSON ------------------------------- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let to_string ?(indent = true) t =
-    let buf = Buffer.create 1024 in
-    let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-    let nl () = if indent then Buffer.add_char buf '\n' in
-    let rec go depth = function
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (string_of_bool b)
-      | Int i -> Buffer.add_string buf (string_of_int i)
-      | Float f ->
-          if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-          else Buffer.add_string buf "null"
-      | Str s ->
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape s);
-          Buffer.add_char buf '"'
-      | List [] -> Buffer.add_string buf "[]"
-      | List xs ->
-          Buffer.add_char buf '[';
-          nl ();
-          List.iteri
-            (fun i x ->
-              if i > 0 then (Buffer.add_char buf ','; nl ());
-              pad (depth + 1);
-              go (depth + 1) x)
-            xs;
-          nl ();
-          pad depth;
-          Buffer.add_char buf ']'
-      | Obj [] -> Buffer.add_string buf "{}"
-      | Obj kvs ->
-          Buffer.add_char buf '{';
-          nl ();
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then (Buffer.add_char buf ','; nl ());
-              pad (depth + 1);
-              Buffer.add_char buf '"';
-              Buffer.add_string buf (escape k);
-              Buffer.add_string buf (if indent then "\": " else "\":");
-              go (depth + 1) v)
-            kvs;
-          nl ();
-          pad depth;
-          Buffer.add_char buf '}'
-    in
-    go 0 t;
-    Buffer.contents buf
-end
 
 (* ------------------------------ spans ------------------------------ *)
 
@@ -285,6 +210,21 @@ module Span = struct
         ("displayTimeUnit", Json.Str "ns");
       ]
 
+  (* Group records by name, groups in order of first appearance and
+     records in their original order. *)
+  let group_by_name rs =
+    let by_name = Hashtbl.create 8 in
+    let order = ref [] in
+    List.iter
+      (fun (r : record) ->
+        match Hashtbl.find_opt by_name r.name with
+        | Some l -> l := r :: !l
+        | None ->
+            Hashtbl.replace by_name r.name (ref [ r ]);
+            order := r.name :: !order)
+      rs;
+    List.rev_map (fun name -> (name, List.rev !(Hashtbl.find by_name name))) !order
+
   (* Aggregated summary tree: group spans by (parent path, name), with
      call counts and total/self duration. *)
   let summary_tree ?(max_depth = 6) () =
@@ -324,39 +264,15 @@ module Span = struct
               | None -> [])
             members
         in
-        let by_name = Hashtbl.create 8 in
-        let order = ref [] in
         List.iter
-          (fun (r : record) ->
-            match Hashtbl.find_opt by_name r.name with
-            | Some l -> l := r :: !l
-            | None ->
-                let l = ref [ r ] in
-                Hashtbl.replace by_name r.name l;
-                order := r.name :: !order)
-          (List.rev kids);
-        List.iter
-          (fun name -> emit (depth + 1) name (List.rev !(Hashtbl.find by_name name)))
-          (List.rev !order)
+          (fun (name, members) -> emit (depth + 1) name members)
+          (group_by_name (List.rev kids))
       end
     in
     let roots =
       List.filter (fun r -> r.parent < 0 || not (Hashtbl.mem known r.parent)) rs
     in
-    let by_name = Hashtbl.create 8 in
-    let order = ref [] in
-    List.iter
-      (fun (r : record) ->
-        match Hashtbl.find_opt by_name r.name with
-        | Some l -> l := r :: !l
-        | None ->
-            let l = ref [ r ] in
-            Hashtbl.replace by_name r.name l;
-            order := r.name :: !order)
-      roots;
-    List.iter
-      (fun name -> emit 0 name (List.rev !(Hashtbl.find by_name name)))
-      (List.rev !order);
+    List.iter (fun (name, members) -> emit 0 name members) (group_by_name roots);
     Buffer.contents buf
 end
 
@@ -436,29 +352,11 @@ module Metrics = struct
     h.h_samples <- x :: h.h_samples;
     Mutex.unlock lock
 
-  (* Type-7 quantile (the R default, matching Rsti_util.Stats.quantile,
-     which this library cannot depend on): linear interpolation between
-     order statistics of the retained samples. *)
-  let quantile_of_sorted (xs : float array) q =
-    let n = Array.length xs in
-    if n = 1 then xs.(0)
-    else begin
-      let h = q *. float_of_int (n - 1) in
-      let i = min (n - 2) (int_of_float (Float.floor h)) in
-      let frac = h -. float_of_int i in
-      xs.(i) +. (frac *. (xs.(i + 1) -. xs.(i)))
-    end
-
   let percentile h q =
     Mutex.lock lock;
     let samples = h.h_samples in
     Mutex.unlock lock;
-    match samples with
-    | [] -> nan
-    | samples ->
-        let xs = Array.of_list samples in
-        Array.sort compare xs;
-        quantile_of_sorted xs q
+    match samples with [] -> nan | samples -> Stats.quantile q samples
 
   let sorted_fold f =
     Mutex.lock lock;
@@ -502,10 +400,7 @@ module Metrics = struct
         | name, Histogram h ->
             let pct q =
               if h.h_count = 0 then Json.Null
-              else
-                let xs = Array.of_list h.h_samples in
-                Array.sort compare xs;
-                Json.Float (quantile_of_sorted xs q)
+              else Json.Float (Stats.quantile q h.h_samples)
             in
             Some
               ( name,

@@ -1,7 +1,10 @@
-(** [rsti_observe] — the zero-dependency telemetry core threaded through
-    every layer of the stack (pipeline stages, scheduler tasks, cache
-    lookups, dataflow fixpoints; the machine's hot-site profiler lives in
-    {!Rsti_machine.Interp} and flows out through its [outcome]).
+(** [rsti_observe] — the telemetry core threaded through every layer of
+    the stack (pipeline stages, scheduler tasks, cache lookups, dataflow
+    fixpoints; the machine's hot-site profiler lives in
+    {!Rsti_machine.Interp} and flows out through its [outcome]). Within
+    the tree it depends only on [rsti_util], whose {!Rsti_util.Json}
+    renders every document the sinks below write, so it sits below every
+    other library.
 
     Three instruments:
 
@@ -13,9 +16,7 @@
     - {!Metrics}: a typed counter/gauge/histogram registry replacing the
       ad-hoc counters that used to live in each subsystem, dumped as one
       machine-readable JSON document.
-    - {!Json}: the minimal emission substrate both sinks share (the
-      library depends on nothing else in the tree, so it cannot reuse
-      [Rsti_staticcheck.Json]).
+    - {!Events}: the security-event log, one JSON object per line.
 
     Overhead contract: spans are recorded only while {!enabled} — when
     disabled, {!Span.enter} returns the preallocated {!Span.none} handle
@@ -38,22 +39,6 @@ val reset : unit -> unit
 
 val now_ns : unit -> int64
 (** Monotonic clock, nanoseconds. *)
-
-(** Minimal JSON emission (duplicated from [Rsti_staticcheck.Json]
-    because this library sits below everything and must stay
-    dependency-free). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float  (** NaN/infinities render as [null] *)
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : ?indent:bool -> t -> string
-end
 
 (** The span recorder. *)
 module Span : sig
@@ -112,7 +97,7 @@ module Span : sig
 
   val reset : unit -> unit
 
-  val chrome_trace : unit -> Json.t
+  val chrome_trace : unit -> Rsti_util.Json.t
   (** The Chrome trace-event document ([{"traceEvents": [...]}], "X"
       complete events, one track per domain) — loadable in Perfetto and
       chrome://tracing. Span attributes appear under [args], including
@@ -156,8 +141,8 @@ module Metrics : sig
 
   val percentile : histogram -> float -> float
   (** [percentile h q] with [q] in [\[0,1\]]: type-7 quantile (linear
-      interpolation between order statistics, the R default — matching
-      [Rsti_util.Stats.quantile]) over every retained sample. [nan] on
+      interpolation between order statistics, the R default:
+      {!Rsti_util.Stats.quantile}) over every retained sample. [nan] on
       an empty histogram. *)
 
   val counters : unit -> (string * int) list
@@ -166,7 +151,7 @@ module Metrics : sig
   val reset : unit -> unit
   (** Zero all values; registrations survive. *)
 
-  val to_json : unit -> Json.t
+  val to_json : unit -> Rsti_util.Json.t
   (** The whole registry as one document:
       [{"schema": "rsti-metrics/1", "counters": {...}, "gauges": {...},
         "histograms": {name: {count, sum, min, max, p50, p90, p99}}}],
@@ -183,7 +168,7 @@ end
     [--jobs] provided event payloads are themselves deterministic
     (simulated cycle counts, never wall-clock). *)
 module Events : sig
-  val emit : cat:string -> name:string -> (string * Json.t) list -> unit
+  val emit : cat:string -> name:string -> (string * Rsti_util.Json.t) list -> unit
   (** Buffer one event. [cat]/[name] render as the first two fields of
       the line. *)
 

@@ -1,254 +1,5 @@
-(* A minimal JSON value and printer: the findings serialization shared by
-   `rstic lint --format=json` and `rstic analyze --format=json`. The repo
-   deliberately has no JSON dependency; emitting (never parsing) is a
-   page of code. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let rec write buf ~indent ~level v =
-  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-  let nl () = if indent then Buffer.add_char buf '\n' in
-  match v with
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float x ->
-      (* JSON has no NaN/Infinity; the stats code can produce both. *)
-      if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then
-        Buffer.add_string buf "null"
-      else Buffer.add_string buf (Printf.sprintf "%.6g" x)
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-  | List [] -> Buffer.add_string buf "[]"
-  | List items ->
-      Buffer.add_char buf '[';
-      nl ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (level + 1);
-          write buf ~indent ~level:(level + 1) item)
-        items;
-      nl ();
-      pad level;
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      nl ();
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (level + 1);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf (if indent then "\": " else "\":");
-          write buf ~indent ~level:(level + 1) item)
-        fields;
-      nl ();
-      pad level;
-      Buffer.add_char buf '}'
-
-let to_string ?(indent = true) v =
-  let buf = Buffer.create 1024 in
-  write buf ~indent ~level:0 v;
-  Buffer.contents buf
-
-(* A strict recursive-descent parser over the same value type, added for
-   the telemetry/SARIF outputs: tests and CI round-trip every emitted
-   document through it. Numbers with a '.', exponent, or leading sign
-   making them non-integral parse as [Float]; everything integral as
-   [Int]. *)
-exception Parse_error of string
-
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("invalid literal, expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape"
-           else
-             let e = s.[!pos] in
-             advance ();
-             match e with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'u' ->
-                 if !pos + 4 > n then fail "truncated \\u escape";
-                 let hex = String.sub s !pos 4 in
-                 pos := !pos + 4;
-                 let code =
-                   try int_of_string ("0x" ^ hex)
-                   with _ -> fail "bad \\u escape"
-                 in
-                 (* non-ASCII code points round-trip as UTF-8 *)
-                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                 else if code < 0x800 then begin
-                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-                 else begin
-                   Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                   Buffer.add_char buf
-                     (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                   Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                 end
-             | _ -> fail "unknown escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail ("bad number " ^ tok))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok v
-  with Parse_error msg -> Error msg
+(* The JSON module lives in [Rsti_util.Json], where the telemetry core
+   (which sits below this library) can share it. This alias keeps the
+   name [Rsti_staticcheck.Json], which this library's own modules and the
+   perfbench harness use. *)
+include Rsti_util.Json

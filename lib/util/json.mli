@@ -1,6 +1,7 @@
-(** Minimal JSON emission (no external dependency): the serialization
-    substrate shared by [rstic lint --format=json] and
-    [rstic analyze --format=json]. *)
+(** Minimal JSON (no external dependency): the one value type and printer
+    behind every JSON document the tree writes — lint and analysis
+    reports, bench JSON, the telemetry sinks of [Rsti_observe] — and a
+    strict parser that tests use to read them back. *)
 
 type t =
   | Null

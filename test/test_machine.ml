@@ -291,6 +291,63 @@ let test_interp_profiles_populated () =
   checkb "tick counted 5x" true (List.assoc_opt "tick" o.Interp.call_profile = Some 5);
   checkb "printf counted" true (List.assoc_opt "printf" o.Interp.extern_profile = Some 1)
 
+(* An outcome holds counters and profiles, not a trace of the run, so its
+   size does not grow with the number of calls the program made. *)
+let test_interp_outcome_size_bounded () =
+  let words calls =
+    Obj.reachable_words
+      (Obj.repr
+         (run
+            (Printf.sprintf
+               "void f(void) { }\n\
+                int main(void) { for (int i = 0; i < %d; i++) { f(); } return 0; }"
+               calls)))
+  in
+  checki "10 calls vs 100000 calls" (words 10) (words 100_000)
+
+(* Bad arguments to the simulated libc end the run the way they end a C
+   program, never with an OCaml exception out of [Interp.run]. A bad
+   pointer, or a negative length (a huge size_t in C), faults inside the
+   builtin; a negative strncmp length compares the whole strings; a
+   conversion cut off by the end of the format prints as text. *)
+let test_interp_libc_bad_input () =
+  let decls =
+    "extern char* strcpy(char* d, const char* s);\n\
+     extern char* strncpy(char* d, const char* s, long n);\n\
+     extern long strlen(const char* s);\n\
+     extern int strncmp(const char* a, const char* b, long n);\n\
+     extern int printf(const char* f, ...);\n\
+     extern void* memcpy(void* d, const void* s, long n);\n\
+     extern void* memmove(void* d, const void* s, long n);\n\
+     extern void* memset(void* p, int c, long n);\n"
+  in
+  List.iter
+    (fun (body, expect) ->
+      let o =
+        run (decls ^ "int main(void) { char a[8]; char b[8]; a[0] = 0;\n" ^ body ^ "\nreturn 0; }")
+      in
+      match (expect, o.Interp.status) with
+      | `Faults_in f, Interp.Trapped (Interp.Mem_fault { func; after_auth_fail; _ }) ->
+          checks body f func;
+          checkb (body ^ ": no auth failed") false after_auth_fail
+      | `Prints s, Interp.Exited 0L -> checks body s o.Interp.output
+      | `Returns n, Interp.Exited m -> check64 body n m
+      | _, Interp.Exited m -> Alcotest.failf "%s: exited %Ld" body m
+      | _, Interp.Trapped t -> Alcotest.failf "%s: %s" body (Interp.trap_to_string t))
+    [
+      ("strcpy((char*) 16, \"abc\");", `Faults_in "strcpy");
+      ("strlen((char*) 16);", `Faults_in "strlen");
+      ("printf(\"%s\", (char*) 16);", `Faults_in "printf");
+      ("memcpy(b, (char*) 16, 4);", `Faults_in "memcpy");
+      ("strncpy(b, \"abc\", -1);", `Faults_in "strncpy");
+      ("memcpy(b, a, -1);", `Faults_in "memcpy");
+      ("memmove(b, a, -1);", `Faults_in "memmove");
+      ("memset(b, 0, -1);", `Faults_in "memset");
+      ("return strncmp(\"abc\", \"abd\", -1) < 0 ? 3 : 4;", `Returns 3L);
+      ("printf(\"%l\");", `Prints "%l");
+      ("printf(\"x%5\");", `Prints "x%5");
+    ]
+
 let test_interp_switch_semantics () =
   check64 "fallthrough + default" 422L
     (exit_code
@@ -326,8 +383,8 @@ let test_attack_hooks_fire_in_order () =
       src
   in
   checki "both fired" 2 (List.length !fired);
-  checkb "events recorded" true
-    (List.exists (function Interp.Ev_attack _ -> true | _ -> false) o.Interp.events)
+  Alcotest.(check (list string))
+    "notes in firing order" [ "on-1st-printf"; "on-2nd-step" ] o.Interp.notes
 
 let test_attack_write_visible_to_program () =
   let src = "long g = 1;\nvoid poke(void) { }\nint main(void) { poke(); return (int) g; }" in
@@ -414,6 +471,8 @@ let tests =
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
     Alcotest.test_case "interp: profiles" `Quick test_interp_profiles_populated;
+    Alcotest.test_case "interp: outcome size bounded" `Quick test_interp_outcome_size_bounded;
+    Alcotest.test_case "interp: libc bad input traps" `Quick test_interp_libc_bad_input;
     Alcotest.test_case "attack: hooks fire" `Quick test_attack_hooks_fire_in_order;
     Alcotest.test_case "attack: writes visible" `Quick test_attack_write_visible_to_program;
     Alcotest.test_case "attack: heap allocs" `Quick test_attack_heap_allocs_listed;

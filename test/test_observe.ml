@@ -15,7 +15,7 @@
 module Observe = Rsti_observe.Observe
 module Span = Observe.Span
 module M = Observe.Metrics
-module J = Rsti_staticcheck.Json
+module J = Rsti_util.Json
 module Pipeline = Rsti_engine.Pipeline
 module Scheduler = Rsti_engine.Scheduler
 module Cache = Rsti_engine.Cache
@@ -85,7 +85,7 @@ let test_metrics_registry () =
   let h = M.histogram "test.hist" in
   M.observe h 1.5;
   M.observe h 2.5;
-  (match J.of_string (Observe.Json.to_string (M.to_json ())) with
+  (match J.of_string (J.to_string (M.to_json ())) with
   | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e
   | Ok (J.Obj fields) -> (
       checkb "schema tag" true
@@ -117,7 +117,7 @@ let test_chrome_trace_wellformed () =
         (Pipeline.run
            (Pipeline.instrument RT.Stwc
               (Pipeline.analyze (Pipeline.compile src))));
-      match J.of_string (Observe.Json.to_string (Span.chrome_trace ())) with
+      match J.of_string (J.to_string (Span.chrome_trace ())) with
       | Error e -> Alcotest.failf "trace does not parse: %s" e
       | Ok (J.Obj fields) -> (
           match List.assoc_opt "traceEvents" fields with
@@ -348,13 +348,13 @@ let test_metrics_percentiles () =
   checkb "empty histogram percentile is nan" true
     (Float.is_nan (M.percentile (M.histogram "test.empty") 0.5));
   (match M.to_json () with
-  | Observe.Json.Obj fields -> (
+  | J.Obj fields -> (
       match List.assoc "histograms" fields with
-      | Observe.Json.Obj hs -> (
+      | J.Obj hs -> (
           match List.assoc "test.lat" hs with
-          | Observe.Json.Obj fs ->
+          | J.Obj fs ->
               checkb "p50 in document" true
-                (List.assoc "p50" fs = Observe.Json.Float 30.0);
+                (List.assoc "p50" fs = J.Float 30.0);
               checkb "p90 in document" true (List.mem_assoc "p90" fs);
               checkb "p99 in document" true (List.mem_assoc "p99" fs)
           | _ -> Alcotest.fail "histogram entry is not an object")
@@ -372,8 +372,8 @@ let test_events_jsonl () =
   Observe.Events.reset ();
   (* the sink is not gated on Observe.enabled *)
   Observe.set_enabled false;
-  Observe.Events.emit ~cat:"zeta" ~name:"b" [ ("k", Observe.Json.Int 2) ];
-  Observe.Events.emit ~cat:"alpha" ~name:"a" [ ("k", Observe.Json.Int 1) ];
+  Observe.Events.emit ~cat:"zeta" ~name:"b" [ ("k", J.Int 2) ];
+  Observe.Events.emit ~cat:"alpha" ~name:"a" [ ("k", J.Int 1) ];
   checki "two events buffered" 2 (Observe.Events.count ());
   (match jsonl_lines () with
   | header :: rest ->

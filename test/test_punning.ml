@@ -100,10 +100,13 @@ let test_punning_resigned_under_stwc () =
 
 (* --------------------- replay soundness property -------------------- *)
 
-(* For generated programs: replaying gptr0's stored word into gptr1's slot
-   is accepted by the PA check exactly when the two slots carry the same
-   modifier under that mechanism. *)
-let replay_outcome mech src n_globals =
+(* For generated programs: replay gptr0's stored word into another
+   global's slot. Globals are typed round-robin over two structs, so
+   gptr1 has the other struct type and gptr2 the same one. Under STWC and
+   STC, equal modifiers must let the replay through. Otherwise the
+   replayed word either is never loaded again, or fails its first
+   authenticated load: one incident, at the victim's own modifier. *)
+let replay_outcome mech src n_globals victim =
   let a = Pipeline.(analyze (compile (source ~file:"g.c" src))) in
   let atk =
     {
@@ -111,11 +114,16 @@ let replay_outcome mech src n_globals =
       Interp.trigger = Interp.On_extern ("malloc", n_globals);
       action =
         (fun intr ->
-          intr.write_word (intr.global_addr "gptr1")
+          intr.write_word (intr.global_addr victim)
             (intr.read_word (intr.global_addr "gptr0")));
     }
   in
-  Pipeline.run ~attacks:[ atk ] (Pipeline.instrument mech a)
+  Pipeline.run ~flight:1 ~attacks:[ atk ] (Pipeline.instrument mech a)
+
+(* cases run on each side of the property, so the test can insist that
+   both sides ran *)
+let equal_cases = ref 0
+let other_cases = ref 0
 
 let prop_replay_soundness =
   QCheck.Test.make ~name:"replay accepted iff modifiers equal" ~count:12
@@ -126,34 +134,43 @@ let prop_replay_soundness =
       in
       let src = Rsti_workloads.Generator.generate ~config ~seed:(Int64.of_int seed) () in
       let anal = Pipeline.(analysis (analyze (compile (source ~file:"g.c" src)))) in
-      List.for_all
-        (fun mech ->
-          (* find the two globals' slots by variable id order *)
-          let globals =
-            List.filter
-              (fun (si : Analysis.slot_info) -> si.kind = Analysis.Kglobal)
-              (Analysis.pointer_vars anal)
-          in
-          match globals with
-          | g0 :: g1 :: _ ->
+      (* the globals' slots in variable id order: gptr0, gptr1, gptr2, ... *)
+      match
+        List.filter
+          (fun (si : Analysis.slot_info) -> si.kind = Analysis.Kglobal)
+          (Analysis.pointer_vars anal)
+      with
+      | g0 :: g1 :: g2 :: _ ->
+          List.for_all
+            (fun mech ->
               let m0 = Analysis.modifier_of anal mech g0.slot in
-              let m1 = Analysis.modifier_of anal mech g1.slot in
-              let o = replay_outcome mech src 4 in
-              let detected = Interp.detected o in
-              if m0 = m1 && mech <> RT.Stl then
-                (* same modifier: the replay authenticates; no PAC trap *)
-                not detected
-              else if m0 <> m1 then
-                (* different modifiers: the replayed value must fail at its
-                   next authenticated load — if the program ever loads it *)
-                detected
-                || not
-                     (List.exists
-                        (function Interp.Ev_auth_fail _ -> true | _ -> false)
-                        o.Interp.events)
-              else true
-          | _ -> true)
-        RT.all_mechanisms)
+              List.for_all
+                (fun (victim, (g : Analysis.slot_info)) ->
+                  let m = Analysis.modifier_of anal mech g.slot in
+                  let o = replay_outcome mech src 4 victim in
+                  if m0 = m && mech <> RT.Stl then begin
+                    incr equal_cases;
+                    not (Interp.detected o)
+                  end
+                  else begin
+                    incr other_cases;
+                    match o.Interp.incidents with
+                    | [] -> not (Interp.detected o)
+                    | [ inc ] -> Interp.detected o && inc.Interp.inc_static_mod = m
+                    | _ -> false
+                  end)
+                [ ("gptr1", g1); ("gptr2", g2) ])
+            RT.all_mechanisms
+      | _ -> false)
+
+let replay_soundness_test =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_replay_soundness in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      checkb "equal-modifier cases ran" true (!equal_cases > 0);
+      checkb "other cases ran" true (!other_cases > 0) )
 
 let tests =
   [
@@ -165,5 +182,5 @@ let tests =
       test_punning_cast_recorded_and_merged;
     Alcotest.test_case "punning: STWC re-signs upcasts" `Quick
       test_punning_resigned_under_stwc;
-    QCheck_alcotest.to_alcotest prop_replay_soundness;
+    replay_soundness_test;
   ]

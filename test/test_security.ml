@@ -155,17 +155,16 @@ let test_without_fpac_crash_at_use () =
   let sc = Rsti_attacks.Catalog.cve_libtiff in
   let a = Pipeline.(analyze (compile (source ~file:"t.c" sc.S.program))) in
   let o =
-    Pipeline.run ~fpac:false ~attacks:sc.S.attacks (Pipeline.instrument RT.Stwc a)
+    Pipeline.run ~fpac:false ~flight:1 ~attacks:sc.S.attacks
+      (Pipeline.instrument RT.Stwc a)
   in
   checkb "still detected (deref faults)" true (Interp.detected o);
   (match o.Interp.status with
   | Interp.Trapped (Interp.Pac_auth_failure _) ->
       Alcotest.fail "without FPAC there must be no synchronous trap"
   | _ -> ());
-  checkb "auth-failure event recorded" true
-    (List.exists
-       (function Interp.Ev_auth_fail _ -> true | _ -> false)
-       o.Interp.events)
+  Alcotest.(check int) "one auth-failure incident" 1
+    (List.length o.Interp.incidents)
 
 let test_fpac_traps_synchronously () =
   let sc = Rsti_attacks.Catalog.cve_libtiff in
