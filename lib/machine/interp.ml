@@ -221,17 +221,87 @@ type trigger = On_call of string * int | On_extern of string * int
 type attack = { trigger : trigger; action : intruder -> unit }
 
 (* ------------------------------------------------------------------ *)
+(* Resolved code                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A function's resolved view, built on its first call: the same IR
+   with every name, layout and type decision taken once. Operands naming
+   a global, a function or a string become constants. An operand or an
+   instruction that cannot be resolved keeps the exception that executing
+   it raises, so a bad name or type still fails only when it runs. *)
+type operand = K of int64 | R of int | Bad of exn
+
+type conv = To_double | To_integer | To_char | Same
+
+type callee =
+  | Defined of int  (* index into [t.funcs] *)
+  | Libc of int     (* index into [t.libc] *)
+  | Missing of string
+  | Via of operand
+
+type pac = {
+  kind : Ir.pac_kind;
+  dst : int;
+  src : operand;
+  key : Rsti_pa.Key.which;
+  modifier : Ir.modifier;  (* for Kresign: the target modifier *)
+  mod_from : Ir.modifier;
+  slot : operand;
+}
+
+type pp =
+  | Pp_add
+  | Pp_sign of { dst : int; src : operand; ce : int; slot : operand }
+  | Pp_auth of { dst : int; src : operand; slot : operand }
+  | Pp_add_tbi of { dst : int; src : operand; ce : int }
+
+type code =
+  | Alloca of { dst : int; size : int }  (* rounded up to 16 bytes *)
+  | Load of { dst : int; addr : operand; byte : bool }
+  | Store of { src : operand; addr : operand; byte : bool }
+  | Gep of { dst : int; base : operand; off : int64 }
+  | Gepidx of { dst : int; base : operand; size : int64; idx : operand }
+  | Move of { dst : int; src : operand }
+  | Binop of { dst : int; op : Ast.binop; fl : Ir.float_op; a : operand; b : operand }
+  | Neg of { dst : int; fl : Ir.float_op; src : operand }
+  | Lognot of { dst : int; src : operand }
+  | Bitnot of { dst : int; src : operand }
+  | Cast_num of { dst : int; src : operand; conv : conv }
+  | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
+  | Pac of pac
+  | Pp of pp
+  | Fail of { cost : int; exn : exn }  (* charge [cost], then raise [exn] *)
+
+type term = Ret of operand option | Br of int | Condbr of operand * int * int | Unreachable
+
+type block = {
+  body : code array;
+  lines : int array;  (* each instruction's !dbg line, 0 when it has none *)
+  term : term;
+}
+
+type func = {
+  name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
+  id : int;       (* call-counter slot: the index the name resolves to *)
+  nregs : int;
+  blocks : block array;
+}
+
+(* ------------------------------------------------------------------ *)
 (* Machine state                                                       *)
 (* ------------------------------------------------------------------ *)
+
+module I64tbl = Hashtbl.Make (Int64)
 
 type t = {
   m : Ir.modul;
   mem : Memory.t;
   pac : Rsti_pa.Pac.ctx;
   costs : Cost.t;
-  funcs_by_name : (string, Ir.func) Hashtbl.t;
-  func_addrs : (string, int64) Hashtbl.t;    (* defined + libc *)
-  code_map : (int64, [ `Defined of Ir.func | `Libc of string ]) Hashtbl.t;
+  funcs : Ir.func array;  (* function i sits at [text_base + 16 i] *)
+  resolved : func option array;  (* by function index, filled on first call *)
+  libc : string array;  (* libc symbol i sits at [libc_base + 16 i] *)
+  syms : (string, callee) Hashtbl.t;  (* [Defined] or [Libc], by name *)
   global_addrs : (string, int64) Hashtbl.t;
   string_addrs : int64 array;
   mutable heap_ptr : int64;
@@ -244,8 +314,8 @@ type t = {
   mutable steps : int;
   mutable step_limit : int;
   mutable auth_failed : bool;   (* any auth failure so far *)
-  mutable call_counts : (string, int) Hashtbl.t;
-  mutable extern_counts : (string, int) Hashtbl.t;
+  call_counts : int array;  (* by function index *)
+  extern_counts : int array;  (* by libc index *)
   mutable attacks : attack list;
   mutable rng : Rsti_util.Splitmix.t;
   mutable ran : bool;
@@ -254,7 +324,7 @@ type t = {
   backend : [ `Pac | `Shadow_mac ];
   (* the shadow-MAC backend's table: slot address -> 64-bit MAC, held by
      the trusted runtime (CCFI stores it in protected memory) *)
-  shadow : (int64, int64) Hashtbl.t;
+  shadow : int64 I64tbl.t;
   (* exact hot-site profiler; when off, the only cost on the hot path is
      one boolean load per charge and nothing allocates *)
   profiling : bool;
@@ -267,7 +337,7 @@ type t = {
   recording : bool;
   fr_buf : pac_op array;
   mutable fr_next : int;  (* total ops recorded; slot = fr_next mod cap *)
-  signers : (int64, pac_op) Hashtbl.t;
+  signers : pac_op I64tbl.t;
       (* signed value -> the sign op that produced it (latest wins), so
          the observed signer survives even after falling out of the ring *)
   mutable incidents : incident list;  (* reverse *)
@@ -311,28 +381,16 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     ?(cfi = false) ?(backend = `Pac) ?(profile = false) ?(flight = 0) (m : Ir.modul) =
   let mem = Memory.create () in
   let pac = Rsti_pa.Pac.make ~seed () in
-  let funcs_by_name = Hashtbl.create 64 in
-  let func_addrs = Hashtbl.create 64 in
-  let code_map = Hashtbl.create 64 in
-  List.iteri
-    (fun i (f : Ir.func) ->
-      let addr = Layout.code_addr_of_index Layout.text_base i in
-      Hashtbl.replace funcs_by_name f.name f;
-      Hashtbl.replace func_addrs f.name addr;
-      Hashtbl.replace code_map addr (`Defined f))
-    m.m_funcs;
+  let funcs = Array.of_list m.m_funcs in
+  let syms = Hashtbl.create 64 in
+  Array.iteri (fun i (f : Ir.func) -> Hashtbl.replace syms f.name (Defined i)) funcs;
   (* Externs and built-ins live in the simulated libc. *)
-  let libc_syms =
-    List.sort_uniq compare (builtin_names @ List.map fst m.m_externs)
+  let libc =
+    Array.of_list (List.sort_uniq compare (builtin_names @ List.map fst m.m_externs))
   in
-  List.iteri
-    (fun i name ->
-      if not (Hashtbl.mem func_addrs name) then begin
-        let addr = Layout.code_addr_of_index Layout.libc_base i in
-        Hashtbl.replace func_addrs name addr;
-        Hashtbl.replace code_map addr (`Libc name)
-      end)
-    libc_syms;
+  Array.iteri
+    (fun i name -> if not (Hashtbl.mem syms name) then Hashtbl.replace syms name (Libc i))
+    libc;
   (* Globals. *)
   let global_addrs = Hashtbl.create 32 in
   let gp = ref Layout.globals_base in
@@ -387,9 +445,10 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     mem;
     pac;
     costs;
-    funcs_by_name;
-    func_addrs;
-    code_map;
+    funcs;
+    resolved = Array.make (Array.length funcs) None;
+    libc;
+    syms;
     global_addrs;
     string_addrs;
     heap_ptr = Layout.heap_base;
@@ -404,15 +463,15 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     steps = 0;
     step_limit = 200_000_000;
     auth_failed = false;
-    call_counts = Hashtbl.create 16;
-    extern_counts = Hashtbl.create 16;
+    call_counts = Array.make (Array.length funcs) 0;
+    extern_counts = Array.make (Array.length libc) 0;
     attacks = [];
     rng = Rsti_util.Splitmix.create seed;
     ran = false;
     fpac;
     cfi;
     backend;
-    shadow = Hashtbl.create 256;
+    shadow = I64tbl.create 256;
     profiling = profile;
     prof_sites =
       (let h = Hashtbl.create 64 in
@@ -422,7 +481,7 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     recording = flight > 0;
     fr_buf = (if flight > 0 then Array.make flight dummy_op else [||]);
     fr_next = 0;
-    signers = Hashtbl.create (if flight > 0 then 64 else 1);
+    signers = I64tbl.create (if flight > 0 then 64 else 1);
     incidents = [];
     corrupt_at = None;
     cur_line = 0;
@@ -438,9 +497,141 @@ let global_addr t name =
   | None -> invalid_arg ("Interp.global_addr: unknown global " ^ name)
 
 let func_addr t name =
-  match Hashtbl.find_opt t.func_addrs name with
-  | Some a -> a
-  | None -> invalid_arg ("Interp.func_addr: unknown function " ^ name)
+  match Hashtbl.find_opt t.syms name with
+  | Some (Defined i) -> Layout.code_addr_of_index Layout.text_base i
+  | Some (Libc i) -> Layout.code_addr_of_index Layout.libc_base i
+  | _ -> invalid_arg ("Interp.func_addr: unknown function " ^ name)
+
+(* The function or libc symbol whose code starts at [a], if any. *)
+let code_at t a =
+  let slot base n =
+    let d = Int64.sub a base in
+    if
+      Int64.compare d 0L >= 0
+      && Int64.compare d (Int64.mul (Int64.of_int n) Layout.func_slot_size) < 0
+      && Int64.equal (Int64.rem d Layout.func_slot_size) 0L
+    then Int64.to_int (Int64.div d Layout.func_slot_size)
+    else -1
+  in
+  let i = slot Layout.text_base (Array.length t.funcs) in
+  if i >= 0 then Some (Defined i)
+  else
+    let i = slot Layout.libc_base (Array.length t.libc) in
+    (* a libc name a defined function shadows has no code *)
+    if i >= 0 && Hashtbl.find_opt t.syms t.libc.(i) = Some (Libc i) then Some (Libc i)
+    else None
+
+(* ------------------------------------------------------------------ *)
+(* Resolution                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Never raises: whatever executing a piece of [fn] would raise is kept
+   in a [Bad] operand or a [Fail] instruction. *)
+let resolve t i =
+  let fn = t.funcs.(i) in
+  let operand (v : Ir.value) =
+    match v with
+    | Ir.Imm n -> K n
+    | Ir.Fimm x -> K (Int64.bits_of_float x)
+    | Ir.Reg r -> R r
+    | Ir.Null -> K 0L
+    | Ir.Global g -> ( match global_addr t g with a -> K a | exception e -> Bad e)
+    | Ir.Funcaddr f -> ( match func_addr t f with a -> K a | exception e -> Bad e)
+    | Ir.Str s -> ( match t.string_addrs.(s) with a -> K a | exception e -> Bad e)
+  in
+  let failing cost f = match f () with c -> c | exception exn -> Fail { cost; exn } in
+  (* char is one byte, everything else a 64-bit word *)
+  let byte ty = match Ctype.strip_const ty with Ctype.Char -> true | _ -> false in
+  let conv from_ty to_ty =
+    match (Ctype.strip_all_quals from_ty, Ctype.strip_all_quals to_ty) with
+    | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double -> To_double
+    | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) -> To_integer
+    | _, Ctype.Char -> To_char
+    | _ -> Same
+  in
+  let code (ins : Ir.instr) =
+    match ins.i with
+    | Ir.Alloca { dst; ty; _ } ->
+        failing t.costs.alu (fun () ->
+            let size = max 8 (Ir.sizeof t.m ty) in
+            Alloca { dst; size = (size + 15) / 16 * 16 })
+    | Ir.Load { dst; addr; ty; _ } -> Load { dst; addr = operand addr; byte = byte ty }
+    | Ir.Store { src; addr; ty; _ } ->
+        Store { src = operand src; addr = operand addr; byte = byte ty }
+    | Ir.Gep { dst; base; sname; field } ->
+        failing t.costs.gep (fun () ->
+            let off, _ = Ir.field_offset t.m sname field in
+            Gep { dst; base = operand base; off = Int64.of_int off })
+    | Ir.Gepidx { dst; base; elem; idx } ->
+        failing t.costs.gep (fun () ->
+            let size = Int64.of_int (Ir.sizeof t.m elem) in
+            Gepidx { dst; base = operand base; size; idx = operand idx })
+    | Ir.Bitcast { dst; src; _ } -> Move { dst; src = operand src }
+    | Ir.Binop { dst; op; fl; a; b } -> Binop { dst; op; fl; a = operand a; b = operand b }
+    | Ir.Neg { dst; fl; src } -> Neg { dst; fl; src = operand src }
+    | Ir.Lognot { dst; src } -> Lognot { dst; src = operand src }
+    | Ir.Bitnot { dst; src } -> Bitnot { dst; src = operand src }
+    | Ir.Cast_num { dst; src; from_ty; to_ty } ->
+        Cast_num { dst; src = operand src; conv = conv from_ty to_ty }
+    | Ir.Call { dst; callee; args; arg_tys; _ } ->
+        let callee =
+          match callee with
+          | Ir.Direct name -> (
+              match Hashtbl.find_opt t.syms name with Some c -> c | None -> Missing name)
+          | Ir.Indirect c -> Via (operand c)
+        in
+        Call { dst; callee; args = Array.of_list (List.map operand args); arg_tys }
+    | Ir.Pac p ->
+        Pac
+          {
+            kind = p.p_kind;
+            dst = p.p_dst;
+            src = operand p.p_src;
+            key = p.p_key;
+            modifier = p.p_mod;
+            mod_from = p.p_mod_from;
+            slot = operand p.p_slot_addr;
+          }
+    | Ir.Pp (Ir.Pp_add _) -> Pp Pp_add
+    | Ir.Pp (Ir.Pp_sign { dst; src; ce; slot_addr }) ->
+        Pp (Pp_sign { dst; src = operand src; ce; slot = operand slot_addr })
+    | Ir.Pp (Ir.Pp_auth { dst; src; slot_addr }) ->
+        Pp (Pp_auth { dst; src = operand src; slot = operand slot_addr })
+    | Ir.Pp (Ir.Pp_add_tbi { dst; src; ce }) -> Pp (Pp_add_tbi { dst; src = operand src; ce })
+  in
+  let line (ins : Ir.instr) =
+    match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0
+  in
+  let block (b : Ir.block) =
+    let instrs = Array.of_list b.instrs in
+    let term =
+      match b.term with
+      | Ir.Ret v -> Ret (Option.map operand v)
+      | Ir.Br l -> Br l
+      | Ir.Condbr (c, l1, l2) -> Condbr (operand c, l1, l2)
+      | Ir.Unreachable -> Unreachable
+    in
+    { body = Array.map code instrs; lines = Array.map line instrs; term }
+  in
+  let id = match Hashtbl.find_opt t.syms fn.name with Some (Defined j) -> j | _ -> i in
+  { name = fn.name; id; nregs = fn.nregs; blocks = Array.map block fn.blocks }
+
+let resolved t i =
+  match t.resolved.(i) with
+  | Some f -> f
+  | None ->
+      let f = resolve t i in
+      t.resolved.(i) <- Some f;
+      f
+
+let get regs = function K v -> v | R r -> regs.(r) | Bad e -> raise e [@@inline]
+
+let eval_args regs (args : operand array) =
+  let argv = Array.make (Array.length args) 0L in
+  for j = 0 to Array.length args - 1 do
+    argv.(j) <- get regs args.(j)
+  done;
+  argv
 
 (* ------------------------------------------------------------------ *)
 (* Attacker hooks                                                      *)
@@ -471,11 +662,7 @@ let intruder_of t =
     note = (fun s -> t.notes <- s :: t.notes);
   }
 
-let bump _t tbl name =
-  let n = (match Hashtbl.find_opt tbl name with Some n -> n | None -> 0) + 1 in
-  Hashtbl.replace tbl name n;
-  n
-
+(* Called only when attacks are armed. *)
 let fire_attacks t trig =
   List.iter
     (fun atk -> if atk.trigger = trig then atk.action (intruder_of t))
@@ -499,15 +686,14 @@ let step t =
    instruction executes: terminator and call-dispatch charges attribute
    to the site of the last instruction that ran, which keeps the
    partition exact without threading a site through every helper. *)
-let set_site t (fn : Ir.func) (ins : Ir.instr) =
-  let line = match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0 in
+let set_site t func line =
   let cur = t.cur_site in
-  if not (cur.s_func == fn.name && cur.s_line = line) then
-    let key = (fn.name, line) in
+  if not (cur.s_func == func && cur.s_line = line) then
+    let key = (func, line) in
     match Hashtbl.find_opt t.prof_sites key with
     | Some s -> t.cur_site <- s
     | None ->
-        let s = new_site fn.name line in
+        let s = new_site func line in
         Hashtbl.replace t.prof_sites key s;
         t.cur_site <- s
 
@@ -552,7 +738,7 @@ let record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
   t.fr_next <- t.fr_next + 1;
   match kind with
   | Op_sign | Op_pp_sign | Op_resign ->
-      if ok then Hashtbl.replace t.signers result op
+      if ok then I64tbl.replace t.signers result op
   | Op_auth | Op_pp_auth | Op_strip -> ()
 
 let flight_window t =
@@ -575,7 +761,7 @@ let record_incident t ~func ~key ~static_mod ~modifier ~ptr =
       inc_static_mod = static_mod;
       inc_modifier = modifier;
       inc_ptr = ptr;
-      inc_signer = Hashtbl.find_opt t.signers ptr;
+      inc_signer = I64tbl.find_opt t.signers ptr;
       inc_window = flight_window t;
       inc_cycle = t.cycles;
       inc_instr = t.counts.instrs;
@@ -631,22 +817,6 @@ let mem_fault t func fault =
     (Mem_fault
        { fault = Memory.fault_to_string fault; func; after_auth_fail = t.auth_failed })
 
-let guard_mem t func f =
-  try f () with Memory.Fault fault -> raise (mem_fault t func fault)
-
-(* Loads and stores honour the C type's width: char is one byte,
-   everything else a 64-bit word. *)
-let load_typed t func ty addr =
-  guard_mem t func (fun () ->
-      match Ctype.strip_const ty with
-      | Ctype.Char -> Int64.of_int (Memory.read_u8 t.mem addr)
-      | _ -> Memory.read_u64 t.mem addr)
-
-let store_typed t func ty addr v =
-  guard_mem t func (fun () ->
-      match Ctype.strip_const ty with
-      | Ctype.Char -> Memory.write_u8 t.mem addr (Int64.to_int (Int64.logand v 0xFFL))
-      | _ -> Memory.write_u64 t.mem addr v)
 
 let malloc t size =
   if size < 0 || size > 0x1000000 then 0L (* 16 MiB cap: huge requests fail *)
@@ -659,29 +829,55 @@ let malloc t size =
   addr
   end
 
-(* C reads a negative length as a huge size_t: the call stores [byte i]
-   at [dst + i] until an access leaves the mapping, and that fault ends
-   the run. *)
-let run_off t dst byte =
-  let rec go i =
-    Memory.write_u8 t.mem (Int64.add dst i) (byte i);
-    go (Int64.succ i)
+(* C reads a negative length as a huge size_t: such a call touches
+   memory until an access leaves the mapping, and that fault ends the
+   run. *)
+let length v =
+  let n = Int64.to_int v in
+  if n < 0 then max_int else n
+
+(* [memmove]: a page-sized chunk at a time, each read whole before it is
+   written, so a huge length faults where the mapping ends instead of
+   asking the host for the whole buffer. When the destination overlaps
+   the source from above, the chunks run from the end. *)
+let copy t ~dst ~src n =
+  let chunk off len =
+    Memory.write_bytes t.mem (Int64.add dst off)
+      (Memory.read_bytes t.mem (Int64.add src off) len)
   in
-  go 0L
+  let page = 4096 in
+  let d = Int64.sub dst src in
+  if Int64.compare d 0L > 0 && Int64.compare d (Int64.of_int n) < 0 then begin
+    let rem = ref n in
+    while !rem > 0 do
+      let len = min page !rem in
+      rem := !rem - len;
+      chunk (Int64.of_int !rem) len
+    done
+  end
+  else begin
+    let off = ref 0 in
+    while !off < n do
+      let len = min page (n - !off) in
+      chunk (Int64.of_int !off) len;
+      off := !off + len
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* printf                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let format_printf t fmt args =
+(* Conversions take [args] from index [first] on. *)
+let format_printf t fmt (args : int64 array) first =
   let buf = Buffer.create (String.length fmt + 16) in
-  let args = ref args in
+  let next_arg = ref first in
   let next () =
-    match !args with
-    | [] -> 0L
-    | a :: rest ->
-        args := rest;
-        a
+    if !next_arg >= Array.length args then 0L
+    else begin
+      incr next_arg;
+      args.(!next_arg - 1)
+    end
   in
   let n = String.length fmt in
   let i = ref 0 in
@@ -719,12 +915,88 @@ let format_printf t fmt args =
   done;
   Buffer.contents buf
 
+let modifier_value regs (m : Ir.modifier) slot =
+  match m with
+  | Ir.Mconst c -> c
+  | Ir.Mloc c -> Int64.logxor c (get regs slot)
+
+let binop_int op a b fname =
+  match op with
+  | Ast.Add -> Int64.add a b
+  | Ast.Sub -> Int64.sub a b
+  | Ast.Mul -> Int64.mul a b
+  | Ast.Div ->
+      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
+  | Ast.Mod ->
+      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
+  | Ast.Eq -> if Int64.equal a b then 1L else 0L
+  | Ast.Ne -> if Int64.equal a b then 0L else 1L
+  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
+  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
+  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
+  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
+  | Ast.Bitand -> Int64.logand a b
+  | Ast.Bitor -> Int64.logor a b
+  | Ast.Bitxor -> Int64.logxor a b
+  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
+  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
+  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
+  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
+
+let binop_float op a b fname =
+  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
+  let bool v = if v then 1L else 0L in
+  match op with
+  | Ast.Add -> Int64.bits_of_float (x +. y)
+  | Ast.Sub -> Int64.bits_of_float (x -. y)
+  | Ast.Mul -> Int64.bits_of_float (x *. y)
+  | Ast.Div -> Int64.bits_of_float (x /. y)
+  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
+  | Ast.Eq -> bool (x = y)
+  | Ast.Ne -> bool (x <> y)
+  | Ast.Lt -> bool (x < y)
+  | Ast.Le -> bool (x <= y)
+  | Ast.Gt -> bool (x > y)
+  | Ast.Ge -> bool (x >= y)
+  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
+  | Ast.Logor ->
+      binop_int op a b fname
+
+(* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
+   paper's introduction contrasts RSTI with): an indirect call may only
+   land on a function whose prototype matches the call site's static
+   signature. It sees nothing of data pointers. *)
+let signatures_match (arg_tys : Ctype.t list) (param_tys : Ctype.t list) variadic =
+  let rec go a p =
+    match (a, p) with
+    | [], [] -> true
+    | _ :: _, [] -> variadic
+    | [], _ :: _ -> false
+    | ta :: a', tp :: p' ->
+        Ctype.equal (Ctype.strip_all_quals ta) (Ctype.strip_all_quals tp) && go a' p'
+  in
+  go arg_tys param_tys
+
+let check_cfi caller arg_tys (f : Ir.func) =
+  let param_tys = List.map (fun (p : Rsti_minic.Tast.var) -> p.v_ty) f.params in
+  if not (signatures_match arg_tys param_tys false) then
+    raise (Trap_exn (Cfi_violation { func = caller; target = f.name }))
+
+let check_cfi_libc t caller arg_tys name =
+  match List.assoc_opt name t.m.Ir.m_externs with
+  | Some (Ctype.Func sg) ->
+      if not (signatures_match arg_tys sg.Ctype.params sg.Ctype.variadic) then
+        raise (Trap_exn (Cfi_violation { func = caller; target = name }))
+  | _ -> () (* unknown prototype: coarse CFI allows it *)
+
 (* ------------------------------------------------------------------ *)
 (* Builtins (the simulated libc)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_builtin t name (args : int64 list) : int64 =
-  let n = bump t t.extern_counts name in
+let rec run_builtin t i (args : int64 array) : int64 =
+  let name = t.libc.(i) in
+  let n = t.extern_counts.(i) + 1 in
+  t.extern_counts.(i) <- n;
   charge t t.costs.extern_call;
   let result =
     try run_builtin_body t name args
@@ -732,24 +1004,32 @@ let rec run_builtin t name (args : int64 list) : int64 =
   in
   (* Hooks fire after the call completes, so "on the nth malloc" sees the
      allocation it corrupts. *)
-  fire_attacks t (On_extern (name, n));
+  (match t.attacks with [] -> () | _ -> fire_attacks t (On_extern (name, n)));
   result
 
-and run_builtin_body t name (args : int64 list) : int64 =
-  let arg i = match List.nth_opt args i with Some v -> v | None -> 0L in
+and run_builtin_body t name (args : int64 array) : int64 =
+  let arg i = if i < Array.length args then args.(i) else 0L in
   let sarg i = Memory.read_cstring t.mem (arg i) in
   match name with
   | "malloc" -> malloc t (Int64.to_int (arg 0))
-  | "calloc" -> malloc t (Int64.to_int (arg 0) * Int64.to_int (arg 1))
+  | "calloc" ->
+      (* NULL when a count is negative or the product overflows *)
+      let n = arg 0 and size = arg 1 in
+      if
+        Int64.compare n 0L < 0
+        || Int64.compare size 0L < 0
+        || (size <> 0L && Int64.compare n (Int64.div Int64.max_int size) > 0)
+      then 0L
+      else malloc t (Int64.to_int (Int64.mul n size))
   | "mmap" -> malloc t (Int64.to_int (arg 1))
   | "free" -> 0L
   | "printf" | "fprintf" ->
       let off = if name = "fprintf" then 1 else 0 in
-      let s = format_printf t (sarg off) (List.filteri (fun i _ -> i > off) args) in
+      let s = format_printf t (sarg off) args (off + 1) in
       Buffer.add_string t.out s;
       Int64.of_int (String.length s)
   | "snprintf" ->
-      let s = format_printf t (sarg 2) (List.filteri (fun i _ -> i > 2) args) in
+      let s = format_printf t (sarg 2) args 3 in
       let cap = Int64.to_int (arg 1) in
       let s' = if String.length s >= cap && cap > 0 then String.sub s 0 (cap - 1) else s in
       Memory.write_cstring t.mem (arg 0) s';
@@ -773,14 +1053,13 @@ and run_builtin_body t name (args : int64 list) : int64 =
       Memory.write_cstring t.mem (arg 0) (sarg 1);
       arg 0
   | "strncpy" ->
-      let s = sarg 1 and n = Int64.to_int (arg 2) in
-      if n < 0 then begin
-        (* C pads the copy with NULs up to the length *)
-        Memory.write_cstring t.mem (arg 0) s;
-        run_off t (Int64.add (arg 0) (Int64.of_int (String.length s))) (fun _ -> 0)
-      end;
-      let s = if String.length s > n then String.sub s 0 n else s in
-      Memory.write_cstring t.mem (arg 0) s;
+      (* exactly n bytes: the source up to its NUL, then NUL padding *)
+      let s = sarg 1 and n = length (arg 2) in
+      for i = 0 to n - 1 do
+        Memory.write_u8 t.mem
+          (Int64.add (arg 0) (Int64.of_int i))
+          (if i < String.length s then Char.code s.[i] else 0)
+      done;
       arg 0
   | "strcat" ->
       Memory.write_cstring t.mem
@@ -788,17 +1067,11 @@ and run_builtin_body t name (args : int64 list) : int64 =
         (sarg 1);
       arg 0
   | "memcpy" | "memmove" ->
-      let n = Int64.to_int (arg 2) in
-      if n < 0 then
-        run_off t (arg 0) (fun i -> Memory.read_u8 t.mem (Int64.add (arg 1) i));
-      let b = Memory.read_bytes t.mem (arg 1) n in
-      Memory.write_bytes t.mem (arg 0) b;
+      copy t ~dst:(arg 0) ~src:(arg 1) (length (arg 2));
       arg 0
   | "memset" ->
       let v = Int64.to_int (Int64.logand (arg 1) 0xFFL) in
-      let n = Int64.to_int (arg 2) in
-      if n < 0 then run_off t (arg 0) (fun _ -> v);
-      for i = 0 to n - 1 do
+      for i = 0 to length (arg 2) - 1 do
         Memory.write_u8 t.mem (Int64.add (arg 0) (Int64.of_int i)) v
       done;
       arg 0
@@ -849,10 +1122,10 @@ and run_builtin_body t name (args : int64 list) : int64 =
       let size = Int64.to_int (arg 2) in
       let cmp_ptr = arg 3 in
       let call_cmp a b =
-        match Hashtbl.find_opt t.code_map cmp_ptr with
-        | Some (`Defined f) -> call_function t f [ a; b ]
-        | Some (`Libc nm) -> run_builtin t nm [ a; b ]
-        | None ->
+        match code_at t cmp_ptr with
+        | Some (Defined f) -> call_function t f [| a; b |]
+        | Some (Libc nm) -> run_builtin t nm [| a; b |]
+        | _ ->
             raise
               (Trap_exn
                  (Bad_indirect_call
@@ -881,141 +1154,124 @@ and run_builtin_body t name (args : int64 list) : int64 =
         done
       end;
       0L
-  | "system" | "mprotect" | "dlopen" | "exec" | "socket" | "send" | "recv"
-  | "open" | "read" | "write" | "close" ->
-      (* Security-sensitive sinks: reaching one of these with attacker-
-         controlled state is what scenarios check for in [extern_profile]. *)
-      0L
   | _ ->
-      (* A declared extern we have no model for behaves as a generic libc
-         stub: it runs (the call is counted above) and returns 0. This
-         is what attack scenarios that redirect control into arbitrary
-         libc functions (AOCR's _IO_new_file_overflow, etc.) rely on. *)
-      if Hashtbl.mem t.func_addrs name then 0L
-      else raise (Trap_exn (Unknown_function name))
+      (* The security-sensitive sinks (system, mprotect, dlopen, exec,
+         socket, send, recv, open, read, write, close) and any declared
+         extern we have no model for behave as a generic libc stub: it
+         runs (the call is counted above) and returns 0. Reaching a sink
+         with attacker-controlled state is what scenarios check for in
+         [extern_profile]; attack scenarios that redirect control into
+         arbitrary libc functions (AOCR's _IO_new_file_overflow, etc.)
+         rely on the stub. *)
+      0L
 
 (* ------------------------------------------------------------------ *)
 (* Instruction execution                                               *)
 (* ------------------------------------------------------------------ *)
-
-and eval t (regs : int64 array) (v : Ir.value) : int64 =
-  match v with
-  | Ir.Imm n -> n
-  | Ir.Fimm x -> Int64.bits_of_float x
-  | Ir.Reg r -> regs.(r)
-  | Ir.Global g -> global_addr t g
-  | Ir.Funcaddr f -> func_addr t f
-  | Ir.Str i -> t.string_addrs.(i)
-  | Ir.Null -> 0L
-
-and modifier_value t regs (m : Ir.modifier) (slot_addr : Ir.value) : int64 =
-  match m with
-  | Ir.Mconst c -> c
-  | Ir.Mloc c -> Int64.logxor c (eval t regs slot_addr)
 
 and mac_of t key ~modifier value =
   Rsti_pa.Qarma.encrypt
     ~key:(Rsti_pa.Key.lookup (Rsti_pa.Pac.keys t.pac) key)
     ~tweak:modifier value
 
-and exec_shadow_mac t fname regs (p : Ir.pac) =
+and exec_shadow_mac t fname regs (p : pac) =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
-  let src = eval t regs p.p_src in
-  let m = modifier_value t regs p.p_mod p.p_slot_addr in
-  let slot = eval t regs p.p_slot_addr in
-  let key = p.p_key and static_mod = static_modifier p.p_mod in
-  match p.p_kind with
+  let src = get regs p.src in
+  let m = modifier_value regs p.modifier p.slot in
+  let slot = get regs p.slot in
+  let key = p.key and static_mod = static_modifier p.modifier in
+  match p.kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.load + t.costs.store);
-      if Int64.equal src 0L then Hashtbl.remove t.shadow slot
-      else Hashtbl.replace t.shadow slot (mac_of t key ~modifier:m src);
+      if Int64.equal src 0L then I64tbl.remove t.shadow slot
+      else I64tbl.replace t.shadow slot (mac_of t key ~modifier:m src);
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
         ~ok:true;
-      regs.(p.p_dst) <- src
+      regs.(p.dst) <- src
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.load);
       let ok =
-        if Int64.equal src 0L then not (Hashtbl.mem t.shadow slot)
+        if Int64.equal src 0L then not (I64tbl.mem t.shadow slot)
         else
-          match Hashtbl.find_opt t.shadow slot with
+          match I64tbl.find_opt t.shadow slot with
           | Some expected -> Int64.equal expected (mac_of t key ~modifier:m src)
           | None -> false
       in
       account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src ~ok;
-      regs.(p.p_dst) <-
+      regs.(p.dst) <-
         (if ok then src else Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src)
   | Ir.Kresign ->
       (* casts carry no per-slot state under the shadow backend *)
       charge t (2 * t.costs.pac);
       account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
         ~ok:true;
-      regs.(p.p_dst) <- src
+      regs.(p.dst) <- src
   | Ir.Kstrip ->
       charge t t.costs.strip;
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
         ~result:src ~ok:true;
-      regs.(p.p_dst) <- src
+      regs.(p.dst) <- src
 
-and exec_pac t fname regs (p : Ir.pac) =
+and exec_pac t fname regs (p : pac) =
   if t.backend = `Shadow_mac then exec_shadow_mac t fname regs p
   else begin
-  let src = eval t regs p.p_src in
-  let key = p.p_key and static_mod = static_modifier p.p_mod in
-  match p.p_kind with
+  let src = get regs p.src in
+  let key = p.key and static_mod = static_modifier p.modifier in
+  match p.kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value t regs p.p_mod p.p_slot_addr in
+      let m = modifier_value regs p.modifier p.slot in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m src in
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:signed
         ~ok:true;
-      regs.(p.p_dst) <- signed
+      regs.(p.dst) <- signed
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value t regs p.p_mod p.p_slot_addr in
+      let m = modifier_value regs p.modifier p.slot in
       let v, ok =
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
         | Ok v -> (v, true)
         | Error corrupted -> (corrupted, false)
       in
       account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:v ~ok;
-      regs.(p.p_dst) <- v
+      regs.(p.dst) <- v
   | Ir.Kresign ->
       charge t (2 * (t.costs.pac + t.costs.pac_spill));
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
          value (the pp mechanism) gets a real authenticate + re-sign. A
          failure is the auth half's, so it reports the source modifier. *)
-      let mt = modifier_value t regs p.p_mod p.p_slot_addr in
+      let mt = modifier_value regs p.modifier p.slot in
       if not (Rsti_pa.Pac.is_signed t.pac src) then begin
         account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
           ~result:src ~ok:true;
-        regs.(p.p_dst) <- src
+        regs.(p.dst) <- src
       end
       else begin
-        let mf = modifier_value t regs p.p_mod_from p.p_slot_addr in
+        let mf = modifier_value regs p.mod_from p.slot in
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:mf src with
         | Ok v ->
             let resigned = Rsti_pa.Pac.sign t.pac ~key ~modifier:mt v in
             account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
               ~result:resigned ~ok:true;
-            regs.(p.p_dst) <- resigned
+            regs.(p.dst) <- resigned
         | Error corrupted ->
             account t Op_resign ~func:fname ~key
-              ~static_mod:(static_modifier p.p_mod_from) ~modifier:mf ~src
+              ~static_mod:(static_modifier p.mod_from) ~modifier:mf ~src
               ~result:corrupted ~ok:false;
-            regs.(p.p_dst) <- corrupted
+            regs.(p.dst) <- corrupted
       end
   | Ir.Kstrip ->
       charge t t.costs.strip;
       let stripped = Rsti_pa.Pac.strip t.pac src in
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
         ~result:stripped ~ok:true;
-      regs.(p.p_dst) <- stripped
+      regs.(p.dst) <- stripped
   end
 
-and exec_pp t fname regs (pp : Ir.pp_call) =
+and exec_pp t fname regs (pp : pp) =
   charge t t.costs.pp;
   t.counts.pp_calls <- t.counts.pp_calls + 1;
   prof_pp t;
@@ -1024,21 +1280,21 @@ and exec_pp t fname regs (pp : Ir.pp_call) =
   in
   let key = Rsti_pa.Key.DA in
   match pp with
-  | Ir.Pp_add _ -> () (* table is static in our model; cost only *)
-  | Ir.Pp_sign { dst; src; ce; slot_addr } ->
+  | Pp_add -> () (* table is static in our model; cost only *)
+  | Pp_sign { dst; src; ce; slot } ->
       let fe = fe_modifier ce in
-      let m = Int64.logxor fe (eval t regs slot_addr) in
-      let v = eval t regs src in
+      let m = Int64.logxor fe (get regs slot) in
+      let v = get regs src in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m v in
       account t Op_pp_sign ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
         ~result:signed ~ok:true;
       regs.(dst) <- signed
-  | Ir.Pp_add_tbi { dst; src; ce } ->
-      regs.(dst) <- Rsti_pa.Vaddr.with_top_byte (eval t regs src) ce
-  | Ir.Pp_auth { dst; src; slot_addr } ->
-      let v = eval t regs src in
+  | Pp_add_tbi { dst; src; ce } ->
+      regs.(dst) <- Rsti_pa.Vaddr.with_top_byte (get regs src) ce
+  | Pp_auth { dst; src; slot } ->
+      let v = get regs src in
       let fe = fe_modifier (Rsti_pa.Vaddr.top_byte v) in
-      let m = Int64.logxor fe (eval t regs slot_addr) in
+      let m = Int64.logxor fe (get regs slot) in
       let r, ok =
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:m v with
         | Ok r -> (r, true)
@@ -1048,215 +1304,163 @@ and exec_pp t fname regs (pp : Ir.pp_call) =
         ~result:r ~ok;
       regs.(dst) <- (if ok then Rsti_pa.Vaddr.with_top_byte r 0 else r)
 
-and binop_int op a b fname =
-  match op with
-  | Ast.Add -> Int64.add a b
-  | Ast.Sub -> Int64.sub a b
-  | Ast.Mul -> Int64.mul a b
-  | Ast.Div ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
-  | Ast.Mod ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
-  | Ast.Eq -> if Int64.equal a b then 1L else 0L
-  | Ast.Ne -> if Int64.equal a b then 0L else 1L
-  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
-  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
-  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
-  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
-  | Ast.Bitand -> Int64.logand a b
-  | Ast.Bitor -> Int64.logor a b
-  | Ast.Bitxor -> Int64.logxor a b
-  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
-  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
-  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
-
-and binop_float op a b fname =
-  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-  let bool v = if v then 1L else 0L in
-  match op with
-  | Ast.Add -> Int64.bits_of_float (x +. y)
-  | Ast.Sub -> Int64.bits_of_float (x -. y)
-  | Ast.Mul -> Int64.bits_of_float (x *. y)
-  | Ast.Div -> Int64.bits_of_float (x /. y)
-  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
-  | Ast.Eq -> bool (x = y)
-  | Ast.Ne -> bool (x <> y)
-  | Ast.Lt -> bool (x < y)
-  | Ast.Le -> bool (x <= y)
-  | Ast.Gt -> bool (x > y)
-  | Ast.Ge -> bool (x >= y)
-  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
-  | Ast.Logor ->
-      ignore fname;
-      binop_int op a b fname
-
-(* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
-   paper's introduction contrasts RSTI with): an indirect call may only
-   land on a function whose prototype matches the call site's static
-   signature. It sees nothing of data pointers. *)
-and signatures_match (arg_tys : Ctype.t list) (param_tys : Ctype.t list) variadic =
-  let rec go a p =
-    match (a, p) with
-    | [], [] -> true
-    | _ :: _, [] -> variadic
-    | [], _ :: _ -> false
-    | ta :: a', tp :: p' ->
-        Ctype.equal (Ctype.strip_all_quals ta) (Ctype.strip_all_quals tp) && go a' p'
-  in
-  go arg_tys param_tys
-
-and check_cfi _t caller arg_tys (f : Ir.func) =
-  let param_tys = List.map (fun (p : Rsti_minic.Tast.var) -> p.v_ty) f.params in
-  if not (signatures_match arg_tys param_tys false) then
-    raise (Trap_exn (Cfi_violation { func = caller; target = f.name }))
-
-and check_cfi_libc t caller arg_tys name =
-  match List.assoc_opt name t.m.Ir.m_externs with
-  | Some (Ctype.Func sg) ->
-      if not (signatures_match arg_tys sg.Ctype.params sg.Ctype.variadic) then
-        raise (Trap_exn (Cfi_violation { func = caller; target = name }))
-  | _ -> () (* unknown prototype: coarse CFI allows it *)
-
-and call_function t (fn : Ir.func) (args : int64 list) : int64 =
-  let n = bump t t.call_counts fn.name in
-  fire_attacks t (On_call (fn.name, n));
+(* [argv] holds the arguments and becomes the callee's register file
+   when it is large enough. *)
+and call_function t i (argv : int64 array) : int64 =
+  let f = resolved t i in
+  let n = t.call_counts.(f.id) + 1 in
+  t.call_counts.(f.id) <- n;
+  (match t.attacks with [] -> () | _ -> fire_attacks t (On_call (f.name, n)));
   charge t t.costs.call;
-  let regs = Array.make (max fn.nregs (List.length args)) 0L in
-  List.iteri (fun i a -> if i < Array.length regs then regs.(i) <- a) args;
+  let regs =
+    if Array.length argv >= f.nregs then argv
+    else begin
+      let regs = Array.make f.nregs 0L in
+      Array.blit argv 0 regs 0 (Array.length argv);
+      regs
+    end
+  in
   let saved_sp = t.sp in
-  let result = exec_blocks t fn regs in
+  let result = exec_block t f regs 0 in
   t.sp <- saved_sp;
   result
 
-and exec_blocks t (fn : Ir.func) regs : int64 =
-  let rec run_block label =
-    let blk = fn.blocks.(label) in
-    List.iter (exec_instr t fn regs) blk.instrs;
-    match blk.term with
-    | Ir.Ret None ->
-        charge t t.costs.branch;
-        0L
-    | Ir.Ret (Some v) ->
-        charge t t.costs.branch;
-        eval t regs v
-    | Ir.Br l ->
-        charge t t.costs.branch;
-        step t;
-        run_block l
-    | Ir.Condbr (c, a, b) ->
-        charge t t.costs.branch;
-        step t;
-        run_block (if eval t regs c <> 0L then a else b)
-    | Ir.Unreachable -> raise (Trap_exn (Unknown_function (fn.name ^ ":unreachable")))
-  in
-  run_block 0
+and exec_block t f regs label : int64 =
+  let b = f.blocks.(label) in
+  let body = b.body in
+  for i = 0 to Array.length body - 1 do
+    if t.profiling then set_site t f.name b.lines.(i);
+    if t.recording then t.cur_line <- b.lines.(i);
+    step t;
+    exec t f regs body.(i)
+  done;
+  match b.term with
+  | Ret None ->
+      charge t t.costs.branch;
+      0L
+  | Ret (Some v) ->
+      charge t t.costs.branch;
+      get regs v
+  | Br l ->
+      charge t t.costs.branch;
+      step t;
+      exec_block t f regs l
+  | Condbr (c, l1, l2) ->
+      charge t t.costs.branch;
+      step t;
+      exec_block t f regs (if Int64.equal (get regs c) 0L then l2 else l1)
+  | Unreachable -> raise (Trap_exn (Unknown_function (f.name ^ ":unreachable")))
 
-and exec_instr t (fn : Ir.func) regs (ins : Ir.instr) : unit =
-  if t.profiling then set_site t fn ins;
-  if t.recording then
-    t.cur_line <-
-      (match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0);
-  step t;
-  match ins.i with
-  | Ir.Alloca { dst; ty; _ } ->
+and exec t f regs (c : code) : unit =
+  match c with
+  | Alloca { dst; size } ->
       charge t t.costs.alu;
-      let size = max 8 (Ir.sizeof t.m ty) in
-      let aligned = (size + 15) / 16 * 16 in
-      t.sp <- Int64.sub t.sp (Int64.of_int aligned);
+      t.sp <- Int64.sub t.sp (Int64.of_int size);
       if t.sp < Layout.stack_limit then raise (Trap_exn Stack_overflow);
-      Memory.map t.mem ~addr:t.sp ~size:aligned;
+      Memory.map t.mem ~addr:t.sp ~size;
       regs.(dst) <- t.sp
-  | Ir.Load { dst; addr; ty; _ } ->
+  | Load { dst; addr; byte } ->
       charge t t.costs.load;
       t.counts.loads <- t.counts.loads + 1;
-      regs.(dst) <- load_typed t fn.name ty (eval t regs addr)
-  | Ir.Store { src; addr; ty; _ } ->
+      let a = get regs addr in
+      regs.(dst) <-
+        (try
+           if byte then Int64.of_int (Memory.read_u8 t.mem a) else Memory.read_u64 t.mem a
+         with Memory.Fault fault -> raise (mem_fault t f.name fault))
+  | Store { src; addr; byte } -> (
       charge t t.costs.store;
       t.counts.stores <- t.counts.stores + 1;
-      store_typed t fn.name ty (eval t regs addr) (eval t regs src)
-  | Ir.Gep { dst; base; sname; field } ->
+      let v = get regs src in
+      let a = get regs addr in
+      try
+        if byte then Memory.write_u8 t.mem a (Int64.to_int (Int64.logand v 0xFFL))
+        else Memory.write_u64 t.mem a v
+      with Memory.Fault fault -> raise (mem_fault t f.name fault))
+  | Gep { dst; base; off } ->
       charge t t.costs.gep;
-      let off, _ = Ir.field_offset t.m sname field in
-      regs.(dst) <- Int64.add (eval t regs base) (Int64.of_int off)
-  | Ir.Gepidx { dst; base; elem; idx } ->
+      regs.(dst) <- Int64.add (get regs base) off
+  | Gepidx { dst; base; size; idx } ->
       charge t t.costs.gep;
-      let size = Int64.of_int (Ir.sizeof t.m elem) in
-      regs.(dst) <- Int64.add (eval t regs base) (Int64.mul size (eval t regs idx))
-  | Ir.Bitcast { dst; src; _ } ->
+      regs.(dst) <- Int64.add (get regs base) (Int64.mul size (get regs idx))
+  | Move { dst; src } ->
       charge t t.costs.alu;
-      regs.(dst) <- eval t regs src
-  | Ir.Binop { dst; op; fl; a; b } ->
+      regs.(dst) <- get regs src
+  | Binop { dst; op; fl; a; b } ->
       charge t t.costs.alu;
-      let va = eval t regs a and vb = eval t regs b in
+      let va = get regs a and vb = get regs b in
       regs.(dst) <-
         (match fl with
-        | Ir.Iop -> binop_int op va vb fn.name
-        | Ir.Fop -> binop_float op va vb fn.name)
-  | Ir.Neg { dst; fl; src } ->
+        | Ir.Iop -> binop_int op va vb f.name
+        | Ir.Fop -> binop_float op va vb f.name)
+  | Neg { dst; fl; src } ->
       charge t t.costs.alu;
-      let v = eval t regs src in
+      let v = get regs src in
       regs.(dst) <-
         (match fl with
         | Ir.Iop -> Int64.neg v
         | Ir.Fop -> Int64.bits_of_float (-.Int64.float_of_bits v))
-  | Ir.Lognot { dst; src } ->
+  | Lognot { dst; src } ->
       charge t t.costs.alu;
-      regs.(dst) <- (if eval t regs src = 0L then 1L else 0L)
-  | Ir.Bitnot { dst; src } ->
+      regs.(dst) <- (if Int64.equal (get regs src) 0L then 1L else 0L)
+  | Bitnot { dst; src } ->
       charge t t.costs.alu;
-      regs.(dst) <- Int64.lognot (eval t regs src)
-  | Ir.Cast_num { dst; src; from_ty; to_ty } ->
+      regs.(dst) <- Int64.lognot (get regs src)
+  | Cast_num { dst; src; conv } ->
       charge t t.costs.alu;
-      let v = eval t regs src in
-      let f = Ctype.strip_all_quals from_ty and g = Ctype.strip_all_quals to_ty in
+      let v = get regs src in
       regs.(dst) <-
-        (match (f, g) with
-        | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double ->
-            Int64.bits_of_float (Int64.to_float v)
-        | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) ->
-            Int64.of_float (Int64.float_of_bits v)
-        | _, Ctype.Char -> Int64.logand v 0xFFL
-        | _, Ctype.Int | _, Ctype.Long | _, _ -> v)
-  | Ir.Call { dst; callee; args; arg_tys; _ } ->
-      let arg_tys_of_call = arg_tys in
-      let argv = List.map (eval t regs) args in
+        (match conv with
+        | To_double -> Int64.bits_of_float (Int64.to_float v)
+        | To_integer -> Int64.of_float (Int64.float_of_bits v)
+        | To_char -> Int64.logand v 0xFFL
+        | Same -> v)
+  | Call { dst; callee; args; arg_tys } ->
       let result =
         match callee with
-        | Ir.Direct name -> dispatch_call t fn.name name argv
-        | Ir.Indirect c -> (
-            let target = eval t regs c in
-            match Hashtbl.find_opt t.code_map target with
-            | Some (`Defined f) ->
-                if t.cfi then check_cfi t fn.name arg_tys_of_call f;
-                call_function t f argv
-            | Some (`Libc name) ->
-                if t.cfi then check_cfi_libc t fn.name arg_tys_of_call name;
-                run_builtin t name argv
-            | None ->
+        | Defined i ->
+            (* the arguments land straight in the callee's registers *)
+            let n = Array.length args in
+            let callee_regs = Array.make (max t.funcs.(i).nregs n) 0L in
+            for j = 0 to n - 1 do
+              callee_regs.(j) <- get regs args.(j)
+            done;
+            call_function t i callee_regs
+        | Libc i -> run_builtin t i (eval_args regs args)
+        | Missing name ->
+            ignore (eval_args regs args);
+            raise (Trap_exn (Unknown_function name))
+        | Via c -> (
+            let argv = eval_args regs args in
+            let target = get regs c in
+            match code_at t target with
+            | Some (Defined i) ->
+                if t.cfi then check_cfi f.name arg_tys t.funcs.(i);
+                call_function t i argv
+            | Some (Libc i) ->
+                if t.cfi then check_cfi_libc t f.name arg_tys t.libc.(i);
+                run_builtin t i argv
+            | _ ->
                 raise
                   (Trap_exn
                      (Bad_indirect_call
-                        { target; func = fn.name; after_auth_fail = t.auth_failed })))
+                        { target; func = f.name; after_auth_fail = t.auth_failed })))
       in
       (match dst with Some d -> regs.(d) <- result | None -> ())
-  | Ir.Pac p -> exec_pac t fn.name regs p
-  | Ir.Pp pp -> exec_pp t fn.name regs pp
-
-and dispatch_call t caller name argv =
-  match Hashtbl.find_opt t.funcs_by_name name with
-  | Some f -> call_function t f argv
-  | None ->
-      if List.mem name builtin_names || Hashtbl.mem t.func_addrs name then
-        run_builtin t name argv
-      else begin
-        ignore caller;
-        raise (Trap_exn (Unknown_function name))
-      end
+  | Pac p -> exec_pac t f.name regs p
+  | Pp pp -> exec_pp t f.name regs pp
+  | Fail { cost; exn } ->
+      charge t cost;
+      raise exn
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* Most-called first, ties by name: the one order of both profiles. *)
+let profile name counts =
+  let acc = ref [] in
+  Array.iteri (fun i n -> if n > 0 then acc := (name i, n) :: !acc) counts;
+  List.sort (fun (a, m) (b, n) -> match compare n m with 0 -> compare a b | c -> c) !acc
 
 let run ?(attacks = []) ?step_limit ?(entry = "main") t =
   if t.ran then invalid_arg "Interp.run: machine already ran; create a fresh one";
@@ -1265,19 +1469,15 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
   Option.iter (fun l -> t.step_limit <- l) step_limit;
   let status =
     try
-      (match Hashtbl.find_opt t.funcs_by_name Ir.global_init_name with
-      | Some init -> ignore (call_function t init [])
-      | None -> ());
-      match Hashtbl.find_opt t.funcs_by_name entry with
-      | Some f -> Exited (call_function t f [])
-      | None -> Trapped (Unknown_function entry)
+      (match Hashtbl.find_opt t.syms Ir.global_init_name with
+      | Some (Defined i) -> ignore (call_function t i [||])
+      | _ -> ());
+      match Hashtbl.find_opt t.syms entry with
+      | Some (Defined i) -> Exited (call_function t i [||])
+      | _ -> Trapped (Unknown_function entry)
     with
     | Trap_exn tr -> Trapped tr
     | Exit_exn code -> Exited code
-  in
-  let profile tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   let sites =
     if not t.profiling then []
@@ -1290,8 +1490,8 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
     cycles = t.cycles;
     counts = t.counts;
     output = Buffer.contents t.out;
-    call_profile = profile t.call_counts;
-    extern_profile = profile t.extern_counts;
+    call_profile = profile (fun i -> t.funcs.(i).name) t.call_counts;
+    extern_profile = profile (fun i -> t.libc.(i)) t.extern_counts;
     sites;
     incidents = List.rev t.incidents;
     notes = List.rev t.notes;

@@ -126,11 +126,12 @@ type outcome = {
   counts : counts;
   output : string;           (** everything the program printed *)
   call_profile : (string * int) list;
-      (** defined-function call counts, most-called first; a function
-          that never ran is absent *)
+      (** defined-function call counts, most-called first and equal
+          counts by name ([String.compare]); a function that never ran
+          is absent *)
   extern_profile : (string * int) list;
-      (** simulated-libc call counts, most-called first; a function
-          that never ran is absent *)
+      (** simulated-libc call counts, in the same order as
+          [call_profile]; a function that never ran is absent *)
   sites : site list;
       (** hot-site profile, cycles descending (ties by site); [] unless
           the machine was created with [~profile:true] *)
@@ -205,6 +206,10 @@ val create :
   t
 (** Load a module: lay out globals/strings/code, generate PA keys from
     [seed], install the read-only pointer-to-pointer metadata table.
+    Code is resolved lazily: a function's instructions are turned into
+    the form the machine executes on its first call, so a run pays only
+    for the functions it enters, and a name or type the IR gets wrong
+    raises only when the instruction that uses it executes.
     [fpac] (default true) selects ARMv8.6 FPAC semantics — a failing
     [aut*] traps synchronously, as on the Apple M1 the paper evaluates
     on; with [fpac:false] the failure only corrupts the pointer and the

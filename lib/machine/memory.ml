@@ -14,12 +14,20 @@ let fault_to_string = function
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
+module Pages = Hashtbl.Make (Int)
+
+(* Pages are keyed by page number; a canonical address has 48 bits, so
+   its page number fits an [int]. Pages are never unmapped, so the
+   last-page cache cannot go stale. *)
 type t = {
-  pages : (int64, bytes) Hashtbl.t;
+  pages : bytes Pages.t;
+  mutable last_no : int;  (* -1 until the first access *)
+  mutable last : bytes;
   mutable ro_regions : (int64 * int64) list; (* inclusive lo, exclusive hi *)
 }
 
-let create () = { pages = Hashtbl.create 256; ro_regions = [] }
+let create () =
+  { pages = Pages.create 256; last_no = -1; last = Bytes.empty; ro_regions = [] }
 
 let canonical_limit = 0x0001_0000_0000_0000L (* 2^48 *)
 
@@ -27,41 +35,48 @@ let check_canonical a =
   if Int64.unsigned_compare a canonical_limit >= 0 then
     raise (Fault (Non_canonical a))
 
-let page_of a = Int64.shift_right_logical a page_bits
-let offset_of a = Int64.to_int (Int64.logand a (Int64.of_int (page_size - 1)))
+let page_of a = Int64.to_int (Int64.shift_right_logical a page_bits)
+let offset_of a = Int64.to_int a land (page_size - 1)
 
 let get_page t a =
   check_canonical a;
-  match Hashtbl.find_opt t.pages (page_of a) with
-  | Some p -> p
-  | None -> raise (Fault (Unmapped a))
+  let no = page_of a in
+  if no = t.last_no then t.last
+  else
+    match Pages.find t.pages no with
+    | p ->
+        t.last_no <- no;
+        t.last <- p;
+        p
+    | exception Not_found -> raise (Fault (Unmapped a))
 
 let map t ~addr ~size =
   check_canonical addr;
-  let first = page_of addr and last = page_of (Int64.add addr (Int64.of_int (max 0 (size - 1)))) in
-  let p = ref first in
-  while Int64.compare !p last <= 0 do
-    if not (Hashtbl.mem t.pages !p) then
-      Hashtbl.replace t.pages !p (Bytes.make page_size '\000');
-    p := Int64.add !p 1L
+  let first = page_of addr
+  and last = page_of (Int64.add addr (Int64.of_int (max 0 (size - 1)))) in
+  for no = first to last do
+    if no <> t.last_no && not (Pages.mem t.pages no) then
+      Pages.replace t.pages no (Bytes.make page_size '\000')
   done
 
 let protect t ~addr ~size =
   t.ro_regions <- (addr, Int64.add addr (Int64.of_int size)) :: t.ro_regions
 
-let in_ro t a =
-  List.exists (fun (lo, hi) -> a >= lo && a < hi) t.ro_regions
+let rec in_region a = function
+  | [] -> false
+  | (lo, hi) :: rest ->
+      (Int64.compare a lo >= 0 && Int64.compare a hi < 0) || in_region a rest
 
 let is_mapped t a =
-  Int64.unsigned_compare a canonical_limit < 0 && Hashtbl.mem t.pages (page_of a)
+  Int64.unsigned_compare a canonical_limit < 0 && Pages.mem t.pages (page_of a)
 
 let read_u8 t a = Char.code (Bytes.get (get_page t a) (offset_of a))
 
 let write_u8_unchecked t a v =
-  Bytes.set (get_page t a) (offset_of a) (Char.chr (v land 0xFF))
+  Bytes.set (get_page t a) (offset_of a) (Char.unsafe_chr (v land 0xFF))
 
 let write_u8 t a v =
-  if in_ro t a then raise (Fault (Read_only a));
+  if in_region a t.ro_regions then raise (Fault (Read_only a));
   write_u8_unchecked t a v
 
 let read_u64 t a =
@@ -87,7 +102,7 @@ let write_u64_raw t a v =
     done
 
 let write_u64 t a v =
-  if in_ro t a then raise (Fault (Read_only a));
+  if in_region a t.ro_regions then raise (Fault (Read_only a));
   write_u64_raw t a v
 
 let read_bytes t a n =

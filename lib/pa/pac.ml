@@ -1,4 +1,17 @@
-module Bits = Rsti_util.Bits
+(* The memo key: which key slot, the modifier and the cipher input. *)
+type input = { key : Key.which; modifier : int64; input : int64 }
+
+module Memo = Hashtbl.Make (struct
+  type t = input
+
+  let equal a b =
+    a.key == b.key && Int64.equal a.modifier b.modifier && Int64.equal a.input b.input
+
+  let hash m =
+    let h = Int64.logxor m.input (Int64.mul m.modifier 0x9E37_79B9_7F4A_7C15L) in
+    Hashtbl.hash (Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 29)))
+    lxor Hashtbl.hash m.key
+end)
 
 type ctx = {
   keys : Key.t;
@@ -6,11 +19,11 @@ type ctx = {
   (* PAC computations repeat heavily (same slot, same modifier, every loop
      iteration), so the truncated cipher output is memoized. This is a
      simulator-speed concern only; results are bit-identical. *)
-  cache : (Key.which * int64 * int64, int64) Hashtbl.t;
+  cache : int64 Memo.t;
 }
 
 let make ?(layout = Vaddr.default) ~seed () =
-  { keys = Key.generate ~seed; layout; cache = Hashtbl.create 4096 }
+  { keys = Key.generate ~seed; layout; cache = Memo.create 4096 }
 
 (* The cipher input: the canonical address, with the top byte zeroed under
    TBI so that software tags do not perturb the PAC. *)
@@ -19,16 +32,15 @@ let cipher_input ctx ptr =
   if ctx.layout.Vaddr.tbi then Vaddr.with_top_byte p 0 else p
 
 let compute_pac ctx ~key ~modifier ptr =
-  let input = cipher_input ctx ptr in
-  let cache_key = (key, modifier, input) in
-  match Hashtbl.find_opt ctx.cache cache_key with
-  | Some pac -> pac
-  | None ->
+  let m = { key; modifier; input = cipher_input ctx ptr } in
+  match Memo.find ctx.cache m with
+  | pac -> pac
+  | exception Not_found ->
       let k = Key.lookup ctx.keys key in
-      let full = Qarma.encrypt ~key:k ~tweak:modifier input in
-      let pac = Int64.logand full (Bits.mask (Vaddr.pac_width ctx.layout)) in
-      if Hashtbl.length ctx.cache < 1_000_000 then
-        Hashtbl.replace ctx.cache cache_key pac;
+      let full = Qarma.encrypt ~key:k ~tweak:modifier m.input in
+      let width = Vaddr.pac_width ctx.layout in
+      let pac = Int64.logand full (Int64.pred (Int64.shift_left 1L width)) in
+      if Memo.length ctx.cache < 1_000_000 then Memo.replace ctx.cache m pac;
       pac
 
 let sign ctx ~key ~modifier ptr =

@@ -1,5 +1,3 @@
-module Bits = Rsti_util.Bits
-
 type key = { k0 : int64; w0 : int64 }
 
 let key_of_rng rng =
@@ -9,26 +7,23 @@ let rounds = 7
 
 (* ------------------------------------------------------------------ *)
 (* Cell representation: the 64-bit state is sixteen 4-bit cells, cell 0
-   being the most significant nibble (QARMA's convention).              *)
+   being the most significant nibble (QARMA's convention). The cell-wise
+   steps run on [int array]s of 16 cells, so a round allocates nothing;
+   a word is split into cells once and joined back once per call.     *)
 (* ------------------------------------------------------------------ *)
 
-let get_cell x i = Int64.to_int (Bits.field x ~lo:(60 - (4 * i)) ~width:4)
-let set_cell x i v = Bits.set_field x ~lo:(60 - (4 * i)) ~width:4 (Int64.of_int v)
+let cells_of x =
+  Array.init 16 (fun i -> Int64.to_int (Int64.shift_right_logical x (60 - (4 * i))) land 0xF)
 
-let map_cells f x =
-  let acc = ref 0L in
-  for i = 0 to 15 do
-    acc := set_cell !acc i (f (get_cell x i))
-  done;
-  !acc
-
-let permute_cells perm x =
-  (* new cell i takes the value of old cell perm.(i) *)
-  let acc = ref 0L in
-  for i = 0 to 15 do
-    acc := set_cell !acc i (get_cell x perm.(i))
-  done;
-  !acc
+let word_of (c : int array) =
+  let half lo =
+    let v = ref 0 in
+    for i = lo to lo + 7 do
+      v := (!v lsl 4) lor c.(i)
+    done;
+    !v
+  in
+  Int64.logor (Int64.shift_left (Int64.of_int (half 0)) 32) (Int64.of_int (half 8))
 
 let invert_perm perm =
   let inv = Array.make 16 0 in
@@ -41,11 +36,7 @@ let invert_perm perm =
 
 (* 4-bit S-box (sigma-1 from the QARMA family) and its inverse. *)
 let sbox = [| 10; 13; 14; 6; 15; 7; 3; 5; 9; 8; 0; 12; 11; 1; 2; 4 |]
-
-let sbox_inv =
-  let inv = Array.make 16 0 in
-  Array.iteri (fun i s -> inv.(s) <- i) sbox;
-  inv
+let sbox_inv = invert_perm sbox
 
 (* Cell shuffle (QARMA's tau) and its inverse. *)
 let tau = [| 0; 11; 6; 13; 10; 1; 12; 7; 5; 14; 3; 8; 15; 4; 9; 2 |]
@@ -68,111 +59,126 @@ let rot4 n r =
   let r = r land 3 in
   ((n lsl r) lor (n lsr (4 - r))) land 0xF
 
+let rot1 = Array.init 16 (fun n -> rot4 n 1)
+let rot2 = Array.init 16 (fun n -> rot4 n 2)
+
+(* [dst.(i) <- src.(perm.(i))]: new cell i takes the value of old cell
+   perm.(i). *)
+let permute perm (src : int array) (dst : int array) =
+  for i = 0 to 15 do
+    dst.(i) <- src.(perm.(i))
+  done
+
+let substitute box (s : int array) =
+  for i = 0 to 15 do
+    s.(i) <- box.(s.(i))
+  done
+
 (* Involutory MixColumns-like step. The state is viewed as a 4x4 cell
    matrix (row-major: cell index = 4*row + col). Each output cell XORs the
    other three cells of its column rotated by the circulant (0,1,2,1),
    QARMA's M_{4,2}. circ(0,1,2,1) is an involution over nibbles, so this
    step is its own inverse. *)
-let mix_rot = [| 0; 1; 2; 1 |]
-
-let mix_columns x =
-  let acc = ref 0L in
+let mix_columns (src : int array) (dst : int array) =
   for col = 0 to 3 do
     for row = 0 to 3 do
-      let v = ref 0 in
-      for j = 1 to 3 do
-        let src = ((row + j) mod 4 * 4) + col in
-        v := !v lxor rot4 (get_cell x src) mix_rot.(j)
-      done;
-      acc := set_cell !acc ((row * 4) + col) !v
+      dst.((row * 4) + col) <-
+        rot1.(src.((((row + 1) land 3) * 4) + col))
+        lxor rot2.(src.((((row + 2) land 3) * 4) + col))
+        lxor rot1.(src.((((row + 3) land 3) * 4) + col))
     done
-  done;
-  !acc
+  done
+
+(* [s.(i) <- s.(i) xor a.(i) xor b.(i) xor c.(i)] *)
+let add_round_key (s : int array) a b c =
+  for i = 0 to 15 do
+    s.(i) <- s.(i) lxor a.(i) lxor b.(i) lxor c.(i)
+  done
 
 (* Round constants: digits of a fixed pseudo-random stream (splitmix of a
    nothing-up-my-sleeve seed), one per forward round plus one for the
    reflector. *)
 let round_constants =
   let rng = Rsti_util.Splitmix.create 0x5254495F51524D41L (* "RTI_QRMA" *) in
-  Array.init (rounds + 1) (fun _ -> Rsti_util.Splitmix.next64 rng)
+  Array.init (rounds + 1) (fun _ -> cells_of (Rsti_util.Splitmix.next64 rng))
 
-let update_tweak t =
-  let t = permute_cells h t in
-  Array.fold_left (fun t i -> set_cell t i (lfsr (get_cell t i))) t lfsr_cells
-
-(* Precompute the per-round tweaks; the backward half replays them in
-   reverse order, as in QARMA. *)
+(* The per-round tweaks; the backward half replays them in reverse
+   order, as in QARMA. Each is the last permuted by [h] with the LFSR
+   run on [lfsr_cells]. *)
 let tweak_schedule tweak =
-  let ts = Array.make rounds 0L in
-  let t = ref tweak in
-  for i = 0 to rounds - 1 do
-    ts.(i) <- !t;
-    t := update_tweak !t
+  let ts = Array.make rounds [||] in
+  ts.(0) <- cells_of tweak;
+  for r = 1 to rounds - 1 do
+    let t = Array.make 16 0 in
+    permute h ts.(r - 1) t;
+    Array.iter (fun i -> t.(i) <- lfsr t.(i)) lfsr_cells;
+    ts.(r) <- t
   done;
   ts
 
 (* Derived keys for the reflector and the backward half. *)
-let w1_of w0 = Int64.logxor (Bits.rotr w0 1) (Int64.shift_right_logical w0 63)
-let k1_of k0 = mix_columns k0
+let w1_of w0 =
+  Int64.logxor
+    (Int64.logor (Int64.shift_right_logical w0 1) (Int64.shift_left w0 63))
+    (Int64.shift_right_logical w0 63)
+
+let k1_of k0 =
+  let k1 = Array.make 16 0 in
+  mix_columns k0 k1;
+  k1
 
 (* ------------------------------------------------------------------ *)
-(* Rounds                                                              *)
+(* Rounds, on the state [s] with [tmp] as scratch                      *)
 (* ------------------------------------------------------------------ *)
 
-let forward_round ~k ~tweak ~const state =
-  let state = Int64.logxor state (Int64.logxor k (Int64.logxor tweak const)) in
-  let state = permute_cells tau state in
-  let state = mix_columns state in
-  map_cells (fun c -> sbox.(c)) state
+let forward_round ~k ~tweak ~const s tmp =
+  add_round_key s k tweak const;
+  permute tau s tmp;
+  mix_columns tmp s;
+  substitute sbox s
 
-let backward_round ~k ~tweak ~const state =
-  let state = map_cells (fun c -> sbox_inv.(c)) state in
-  let state = mix_columns state in
-  let state = permute_cells tau_inv state in
-  Int64.logxor state (Int64.logxor k (Int64.logxor tweak const))
+let backward_round ~k ~tweak ~const s tmp =
+  substitute sbox_inv s;
+  mix_columns s tmp;
+  permute tau_inv tmp s;
+  add_round_key s k tweak const
 
-let reflector ~w1 ~k1 state =
-  let state = Int64.logxor state w1 in
-  let state = mix_columns state in
-  Int64.logxor state k1
+let reflector ~w1 ~k1 s tmp =
+  for i = 0 to 15 do
+    tmp.(i) <- s.(i) lxor w1.(i)
+  done;
+  mix_columns tmp s;
+  for i = 0 to 15 do
+    s.(i) <- s.(i) lxor k1.(i)
+  done
 
 let encrypt ~key ~tweak block =
   let ts = tweak_schedule tweak in
-  let w1 = w1_of key.w0 and k1 = k1_of key.k0 in
-  let state = ref (Int64.logxor block key.w0) in
+  let k = cells_of key.k0 in
+  let w1 = cells_of (w1_of key.w0) and k1 = k1_of k in
+  let s = cells_of (Int64.logxor block key.w0) and tmp = Array.make 16 0 in
   for i = 0 to rounds - 1 do
-    state := forward_round ~k:key.k0 ~tweak:ts.(i) ~const:round_constants.(i) !state
+    forward_round ~k ~tweak:ts.(i) ~const:round_constants.(i) s tmp
   done;
-  state := reflector ~w1 ~k1 !state;
+  reflector ~w1 ~k1 s tmp;
   for i = 0 to rounds - 1 do
-    state :=
-      backward_round ~k:key.k0 ~tweak:ts.(rounds - 1 - i)
-        ~const:round_constants.(rounds) !state
+    backward_round ~k ~tweak:ts.(rounds - 1 - i) ~const:round_constants.(rounds) s tmp
   done;
-  Int64.logxor !state key.w0
+  Int64.logxor (word_of s) key.w0
 
 let decrypt ~key ~tweak block =
   let ts = tweak_schedule tweak in
-  let w1 = w1_of key.w0 and k1 = k1_of key.k0 in
-  let state = ref (Int64.logxor block key.w0) in
+  let k = cells_of key.k0 in
+  let w1 = cells_of (w1_of key.w0) and k1 = k1_of k in
+  let s = cells_of (Int64.logxor block key.w0) and tmp = Array.make 16 0 in
   (* Undo the backward half: it is forward_round-shaped with the pieces in
      the opposite order, so its inverse is built from the same components. *)
   for i = rounds - 1 downto 0 do
-    let k = key.k0 and tweak = ts.(rounds - 1 - i) and const = round_constants.(rounds) in
-    let s = Int64.logxor !state (Int64.logxor k (Int64.logxor tweak const)) in
-    let s = permute_cells tau s in
-    let s = mix_columns s in
-    state := map_cells (fun c -> sbox.(c)) s
+    forward_round ~k ~tweak:ts.(rounds - 1 - i) ~const:round_constants.(rounds) s tmp
   done;
   (* The reflector is an involution up to its key material. *)
-  state := Int64.logxor !state k1;
-  state := mix_columns !state;
-  state := Int64.logxor !state w1;
+  reflector ~w1:k1 ~k1:w1 s tmp;
   for i = rounds - 1 downto 0 do
-    let k = key.k0 and tweak = ts.(i) and const = round_constants.(i) in
-    let s = map_cells (fun c -> sbox_inv.(c)) !state in
-    let s = mix_columns s in
-    let s = permute_cells tau_inv s in
-    state := Int64.logxor s (Int64.logxor k (Int64.logxor tweak const))
+    backward_round ~k ~tweak:ts.(i) ~const:round_constants.(i) s tmp
   done;
-  Int64.logxor !state key.w0
+  Int64.logxor (word_of s) key.w0

@@ -1,46 +1,54 @@
-module Bits = Rsti_util.Bits
-
 type config = { va_bits : int; tbi : bool }
 
 let default = { va_bits = 48; tbi = true }
 let no_tbi = { va_bits = 48; tbi = false }
 
 (* PAC field part 1: bits [va_bits .. 54] (bit 55 is the selector).
-   Part 2 (only when TBI is off): bits [56 .. 63]. *)
+   Part 2 (only when TBI is off): bits [56 .. 63]. The arithmetic stays
+   on [Int64] within each function: a call into [Rsti_util.Bits] would
+   box every intermediate field. *)
 
-let low_field c = (c.va_bits, 55 - c.va_bits)
-let high_field c = if c.tbi then (56, 0) else (56, 8)
+let low_width c = 55 - c.va_bits
+let high_width c = if c.tbi then 0 else 8
 
-let pac_width c =
-  let _, w1 = low_field c and _, w2 = high_field c in
-  w1 + w2
+let pac_width c = low_width c + high_width c
 
-let select_bit ptr = Bits.bit ptr 55
+(* The low [w] bits, for 0 <= w < 64. *)
+let ones w = Int64.pred (Int64.shift_left 1L w)
+
+let top_byte_mask = 0xFF00_0000_0000_0000L
 
 let canonical c ptr =
-  let sel = select_bit ptr in
-  let ext = if sel then Bits.mask (64 - c.va_bits) else 0L in
-  let p = Bits.set_field ptr ~lo:c.va_bits ~width:(64 - c.va_bits) ext in
+  let va = ones c.va_bits in
+  let p =
+    if Int64.logand ptr 0x0080_0000_0000_0000L <> 0L then Int64.logor ptr (Int64.lognot va)
+    else Int64.logand ptr va
+  in
   if c.tbi then
     (* Preserve the software tag byte: hardware ignores it anyway. *)
-    Bits.set_field p ~lo:56 ~width:8 (Int64.of_int (Int64.to_int (Bits.field ptr ~lo:56 ~width:8)))
+    Int64.logor (Int64.logand p (Int64.lognot top_byte_mask))
+      (Int64.logand ptr top_byte_mask)
   else p
 
-let is_canonical c ptr = canonical c ptr = ptr
+let is_canonical c ptr = Int64.equal (canonical c ptr) ptr
 
 let embed_pac c ~pac ptr =
-  let lo, w1 = low_field c in
-  let hi, w2 = high_field c in
-  let p = Bits.set_field ptr ~lo ~width:w1 pac in
-  if w2 = 0 then p
-  else Bits.set_field p ~lo:hi ~width:w2 (Int64.shift_right_logical pac w1)
+  let w1 = low_width c in
+  let m1 = Int64.shift_left (ones w1) c.va_bits in
+  let p =
+    Int64.logor (Int64.logand ptr (Int64.lognot m1))
+      (Int64.logand (Int64.shift_left pac c.va_bits) m1)
+  in
+  if high_width c = 0 then p
+  else
+    Int64.logor (Int64.logand p (Int64.lognot top_byte_mask))
+      (Int64.shift_left (Int64.shift_right_logical pac w1) 56)
 
 let extract_pac c ptr =
-  let lo, w1 = low_field c in
-  let hi, w2 = high_field c in
-  let low = Bits.field ptr ~lo ~width:w1 in
-  if w2 = 0 then low
-  else Int64.logor low (Int64.shift_left (Bits.field ptr ~lo:hi ~width:w2) w1)
+  let w1 = low_width c in
+  let low = Int64.logand (Int64.shift_right_logical ptr c.va_bits) (ones w1) in
+  if high_width c = 0 then low
+  else Int64.logor low (Int64.shift_left (Int64.shift_right_logical ptr 56) w1)
 
 let corrupt c ptr =
   (* Flip the two most significant bits of the PAC field. *)
@@ -49,6 +57,8 @@ let corrupt c ptr =
   let flipped = Int64.logxor pac (Int64.shift_left 3L (w - 2)) in
   embed_pac c ~pac:flipped ptr
 
-let top_byte ptr = Int64.to_int (Bits.field ptr ~lo:56 ~width:8)
+let top_byte ptr = Int64.to_int (Int64.shift_right_logical ptr 56)
 
-let with_top_byte ptr b = Bits.set_field ptr ~lo:56 ~width:8 (Int64.of_int b)
+let with_top_byte ptr b =
+  Int64.logor (Int64.logand ptr (Int64.lognot top_byte_mask))
+    (Int64.shift_left (Int64.of_int (b land 0xFF)) 56)

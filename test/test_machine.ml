@@ -281,6 +281,60 @@ let test_interp_unknown_function_traps () =
   | Interp.Trapped (Interp.Unknown_function _) -> ()
   | _ -> Alcotest.fail "expected unknown-function trap"
 
+(* Resolving a function never raises. An instruction that names an
+   unknown global, function, string, struct or field, or takes the size
+   of void, fails only when it executes, with the exception it always
+   raised; the same instruction on a branch not taken is harmless. *)
+let test_interp_bad_ir_fails_when_run () =
+  let module Ir = Rsti_ir.Ir in
+  let module Ctype = Rsti_minic.Ctype in
+  let ins i = { Ir.i; dbg = None } in
+  let modul taken bad =
+    let block label instrs term = { Ir.label; instrs = List.map ins instrs; term } in
+    let main =
+      {
+        Ir.name = "main";
+        ret = Ctype.Int;
+        params = [];
+        blocks =
+          [|
+            block 0 [] (Ir.Condbr (Ir.Imm taken, 1, 2));
+            block 1 [ bad ] (Ir.Ret (Some (Ir.Imm 1L)));
+            block 2 [] (Ir.Ret (Some (Ir.Imm 7L)));
+          |];
+        nregs = 2;
+        loc = Rsti_minic.Loc.dummy;
+      }
+    in
+    {
+      Ir.m_structs = [ ("s", [ ("f", Ctype.Long) ]) ];
+      m_globals = [];
+      m_funcs = [ main ];
+      m_strings = [| "x" |];
+      m_externs = [];
+    }
+  in
+  let load v = Ir.Load { dst = 0; addr = v; ty = Ctype.Long; slot = Ir.Sanon Ctype.Long } in
+  let gep sname field = Ir.Gep { dst = 0; base = Ir.Reg 1; sname; field } in
+  List.iter
+    (fun (name, bad, exn) ->
+      let run taken = Interp.run (Interp.create (modul taken bad)) in
+      (match (run 0L).Interp.status with
+      | Interp.Exited 7L -> ()
+      | _ -> Alcotest.failf "%s: the branch not taken must not fail" name);
+      Alcotest.check_raises name exn (fun () -> ignore (run 1L)))
+    [
+      ("global", load (Ir.Global "nope"),
+       Invalid_argument "Interp.global_addr: unknown global nope");
+      ("function", load (Ir.Funcaddr "nope"),
+       Invalid_argument "Interp.func_addr: unknown function nope");
+      ("string", load (Ir.Str 5), Invalid_argument "index out of bounds");
+      ("struct", gep "nope" "f", Invalid_argument "Ir.struct_lookup: unknown struct nope");
+      ("field", gep "s" "nope", Not_found);
+      ("sizeof void", Ir.Alloca { dst = 0; ty = Ctype.Void; dv = None },
+       Invalid_argument "Ctype.sizeof: void has no size");
+    ]
+
 let test_interp_profiles_populated () =
   let o =
     run
@@ -290,6 +344,20 @@ let test_interp_profiles_populated () =
   in
   checkb "tick counted 5x" true (List.assoc_opt "tick" o.Interp.call_profile = Some 5);
   checkb "printf counted" true (List.assoc_opt "printf" o.Interp.extern_profile = Some 1)
+
+(* Equal counts come out by name, not in hash-table order. *)
+let test_interp_profile_order () =
+  let o =
+    run
+      "extern int puts(const char* s);\n\
+       extern int putchar(int c);\n\
+       void tick(void) { }\n\
+       void tock(void) { }\n\
+       int main(void) { tick(); tock(); tick(); putchar(65); puts(\"x\"); return 0; }"
+  in
+  let show l = String.concat " " (List.map (fun (n, c) -> Printf.sprintf "%s:%d" n c) l) in
+  checks "calls" "tick:2 __rsti_global_init:1 main:1 tock:1" (show o.Interp.call_profile);
+  checks "libc" "putchar:1 puts:1" (show o.Interp.extern_profile)
 
 (* An outcome holds counters and profiles, not a trace of the run, so its
    size does not grow with the number of calls the program made. *)
@@ -319,7 +387,8 @@ let test_interp_libc_bad_input () =
      extern int printf(const char* f, ...);\n\
      extern void* memcpy(void* d, const void* s, long n);\n\
      extern void* memmove(void* d, const void* s, long n);\n\
-     extern void* memset(void* p, int c, long n);\n"
+     extern void* memset(void* p, int c, long n);\n\
+     extern void* calloc(long n, long size);\n"
   in
   List.iter
     (fun (body, expect) ->
@@ -343,6 +412,13 @@ let test_interp_libc_bad_input () =
       ("memcpy(b, a, -1);", `Faults_in "memcpy");
       ("memmove(b, a, -1);", `Faults_in "memmove");
       ("memset(b, 0, -1);", `Faults_in "memset");
+      ("memcpy(b, a, 1099511627776L);", `Faults_in "memcpy");
+      ("memmove(b, a, 4611686018427387000L);", `Faults_in "memmove");
+      ("b[4] = 7; strncpy(b, \"abcdefgh\", 4); return b[4];", `Returns 7L);
+      ("b[6] = 7; strncpy(b, \"ab\", 8); return b[6];", `Returns 0L);
+      ("strncpy(b, a, 1099511627776L);", `Faults_in "strncpy");
+      ("return calloc(-1, -1) == 0 ? 3 : 4;", `Returns 3L);
+      ("return calloc(4611686018427387904L, 4) == 0 ? 3 : 4;", `Returns 3L);
       ("return strncmp(\"abc\", \"abd\", -1) < 0 ? 3 : 4;", `Returns 3L);
       ("printf(\"%l\");", `Prints "%l");
       ("printf(\"x%5\");", `Prints "x%5");
@@ -470,7 +546,9 @@ let tests =
     Alcotest.test_case "interp: strncpy/strcat" `Quick test_interp_strncpy_strcat;
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
+    Alcotest.test_case "interp: bad IR fails when run" `Quick test_interp_bad_ir_fails_when_run;
     Alcotest.test_case "interp: profiles" `Quick test_interp_profiles_populated;
+    Alcotest.test_case "interp: profile order" `Quick test_interp_profile_order;
     Alcotest.test_case "interp: outcome size bounded" `Quick test_interp_outcome_size_bounded;
     Alcotest.test_case "interp: libc bad input traps" `Quick test_interp_libc_bad_input;
     Alcotest.test_case "attack: hooks fire" `Quick test_attack_hooks_fire_in_order;
