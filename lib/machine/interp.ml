@@ -675,12 +675,14 @@ let fire_attacks t trig =
 let charge t c =
   t.cycles <- t.cycles + c;
   if t.profiling then t.cur_site.s_cycles <- t.cur_site.s_cycles + c
+[@@inline]
 
 let step t =
   t.steps <- t.steps + 1;
   t.counts.instrs <- t.counts.instrs + 1;
   if t.profiling then t.cur_site.s_instrs <- t.cur_site.s_instrs + 1;
   if t.steps > t.step_limit then raise (Trap_exn Step_limit_exceeded)
+[@@inline]
 
 (* Site switching, called (under [profiling] only) before each
    instruction executes: terminator and call-dispatch charges attribute
