@@ -282,7 +282,6 @@ type block = {
 
 type func = {
   name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
-  id : int;       (* call-counter slot: the index the name resolves to *)
   nregs : int;
   blocks : block array;
 }
@@ -613,21 +612,13 @@ let resolve t i =
     in
     { body = Array.map code instrs; lines = Array.map line instrs; term }
   in
-  let id = match Hashtbl.find_opt t.syms fn.name with Some (Defined j) -> j | _ -> i in
-  { name = fn.name; id; nregs = fn.nregs; blocks = Array.map block fn.blocks }
-
-let resolved t i =
-  match t.resolved.(i) with
-  | Some f -> f
-  | None ->
-      let f = resolve t i in
-      t.resolved.(i) <- Some f;
-      f
+  { name = fn.name; nregs = fn.nregs; blocks = Array.map block fn.blocks }
 
 let get regs = function K v -> v | R r -> regs.(r) | Bad e -> raise e [@@inline]
 
-let eval_args regs (args : operand array) =
-  let argv = Array.make (Array.length args) 0L in
+(* The argument values, in an array of at least [size] registers. *)
+let eval_args regs (args : operand array) size =
+  let argv = Array.make (max size (Array.length args)) 0L in
   for j = 0 to Array.length args - 1 do
     argv.(j) <- get regs args.(j)
   done;
@@ -917,80 +908,6 @@ let format_printf t fmt (args : int64 array) first =
   done;
   Buffer.contents buf
 
-let modifier_value regs (m : Ir.modifier) slot =
-  match m with
-  | Ir.Mconst c -> c
-  | Ir.Mloc c -> Int64.logxor c (get regs slot)
-
-let binop_int op a b fname =
-  match op with
-  | Ast.Add -> Int64.add a b
-  | Ast.Sub -> Int64.sub a b
-  | Ast.Mul -> Int64.mul a b
-  | Ast.Div ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
-  | Ast.Mod ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
-  | Ast.Eq -> if Int64.equal a b then 1L else 0L
-  | Ast.Ne -> if Int64.equal a b then 0L else 1L
-  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
-  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
-  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
-  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
-  | Ast.Bitand -> Int64.logand a b
-  | Ast.Bitor -> Int64.logor a b
-  | Ast.Bitxor -> Int64.logxor a b
-  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
-  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
-  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
-
-let binop_float op a b fname =
-  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-  let bool v = if v then 1L else 0L in
-  match op with
-  | Ast.Add -> Int64.bits_of_float (x +. y)
-  | Ast.Sub -> Int64.bits_of_float (x -. y)
-  | Ast.Mul -> Int64.bits_of_float (x *. y)
-  | Ast.Div -> Int64.bits_of_float (x /. y)
-  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
-  | Ast.Eq -> bool (x = y)
-  | Ast.Ne -> bool (x <> y)
-  | Ast.Lt -> bool (x < y)
-  | Ast.Le -> bool (x <= y)
-  | Ast.Gt -> bool (x > y)
-  | Ast.Ge -> bool (x >= y)
-  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
-  | Ast.Logor ->
-      binop_int op a b fname
-
-(* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
-   paper's introduction contrasts RSTI with): an indirect call may only
-   land on a function whose prototype matches the call site's static
-   signature. It sees nothing of data pointers. *)
-let signatures_match (arg_tys : Ctype.t list) (param_tys : Ctype.t list) variadic =
-  let rec go a p =
-    match (a, p) with
-    | [], [] -> true
-    | _ :: _, [] -> variadic
-    | [], _ :: _ -> false
-    | ta :: a', tp :: p' ->
-        Ctype.equal (Ctype.strip_all_quals ta) (Ctype.strip_all_quals tp) && go a' p'
-  in
-  go arg_tys param_tys
-
-let check_cfi caller arg_tys (f : Ir.func) =
-  let param_tys = List.map (fun (p : Rsti_minic.Tast.var) -> p.v_ty) f.params in
-  if not (signatures_match arg_tys param_tys false) then
-    raise (Trap_exn (Cfi_violation { func = caller; target = f.name }))
-
-let check_cfi_libc t caller arg_tys name =
-  match List.assoc_opt name t.m.Ir.m_externs with
-  | Some (Ctype.Func sg) ->
-      if not (signatures_match arg_tys sg.Ctype.params sg.Ctype.variadic) then
-        raise (Trap_exn (Cfi_violation { func = caller; target = name }))
-  | _ -> () (* unknown prototype: coarse CFI allows it *)
-
 (* ------------------------------------------------------------------ *)
 (* Builtins (the simulated libc)                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1171,6 +1088,11 @@ and run_builtin_body t name (args : int64 array) : int64 =
 (* Instruction execution                                               *)
 (* ------------------------------------------------------------------ *)
 
+and modifier_value regs (m : Ir.modifier) slot : int64 =
+  match m with
+  | Ir.Mconst c -> c
+  | Ir.Mloc c -> Int64.logxor c (get regs slot)
+
 and mac_of t key ~modifier value =
   Rsti_pa.Qarma.encrypt
     ~key:(Rsti_pa.Key.lookup (Rsti_pa.Pac.keys t.pac) key)
@@ -1306,12 +1228,89 @@ and exec_pp t fname regs (pp : pp) =
         ~result:r ~ok;
       regs.(dst) <- (if ok then Rsti_pa.Vaddr.with_top_byte r 0 else r)
 
+and binop_int op a b fname =
+  match op with
+  | Ast.Add -> Int64.add a b
+  | Ast.Sub -> Int64.sub a b
+  | Ast.Mul -> Int64.mul a b
+  | Ast.Div ->
+      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
+  | Ast.Mod ->
+      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
+  | Ast.Eq -> if Int64.equal a b then 1L else 0L
+  | Ast.Ne -> if Int64.equal a b then 0L else 1L
+  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
+  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
+  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
+  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
+  | Ast.Bitand -> Int64.logand a b
+  | Ast.Bitor -> Int64.logor a b
+  | Ast.Bitxor -> Int64.logxor a b
+  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
+  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
+  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
+  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
+
+and binop_float op a b fname =
+  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
+  let bool v = if v then 1L else 0L in
+  match op with
+  | Ast.Add -> Int64.bits_of_float (x +. y)
+  | Ast.Sub -> Int64.bits_of_float (x -. y)
+  | Ast.Mul -> Int64.bits_of_float (x *. y)
+  | Ast.Div -> Int64.bits_of_float (x /. y)
+  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
+  | Ast.Eq -> bool (x = y)
+  | Ast.Ne -> bool (x <> y)
+  | Ast.Lt -> bool (x < y)
+  | Ast.Le -> bool (x <= y)
+  | Ast.Gt -> bool (x > y)
+  | Ast.Ge -> bool (x >= y)
+  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
+  | Ast.Logor ->
+      ignore fname;
+      binop_int op a b fname
+
+(* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
+   paper's introduction contrasts RSTI with): an indirect call may only
+   land on a function whose prototype matches the call site's static
+   signature. It sees nothing of data pointers. *)
+and signatures_match (arg_tys : Ctype.t list) (param_tys : Ctype.t list) variadic =
+  let rec go a p =
+    match (a, p) with
+    | [], [] -> true
+    | _ :: _, [] -> variadic
+    | [], _ :: _ -> false
+    | ta :: a', tp :: p' ->
+        Ctype.equal (Ctype.strip_all_quals ta) (Ctype.strip_all_quals tp) && go a' p'
+  in
+  go arg_tys param_tys
+
+and check_cfi _t caller arg_tys (f : Ir.func) =
+  let param_tys = List.map (fun (p : Rsti_minic.Tast.var) -> p.v_ty) f.params in
+  if not (signatures_match arg_tys param_tys false) then
+    raise (Trap_exn (Cfi_violation { func = caller; target = f.name }))
+
+and check_cfi_libc t caller arg_tys name =
+  match List.assoc_opt name t.m.Ir.m_externs with
+  | Some (Ctype.Func sg) ->
+      if not (signatures_match arg_tys sg.Ctype.params sg.Ctype.variadic) then
+        raise (Trap_exn (Cfi_violation { func = caller; target = name }))
+  | _ -> () (* unknown prototype: coarse CFI allows it *)
+
 (* [argv] holds the arguments and becomes the callee's register file
    when it is large enough. *)
 and call_function t i (argv : int64 array) : int64 =
-  let f = resolved t i in
-  let n = t.call_counts.(f.id) + 1 in
-  t.call_counts.(f.id) <- n;
+  let f =
+    match t.resolved.(i) with
+    | Some f -> f
+    | None ->
+        let f = resolve t i in
+        t.resolved.(i) <- Some f;
+        f
+  in
+  let n = t.call_counts.(i) + 1 in
+  t.call_counts.(i) <- n;
   (match t.attacks with [] -> () | _ -> fire_attacks t (On_call (f.name, n)));
   charge t t.costs.call;
   let regs =
@@ -1419,24 +1418,17 @@ and exec t f regs (c : code) : unit =
   | Call { dst; callee; args; arg_tys } ->
       let result =
         match callee with
-        | Defined i ->
-            (* the arguments land straight in the callee's registers *)
-            let n = Array.length args in
-            let callee_regs = Array.make (max t.funcs.(i).nregs n) 0L in
-            for j = 0 to n - 1 do
-              callee_regs.(j) <- get regs args.(j)
-            done;
-            call_function t i callee_regs
-        | Libc i -> run_builtin t i (eval_args regs args)
+        | Defined i -> call_function t i (eval_args regs args t.funcs.(i).nregs)
+        | Libc i -> run_builtin t i (eval_args regs args 0)
         | Missing name ->
-            ignore (eval_args regs args);
+            ignore (eval_args regs args 0);
             raise (Trap_exn (Unknown_function name))
         | Via c -> (
-            let argv = eval_args regs args in
+            let argv = eval_args regs args 0 in
             let target = get regs c in
             match code_at t target with
             | Some (Defined i) ->
-                if t.cfi then check_cfi f.name arg_tys t.funcs.(i);
+                if t.cfi then check_cfi t f.name arg_tys t.funcs.(i);
                 call_function t i argv
             | Some (Libc i) ->
                 if t.cfi then check_cfi_libc t f.name arg_tys t.libc.(i);
