@@ -73,7 +73,7 @@ let is_mapped t a =
 let read_u8 t a = Char.code (Bytes.get (get_page t a) (offset_of a))
 
 let write_u8_unchecked t a v =
-  Bytes.set (get_page t a) (offset_of a) (Char.unsafe_chr (v land 0xFF))
+  Bytes.set (get_page t a) (offset_of a) (Char.chr (v land 0xFF))
 
 let write_u8 t a v =
   if in_region a t.ro_regions then raise (Fault (Read_only a));

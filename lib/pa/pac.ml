@@ -1,8 +1,9 @@
-(* The memo key: which key slot, the modifier and the cipher input. *)
-type input = { key : Key.which; modifier : int64; input : int64 }
+module Bits = Rsti_util.Bits
+
+type memo_key = { key : Key.which; modifier : int64; input : int64 }
 
 module Memo = Hashtbl.Make (struct
-  type t = input
+  type t = memo_key
 
   let equal a b =
     a.key == b.key && Int64.equal a.modifier b.modifier && Int64.equal a.input b.input
@@ -32,15 +33,16 @@ let cipher_input ctx ptr =
   if ctx.layout.Vaddr.tbi then Vaddr.with_top_byte p 0 else p
 
 let compute_pac ctx ~key ~modifier ptr =
-  let m = { key; modifier; input = cipher_input ctx ptr } in
-  match Memo.find ctx.cache m with
+  let input = cipher_input ctx ptr in
+  let cache_key = { key; modifier; input } in
+  match Memo.find ctx.cache cache_key with
   | pac -> pac
   | exception Not_found ->
       let k = Key.lookup ctx.keys key in
-      let full = Qarma.encrypt ~key:k ~tweak:modifier m.input in
-      let width = Vaddr.pac_width ctx.layout in
-      let pac = Int64.logand full (Int64.pred (Int64.shift_left 1L width)) in
-      if Memo.length ctx.cache < 1_000_000 then Memo.replace ctx.cache m pac;
+      let full = Qarma.encrypt ~key:k ~tweak:modifier input in
+      let pac = Int64.logand full (Bits.mask (Vaddr.pac_width ctx.layout)) in
+      if Memo.length ctx.cache < 1_000_000 then
+        Memo.replace ctx.cache cache_key pac;
       pac
 
 let sign ctx ~key ~modifier ptr =
