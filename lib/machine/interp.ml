@@ -239,16 +239,6 @@ type callee =
   | Missing of string
   | Via of operand
 
-type pac = {
-  kind : Ir.pac_kind;
-  dst : int;
-  src : operand;
-  key : Rsti_pa.Key.which;
-  modifier : Ir.modifier;  (* for Kresign: the target modifier *)
-  mod_from : Ir.modifier;
-  slot : operand;
-}
-
 type pp =
   | Pp_add
   | Pp_sign of { dst : int; src : operand; ce : int; slot : operand }
@@ -268,7 +258,7 @@ type code =
   | Bitnot of { dst : int; src : operand }
   | Cast_num of { dst : int; src : operand; conv : conv }
   | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
-  | Pac of pac
+  | Pac of { p : Ir.pac; src : operand; slot : operand }
   | Pp of pp
   | Fail of { cost : int; exn : exn }  (* charge [cost], then raise [exn] *)
 
@@ -580,17 +570,7 @@ let resolve t i =
           | Ir.Indirect c -> Via (operand c)
         in
         Call { dst; callee; args = Array.of_list (List.map operand args); arg_tys }
-    | Ir.Pac p ->
-        Pac
-          {
-            kind = p.p_kind;
-            dst = p.p_dst;
-            src = operand p.p_src;
-            key = p.p_key;
-            modifier = p.p_mod;
-            mod_from = p.p_mod_from;
-            slot = operand p.p_slot_addr;
-          }
+    | Ir.Pac p -> Pac { p; src = operand p.p_src; slot = operand p.p_slot_addr }
     | Ir.Pp (Ir.Pp_add _) -> Pp Pp_add
     | Ir.Pp (Ir.Pp_sign { dst; src; ce; slot_addr }) ->
         Pp (Pp_sign { dst; src = operand src; ce; slot = operand slot_addr })
@@ -834,28 +814,16 @@ let length v =
    asking the host for the whole buffer. When the destination overlaps
    the source from above, the chunks run from the end. *)
 let copy t ~dst ~src n =
-  let chunk off len =
-    Memory.write_bytes t.mem (Int64.add dst off)
-      (Memory.read_bytes t.mem (Int64.add src off) len)
-  in
-  let page = 4096 in
   let d = Int64.sub dst src in
-  if Int64.compare d 0L > 0 && Int64.compare d (Int64.of_int n) < 0 then begin
-    let rem = ref n in
-    while !rem > 0 do
-      let len = min page !rem in
-      rem := !rem - len;
-      chunk (Int64.of_int !rem) len
-    done
-  end
-  else begin
-    let off = ref 0 in
-    while !off < n do
-      let len = min page (n - !off) in
-      chunk (Int64.of_int !off) len;
-      off := !off + len
-    done
-  end
+  let backward = Int64.compare d 0L > 0 && Int64.compare d (Int64.of_int n) < 0 in
+  let copied = ref 0 in
+  while !copied < n do
+    let len = min 4096 (n - !copied) in
+    let off = Int64.of_int (if backward then n - !copied - len else !copied) in
+    Memory.write_bytes t.mem (Int64.add dst off)
+      (Memory.read_bytes t.mem (Int64.add src off) len);
+    copied := !copied + len
+  done
 
 (* ------------------------------------------------------------------ *)
 (* printf                                                              *)
@@ -1098,22 +1066,22 @@ and mac_of t key ~modifier value =
     ~key:(Rsti_pa.Key.lookup (Rsti_pa.Pac.keys t.pac) key)
     ~tweak:modifier value
 
-and exec_shadow_mac t fname regs (p : pac) =
+and exec_shadow_mac t fname regs (p : Ir.pac) ~src ~slot =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
-  let src = get regs p.src in
-  let m = modifier_value regs p.modifier p.slot in
-  let slot = get regs p.slot in
-  let key = p.key and static_mod = static_modifier p.modifier in
-  match p.kind with
+  let src = get regs src in
+  let m = modifier_value regs p.p_mod slot in
+  let slot = get regs slot in
+  let key = p.p_key and static_mod = static_modifier p.p_mod in
+  match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.load + t.costs.store);
       if Int64.equal src 0L then I64tbl.remove t.shadow slot
       else I64tbl.replace t.shadow slot (mac_of t key ~modifier:m src);
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
         ~ok:true;
-      regs.(p.dst) <- src
+      regs.(p.p_dst) <- src
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.load);
       let ok =
@@ -1124,75 +1092,75 @@ and exec_shadow_mac t fname regs (p : pac) =
           | None -> false
       in
       account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src ~ok;
-      regs.(p.dst) <-
+      regs.(p.p_dst) <-
         (if ok then src else Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src)
   | Ir.Kresign ->
       (* casts carry no per-slot state under the shadow backend *)
       charge t (2 * t.costs.pac);
       account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
         ~ok:true;
-      regs.(p.dst) <- src
+      regs.(p.p_dst) <- src
   | Ir.Kstrip ->
       charge t t.costs.strip;
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
         ~result:src ~ok:true;
-      regs.(p.dst) <- src
+      regs.(p.p_dst) <- src
 
-and exec_pac t fname regs (p : pac) =
-  if t.backend = `Shadow_mac then exec_shadow_mac t fname regs p
+and exec_pac t fname regs (p : Ir.pac) ~src ~slot =
+  if t.backend = `Shadow_mac then exec_shadow_mac t fname regs p ~src ~slot
   else begin
-  let src = get regs p.src in
-  let key = p.key and static_mod = static_modifier p.modifier in
-  match p.kind with
+  let src = get regs src in
+  let key = p.p_key and static_mod = static_modifier p.p_mod in
+  match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value regs p.modifier p.slot in
+      let m = modifier_value regs p.p_mod slot in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m src in
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:signed
         ~ok:true;
-      regs.(p.dst) <- signed
+      regs.(p.p_dst) <- signed
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value regs p.modifier p.slot in
+      let m = modifier_value regs p.p_mod slot in
       let v, ok =
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
         | Ok v -> (v, true)
         | Error corrupted -> (corrupted, false)
       in
       account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:v ~ok;
-      regs.(p.dst) <- v
+      regs.(p.p_dst) <- v
   | Ir.Kresign ->
       charge t (2 * (t.costs.pac + t.costs.pac_spill));
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
          value (the pp mechanism) gets a real authenticate + re-sign. A
          failure is the auth half's, so it reports the source modifier. *)
-      let mt = modifier_value regs p.modifier p.slot in
+      let mt = modifier_value regs p.p_mod slot in
       if not (Rsti_pa.Pac.is_signed t.pac src) then begin
         account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
           ~result:src ~ok:true;
-        regs.(p.dst) <- src
+        regs.(p.p_dst) <- src
       end
       else begin
-        let mf = modifier_value regs p.mod_from p.slot in
+        let mf = modifier_value regs p.p_mod_from slot in
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:mf src with
         | Ok v ->
             let resigned = Rsti_pa.Pac.sign t.pac ~key ~modifier:mt v in
             account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
               ~result:resigned ~ok:true;
-            regs.(p.dst) <- resigned
+            regs.(p.p_dst) <- resigned
         | Error corrupted ->
             account t Op_resign ~func:fname ~key
-              ~static_mod:(static_modifier p.mod_from) ~modifier:mf ~src
+              ~static_mod:(static_modifier p.p_mod_from) ~modifier:mf ~src
               ~result:corrupted ~ok:false;
-            regs.(p.dst) <- corrupted
+            regs.(p.p_dst) <- corrupted
       end
   | Ir.Kstrip ->
       charge t t.costs.strip;
       let stripped = Rsti_pa.Pac.strip t.pac src in
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
         ~result:stripped ~ok:true;
-      regs.(p.dst) <- stripped
+      regs.(p.p_dst) <- stripped
   end
 
 and exec_pp t fname regs (pp : pp) =
@@ -1440,7 +1408,7 @@ and exec t f regs (c : code) : unit =
                         { target; func = f.name; after_auth_fail = t.auth_failed })))
       in
       (match dst with Some d -> regs.(d) <- result | None -> ())
-  | Pac p -> exec_pac t f.name regs p
+  | Pac { p; src; slot } -> exec_pac t f.name regs p ~src ~slot
   | Pp pp -> exec_pp t f.name regs pp
   | Fail { cost; exn } ->
       charge t cost;
