@@ -1010,8 +1010,8 @@ and run_builtin_body t name (args : int64 array) : int64 =
       let cmp_ptr = arg 3 in
       let call_cmp a b =
         match code_at t cmp_ptr with
-        | Some (Defined f) -> call_function t f [| a; b |]
-        | Some (Libc nm) -> run_builtin t nm [| a; b |]
+        | Some (Defined i) -> call_function t i [| a; b |]
+        | Some (Libc i) -> run_builtin t i [| a; b |]
         | _ ->
             raise
               (Trap_exn
