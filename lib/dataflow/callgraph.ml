@@ -5,15 +5,23 @@
    sound flow-insensitive default — the points-to client then narrows
    indirect targets with its own sets). Strongly connected components
    come from Tarjan's algorithm; [bottom_up] lists SCCs callees-first,
-   the order an interprocedural summary pass wants. *)
+   the order an interprocedural summary pass wants.
+
+   This is the module's one call graph: the points-to solver's order,
+   the context universe's indirect edges, scope liveness and the
+   replay-edge liveness of [Equiv] all read it. Each function's reach
+   (reflexive-transitive closure) is computed on first query and kept
+   in the [t] that asked for it. *)
 
 module Ir = Rsti_ir.Ir
 
 type t = {
   names : string array;
   index : (string, int) Hashtbl.t;
+  addr_taken : int list; (* ascending: module order *)
   callees : int list array;
   sccs : string list list; (* callees-first *)
+  reach : bool array option array; (* memo: i -> the functions it reaches *)
 }
 
 let call_targets addr_taken (fns : (string, int) Hashtbl.t) (i : Ir.instr_desc) =
@@ -105,7 +113,8 @@ let of_modul (m : Ir.modul) =
   for v = 0 to n - 1 do
     if idx.(v) < 0 then strong v
   done;
-  { names; index; callees; sccs = List.rev !comps }
+  { names; index; addr_taken; callees; sccs = List.rev !comps;
+    reach = Array.make n None }
 
 let sccs t = t.sccs
 let bottom_up t = List.concat t.sccs
@@ -115,18 +124,33 @@ let callees t name =
   | None -> []
   | Some i -> List.map (fun j -> t.names.(j)) t.callees.(i)
 
-let reachable t ~roots =
-  let seen = Hashtbl.create 64 in
-  let rec go i =
-    if not (Hashtbl.mem seen i) then begin
-      Hashtbl.replace seen i ();
-      List.iter go t.callees.(i)
-    end
-  in
-  List.iter
-    (fun r -> match Hashtbl.find_opt t.index r with Some i -> go i | None -> ())
-    roots;
-  fun name ->
-    match Hashtbl.find_opt t.index name with
-    | Some i -> Hashtbl.mem seen i
-    | None -> false
+let address_taken t = List.map (fun j -> t.names.(j)) t.addr_taken
+
+let reach_of t i =
+  match t.reach.(i) with
+  | Some r -> r
+  | None ->
+      let seen = Array.make (Array.length t.names) false in
+      let rec go j =
+        if not seen.(j) then begin
+          seen.(j) <- true;
+          List.iter go t.callees.(j)
+        end
+      in
+      go i;
+      t.reach.(i) <- Some seen;
+      seen
+
+let reach t f =
+  match Hashtbl.find_opt t.index f with
+  | None -> [ f ]
+  | Some i ->
+      let seen = reach_of t i in
+      let acc = ref [] in
+      Array.iteri (fun j s -> if s then acc := t.names.(j) :: !acc) seen;
+      List.sort compare !acc
+
+let reaches t f g =
+  match (Hashtbl.find_opt t.index f, Hashtbl.find_opt t.index g) with
+  | Some i, Some j -> (reach_of t i).(j)
+  | _ -> f = g

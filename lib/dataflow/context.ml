@@ -123,38 +123,9 @@ let build ~k (m : Ir.modul) (cg : Callgraph.t) =
   let defined = Hashtbl.create 64 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace defined f.Ir.name f) m.Ir.m_funcs;
   (* call edges: (caller, site, callee) — indirect sites target every
-     address-taken defined function, mirroring Callgraph *)
-  let addr_taken = ref [] in
-  let note_value = function
-    | Ir.Funcaddr f when Hashtbl.mem defined f ->
-        if not (List.mem f !addr_taken) then addr_taken := f :: !addr_taken
-    | _ -> ()
-  in
-  List.iter
-    (fun (fn : Ir.func) ->
-      Ir.iter_instrs
-        (fun ins ->
-          match ins.Ir.i with
-          | Ir.Load { addr; _ } -> note_value addr
-          | Ir.Store { src; addr; _ } ->
-              note_value src;
-              note_value addr
-          | Ir.Gep { base; _ } | Ir.Gepidx { base; _ } -> note_value base
-          | Ir.Bitcast { src; _ } | Ir.Cast_num { src; _ }
-          | Ir.Neg { src; _ } | Ir.Lognot { src; _ } | Ir.Bitnot { src; _ } ->
-              note_value src
-          | Ir.Binop { a; b; _ } ->
-              note_value a;
-              note_value b
-          | Ir.Call { callee; args; _ } ->
-              (match callee with
-              | Ir.Indirect v -> note_value v
-              | Ir.Direct _ -> ());
-              List.iter note_value args
-          | Ir.Alloca _ | Ir.Pac _ | Ir.Pp _ -> ())
-        fn)
-    m.Ir.m_funcs;
-  let addr_taken = List.sort compare !addr_taken in
+     address-taken defined function, in name order (the order fixes
+     context ids) *)
+  let addr_taken = List.sort compare (Callgraph.address_taken cg) in
   let edges = Hashtbl.create 64 in (* caller -> (site, callee) list, in order *)
   List.iter
     (fun (fn : Ir.func) ->

@@ -3,7 +3,6 @@
    classes and count the replay gadget edges each mechanism leaves open.
    See equiv.mli for the two attacker tiers. *)
 
-module Ctype = Rsti_minic.Ctype
 module Ir = Rsti_ir.Ir
 module Analysis = Rsti_sti.Analysis
 module RT = Rsti_sti.Rsti_type
@@ -46,104 +45,10 @@ let is_stack (si : Analysis.slot_info) =
   | Analysis.Klocal | Analysis.Kparam -> true
   | Analysis.Kglobal | Analysis.Kfield _ | Analysis.Kanon -> false
 
-(* ----------------------------------------------------------------- *)
-(* Donor liveness: which functions' activations can overlap a stack    *)
-(* slot's lifetime — the call-graph closure from its declaring         *)
-(* function. Indirect calls conservatively reach every function whose  *)
-(* address is taken anywhere in the module.                            *)
-(* ----------------------------------------------------------------- *)
-
-let operand_values (i : Ir.instr_desc) : Ir.value list =
-  match i with
-  | Ir.Alloca _ -> []
-  | Ir.Load { addr; _ } -> [ addr ]
-  | Ir.Store { src; addr; _ } -> [ src; addr ]
-  | Ir.Gep { base; _ } -> [ base ]
-  | Ir.Gepidx { base; idx; _ } -> [ base; idx ]
-  | Ir.Bitcast { src; _ }
-  | Ir.Neg { src; _ }
-  | Ir.Lognot { src; _ }
-  | Ir.Bitnot { src; _ }
-  | Ir.Cast_num { src; _ } ->
-      [ src ]
-  | Ir.Binop { a; b; _ } -> [ a; b ]
-  | Ir.Call { callee; args; _ } -> (
-      match callee with Ir.Indirect v -> v :: args | Ir.Direct _ -> args)
-  | Ir.Pac p -> [ p.p_src; p.p_slot_addr ]
-  | Ir.Pp (Ir.Pp_add { pp_addr; _ }) -> [ pp_addr ]
-  | Ir.Pp (Ir.Pp_sign { src; slot_addr; _ }) -> [ src; slot_addr ]
-  | Ir.Pp (Ir.Pp_auth { src; slot_addr; _ }) -> [ src; slot_addr ]
-  | Ir.Pp (Ir.Pp_add_tbi { src; _ }) -> [ src ]
-
-(* df -> set of functions reachable from an activation of df
-   (reflexive-transitive over the call graph). *)
-let build_reach (m : Ir.modul) : (string, (string, unit) Hashtbl.t) Hashtbl.t =
-  let defined = Hashtbl.create 16 in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace defined f.Ir.name ()) m.Ir.m_funcs;
-  let addr_taken = Hashtbl.create 8 in
-  let direct = Hashtbl.create 16 in
-  let indirect = Hashtbl.create 8 in
-  List.iter
-    (fun (fn : Ir.func) ->
-      Ir.iter_instrs
-        (fun ins ->
-          (match ins.Ir.i with
-          | Ir.Call { callee = Ir.Direct f; _ } when Hashtbl.mem defined f ->
-              Hashtbl.add direct fn.Ir.name f
-          | Ir.Call { callee = Ir.Indirect _; _ } ->
-              Hashtbl.replace indirect fn.Ir.name ()
-          | _ -> ());
-          List.iter
-            (function
-              | Ir.Funcaddr f when Hashtbl.mem defined f ->
-                  Hashtbl.replace addr_taken f ()
-              | _ -> ())
-            (operand_values ins.Ir.i))
-        fn)
-    m.Ir.m_funcs;
-  let addr_taken_list = Hashtbl.fold (fun f () acc -> f :: acc) addr_taken [] in
-  let reach = Hashtbl.create 16 in
-  List.iter
-    (fun (fn : Ir.func) ->
-      let seen = Hashtbl.create 16 in
-      let rec visit f =
-        if not (Hashtbl.mem seen f) then begin
-          Hashtbl.replace seen f ();
-          List.iter visit (Hashtbl.find_all direct f);
-          if Hashtbl.mem indirect f then List.iter visit addr_taken_list
-        end
-      in
-      visit fn.Ir.name;
-      Hashtbl.replace reach fn.Ir.name seen)
-    m.Ir.m_funcs;
-  reach
-
-(* ----------------------------------------------------------------- *)
-(* Overflow-window seeding for the confined attacker: the same walk    *)
-(* the eliding instrumenter performs (a writable global array opens a  *)
-(* forward window over the rest of the globals segment).               *)
-(* ----------------------------------------------------------------- *)
-
-let rec has_writable_array lookup ty =
-  match ty with
-  | Ctype.Array (elem, _) -> not (Ctype.is_const elem)
-  | Ctype.Struct s ->
-      List.exists (fun (_, fty) -> has_writable_array lookup fty) (lookup s)
-  | Ctype.Const _ -> false
-  | Ctype.Void | Ctype.Char | Ctype.Int | Ctype.Long | Ctype.Double
-  | Ctype.Ptr _ | Ctype.Func _ ->
-      false
-
-let windowed_globals (m : Ir.modul) =
-  let window_open = ref false in
-  List.fold_left
-    (fun acc (g : Ir.global_def) ->
-      let v = g.Ir.gvar in
-      let acc = if !window_open then v.Rsti_minic.Tast.v_id :: acc else acc in
-      if has_writable_array (Ir.struct_lookup m) v.Rsti_minic.Tast.v_ty then
-        window_open := true;
-      acc)
-    [] m.Ir.m_globals
+(* The victim side of a feasible gadget edge: the confined attacker can
+   write the victim's storage and, for a stack victim, reach it through
+   an address that outlives the frame. *)
+let feasible v = v.mb_writable && ((not (is_stack v.mb_info)) || v.mb_escapes)
 
 (* ----------------------------------------------------------------- *)
 (* Partition                                                           *)
@@ -222,12 +127,10 @@ let analyze ?points_to ?scope anal (m : Ir.modul) mech : result =
           fn)
       m.Ir.m_funcs;
     (* 2. Attacker-model refinements. *)
-    let conf =
-      match points_to with
-      | None -> None
-      | Some pt -> Some (Points_to.confinement ~windowed:(windowed_globals m) pt)
-    in
-    let reach = build_reach m in
+    let conf = Option.map Points_to.confinement points_to in
+    (* donor liveness: the functions whose activations can overlap a
+       stack slot's lifetime *)
+    let cg = Callgraph.of_modul m in
     let member_of (a : acc) =
       let si = a.a_si in
       let auth_funcs =
@@ -247,16 +150,7 @@ let analyze ?points_to ?scope anal (m : Ir.modul) mech : result =
       in
       let mb_reach =
         if not (is_stack si) then None
-        else
-          match si.Analysis.decl_func with
-          | None -> None
-          | Some df -> (
-              match Hashtbl.find_opt reach df with
-              | None -> Some [ df ]
-              | Some set ->
-                  Some
-                    (List.sort compare
-                       (Hashtbl.fold (fun f () l -> f :: l) set [])))
+        else Option.map (Callgraph.reach cg) si.Analysis.decl_func
       in
       {
         mb_info = si;
@@ -320,8 +214,8 @@ let analyze ?points_to ?scope anal (m : Ir.modul) mech : result =
         sizes;
       List.sort compare (Hashtbl.fold (fun s n acc -> (s, n) :: acc) h [])
     in
-    let live_victim rset v =
-      List.exists (fun f -> Hashtbl.mem rset f) v.mb_auth_funcs
+    let live_victim df v =
+      List.exists (Callgraph.reaches cg df) v.mb_auth_funcs
     in
     let count_edges ~victim_ok =
       List.fold_left
@@ -345,36 +239,25 @@ let analyze ?points_to ?scope anal (m : Ir.modul) mech : result =
                       let df =
                         Option.value ~default:"" d.mb_info.Analysis.decl_func
                       in
-                      let rset =
-                        match Hashtbl.find_opt reach df with
-                        | Some s -> s
-                        | None ->
-                            let s = Hashtbl.create 1 in
-                            Hashtbl.replace s df ();
-                            s
-                      in
                       let n_live =
                         match Hashtbl.find_opt df_cache df with
                         | Some n -> n
                         | None ->
                             let n =
-                              List.length (List.filter (live_victim rset) victims)
+                              List.length (List.filter (live_victim df) victims)
                             in
                             Hashtbl.replace df_cache df n;
                             n
                       in
                       let self =
-                        d.mb_auths > 0 && victim_ok d && live_victim rset d
+                        d.mb_auths > 0 && victim_ok d && live_victim df d
                       in
                       acc + n_live - (if self then 1 else 0))
               acc c.c_members)
         0 cls_list
     in
     let replay_edges = count_edges ~victim_ok:(fun _ -> true) in
-    let feasible_edges =
-      count_edges ~victim_ok:(fun v ->
-          v.mb_writable && ((not (is_stack v.mb_info)) || v.mb_escapes))
-    in
+    let feasible_edges = count_edges ~victim_ok:feasible in
     {
       r_mech = mech;
       r_classes = cls_list;

@@ -76,10 +76,19 @@ val analyze :
 (** Partition the module's instrumented slots under a mechanism. Without
     [points_to] every member is attacker-writable (the paper's threat
     model — the oracle configuration); with it, writability is refined
-    by {!Points_to.confinement} seeded on the same global
-    overflow-window walk the eliding instrumenter uses. Without [scope]
+    by {!Points_to.confinement}, whose overflow-window seeds are
+    {!Points_to.windowed_globals}. Donor liveness ([mb_reach]) is
+    {!Callgraph.reach} from the declaring function. Without [scope]
     every stack slot conservatively escapes. [Nop] yields the empty
     partition. *)
+
+val feasible : member -> bool
+(** The victim side of a feasible gadget edge: storage writable by the
+    confined attacker ([mb_writable]) and, for a stack slot, an address
+    that outlives its frame ([mb_escapes]). [m_feasible_edges] counts the
+    {!class_edges} whose victim satisfies it; the
+    [feasible-substitution] findings and the gadget-graph JSON filter
+    by it too. *)
 
 val replayable : result -> donor:Rsti_ir.Ir.slot -> victim:Rsti_ir.Ir.slot -> bool
 (** Whether (donor, victim) is a replayable gadget edge: same class,

@@ -662,16 +662,43 @@ let stats t =
 
 (* ------------------------- the attacker model ---------------------- *)
 
+(* The linear-overflow window: a contiguous write running forward from
+   a writable buffer rewrites whatever is laid out behind it. Writable
+   arrays open one, and so do structs containing one. *)
+let rec opens_window (m : Ir.modul) ty =
+  match ty with
+  | Ctype.Array (elem, _) -> not (Ctype.is_const elem)
+  | Ctype.Struct s ->
+      List.exists (fun (_, fty) -> opens_window m fty) (Ir.struct_lookup m s)
+  | Ctype.Const _ -> false
+  | Ctype.Void | Ctype.Char | Ctype.Int | Ctype.Long | Ctype.Double
+  | Ctype.Ptr _ | Ctype.Func _ ->
+      false
+
+(* In the globals segment (declaration order is layout order) the first
+   opener exposes every global after it. *)
+let windowed_globals (m : Ir.modul) =
+  let var (g : Ir.global_def) = g.Ir.gvar in
+  let rec behind = function
+    | [] -> []
+    | g :: rest ->
+        if opens_window m (var g).Rsti_minic.Tast.v_ty then
+          List.map (fun g -> (var g).Rsti_minic.Tast.v_id) rest
+        else behind rest
+  in
+  behind m.Ir.m_globals
+
 type confinement = { pt : t; attacker : IntSet.t }
 
-let confinement ?(windowed = []) (pt : t) =
+let confinement (pt : t) =
   (* seeds: heap objects, extern data, escaped objects, int-laundered
      pointers, and globals behind a linear-overflow window *)
+  let windowed = IntSet.of_list (windowed_globals pt.modul) in
   let seeds = ref IntSet.empty in
   for o = 0 to pt.n_objs - 1 do
     match base_obj pt.objs.(o) with
     | Oheap _ | Oextern _ | Ounknown -> seeds := IntSet.add o !seeds
-    | Ovar id when List.mem id windowed -> seeds := IntSet.add o !seeds
+    | Ovar id when IntSet.mem id windowed -> seeds := IntSet.add o !seeds
     | _ -> ()
   done;
   seeds := IntSet.union !seeds !(pt.escaped);

@@ -10,7 +10,10 @@
     window victims and everything that escapes to external code —
     closed under stored-pointer contents — are attacker-writable; a slot
     backed only by other memory is {e confined}, so the syntactic
-    "a cast/escape appears somewhere" obligations can be discharged. *)
+    "a cast/escape appears somewhere" obligations can be discharged.
+    This module owns the overflow window ({!windowed_globals}): the
+    elision verdicts, the lint rule and {!Equiv}'s writability all read
+    the one walk. *)
 
 type mode =
   | Insensitive        (** the plain whole-program Andersen solve *)
@@ -95,15 +98,26 @@ val stats : t -> stats
 
 (** {2 The attacker model} *)
 
+val opens_window : Rsti_ir.Ir.modul -> Rsti_minic.Ctype.t -> bool
+(** Does storage of this type open a forward linear-overflow window over
+    whatever is laid out behind it? True for writable arrays and structs
+    containing one. *)
+
+val windowed_globals : Rsti_ir.Ir.modul -> int list
+(** The overflow window's victims in the globals segment: the var ids of
+    every global laid out (in declaration order) after the first one
+    that {!opens_window}, in layout order. The one walk behind
+    {!confinement}'s window seeds, [Elide]'s [overflow-window] verdict
+    and the lint's [overflow-window] rule. *)
+
 type confinement
 
-val confinement : ?windowed:int list -> t -> confinement
-(** Compute the attacker-writable object closure. [windowed] lists the
-    var ids of globals behind a linear-overflow window (the static
-    checker's layout walk) to include as seeds alongside heap objects,
-    extern data, int-laundered pointers and extern-call escapees. Reads
-    the solution without changing it, so {!stats} are the same before
-    and after. *)
+val confinement : t -> confinement
+(** Compute the attacker-writable object closure, seeded with heap
+    objects, extern data, int-laundered pointers, extern-call escapees
+    and the {!windowed_globals} of the module the solution was built
+    from. Reads the solution without changing it, so {!stats} are the
+    same before and after. *)
 
 val attacker_obj : confinement -> obj -> bool
 val attacker_objects : confinement -> obj list

@@ -245,49 +245,48 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
     | Points_to.Octx _ ->
         false
   in
-  let escaped = Points_to.escaped_objects pt in
-  let complete l (f, name, line) =
-    if not (Hashtbl.mem seen l) then begin
-      let add sink =
-        if not (Hashtbl.mem seen l) then begin
-          Hashtbl.replace seen l ();
-          escapes :=
-            { local = l; local_name = name; func = f; line; sink } :: !escapes
-        end
-      in
-      if List.mem (Points_to.Ovar l) escaped then
-        add (Passed_extern "<extern>");
-      if not (Hashtbl.mem seen l) then
+  (* one pass over the objects, in [Points_to.objects] order: each
+     local -> the first longer-lived cell holding its address *)
+  let stored_in = Hashtbl.create 64 in
+  List.iter
+    (fun o ->
+      if longer_lived o then
         List.iter
-          (fun o ->
-            if longer_lived o then
-              if List.mem (Points_to.Ovar l) (Points_to.cell_contents pt o)
-              then add (Stored (Points_to.obj_to_string o)))
-          (Points_to.objects pt);
-      if not (Hashtbl.mem seen l) then
-        if List.mem (Points_to.Ovar l) (Points_to.returns pt ~fn:f) then
-          add Returned
-    end
+          (function
+            | Points_to.Ovar l when not (Hashtbl.mem stored_in l) ->
+                Hashtbl.replace stored_in l o
+            | _ -> ())
+          (Points_to.cell_contents pt o))
+    (Points_to.objects pt);
+  let escaped = Hashtbl.create 16 in
+  List.iter
+    (function Points_to.Ovar l -> Hashtbl.replace escaped l () | _ -> ())
+    (Points_to.escaped_objects pt);
+  (* precedence: passed to extern, then stored, then returned *)
+  let complete (l, (f, name, line)) =
+    let sink =
+      if Hashtbl.mem seen l then None
+      else if Hashtbl.mem escaped l then Some (Passed_extern "<extern>")
+      else
+        match Hashtbl.find_opt stored_in l with
+        | Some o -> Some (Stored (Points_to.obj_to_string o))
+        | None when List.mem (Points_to.Ovar l) (Points_to.returns pt ~fn:f) ->
+            Some Returned
+        | None -> None
+    in
+    Option.iter
+      (fun sink ->
+        escapes :=
+          { local = l; local_name = name; func = f; line; sink } :: !escapes)
+      sink
   in
-  let locals_sorted =
-    List.sort compare (Hashtbl.fold (fun l inf acc -> (l, inf) :: acc) owner [])
-  in
-  List.iter (fun (l, inf) -> complete l inf) locals_sorted;
+  List.iter complete
+    (List.sort compare
+       (Hashtbl.fold (fun l inf acc -> (l, inf) :: acc) owner []));
   (* stale-frame derefs: a use in [g] of a pointer targeting a local of
      [f], where [f] cannot be an active caller of [g] *)
   let cg = Callgraph.of_modul m in
-  let reach_cache = Hashtbl.create 16 in
-  let reaches f g =
-    let r =
-      match Hashtbl.find_opt reach_cache f with
-      | Some r -> r
-      | None ->
-          let r = Callgraph.reachable cg ~roots:[ f ] in
-          Hashtbl.replace reach_cache f r;
-          r
-    in
-    r g
-  in
+  let reaches = Callgraph.reaches cg in
   let stales = ref [] in
   let stale_seen = Hashtbl.create 16 in
   List.iter

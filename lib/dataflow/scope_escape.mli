@@ -43,7 +43,12 @@ val analyze : points_to:Points_to.t -> Rsti_ir.Ir.modul -> t
 
 val escapes : t -> escape list
 (** May-escape events, deterministic order. A local can appear once per
-    distinct sink. *)
+    distinct sink. A local with no sink instruction in its defining
+    function gets one interprocedural sink from the points-to solution:
+    [Passed_extern "<extern>"] if it escaped to extern code, else
+    [Stored] naming the first longer-lived object (in
+    {!Points_to.objects} order) whose cell holds its address, else
+    [Returned] if the defining function's return channel carries it. *)
 
 val stale_derefs : t -> stale list
 (** Dereferences of provably-dead frames, deterministic order. *)

@@ -45,11 +45,7 @@ let slot_display (m : Ir.modul) =
     | None -> Ir.slot_to_string mb.Equiv.mb_info.Analysis.slot
 
 let feasible_edges (c : Equiv.cls) =
-  List.filter
-    (fun ((_ : Equiv.member), v) ->
-      v.Equiv.mb_writable
-      && (v.Equiv.mb_reach = None || v.Equiv.mb_escapes))
-    (Equiv.class_edges c)
+  List.filter (fun (_, v) -> Equiv.feasible v) (Equiv.class_edges c)
 
 let max_edge_findings = 16
 let max_graph_edges = 64

@@ -32,8 +32,8 @@ val surface :
 val feasible_edges :
   Rsti_dataflow.Equiv.cls ->
   (Rsti_dataflow.Equiv.member * Rsti_dataflow.Equiv.member) list
-(** The class's replay edges the confined attacker can execute: victim
-    storage writable, stack victims escaping. *)
+(** The class's replay edges whose victim is {!Rsti_dataflow.Equiv.feasible}:
+    the edges [m_feasible_edges] counts. *)
 
 val findings :
   Rsti_ir.Ir.modul -> Rsti_dataflow.Equiv.result list -> Finding.t list

@@ -100,39 +100,13 @@ type t = {
   scope : Scope_escape.t option; (* scope checker, in context mode *)
 }
 
-(* Does a global of this type open a forward-overflow window over the
-   rest of the globals segment? Writable arrays do; so do structs
-   containing one. *)
-let rec has_writable_array lookup ty =
-  match ty with
-  | Ctype.Array (elem, _) -> not (Ctype.is_const elem)
-  | Ctype.Struct s ->
-      List.exists (fun (_, fty) -> has_writable_array lookup fty) (lookup s)
-  | Ctype.Const _ -> false
-  | Ctype.Void | Ctype.Char | Ctype.Int | Ctype.Long | Ctype.Double
-  | Ctype.Ptr _ | Ctype.Func _ ->
-      false
-
-let opens_window m ty = has_writable_array (Ir.struct_lookup m) ty
-
-let analyze ?points_to ?scope anal (m : Ir.modul) : t =
-  let windowed = Hashtbl.create 16 in
-  let window_open = ref false in
-  List.iter
-    (fun (g : Ir.global_def) ->
-      let v = g.gvar in
-      if !window_open then Hashtbl.replace windowed v.Rsti_minic.Tast.v_id ();
-      if opens_window m v.Rsti_minic.Tast.v_ty then window_open := true)
-    m.m_globals;
-  (* Heap-value taint: a slot storing an extern return (malloc and
-     friends, looking through casts) holds a heap pointer. Every signed
-     heap pointer has same-typed siblings reachable from attacker-window
-     memory, so a substitution donor always exists — the slot and its
-     whole flow component stay checked. *)
-  let tainted = Hashtbl.create 16 in
+(* Extern ingress: a pointer store whose value is the raw return of a
+   call to an undefined (extern) function, followed back through its
+   defining [Bitcast]s. *)
+let extern_ingress (m : Ir.modul) =
   let defined = Hashtbl.create 16 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace defined f.Ir.name ()) m.m_funcs;
-  List.iter
+  List.concat_map
     (fun (fn : Ir.func) ->
       let defs = Hashtbl.create 64 in
       Ir.iter_instrs
@@ -142,37 +116,50 @@ let analyze ?points_to ?scope anal (m : Ir.modul) : t =
               Hashtbl.replace defs dst ins.i
           | _ -> ())
         fn;
-      let rec from_extern v =
+      let rec extern_origin v =
         match v with
         | Ir.Reg r -> (
             match Hashtbl.find_opt defs r with
-            | Some (Ir.Bitcast { src; _ }) -> from_extern src
-            | Some (Ir.Call { callee = Ir.Direct f; _ }) ->
-                not (Hashtbl.mem defined f)
-            | _ -> false)
-        | _ -> false
+            | Some (Ir.Bitcast { src; _ }) -> extern_origin src
+            | Some (Ir.Call { callee = Ir.Direct f; _ })
+              when not (Hashtbl.mem defined f) ->
+                Some f
+            | _ -> None)
+        | _ -> None
       in
-      Ir.iter_instrs
-        (fun ins ->
+      Ir.fold_instrs
+        (fun acc ins ->
           match ins.i with
-          | Ir.Store { slot; src; ty; _ }
-            when Ctype.is_pointer ty && from_extern src ->
-              Hashtbl.replace tainted (Analysis.component_of anal slot) ()
-          | _ -> ())
-        fn)
-    m.m_funcs;
+          | Ir.Store { slot; src; ty; _ } when Ctype.is_pointer ty -> (
+              match extern_origin src with
+              | Some callee -> (fn.Ir.name, ins, slot, callee) :: acc
+              | None -> acc)
+          | _ -> acc)
+        [] fn
+      |> List.rev)
+    m.m_funcs
+
+let analyze ?points_to ?scope anal (m : Ir.modul) : t =
+  let windowed = Hashtbl.create 16 in
+  List.iter
+    (fun id -> Hashtbl.replace windowed id ())
+    (Points_to.windowed_globals m);
+  (* Heap-value taint: a slot storing an extern return (malloc and
+     friends, looking through casts) holds a heap pointer. Every signed
+     heap pointer has same-typed siblings reachable from attacker-window
+     memory, so a substitution donor always exists — the slot and its
+     whole flow component stay checked. *)
+  let tainted = Hashtbl.create 16 in
+  List.iter
+    (fun (_, _, slot, _) ->
+      Hashtbl.replace tainted (Analysis.component_of anal slot) ())
+    (extern_ingress m);
   (* The attacker model for points-to discharge seeds on exactly the
-     memory the syntactic rules assume writable: the overflow-window
-     victims computed above, plus what the points-to analysis itself
-     knows (heap allocations, extern data, escapees, int-laundered
-     pointers), closed under stored-pointer contents. *)
-  let conf =
-    match points_to with
-    | None -> None
-    | Some pt ->
-        let windowed_ids = Hashtbl.fold (fun id () acc -> id :: acc) windowed [] in
-        Some (Points_to.confinement ~windowed:windowed_ids pt)
-  in
+     memory the syntactic rules assume writable: the same overflow-window
+     victims, plus what the points-to analysis itself knows (heap
+     allocations, extern data, escapees, int-laundered pointers), closed
+     under stored-pointer contents. *)
+  let conf = Option.map Points_to.confinement points_to in
   { anal; windowed; tainted; comp_cache = Hashtbl.create 64; conf; scope }
 
 (* The component-level obligations, cached per component root. *)

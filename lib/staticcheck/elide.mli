@@ -17,7 +17,12 @@
     outside the attacker-writable closure (heap, extern data, escapees,
     overflow-window victims, laundered pointers, closed under stored
     contents) is discharged. Code pointers, const slots, heap-value
-    donors and overflow-window victims stay categorical. *)
+    donors and overflow-window victims stay categorical.
+
+    The overflow-window victims are
+    {!Rsti_dataflow.Points_to.windowed_globals}, the walk the
+    confinement closure seeds on; the heap-value taint is
+    {!extern_ingress}, the chase the lint's extern-ingress rule reports. *)
 
 (** Elision precision: [Off] instruments everything, [Syntactic] uses
     the flow-component rules alone, [With_points_to] additionally
@@ -57,10 +62,12 @@ val verdict_to_string : verdict -> string
 
 type t
 
-val opens_window : Rsti_ir.Ir.modul -> Rsti_minic.Ctype.t -> bool
-(** Does a slot of this type open a forward linear-overflow window over
-    whatever is laid out behind it? True for writable arrays and structs
-    containing one. Shared with the lint's [overflow-window] rule. *)
+val extern_ingress :
+  Rsti_ir.Ir.modul -> (string * Rsti_ir.Ir.instr * Rsti_ir.Ir.slot * string) list
+(** Every pointer store whose value is the raw return of an external
+    (undefined) function, looked through casts: (function, store, slot,
+    callee), in module order. The one chase behind the [Heap_value]
+    taint and the lint's [extern-pointer-ingress] rule. *)
 
 val analyze :
   ?points_to:Rsti_dataflow.Points_to.t ->
@@ -68,11 +75,11 @@ val analyze :
   Rsti_sti.Analysis.t ->
   Rsti_ir.Ir.modul ->
   t
-(** Build the elision map for a module (computes the global-segment
-    overflow windows from declaration-order layout and caches
-    per-flow-component obligations). With [?points_to], builds the
-    attacker-confinement closure (seeded with the overflow-window
-    victims) and discharges dischargeable obligations through it — any
+(** Build the elision map for a module (reads the global-segment
+    overflow window from {!Rsti_dataflow.Points_to.windowed_globals} and
+    caches per-flow-component obligations). With [?points_to], builds
+    the attacker-confinement closure (seeded with the same
+    overflow-window victims) and discharges dischargeable obligations through it — any
     {!Rsti_dataflow.Points_to.mode}'s solution works, and a cloned one
     discharges at least as many slots. With [?scope], failed discharges
     whose component contains a provably frame-escaping local report

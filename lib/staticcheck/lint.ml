@@ -8,6 +8,7 @@ module Ir = Rsti_ir.Ir
 module Ctype = Rsti_minic.Ctype
 module Analysis = Rsti_sti.Analysis
 module RT = Rsti_sti.Rsti_type
+module Points_to = Rsti_dataflow.Points_to
 
 let type_str ty = Ctype.to_string (Ctype.strip_all_quals ty)
 
@@ -357,7 +358,7 @@ let window_findings (m : Ir.modul) =
   in
   let global_windows =
     let opens (g : Ir.global_def) =
-      Elide.opens_window m g.gvar.Rsti_minic.Tast.v_ty
+      Points_to.opens_window m g.gvar.Rsti_minic.Tast.v_ty
     in
     let rec walk = function
       | [] -> []
@@ -382,10 +383,10 @@ let window_findings (m : Ir.modul) =
   let struct_windows =
     List.concat_map
       (fun (sname, fields) ->
-        let opens (_, fty) = Elide.opens_window m fty in
+        let opens (_, fty) = Points_to.opens_window m fty in
         let rec walk = function
           | [] -> []
-          | (fname, fty) :: rest when Elide.opens_window m fty ->
+          | (fname, fty) :: rest when Points_to.opens_window m fty ->
               let victims =
                 victims_until_next_opener ~is_opener:opens
                   ~bearing:(fun (_, fty) -> pointer_bearing fty)
@@ -412,64 +413,30 @@ let window_findings (m : Ir.modul) =
    looked through casts) enter the signed domain at a store: the window
    between the return and the sign is unprotected, and every such heap
    pointer has same-typed substitution donors living on the heap — the
-   Heap_value obligation of {!Elide}, reported at its source. *)
+   Heap_value obligation of {!Elide}, reported at its source from the
+   same chase ({!Elide.extern_ingress}). *)
 let ingress_findings (m : Ir.modul) =
-  let defined = Hashtbl.create 16 in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace defined f.Ir.name ()) m.m_funcs;
-  let out = ref [] in
-  List.iter
-    (fun (fn : Ir.func) ->
-      let defs = Hashtbl.create 64 in
-      Ir.iter_instrs
-        (fun ins ->
-          match ins.i with
-          | Ir.Bitcast { dst; _ } | Ir.Call { dst = Some dst; _ } ->
-              Hashtbl.replace defs dst ins.i
-          | _ -> ())
-        fn;
-      let rec extern_origin v =
-        match v with
-        | Ir.Reg r -> (
-            match Hashtbl.find_opt defs r with
-            | Some (Ir.Bitcast { src; _ }) -> extern_origin src
-            | Some (Ir.Call { callee = Ir.Direct f; _ })
-              when not (Hashtbl.mem defined f) ->
-                Some f
-            | _ -> None)
-        | _ -> None
-      in
-      Ir.iter_instrs
-        (fun ins ->
-          match ins.i with
-          | Ir.Store { slot; src; ty; _ } when Ctype.is_pointer ty -> (
-              match extern_origin src with
-              | Some callee ->
-                  let func, line = loc_of ins fn.name in
-                  out :=
-                    {
-                      Finding.kind =
-                        Finding.Extern_ingress
-                          { callee; slot = Ir.slot_to_string slot };
-                      severity = Finding.Info;
-                      func;
-                      line;
-                      message =
-                        Printf.sprintf
-                          "raw pointer returned by external %s enters the \
-                           signed domain at this store to %s"
-                          callee (Ir.slot_to_string slot);
-                      consequence =
-                        "the value is unprotected between the return and \
-                         this sign (§4.6), and same-typed heap siblings make \
-                         substitution donors: the slot's flow component must \
-                         keep its checks (Elide's heap-value obligation)";
-                    }
-                    :: !out
-              | None -> ())
-          | _ -> ())
-        fn)
-    m.m_funcs;
-  !out
+  List.map
+    (fun (fn, ins, slot, callee) ->
+      let func, line = loc_of ins fn in
+      {
+        Finding.kind =
+          Finding.Extern_ingress { callee; slot = Ir.slot_to_string slot };
+        severity = Finding.Info;
+        func;
+        line;
+        message =
+          Printf.sprintf
+            "raw pointer returned by external %s enters the signed domain at \
+             this store to %s"
+            callee (Ir.slot_to_string slot);
+        consequence =
+          "the value is unprotected between the return and this sign \
+           (§4.6), and same-typed heap siblings make substitution donors: \
+           the slot's flow component must keep its checks (Elide's \
+           heap-value obligation)";
+      })
+    (Elide.extern_ingress m)
 
 (* ---------------------- rule 9: scope escapes ------------------------ *)
 

@@ -137,10 +137,9 @@ let test_callgraph_bottom_up () =
   checkb "leaf before mid" true (pos "leaf" < pos "mid");
   checkb "mid before main" true (pos "mid" < pos "main");
   checkb "mid calls leaf" true (List.mem "leaf" (Callgraph.callees cg "mid"));
-  checkb "leaf reachable from main" true
-    (Callgraph.reachable cg ~roots:[ "main" ] "leaf");
+  checkb "leaf reachable from main" true (Callgraph.reaches cg "main" "leaf");
   checkb "main not reachable from leaf" false
-    (Callgraph.reachable cg ~roots:[ "leaf" ] "main")
+    (Callgraph.reaches cg "leaf" "main")
 
 (* --------------------------- points-to ----------------------------- *)
 
@@ -207,6 +206,37 @@ int main(void) {
   checkb "field cell is attacker memory" true
     (Points_to.attacker_obj conf (Points_to.Ofield ("pair", "b")));
   checkb "stats unchanged by the query" true (before = Points_to.stats pt)
+
+(* The overflow window is part of the attacker model itself: a pointer
+   global laid out behind a writable global array is attacker memory
+   even though its address never escapes, and [confinement] finds that
+   from the module the solution was built from. *)
+let test_points_to_confinement_window () =
+  let m =
+    compile
+      {|
+int x;
+int *before;
+int buf[8];
+int *after;
+int main(void) {
+  before = &x;
+  after = &x;
+  buf[0] = *after;
+  return 0;
+}
+|}
+  in
+  let id name =
+    match global_slot m name with Ir.Svar id -> id | _ -> assert false
+  in
+  Alcotest.(check (list int))
+    "globals behind buf" [ id "after" ] (Points_to.windowed_globals m);
+  let conf = Points_to.confinement (Points_to.analyze m) in
+  checkb "pointer behind the array -> not confined" false
+    (Points_to.confined_slot conf (global_slot m "after"));
+  checkb "pointer before the array -> confined" true
+    (Points_to.confined_slot conf (global_slot m "before"))
 
 (* ------------------- context-sensitive points-to ------------------- *)
 
@@ -452,6 +482,48 @@ let prop_equiv_feasible_ladder =
         [ RT.Stwc; RT.Stc; RT.Stl; RT.Parts ];
       true)
 
+(* The edge metrics and the materialized gadget graph are one fact: the
+   replay edges [class_edges] lists sum to [m_replay_edges], and those
+   whose victim is [Equiv.feasible] (what the findings and the graph
+   JSON report) sum to [m_feasible_edges] — at oracle, insensitive and
+   cloning:2 precision, under every mechanism. *)
+let prop_equiv_edge_sums =
+  QCheck.Test.make ~name:"equiv: class edges sum to the edge metrics"
+    ~count:12
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let src = Rsti_workloads.Generator.generate ~seed:(Int64.of_int seed) () in
+      let m = Rsti_ir.Lower.compile ~file:"g.c" src in
+      let anal = Analysis.analyze m in
+      let refined mode =
+        let pt = Points_to.analyze ~mode m in
+        (Some pt, Some (Scope_escape.analyze ~points_to:pt m))
+      in
+      List.iter
+        (fun (label, (points_to, scope)) ->
+          List.iter
+            (fun mech ->
+              let r = Equiv.analyze ?points_to ?scope anal m mech in
+              let sum edges =
+                List.fold_left
+                  (fun acc c -> acc + List.length (edges c))
+                  0 r.Equiv.r_classes
+              in
+              let name = label ^ "/" ^ RT.mechanism_to_string mech in
+              checki (name ^ ": replay edges")
+                r.Equiv.r_metrics.Equiv.m_replay_edges
+                (sum Equiv.class_edges);
+              checki (name ^ ": feasible edges")
+                r.Equiv.r_metrics.Equiv.m_feasible_edges
+                (sum Rsti_staticcheck.Attack_surface.feasible_edges))
+            [ RT.Stwc; RT.Stc; RT.Stl; RT.Parts ])
+        [
+          ("oracle", (None, None));
+          ("insensitive", refined Points_to.Insensitive);
+          ("cloning:2", refined (Points_to.Cloning 2));
+        ];
+      true)
+
 (* --------------------------- scope escape -------------------------- *)
 
 let scope_pos_src =
@@ -498,6 +570,73 @@ let test_scope_escape_negative () =
   checki "downward &local is no escape" 0
     (List.length (Scope_escape.escapes sc));
   checki "no stale derefs" 0 (List.length (Scope_escape.stale_derefs sc))
+
+(* The interprocedural completion: each local below leaks only inside a
+   callee, so the defining function has no sink instruction and the
+   points-to solution must supply the escape. *)
+let escapes_of src name =
+  let m = compile src in
+  let sc = Scope_escape.analyze ~points_to:(Points_to.analyze m) m in
+  ( m,
+    List.filter
+      (fun (e : Scope_escape.escape) -> e.Scope_escape.local_name = name)
+      (Scope_escape.escapes sc) )
+
+let test_scope_escape_stored_by_callee () =
+  let m, es =
+    escapes_of
+      {|
+int *keep;
+int stash(int *a) { keep = a; return 0; }
+int main(void) { int local; local = 1; stash(&local); return local; }
+|}
+      "local"
+  in
+  let keep = match global_slot m "keep" with Ir.Svar id -> id | _ -> 0 in
+  checki "one escape" 1 (List.length es);
+  checkb "stored into keep" true
+    (List.for_all
+       (fun (e : Scope_escape.escape) ->
+         e.Scope_escape.func = "main"
+         && e.Scope_escape.sink
+            = Scope_escape.Stored (Points_to.obj_to_string (Points_to.Ovar keep)))
+       es)
+
+let test_scope_escape_returned_through_callee () =
+  let _, es =
+    escapes_of
+      {|
+int *same(int *x) { return x; }
+int *give(void) { int slot; slot = 7; return same(&slot); }
+int main(void) { int *p; p = give(); return 0; }
+|}
+      "slot"
+  in
+  checki "one escape" 1 (List.length es);
+  checkb "returned by give" true
+    (List.for_all
+       (fun (e : Scope_escape.escape) ->
+         e.Scope_escape.func = "give"
+         && e.Scope_escape.sink = Scope_escape.Returned)
+       es)
+
+let test_scope_escape_extern_wins () =
+  let _, es =
+    escapes_of
+      {|
+extern void sink(int *h);
+int *keep;
+int both(int *a) { keep = a; sink(a); return 0; }
+int main(void) { int local; local = 1; both(&local); return local; }
+|}
+      "local"
+  in
+  checki "one escape" 1 (List.length es);
+  checkb "passed to extern, not stored" true
+    (List.for_all
+       (fun (e : Scope_escape.escape) ->
+         e.Scope_escape.sink = Scope_escape.Passed_extern "<extern>")
+       es)
 
 (* ------------------ elision precision on workloads ----------------- *)
 
@@ -622,6 +761,8 @@ let tests =
       test_points_to_confinement;
     Alcotest.test_case "points-to: confinement leaves the solution as is"
       `Quick test_points_to_confinement_read_only;
+    Alcotest.test_case "points-to: confinement seeds the overflow window"
+      `Quick test_points_to_confinement_window;
     Alcotest.test_case "context: call strings and k=0 degeneration" `Quick
       test_context_call_strings;
     Alcotest.test_case "context: recursion collapses to one context" `Quick
@@ -631,10 +772,17 @@ let tests =
       `Quick test_cloning_strict_gain;
     QCheck_alcotest.to_alcotest prop_equiv_refinement;
     QCheck_alcotest.to_alcotest prop_equiv_feasible_ladder;
+    QCheck_alcotest.to_alcotest prop_equiv_edge_sums;
     Alcotest.test_case "scope-escape: leaked local and stale deref" `Quick
       test_scope_escape_positive;
     Alcotest.test_case "scope-escape: downward pass is clean" `Quick
       test_scope_escape_negative;
+    Alcotest.test_case "scope-escape: stored into a global by a callee"
+      `Quick test_scope_escape_stored_by_callee;
+    Alcotest.test_case "scope-escape: returned through an identity callee"
+      `Quick test_scope_escape_returned_through_callee;
+    Alcotest.test_case "scope-escape: extern wins over a stored sink" `Quick
+      test_scope_escape_extern_wins;
     Alcotest.test_case "elide: precision ladder monotone on SPEC2006" `Slow
       test_elide_precision_monotone;
     Alcotest.test_case
