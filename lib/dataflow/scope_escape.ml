@@ -219,7 +219,8 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
                       if not (IntSet.is_empty ids) then
                         emit ~line:(line_of ins) ~sink:(Passed_extern f) ids)
                     args
-              | _ -> ());
+              | _ -> ())
+          |> ignore;
           match fn.Ir.blocks.(b).Ir.term with
           | Ir.Ret (Some (Ir.Reg r)) ->
               let ids = Frame_transfer.get (F.exit_state res b) r in

@@ -106,17 +106,15 @@ module Forward (T : TRANSFER) = struct
     { cfg; block_in; block_out; visits = !visits }
 
   (* Re-walk one block from its solved entry state, handing the state
-     *before* each instruction to [f] — how checkers consume a result. *)
+     *before* each instruction to [f] — how checkers consume a result —
+     and return the state after the last one. *)
   let iter_block ~ctx res i f =
     let b = (Cfg.func res.cfg).Ir.blocks.(i) in
-    let st =
-      List.fold_left
-        (fun st ins ->
-          f ins st;
-          T.instr ctx ins st)
-        res.block_in.(i) b.Ir.instrs
-    in
-    ignore (st : T.L.t)
+    List.fold_left
+      (fun st ins ->
+        f ins st;
+        T.instr ctx ins st)
+      res.block_in.(i) b.Ir.instrs
 
   let entry_state res i = res.block_in.(i)
   let exit_state res i = res.block_out.(i)

@@ -40,9 +40,12 @@ module Forward (T : TRANSFER) : sig
       a block is re-joined before the lattice's widening kicks in. *)
 
   val iter_block :
-    ctx:T.ctx -> result -> int -> (Rsti_ir.Ir.instr -> T.L.t -> unit) -> unit
+    ctx:T.ctx -> result -> int -> (Rsti_ir.Ir.instr -> T.L.t -> unit) -> T.L.t
   (** Re-walk block [i] from its solved entry state, calling [f instr
-      state_before_instr] — how checkers consume the fixpoint. *)
+      state_before_instr] — how checkers consume the fixpoint — and
+      return the state after the block's last instruction (the state
+      its terminator sees). Unlike {!exit_state} this is defined for
+      unreachable blocks too: the walk starts from their bottom entry. *)
 
   val entry_state : result -> int -> T.L.t
   val exit_state : result -> int -> T.L.t

@@ -378,15 +378,10 @@ let check anal mech (m : Ir.modul) : report =
       | _ -> ()
     in
     for i = 0 to Cfg.n_blocks cfg - 1 do
-      F.iter_block ~ctx:() res i visit;
-      (* State at the terminator: re-fold from the block entry rather
-         than using [exit_state] — unreachable blocks keep bottom in the
-         solver but their instruction pairs still resolve locally. *)
-      let st =
-        List.fold_left
-          (fun st ins -> T.instr () ins st)
-          (F.entry_state res i) fn.Ir.blocks.(i).Ir.instrs
-      in
+      (* State at the terminator: the walk's own, not [exit_state] —
+         unreachable blocks keep bottom in the solver but their
+         instruction pairs still resolve locally. *)
+      let st = F.iter_block ~ctx:() res i visit in
       match fn.Ir.blocks.(i).Ir.term with
       | Ir.Ret (Some v) -> (
           (match vstate_of st v with

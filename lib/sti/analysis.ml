@@ -29,16 +29,25 @@ type t = {
   mutable cast_list : (string * string * string) list;
   (* cast occurrences: component member key -> (func, target type) *)
   cast_occ : (string, string * string) Hashtbl.t;
-  mutable all_types : SS.t;               (* basic pointer types present *)
   mutable pp_sites : int;
   mutable pp_special : (string * Ctype.t) list;
   (* locals whose address escapes (used other than as a load/store
      address): these cannot be register-promoted and stay instrumented *)
   addr_taken : (int, unit) Hashtbl.t;
+  (* Indexes built once [analyze] has made every union: flow-component
+     root -> member slots sorted by key, and STC class root -> the basic
+     pointer types present in the class, sorted. [indexed] is set then;
+     from that point a slot created on demand joins its component. *)
+  members : (string, slot_info list) Hashtbl.t;
+  classes : (string, string list) Hashtbl.t;
+  mutable indexed : bool;
   (* caches *)
   scope_cache : (string * string, SS.t) Hashtbl.t;
-  mutable stc_types_present : SS.t;
 }
+
+let by_key a b = compare a.key b.key
+
+let find_list tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[]
 
 let get_slot t (s : Ir.slot) ~sty ~read_only ~kind ~decl_func =
   let key = slot_key s in
@@ -47,6 +56,11 @@ let get_slot t (s : Ir.slot) ~sty ~read_only ~kind ~decl_func =
   | None ->
       let si = { slot = s; key; sty; read_only; kind; decl_func; occ = [] } in
       Hashtbl.replace t.slots key si;
+      if t.indexed then begin
+        let root = Rsti_util.Uf.find t.comp key in
+        Hashtbl.replace t.members root
+          (List.merge by_key [ si ] (find_list t.members root))
+      end;
       si
 
 let anon_slot t ty =
@@ -165,16 +179,19 @@ let analyze (m : Ir.modul) : t =
       tclass = Rsti_util.Uf.create ();
       cast_list = [];
       cast_occ = Hashtbl.create 64;
-      all_types = SS.empty;
       pp_sites = 0;
       pp_special = [];
       addr_taken = Hashtbl.create 64;
+      members = Hashtbl.create 256;
+      classes = Hashtbl.create 64;
+      indexed = false;
       scope_cache = Hashtbl.create 256;
-      stc_types_present = SS.empty;
     }
   in
+  (* basic pointer types present *)
+  let all_types = ref SS.empty in
   let note_type ty =
-    if Ctype.is_pointer ty then t.all_types <- SS.add (type_str ty) t.all_types
+    if Ctype.is_pointer ty then all_types := SS.add (type_str ty) !all_types
   in
   (* Struct fields. *)
   List.iter
@@ -352,22 +369,28 @@ let analyze (m : Ir.modul) : t =
           | _ -> ())
         fn.blocks)
     m.m_funcs;
+  (* Index the final components and classes: consing in descending order
+     leaves every list ascending. *)
+  Hashtbl.fold (fun _ si acc -> si :: acc) t.slots []
+  |> List.sort (fun a b -> by_key b a)
+  |> List.iter (fun si ->
+         let root = Rsti_util.Uf.find t.comp si.key in
+         Hashtbl.replace t.members root (si :: find_list t.members root));
+  Seq.iter
+    (fun u ->
+      let root = Rsti_util.Uf.find t.tclass u in
+      Hashtbl.replace t.classes root (u :: find_list t.classes root))
+    (SS.to_rev_seq !all_types);
+  t.indexed <- true;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Scopes and RSTI-types                                                *)
 (* ------------------------------------------------------------------ *)
 
-let component_members t root =
-  Hashtbl.fold
-    (fun key si acc -> if Rsti_util.Uf.find t.comp key = root then si :: acc else acc)
-    t.slots []
-
 let component_of t slot = Rsti_util.Uf.find t.comp (slot_key slot)
 
-let component_of_slot t slot =
-  component_members t (component_of t slot)
-  |> List.sort (fun a b -> compare a.key b.key)
+let component_of_slot t slot = find_list t.members (component_of t slot)
 
 let cast_occs t (si : slot_info) = Hashtbl.find_all t.cast_occ si.key
 
@@ -378,7 +401,7 @@ let scope_for t ~root ~tstr : SS.t =
   match Hashtbl.find_opt t.scope_cache (root, tstr) with
   | Some s -> s
   | None ->
-      let members = component_members t root in
+      let members = find_list t.members root in
       let s = ref SS.empty in
       List.iter
         (fun si ->
@@ -407,10 +430,9 @@ let stwc_rsti t si =
   Rsti_type.make ~types:[ tstr ] ~scope:(SS.elements scope) ~read_only:si.read_only
 
 let type_class_names t tstr =
-  let root = Rsti_util.Uf.find t.tclass tstr in
-  let present = SS.elements t.all_types in
-  let cls = List.filter (fun u -> Rsti_util.Uf.find t.tclass u = root) present in
-  if cls = [] then [ tstr ] else cls
+  match Hashtbl.find_opt t.classes (Rsti_util.Uf.find t.tclass tstr) with
+  | Some cls -> cls
+  | None -> [ tstr ]
 
 let type_class_of t ty = type_class_names t (type_str ty)
 
@@ -489,7 +511,7 @@ let pointer_vars t =
     (fun _ si acc ->
       if Ctype.is_pointer si.sty && si.kind <> Kanon then si :: acc else acc)
     t.slots []
-  |> List.sort (fun a b -> compare a.key b.key)
+  |> List.sort by_key
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                             *)

@@ -14,7 +14,14 @@
     type within the flow component.
 
     STC merging: basic types connected by any cast in the program are
-    compatible (section 4.8) and collapse into one type class. *)
+    compatible (section 4.8) and collapse into one type class.
+
+    Once every union is made, {!analyze} indexes both partitions: each
+    flow component's member slots (sorted by key) and each STC class's
+    basic pointer types (sorted). Scopes, {!component_of_slot} and
+    {!type_class_names} read these indexes, so a query costs the size
+    of its component or class, not of the module. An anonymous slot
+    {!slot_info} creates afterwards joins its component's entry. *)
 
 type slot_kind =
   | Klocal

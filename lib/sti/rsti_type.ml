@@ -28,10 +28,11 @@ let to_string t =
    near-identical strings still give wildly different modifiers. *)
 let hash_string s =
   let fnv_offset = 0xCBF29CE484222325L and fnv_prime = 0x100000001B3L in
+  (* A loop, not [String.iter]: a ref no closure captures stays unboxed. *)
   let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   Rsti_util.Splitmix.next64 (Rsti_util.Splitmix.create !h)
 
 let modifier t = hash_string ("rsti:" ^ to_string t)

@@ -108,7 +108,8 @@ let test_solver_fixpoint () =
   (* iter_block replays states consistent with the block boundary *)
   let entry_seen = ref None in
   F.iter_block ~ctx:() res 0 (fun _ st ->
-      if !entry_seen = None then entry_seen := Some st);
+      if !entry_seen = None then entry_seen := Some st)
+  |> ignore;
   (match !entry_seen with
   | Some st -> checkb "entry block starts at bottom" false st
   | None -> ())

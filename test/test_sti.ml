@@ -210,6 +210,90 @@ let prop_stats_invariants_generated =
       && s.largest_ect_stwc = 1
       && s.largest_ecv_stwc <= s.largest_ecv_stc)
 
+(* ------------------------- component index -------------------------- *)
+
+(* A fresh analysis, not the engine's cached one: these tests create
+   slots on demand, which must not leak into analyses other tests share. *)
+let fresh_analysis src =
+  Analysis.analyze Pipeline.(ir (compile (source ~file:"t.c" src)))
+
+let keys = List.map (fun (si : Analysis.slot_info) -> si.key)
+
+let test_index_on_demand_anon_slot () =
+  let anal = fresh_analysis fig5 in
+  let own = Analysis.pointer_vars anal in
+  let members_of (si : Analysis.slot_info) =
+    keys (Analysis.component_of_slot anal si.slot)
+  in
+  let before = List.map members_of own in
+  (* fig5 accesses no memory cell of type long** *)
+  let slot = Ir.Sanon (Ctype.Ptr (Ctype.Ptr Ctype.Long)) in
+  checki "not a module slot" 0 (List.length (Analysis.component_of_slot anal slot));
+  let si = Analysis.slot_info anal slot in
+  Alcotest.(check (list string))
+    "the on-demand slot is its own component" [ si.key ]
+    (keys (Analysis.component_of_slot anal slot));
+  Alcotest.(check (list (list string)))
+    "module slots keep their members" before (List.map members_of own)
+
+(* The slots the instrumenter asks modifiers for, in program order: each
+   pointer access's slot, and the anonymous slots of each pointer cast's
+   two types (created on demand when the module never dereferences them). *)
+let queried_slots (m : Ir.modul) =
+  let seen = Hashtbl.create 64 and out = ref [] in
+  let add s =
+    let k = Analysis.slot_key s in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.replace seen k ();
+      out := s :: !out
+    end
+  in
+  List.iter
+    (Ir.iter_instrs (fun ins ->
+         match ins.Ir.i with
+         | Ir.Load { slot; ty; _ } | Ir.Store { slot; ty; _ } when Ctype.is_pointer ty ->
+             add slot
+         | Ir.Bitcast { from_ty; to_ty; _ }
+           when Ctype.is_pointer from_ty && Ctype.is_pointer to_ty ->
+             add (Ir.Sanon from_ty);
+             add (Ir.Sanon to_ty)
+         | _ -> ()))
+    m.Ir.m_funcs;
+  List.rev !out
+
+let prop_index_matches_scan =
+  QCheck.Test.make ~name:"component index: equals the scan, order-free modifiers"
+    ~count:10 QCheck.(int_range 1 1000)
+    (fun seed ->
+      let src = Rsti_workloads.Generator.generate ~seed:(Int64.of_int seed) () in
+      let m = Pipeline.(ir (compile (source ~file:"t.c" src))) in
+      let anal = Analysis.analyze m in
+      let vars = Analysis.pointer_vars anal in
+      let is_var k = List.exists (fun (u : Analysis.slot_info) -> u.key = k) vars in
+      let members_match (v : Analysis.slot_info) =
+        let root = Analysis.component_of anal v.slot in
+        List.filter is_var (keys (Analysis.component_of_slot anal v.slot))
+        = keys
+            (List.filter
+               (fun (u : Analysis.slot_info) -> Analysis.component_of anal u.slot = root)
+               vars)
+      in
+      let slots = queried_slots m in
+      let modifiers order =
+        let a = Analysis.analyze m in
+        let tbl = Hashtbl.create 64 in
+        List.iter
+          (fun s ->
+            Hashtbl.replace tbl (Analysis.slot_key s)
+              (List.map
+                 (fun mech -> Analysis.modifier_of a mech s)
+                 [ RT.Stwc; RT.Stc; RT.Stl; RT.Parts ]))
+          order;
+        List.map (fun s -> Hashtbl.find tbl (Analysis.slot_key s)) slots
+      in
+      List.for_all members_match vars
+      && modifiers slots = modifiers (List.rev slots))
+
 (* ------------------------------ census ------------------------------ *)
 
 let pp_src =
@@ -325,4 +409,6 @@ let tests =
     Alcotest.test_case "escape: address taken" `Quick test_address_taken_local;
     Alcotest.test_case "escape: alias consistency" `Quick test_alias_consistency_through_double_pointer;
     QCheck_alcotest.to_alcotest prop_stats_invariants_generated;
+    Alcotest.test_case "index: on-demand anon slot" `Quick test_index_on_demand_anon_slot;
+    QCheck_alcotest.to_alcotest prop_index_matches_scan;
   ]

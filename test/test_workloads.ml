@@ -107,6 +107,42 @@ let test_population_scales_with_paper_nt () =
   checkb "xalancbmk >> libquantum (NT)" true (big.nt > 20 * small.nt);
   checkb "xalancbmk >> libquantum (NV)" true (big.nv > 20 * small.nv)
 
+(* Every Table 3 row, pinned: a change to the flow components, the STC
+   classes or the grouping moves one of these figures. *)
+let table3_rows =
+  (* BM, NT, RT/STC, RT/STWC, NV, ECV/STC, ECV/STWC, ECT/STC, ECT/STWC *)
+  [
+    ("perlbench", [ 44; 73; 81; 123; 7; 5; 9; 1 ]);
+    ("bzip2", [ 7; 12; 12; 17; 4; 4; 1; 1 ]);
+    ("mcf", [ 7; 12; 12; 22; 5; 5; 3; 1 ]);
+    ("milc", [ 13; 23; 23; 31; 6; 6; 1; 1 ]);
+    ("namd", [ 9; 15; 16; 27; 10; 10; 2; 1 ]);
+    ("gobmk", [ 32; 56; 61; 87; 5; 5; 6; 1 ]);
+    ("dealII", [ 629; 1139; 1240; 1715; 36; 9; 67; 1 ]);
+    ("soplex", [ 37; 63; 66; 97; 8; 7; 6; 1 ]);
+    ("povray", [ 74; 128; 138; 193; 5; 5; 9; 1 ]);
+    ("hmmer", [ 23; 43; 45; 62; 7; 5; 3; 1 ]);
+    ("libquantum", [ 5; 9; 9; 11; 2; 2; 1; 1 ]);
+    ("sjeng", [ 7; 13; 13; 16; 3; 3; 1; 1 ]);
+    ("h264ref", [ 30; 53; 54; 77; 6; 6; 2; 1 ]);
+    ("lbm", [ 6; 12; 12; 19; 7; 7; 1; 1 ]);
+    ("omnetpp", [ 64; 111; 119; 177; 7; 6; 9; 1 ]);
+    ("astar", [ 11; 16; 17; 26; 7; 6; 3; 1 ]);
+    ("sphinx3", [ 24; 42; 45; 62; 6; 5; 4; 1 ]);
+    ("xalancbmk", [ 636; 1159; 1236; 1738; 26; 9; 53; 1 ]);
+  ]
+
+let test_table3_rows_pinned () =
+  let row (w : Workload.t) =
+    let s = Analysis.stats (Rsti_workloads.Run.analyze_workload w) in
+    ( w.name,
+      [ s.nt; s.rt_stc; s.rt_stwc; s.nv; s.largest_ecv_stc; s.largest_ecv_stwc;
+        s.largest_ect_stc; s.largest_ect_stwc ] )
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "Table 3" table3_rows
+    (List.map row Rsti_workloads.Spec2006.all)
+
 (* ----------------------------- generator ---------------------------- *)
 
 let test_generator_deterministic () =
@@ -157,6 +193,7 @@ let tests =
       Alcotest.test_case "archetype pointer profiles" `Quick test_archetype_pointer_profiles;
       Alcotest.test_case "spec2006 population attached" `Quick test_spec2006_population_attached;
       Alcotest.test_case "population scales with paper NT" `Slow test_population_scales_with_paper_nt;
+      Alcotest.test_case "table3 rows pinned" `Quick test_table3_rows_pinned;
       Alcotest.test_case "generator deterministic" `Quick test_generator_deterministic;
       Alcotest.test_case "generator no-main mode" `Quick test_generator_no_main_mode;
       Alcotest.test_case "generator pp rates" `Quick test_generator_pp_rates;
