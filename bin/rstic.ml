@@ -25,8 +25,9 @@
                --attack-surface adds the modifier-collision and
                feasible-substitution rules; exits 1 when any
                error-severity finding is reported
-     attacks   run the paper's attack catalog
-     report    print one of the paper-reproduction reports *)
+     report    print paper-reproduction reports by name (the bench
+               harness's sections; report table1 table2 is the attack
+               catalog) *)
 
 open Cmdliner
 
@@ -37,23 +38,17 @@ module Scheduler = Rsti_engine.Scheduler
 module Elide = Rsti_staticcheck.Elide
 
 let mech_conv =
-  let parse = function
-    | "stwc" -> Ok RT.Stwc
-    | "stc" -> Ok RT.Stc
-    | "stl" -> Ok RT.Stl
-    | "parts" -> Ok RT.Parts
-    | "none" -> Ok RT.Nop
-    | s -> Error (`Msg (Printf.sprintf "unknown mechanism %S (stwc|stc|stl|parts|none)" s))
+  let parse s =
+    match
+      List.find_opt
+        (fun m -> RT.mechanism_slug m = s)
+        [ RT.Stwc; RT.Stc; RT.Stl; RT.Parts; RT.Nop ]
+    with
+    | Some m -> Ok m
+    | None ->
+        Error (`Msg (Printf.sprintf "unknown mechanism %S (stwc|stc|stl|parts|none)" s))
   in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with
-      | RT.Stwc -> "stwc"
-      | RT.Stc -> "stc"
-      | RT.Stl -> "stl"
-      | RT.Parts -> "parts"
-      | RT.Nop -> "none")
-  in
+  let print fmt m = Format.pp_print_string fmt (RT.mechanism_slug m) in
   Arg.conv (parse, print)
 
 let mech_arg =
@@ -644,64 +639,35 @@ let lint_cmd =
       const action $ Rsti_engine_cli.setup_jobs_term $ target_arg
       $ lint_format_arg $ lint_pt_flag $ lint_surface_flag)
 
-let attacks_cmd =
-  let doc = "Run the paper's attack catalog (Tables 1 and 2)." in
-  let action () =
-    print_endline (Rsti_report.Security.table1 ());
-    print_endline (Rsti_report.Security.table2 ())
-  in
-  Cmd.v (Cmd.info "attacks" ~doc) Term.(const action $ const ())
-
 let report_cmd =
-  let doc = "Print a paper-reproduction report." in
+  let module Sections = Rsti_report.Sections in
+  let doc =
+    "Print paper-reproduction reports: the bench harness's sections \
+     (without its micro-benchmarks), each exactly as the bench prints it \
+     under its header."
+  in
+  let section_conv =
+    let parse name =
+      match List.find_opt (fun (s : Sections.t) -> s.name = name) Sections.all with
+      | Some s -> Ok s
+      | None -> Error (`Msg (Printf.sprintf "unknown report %S" name))
+    in
+    let print fmt (s : Sections.t) = Format.pp_print_string fmt s.name in
+    Arg.conv (parse, print)
+  in
   let which =
     Arg.(
-      required
-      & pos 0 (some string) None
+      non_empty
+      & pos_all section_conv []
       & info [] ~docv:"REPORT"
           ~doc:
-            "One of: table1, table2, table3, fig9, fig10, pp-census, parts, \
-             correlation, ablation-pac, ablation-merge, ablation-stl, \
-             ablation-ce, elide, elide-precision, elide-precision-cs, \
-             validate, attack-surface, incidents.")
+            ("Reports to print, in the order given: "
+            ^ String.concat ", "
+                (List.map (fun (s : Sections.t) -> s.name) Sections.all)
+            ^ "."))
   in
   let action () which =
-    match which with
-    | "table1" -> print_endline (Rsti_report.Security.table1 ())
-    | "table2" -> print_endline (Rsti_report.Security.table2 ())
-    | "table3" -> print_endline (Rsti_report.Figures.table3 ())
-    | "fig9" -> print_endline (Rsti_report.Figures.fig9 (Rsti_report.Perf.collect ()))
-    | "fig10" -> print_endline (Rsti_report.Figures.fig10 (Rsti_report.Perf.collect ()))
-    | "pp-census" -> print_endline (Rsti_report.Figures.pp_census ())
-    | "parts" -> print_endline (Rsti_report.Figures.parts_comparison ())
-    | "correlation" ->
-        print_endline (Rsti_report.Figures.correlation (Rsti_report.Perf.collect ()))
-    | "ablation-pac" -> print_endline (Rsti_report.Ablation.pac_cost_sweep ())
-    | "ablation-merge" -> print_endline (Rsti_report.Ablation.merge_effect ())
-    | "ablation-stl" -> print_endline (Rsti_report.Ablation.stl_argument_cost ())
-    | "ablation-ce" -> print_endline (Rsti_report.Ablation.ce_width ())
-    | "ablation-pac-width" -> print_endline (Rsti_report.Ablation.pac_brute_force ())
-    | "backend" -> print_endline (Rsti_report.Ablation.backend_comparison ())
-    | "elide" ->
-        print_endline (Rsti_report.Ablation.elision ());
-        print_endline (Rsti_report.Security.elide_safety ())
-    | "elide-precision" ->
-        print_endline (Rsti_report.Ablation.elide_precision ());
-        print_endline
-          (Rsti_report.Security.elide_safety
-             ~elision:Rsti_staticcheck.Elide.With_points_to ())
-    | "elide-precision-cs" ->
-        print_endline (Rsti_report.Ablation.elide_precision_cs ());
-        print_endline
-          (Rsti_report.Security.elide_safety
-             ~elision:(Rsti_staticcheck.Elide.With_context 2) ())
-    | "validate" -> print_endline (Rsti_report.Security.validation ())
-    | "attack-surface" ->
-        print_endline (Rsti_report.Attack_surface.report ())
-    | "incidents" -> print_endline (Rsti_report.Incidents.report ())
-    | s ->
-        Printf.eprintf "unknown report %S\n" s;
-        exit 2
+    List.iter (fun (s : Sections.t) -> print_endline (fst (s.run ()))) which
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const action $ Rsti_engine_cli.setup_jobs_term $ which)
@@ -767,6 +733,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            run_cmd; emit_ir_cmd; analyze_cmd; lint_cmd; attacks_cmd;
-            report_cmd; gen_cmd; workloads_cmd;
+            run_cmd; emit_ir_cmd; analyze_cmd; lint_cmd; report_cmd; gen_cmd;
+            workloads_cmd;
           ]))

@@ -16,6 +16,3 @@ let contains_sub ~sub s =
   end
 
 let output_contains sub (o : Interp.outcome) = contains_sub ~sub o.output
-
-let exited_zero (o : Interp.outcome) =
-  match o.status with Interp.Exited 0L -> true | _ -> false

@@ -11,5 +11,3 @@ val func_called : string -> Rsti_machine.Interp.outcome -> bool
 
 val output_contains : string -> Rsti_machine.Interp.outcome -> bool
 (** The program printed the given substring. *)
-
-val exited_zero : Rsti_machine.Interp.outcome -> bool

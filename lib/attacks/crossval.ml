@@ -152,7 +152,7 @@ let dedupe_pairs pool =
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let generated ?(max_same = 2) ?(max_cross = 1) ~name ~source mech =
+let generated ~name ~source mech =
   let config = Pipeline.default in
   let compiled =
     Pipeline.compile ~config (Pipeline.source ~file:(name ^ ".c") source)
@@ -235,8 +235,8 @@ let generated ?(max_same = 2) ?(max_cross = 1) ~name ~source mech =
   in
   {
     gb_rows =
-      List.map (run_candidate Same_class true) (take max_same same_pool)
-      @ List.map (run_candidate Cross_class false) (take max_cross cross_pool);
+      List.map (run_candidate Same_class true) (take 2 same_pool)
+      @ List.map (run_candidate Cross_class false) (take 1 cross_pool);
     gb_pool_same = List.length same_pool;
     gb_pool_cross = List.length cross_pool;
   }
@@ -359,13 +359,13 @@ let default_programs () =
     Substitution.all
   @ corpus
 
-let summarize ?jobs ?programs () =
+let summarize ?programs () =
   let programs =
     match programs with Some p -> p | None -> default_programs ()
   in
   let cat = catalog () in
   let batches =
-    Rsti_engine.Scheduler.map ?jobs
+    Rsti_engine.Scheduler.map
       (fun (name, source) ->
         List.map (fun mech -> generated ~name ~source mech) mechanisms)
       programs
@@ -389,3 +389,12 @@ let summarize ?jobs ?programs () =
     s_pool_same = List.fold_left (fun n b -> n + b.gb_pool_same) 0 batches;
     s_pool_cross = List.fold_left (fun n b -> n + b.gb_pool_cross) 0 batches;
   }
+
+let summary_json s =
+  let module J = Rsti_util.Json in
+  J.Obj
+    [
+      ("checks", J.Int s.s_checked);
+      ("disagreements", J.Int s.s_disagreements);
+      ("skipped", J.Int s.s_skipped);
+    ]

@@ -53,16 +53,13 @@ type gen_batch = {
 }
 
 val generated :
-  ?max_same:int ->
-  ?max_cross:int ->
   name:string ->
   source:string ->
   Rsti_sti.Rsti_type.mechanism ->
   gen_batch
 (** Generate and execute candidate replays for one program under one
-    mechanism: up to [max_same] (default 2) same-class pairs and
-    [max_cross] (default 1) cross-class controls, picked
-    deterministically (non-[main] trigger functions first, then
+    mechanism: up to two same-class pairs and one cross-class control,
+    picked deterministically (non-[main] trigger functions first, then
     lexicographic). The pool sizes report how many pairs the caps
     dropped. *)
 
@@ -85,11 +82,13 @@ val default_programs : unit -> (string * string) list
 (** The four catalog victim programs plus {!corpus}, as [(name, source)]
     pairs. *)
 
-val summarize :
-  ?jobs:int -> ?programs:(string * string) list -> unit -> summary
+val summarize : ?programs:(string * string) list -> unit -> summary
 (** The full cross-validation: the catalog plus generated candidates for
     every [(name, source)] program (default: the four catalog programs),
     under every mechanism (STWC/STC/STL/PARTS), parallelized over
     programs. *)
+
+val summary_json : summary -> Rsti_util.Json.t
+(** The verdict counts: checks, disagreements, skipped. *)
 
 val mechanisms : Rsti_sti.Rsti_type.mechanism list

@@ -81,17 +81,17 @@ type coverage = {
 let st_incident : (Scenario.verdict * Interp.incident list) Cache.stage =
   Cache.stage "incident"
 
-let raw_run src (sc : Scenario.t) mech flight =
+let raw_run src (sc : Scenario.t) mech =
   Cache.memo st_incident
     ~key:
       (String.concat "|"
          [
            Pipeline.digest src;
            RT.mechanism_to_string mech;
-           "fl" ^ string_of_int flight;
+           "fl" ^ string_of_int default_flight;
          ])
     (fun () ->
-      let rr = Scenario.run ~flight sc mech in
+      let rr = Scenario.run ~flight:default_flight sc mech in
       (rr.Scenario.verdict, rr.Scenario.outcome.Interp.incidents))
 
 (* ----------------------------------------------------------------- *)
@@ -172,9 +172,9 @@ let catalog_rows () =
   @ List.map (fun (sc, _) -> ("table2", sc)) Substitution.expected
   @ List.map (fun (sc, _) -> ("table2", sc)) Memory_safety.expected
 
-let run_one ~table (sc : Scenario.t) mech flight =
+let run_one ~table (sc : Scenario.t) mech =
   let src = Pipeline.source ~file:(sc.Scenario.id ^ ".c") sc.Scenario.program in
-  let verdict, incidents = raw_run src sc mech flight in
+  let verdict, incidents = raw_run src sc mech in
   let anal = Pipeline.analyze (Pipeline.compile src) in
   let surface = Pipeline.attack_surface mech anal in
   let feasible =
@@ -239,7 +239,7 @@ let mech_cov runs crossval mech =
     mc_latency_instrs = latencies (fun i -> i.Interp.inc_latency_instrs);
   }
 
-let collect ?jobs ?(flight = default_flight) () =
+let collect () =
   Observe.Span.with_ "incident.collect" @@ fun () ->
   let rows = catalog_rows () in
   (* Parallelism is over scenarios, never over a scenario's mechanisms:
@@ -249,9 +249,9 @@ let collect ?jobs ?(flight = default_flight) () =
      collection is deterministic at any job count. *)
   let runs =
     List.concat
-      (Scheduler.map ?jobs
+      (Scheduler.map
          (fun (table, sc) ->
-           List.map (fun mech -> run_one ~table sc mech flight) mechanisms)
+           List.map (fun mech -> run_one ~table sc mech) mechanisms)
          rows)
   in
   let crossval = Crossval.catalog () in
@@ -278,7 +278,7 @@ let collect ?jobs ?(flight = default_flight) () =
         "pac-auth-failure")
     records;
   {
-    cov_flight = flight;
+    cov_flight = default_flight;
     cov_runs = runs;
     cov_records = records;
     cov_mechs = List.map (mech_cov runs crossval) mechanisms;
@@ -349,21 +349,69 @@ let record_fields r =
     ("mapped", Json.Bool r.r_mapped);
   ]
 
+(* A mechanism's runtime counts and its static edge counts: the event
+   log lists them back to back, the bench summary puts the latency
+   histograms between them. *)
+let mech_counts mc =
+  ( [
+      ("runs", Json.Int mc.mc_runs);
+      ("detected", Json.Int mc.mc_detected);
+      ("incidents", Json.Int mc.mc_incidents);
+      ("mapped", Json.Int mc.mc_mapped);
+      ("replays", Json.Int mc.mc_replays);
+      ("raw_overwrites", Json.Int mc.mc_raw);
+    ],
+    [
+      ("static_replay_edges", Json.Int mc.mc_static_replay_edges);
+      ("static_feasible_edges", Json.Int mc.mc_static_feasible_edges);
+      ("replayable_total", Json.Int mc.mc_replayable_total);
+      ("replayable_exercised", Json.Int mc.mc_replayable_exercised);
+      ("nonedges_checked", Json.Int mc.mc_nonedges_checked);
+    ] )
+
 let mech_fields mc =
-  [
-    ("mech", Json.Str (RT.mechanism_to_string mc.mc_mech));
-    ("runs", Json.Int mc.mc_runs);
-    ("detected", Json.Int mc.mc_detected);
-    ("incidents", Json.Int mc.mc_incidents);
-    ("mapped", Json.Int mc.mc_mapped);
-    ("replays", Json.Int mc.mc_replays);
-    ("raw_overwrites", Json.Int mc.mc_raw);
-    ("static_replay_edges", Json.Int mc.mc_static_replay_edges);
-    ("static_feasible_edges", Json.Int mc.mc_static_feasible_edges);
-    ("replayable_total", Json.Int mc.mc_replayable_total);
-    ("replayable_exercised", Json.Int mc.mc_replayable_exercised);
-    ("nonedges_checked", Json.Int mc.mc_nonedges_checked);
-  ]
+  let runtime, static = mech_counts mc in
+  (("mech", Json.Str (RT.mechanism_to_string mc.mc_mech)) :: runtime) @ static
+
+(* count, extremes and percentiles of an ascending sample list *)
+let latency_json samples =
+  let q p =
+    match samples with
+    | [] -> Json.Null
+    | _ -> Json.Float (Rsti_util.Stats.quantile p (List.map float_of_int samples))
+  in
+  let first = function [] -> Json.Null | x :: _ -> Json.Int x in
+  Json.Obj
+    [
+      ("count", Json.Int (List.length samples));
+      ("min", first samples);
+      ("max", first (List.rev samples));
+      ("p50", q 0.5);
+      ("p90", q 0.9);
+      ("p99", q 0.99);
+    ]
+
+let coverage_json cov =
+  let mech mc =
+    let runtime, static = mech_counts mc in
+    Json.Obj
+      ((("mech", Json.Str (RT.mechanism_slug mc.mc_mech)) :: runtime)
+      @ [
+          ("latency_cycles", latency_json mc.mc_latency_cycles);
+          ("latency_instrs", latency_json mc.mc_latency_instrs);
+        ]
+      @ static)
+  in
+  Json.Obj
+    [
+      ("flight", Json.Int cov.cov_flight);
+      ("detected", Json.Int cov.cov_detected);
+      ("incidents", Json.Int cov.cov_incidents);
+      ("unmapped", Json.Int cov.cov_unmapped);
+      ("missing", Json.Int (List.length cov.cov_missing));
+      ("verdict", Json.Str (if ok cov then "OK" else "FAIL"));
+      ("mechanisms", Json.List (List.map mech cov.cov_mechs));
+    ]
 
 let emit_events cov =
   List.iter

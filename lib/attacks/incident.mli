@@ -27,8 +27,8 @@ val mechanisms : Rsti_sti.Rsti_type.mechanism list
 (** STWC, STC, STL, PARTS — the coverage columns. *)
 
 val default_flight : int
-(** Flight-recorder ring capacity used when the caller does not choose
-    one (16). *)
+(** Flight-recorder ring capacity (16): what {!collect} runs with, and
+    [rstic run --events] when [--flight] is not given. *)
 
 type record = {
   r_table : string;  (** ["table1"] or ["table2"] *)
@@ -99,11 +99,12 @@ type coverage = {
   cov_crossval : Crossval.catalog_row list;
 }
 
-val collect : ?jobs:int -> ?flight:int -> unit -> coverage
-(** Run the catalogs and build the coverage map. Parallelized over
-    scenarios ([jobs] defers to the scheduler default); deterministic at
-    any job count. Emits one ["rsti-incident"] instant mark per incident
-    into the span recorder when observability is enabled. *)
+val collect : unit -> coverage
+(** Run the catalogs with a {!default_flight} ring and build the coverage
+    map. Parallelized over scenarios at the scheduler's default job
+    count; deterministic at any job count. Emits one ["rsti-incident"]
+    instant mark per incident into the span recorder when observability
+    is enabled. *)
 
 val ok : coverage -> bool
 (** The CI invariant: [cov_unmapped = 0 && cov_missing = []]. *)
@@ -120,6 +121,12 @@ val record_fields : record -> (string * Rsti_util.Json.t) list
     from the simulated machine, never a wall clock. *)
 
 val mech_fields : mech_cov -> (string * Rsti_util.Json.t) list
+
+val coverage_json : coverage -> Rsti_util.Json.t
+(** The [detection-latency] block of BENCH_fig9.json: the verdict
+    counts, then per mechanism (by slug) the {!mech_fields} counts with
+    the cycle and instruction latency histograms (count, min, max, p50,
+    p90, p99). *)
 
 val emit_events : coverage -> unit
 (** Buffer the coverage map into {!Rsti_observe.Observe.Events}: one

@@ -186,7 +186,6 @@ let build ~k (m : Ir.modul) (cg : Callgraph.t) =
   t
 
 let k t = t.k
-let n_contexts t = t.n_ctx
 
 let contexts_of t fn =
   match Hashtbl.find_opt t.ctxs fn with Some l -> !l | None -> [ empty_ctx ]

@@ -44,9 +44,6 @@ val clone_name : t -> string -> int -> string
 (** Node-name qualifier for a (function, context) clone; the empty
     context keeps the bare name. *)
 
-val n_contexts : t -> int
-(** Distinct call strings interned. *)
-
 val n_clones : t -> int
 (** Total (function, context) pairs the solver will generate. *)
 

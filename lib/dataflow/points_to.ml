@@ -753,8 +753,6 @@ let attacker_obj c o =
       | None -> false)
     (with_variants c.pt o)
 
-let attacker_objects c = objs_of_ids c.pt c.attacker
-
 (* Is this slot's storage provably out of the attacker's reach?
 
    - [Svar id]: the variable's own object is not attacker memory.
@@ -802,6 +800,3 @@ let confined_slot c (slot : Ir.slot) =
                       false)
                 pt.pts.(a))
             !addrs)
-
-let confinement_stats c =
-  (IntSet.cardinal c.attacker, c.pt.n_objs)

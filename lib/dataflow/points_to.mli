@@ -120,7 +120,6 @@ val confinement : t -> confinement
     same before and after. *)
 
 val attacker_obj : confinement -> obj -> bool
-val attacker_objects : confinement -> obj list
 
 val confined_slot : confinement -> Rsti_ir.Ir.slot -> bool
 (** No attacker-writable object can back this slot: the discharge
@@ -129,6 +128,3 @@ val confined_slot : confinement -> Rsti_ir.Ir.slot -> bool
     the struct plus the summarized cell; [Sanon] checks every object
     reachable from the class' recorded access paths (private stack/
     global storage only). *)
-
-val confinement_stats : confinement -> int * int
-(** (attacker objects, total objects) — for reports. *)

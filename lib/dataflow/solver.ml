@@ -116,6 +116,5 @@ module Forward (T : TRANSFER) = struct
         T.instr ctx ins st)
       res.block_in.(i) b.Ir.instrs
 
-  let entry_state res i = res.block_in.(i)
   let exit_state res i = res.block_out.(i)
 end

@@ -47,6 +47,5 @@ module Forward (T : TRANSFER) : sig
       its terminator sees). Unlike {!exit_state} this is defined for
       unreachable blocks too: the walk starts from their bottom entry. *)
 
-  val entry_state : result -> int -> T.L.t
   val exit_state : result -> int -> T.L.t
 end

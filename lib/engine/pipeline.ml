@@ -17,9 +17,7 @@ type config = {
   costs : Rsti_machine.Cost.t;
   elision : Elide.mode;
   validate : bool;
-  mechanisms : RT.mechanism list;
   cache : bool;
-  jobs : int option;
 }
 
 let default =
@@ -27,9 +25,7 @@ let default =
     costs = Rsti_machine.Cost.default;
     elision = Elide.Off;
     validate = false;
-    mechanisms = RT.all_mechanisms;
     cache = true;
-    jobs = None;
   }
 
 exception Validation_failed of Rsti_dataflow.Validate.report
@@ -224,9 +220,6 @@ let instrument ?(config = default) mech (a : analyzed) =
   end;
   i
 
-let instrument_all ?(config = default) (a : analyzed) =
-  List.map (fun mech -> instrument ~config mech a) config.mechanisms
-
 (* Run outcomes are memoizable exactly when no attack closure is
    installed: the machine is deterministic, so the outcome is a pure
    function of the module's source digest, the cost record, and the
@@ -242,28 +235,48 @@ let cost_key (c : Rsti_machine.Cost.t) =
     c.Rsti_machine.Cost.branch c.Rsti_machine.Cost.call
     c.Rsti_machine.Cost.extern_call
 
-let knobs_key ?seed ?fpac ?cfi ?backend ?entry () =
-  String.concat "|"
-    [
-      (match seed with None -> "-" | Some s -> Int64.to_string s);
-      (match fpac with None -> "-" | Some b -> string_of_bool b);
-      (match cfi with None -> "-" | Some b -> string_of_bool b);
-      (match backend with None | Some `Pac -> "pac" | Some `Shadow_mac -> "mac");
-      Option.value entry ~default:"main";
-    ]
+(* The body {!run} and {!run_baseline} share: load [modul] into a fresh
+   machine and run it; an attack-free run is memoized under [stage_key]
+   (what names the module) plus the base prices and the machine knobs. A
+   profiled outcome carries sites an unprofiled one lacks, and a
+   flight-recorded one carries incidents, so both go into the key. *)
+let execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
+    ?pp_table ~stage_key modul =
+  let exec () =
+    let vm =
+      Rsti_machine.Interp.create ~costs:config.costs ?pp_table ?fpac ?cfi
+        ?backend ~profile ~flight modul
+    in
+    Rsti_machine.Interp.run ~attacks ?entry vm
+  in
+  if attacks <> [] then exec ()
+  else
+    let key =
+      String.concat "|"
+        (stage_key
+        @ [
+            cost_key config.costs;
+            (match fpac with None -> "-" | Some b -> string_of_bool b);
+            (match cfi with None -> "-" | Some b -> string_of_bool b);
+            (match backend with
+            | None | Some `Pac -> "pac"
+            | Some `Shadow_mac -> "mac");
+            Option.value entry ~default:"main";
+            (if profile then "prof" else "-");
+            (if flight > 0 then "fl" ^ string_of_int flight else "-");
+          ])
+    in
+    let costs = config.costs in
+    let o, priced = memo config st_outcome key (fun () -> (exec (), costs)) in
+    if priced == costs || priced = costs then o
+    else begin
+      Observe.Metrics.incr c_reprices;
+      Rsti_machine.Interp.reprice ~from:priced ~to_:costs
+        ~pac_spill_charged:(backend <> Some `Shadow_mac)
+        o
+    end
 
-let cached_run config ~key ~backend exec =
-  let costs = config.costs in
-  let o, priced = memo config st_outcome key (fun () -> (exec (), costs)) in
-  if priced == costs || priced = costs then o
-  else begin
-    Observe.Metrics.incr c_reprices;
-    Rsti_machine.Interp.reprice ~from:priced ~to_:costs
-      ~pac_spill_charged:(backend <> Some `Shadow_mac)
-      o
-  end
-
-let run ?(config = default) ?(attacks = []) ?seed ?fpac ?backend ?entry
+let run ?(config = default) ?(attacks = []) ?fpac ?backend ?entry
     ?(profile = false) ?(flight = 0) (i : instrumented) =
   stage_span "pipeline.run"
     (fun () ->
@@ -272,73 +285,35 @@ let run ?(config = default) ?(attacks = []) ?seed ?fpac ?backend ?entry
         ("mech", RT.mechanism_to_string i.mech);
       ])
   @@ fun () ->
-  let exec () =
-    let vm =
-      Rsti_machine.Interp.create ~costs:config.costs ?seed ?fpac ?backend
-        ~profile ~flight
-        ~pp_table:i.result.Rsti_rsti.Instrument.pp_table
-        i.result.Rsti_rsti.Instrument.modul
-    in
-    Rsti_machine.Interp.run ~attacks ?entry vm
-  in
-  if attacks <> [] then exec ()
-  else
-    let key =
-      String.concat "|"
-        [
-          "run";
-          i.stage.comp.src.digest;
-          RT.mechanism_to_string i.mech;
-          Elide.mode_to_string i.elision;
-          cost_key config.costs;
-          knobs_key ?seed ?fpac ?backend ?entry ();
-          (* a profiled outcome carries sites an unprofiled one lacks;
-             likewise a flight-recorded one carries incidents *)
-          (if profile then "prof" else "-");
-          (if flight > 0 then "fl" ^ string_of_int flight else "-");
-        ]
-    in
-    cached_run config ~key ~backend exec
+  execute config ~attacks ?fpac ?backend ?entry ~profile ~flight
+    ~pp_table:i.result.Rsti_rsti.Instrument.pp_table
+    ~stage_key:
+      [
+        "run";
+        i.stage.comp.src.digest;
+        RT.mechanism_to_string i.mech;
+        Elide.mode_to_string i.elision;
+      ]
+    i.result.Rsti_rsti.Instrument.modul
 
-let run_baseline ?(config = default) ?(attacks = []) ?seed ?fpac ?cfi ?backend
+(* An uninstrumented module executes no PA/xpac/pp instructions, so on
+   top of the key's price-blindness the whole PA-cost ablation shares
+   one baseline run per workload (re-pricing it is the identity: every
+   instrumentation counter is zero). *)
+let run_baseline ?(config = default) ?(attacks = []) ?fpac ?cfi ?backend
     ?entry ?(profile = false) ?(flight = 0) (c : compiled) =
   stage_span "pipeline.run_baseline" (fun () -> [ ("file", c.src.file) ])
   @@ fun () ->
-  let exec () =
-    let vm =
-      Rsti_machine.Interp.create ~costs:config.costs ?seed ?fpac ?cfi ?backend
-        ~profile ~flight c.modul
-    in
-    Rsti_machine.Interp.run ~attacks ?entry vm
-  in
-  if attacks <> [] then exec ()
-  else
-    (* An uninstrumented module executes no PA/xpac/pp instructions, so
-       on top of the key's price-blindness the whole PA-cost ablation
-       shares one baseline run per workload (re-pricing it is the
-       identity: every instrumentation counter is zero). *)
-    let key =
-      String.concat "|"
-        [
-          "base";
-          c.src.digest;
-          cost_key config.costs;
-          knobs_key ?seed ?fpac ?cfi ?backend ?entry ();
-          (if profile then "prof" else "-");
-          (if flight > 0 then "fl" ^ string_of_int flight else "-");
-        ]
-    in
-    cached_run config ~key ~backend exec
+  execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
+    ~stage_key:[ "base"; c.src.digest ] c.modul
 
 let file (s : source) = s.file
 let text (s : source) = s.text
 let digest (s : source) = s.digest
-let source_of_compiled (c : compiled) = c.src
 let ir (c : compiled) = c.modul
 let compiled_of_analyzed (a : analyzed) = a.comp
 let analysis (a : analyzed) = a.anal
 let analyzed_ir (a : analyzed) = a.comp.modul
-let analyzed_of_instrumented (i : instrumented) = i.stage
 let mechanism (i : instrumented) = i.mech
 let elision (i : instrumented) = i.elision
 let elided (i : instrumented) = i.elision <> Elide.Off

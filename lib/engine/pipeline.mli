@@ -45,20 +45,14 @@ type config = {
       (** run the PAC-typestate translation validator over every
           {!instrument} output and raise {!Validation_failed} if the
           rewriter broke the signed-at-rest discipline *)
-  mechanisms : Rsti_sti.Rsti_type.mechanism list;
-      (** the mechanism sweep {!instrument_all} expands *)
   cache : bool;
       (** consult/fill the artifact {!Cache}; [false] computes every
           stage fresh and counts nothing *)
-  jobs : int option;
-      (** fan-out width for suite-level consumers; [None] defers to
-          {!Scheduler.default_jobs} *)
 }
 
 val default : config
 (** [costs = Cost.default], [elision = Off], [validate = false],
-    [mechanisms = Rsti_type.all_mechanisms], [cache = true],
-    [jobs = None]. *)
+    [cache = true]. *)
 
 exception Validation_failed of Rsti_dataflow.Validate.report
 (** Raised by {!instrument} under [config.validate] when the validator
@@ -90,13 +84,9 @@ val instrument :
     {!Rsti_dataflow.Validate} and {!Validation_failed} raised on any
     issue. *)
 
-val instrument_all : ?config:config -> analyzed -> instrumented list
-(** One {!instrumented} per [config.mechanisms], in order. *)
-
 val run :
   ?config:config ->
   ?attacks:Rsti_machine.Interp.attack list ->
-  ?seed:int64 ->
   ?fpac:bool ->
   ?backend:[ `Pac | `Shadow_mac ] ->
   ?entry:string ->
@@ -116,7 +106,6 @@ val run :
 val run_baseline :
   ?config:config ->
   ?attacks:Rsti_machine.Interp.attack list ->
-  ?seed:int64 ->
   ?fpac:bool ->
   ?cfi:bool ->
   ?backend:[ `Pac | `Shadow_mac ] ->
@@ -137,14 +126,12 @@ val digest : source -> string
 (** The MD5 of (file, text), hex: the part of every cache key that names
     the source. Stages owned outside this module key on it too. *)
 
-val source_of_compiled : compiled -> source
 val ir : compiled -> Rsti_ir.Ir.modul
 
 val compiled_of_analyzed : analyzed -> compiled
 val analysis : analyzed -> Rsti_sti.Analysis.t
 val analyzed_ir : analyzed -> Rsti_ir.Ir.modul
 
-val analyzed_of_instrumented : instrumented -> analyzed
 val mechanism : instrumented -> Rsti_sti.Rsti_type.mechanism
 
 val elision : instrumented -> Rsti_staticcheck.Elide.mode

@@ -35,11 +35,3 @@ let variable_of_var (v : Rsti_minic.Tast.var) =
     dv_line = v.v_loc.line;
     dv_is_param = (v.v_kind = Rsti_minic.Tast.Kparam);
   }
-
-let scope_to_string = function
-  | Sc_function f -> f
-  | Sc_global -> "<global>"
-
-(* The permission the paper extracts by walking DIDerivedType tags for
-   DW_TAG_const_type. *)
-let is_read_only dv = Rsti_minic.Ctype.declared_read_only dv.dv_type

@@ -22,9 +22,3 @@ type di_location = { dl_line : int; dl_func : string }
 
 val variable_of_var : Rsti_minic.Tast.var -> di_variable
 (** The metadata the lowering attaches to a variable's alloca / global. *)
-
-val scope_to_string : di_scope -> string
-
-val is_read_only : di_variable -> bool
-(** The permission bit, as the paper extracts it by walking
-    DIDerivedType tags for [DW_TAG_const_type]. *)

@@ -177,8 +177,3 @@ let verify_function (m : Ir.modul) (fn : Ir.func) : error list =
 
 let verify (m : Ir.modul) : error list =
   List.concat_map (verify_function m) m.m_funcs
-
-let verify_exn m =
-  match verify m with
-  | [] -> ()
-  | { fn; msg } :: _ -> failwith (Printf.sprintf "IR verification failed in %s: %s" fn msg)

@@ -15,6 +15,3 @@ type error = { fn : string; msg : string }
 
 val verify : Ir.modul -> error list
 (** All violations found (empty = well-formed). *)
-
-val verify_exn : Ir.modul -> unit
-(** Raises [Failure] with a readable message on the first violation. *)

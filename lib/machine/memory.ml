@@ -67,9 +67,6 @@ let rec in_region a = function
   | (lo, hi) :: rest ->
       (Int64.compare a lo >= 0 && Int64.compare a hi < 0) || in_region a rest
 
-let is_mapped t a =
-  Int64.unsigned_compare a canonical_limit < 0 && Pages.mem t.pages (page_of a)
-
 let read_u8 t a = Char.code (Bytes.get (get_page t a) (offset_of a))
 
 let write_u8_unchecked t a v =

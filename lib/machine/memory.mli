@@ -26,8 +26,6 @@ val map : t -> addr:int64 -> size:int -> unit
 val protect : t -> addr:int64 -> size:int -> unit
 (** Mark a mapped region read-only for normal writes. *)
 
-val is_mapped : t -> int64 -> bool
-
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
 val read_u64 : t -> int64 -> int64

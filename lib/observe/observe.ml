@@ -209,71 +209,6 @@ module Span = struct
             @ List.map instant_event (instants ())) );
         ("displayTimeUnit", Json.Str "ns");
       ]
-
-  (* Group records by name, groups in order of first appearance and
-     records in their original order. *)
-  let group_by_name rs =
-    let by_name = Hashtbl.create 8 in
-    let order = ref [] in
-    List.iter
-      (fun (r : record) ->
-        match Hashtbl.find_opt by_name r.name with
-        | Some l -> l := r :: !l
-        | None ->
-            Hashtbl.replace by_name r.name (ref [ r ]);
-            order := r.name :: !order)
-      rs;
-    List.rev_map (fun name -> (name, List.rev !(Hashtbl.find by_name name))) !order
-
-  (* Aggregated summary tree: group spans by (parent path, name), with
-     call counts and total/self duration. *)
-  let summary_tree ?(max_depth = 6) () =
-    let rs = records () in
-    let children : (int, record list ref) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
-        let l =
-          match Hashtbl.find_opt children r.parent with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace children r.parent l;
-              l
-        in
-        l := r :: !l)
-      rs;
-    (* parents recorded in this snapshot; a span whose parent finished
-       outside the snapshot window is treated as a root *)
-    let known = Hashtbl.create 64 in
-    List.iter (fun r -> Hashtbl.replace known r.id ()) rs;
-    let dur r = Int64.to_float (Int64.sub r.t_end_ns r.t_start_ns) /. 1e6 in
-    let buf = Buffer.create 1024 in
-    let rec emit depth group_name members =
-      if depth <= max_depth then begin
-        let total = List.fold_left (fun a r -> a +. dur r) 0.0 members in
-        Buffer.add_string buf
-          (Printf.sprintf "%s%-*s  n=%-5d total=%.3f ms\n"
-             (String.make (2 * depth) ' ')
-             (max 1 (36 - (2 * depth)))
-             group_name (List.length members) total);
-        let kids =
-          List.concat_map
-            (fun r ->
-              match Hashtbl.find_opt children r.id with
-              | Some l -> !l
-              | None -> [])
-            members
-        in
-        List.iter
-          (fun (name, members) -> emit (depth + 1) name members)
-          (group_by_name (List.rev kids))
-      end
-    in
-    let roots =
-      List.filter (fun r -> r.parent < 0 || not (Hashtbl.mem known r.parent)) rs
-    in
-    List.iter (fun (name, members) -> emit 0 name members) (group_by_name roots);
-    Buffer.contents buf
 end
 
 (* ----------------------------- metrics ----------------------------- *)

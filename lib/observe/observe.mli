@@ -10,9 +10,8 @@
 
     - {!Span}: a process-global, domain-safe span recorder — monotonic
       clock, parent/child nesting (propagated across domain fan-out via
-      {!Span.current_context}), key:value attributes — with two sinks:
-      Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)
-      and an aggregated text summary tree.
+      {!Span.current_context}), key:value attributes — with one sink:
+      Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
     - {!Metrics}: a typed counter/gauge/histogram registry replacing the
       ad-hoc counters that used to live in each subsystem, dumped as one
       machine-readable JSON document.
@@ -105,10 +104,6 @@ module Span : sig
       events as "i"-phase entries under their own category, with the
       same key set (dur = 0) so uniform consumers need no special
       casing. *)
-
-  val summary_tree : ?max_depth:int -> unit -> string
-  (** Aggregated text tree: children grouped by name under their
-      parent's path, with call counts and total/self wall time. *)
 end
 
 (** The metrics registry. Names are dotted paths ([cache.analysis.hits],

@@ -341,7 +341,22 @@ let render_elide_precision_cs data =
           "delta"; "s (pt)"; "s (cs)" ]
       rows
 
-let elide_precision_cs () = render_elide_precision_cs (elide_precision_cs_data ())
+let cs_rows_json rows =
+  let module J = Rsti_util.Json in
+  J.List
+    (List.map
+       (fun r ->
+         J.Obj
+           [
+             ("name", J.Str r.cs_name);
+             ("candidates", J.Int r.cs_candidates);
+             ("safe_syntactic", J.Int r.cs_safe_syn);
+             ("safe_points_to", J.Int r.cs_safe_pt);
+             ("safe_cloning_k2", J.Int r.cs_safe_cs);
+             ("seconds_points_to", J.Float r.cs_seconds_pt);
+             ("seconds_cloning_k2", J.Float r.cs_seconds_cs);
+           ])
+       rows)
 
 let backend_comparison () =
   let mech = RT.Stwc in

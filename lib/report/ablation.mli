@@ -47,17 +47,15 @@ type cs_row = {
 }
 
 val elide_precision_cs_data : unit -> cs_row list
-(** The three-way precision ladder over SPEC2006 as data — what the
-    bench harness embeds in BENCH_fig9.json's [elide-precision-cs]
-    section. *)
+(** The three-way precision ladder over SPEC2006 as data. *)
 
 val render_elide_precision_cs : cs_row list -> string
-(** Render already-collected rows (the bench harness collects once and
-    shares the rows with its JSON summary). *)
+(** Safe counts at all three precisions, the cloning delta, and per-mode
+    wall-clocks. *)
 
-val elide_precision_cs : unit -> string
-(** {!elide_precision_cs_data} rendered: safe counts at all three
-    precisions, the cloning delta, and per-mode wall-clocks. *)
+val cs_rows_json : cs_row list -> Rsti_util.Json.t
+(** The [elide-precision-cs] block of BENCH_fig9.json: one object per
+    row, every field, seconds included. *)
 
 val backend_comparison : unit -> string
 (** Section 7's "RSTI with mechanisms other than PAC", made concrete:

@@ -26,9 +26,9 @@ let analyzed_workload (w : Workload.t) =
           ~file:(w.Workload.name ^ ".c")
           (Workload.analysis_source w)))
 
-let collect ?jobs ?(workloads = Rsti_workloads.Spec2006.all) () =
+let collect () =
   List.concat
-    (Rsti_engine.Scheduler.map ?jobs
+    (Rsti_engine.Scheduler.map
        (fun w ->
          let a = analyzed_workload w in
          List.concat_map
@@ -44,7 +44,7 @@ let collect ?jobs ?(workloads = Rsti_workloads.Spec2006.all) () =
                  })
                modes)
            mechs)
-       workloads)
+       Rsti_workloads.Spec2006.all)
 
 let find rows w mech mode =
   List.find
@@ -148,13 +148,13 @@ let render rows =
 
 (* --------------------- dynamic cross-validation -------------------- *)
 
-let crossval_summary ?jobs () =
+let crossval_summary () =
   let kernel_programs =
     List.map
       (fun (w : Workload.t) -> (w.Workload.name, w.Workload.source))
       Rsti_workloads.Spec2006.all
   in
-  Crossval.summarize ?jobs
+  Crossval.summarize
     ~programs:(Crossval.default_programs () @ kernel_programs)
     ()
 
@@ -221,9 +221,28 @@ let render_crossval (s : Crossval.summary) =
       s.Crossval.s_checked s.Crossval.s_skipped s.Crossval.s_pool_same
       s.Crossval.s_pool_cross
 
-let report ?jobs () =
-  render (collect ?jobs ())
-  ^ "\n"
-  ^ Tab.section "Static/dynamic cross-validation"
-  ^ "\n"
-  ^ render_crossval (crossval_summary ?jobs ())
+let to_json rows crossval =
+  let module J = Rsti_util.Json in
+  let mode_slug = function None -> "oracle" | Some m -> PT.mode_to_string m in
+  let row r =
+    let m = r.as_metrics in
+    J.Obj
+      [
+        ("workload", J.Str r.as_workload);
+        ("mech", J.Str (RT.mechanism_slug r.as_mech));
+        ("mode", J.Str (mode_slug r.as_mode));
+        ("candidates", J.Int m.Equiv.m_candidates);
+        ("classes", J.Int m.Equiv.m_classes);
+        ("singletons", J.Int m.Equiv.m_singletons);
+        ("largest_class", J.Int m.Equiv.m_largest);
+        ("replay_edges", J.Int m.Equiv.m_replay_edges);
+        ("feasible_edges", J.Int m.Equiv.m_feasible_edges);
+      ]
+  in
+  J.Obj
+    [
+      ("rows", J.List (List.map row rows));
+      ( "monotone_refinement",
+        J.Bool (class_refinement_ok rows && feasible_refinement_ok rows) );
+      ("crossval", Crossval.summary_json crossval);
+    ]

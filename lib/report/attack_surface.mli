@@ -1,7 +1,7 @@
 (** The static substitution-attack-surface report: per-workload modifier
     equivalence-class structure and gadget metrics for every mechanism at
     every points-to precision, plus the static/dynamic cross-validation
-    ([rstic report attack-surface], the bench [attack-surface] section). *)
+    (the [attack-surface] section of {!Sections}). *)
 
 type row = {
   as_workload : string;
@@ -15,11 +15,10 @@ val modes : Rsti_dataflow.Points_to.mode option list
 (** The precision ladder each (workload, mechanism) pair is analyzed at:
     oracle, [Insensitive], [Cloning 2]. *)
 
-val collect :
-  ?jobs:int -> ?workloads:Rsti_workloads.Workload.t list -> unit -> row list
+val collect : unit -> row list
 (** One row per (workload, mechanism, mode) over the static population
-    ([Workload.analysis_source]); default workloads: the 18 SPEC2006
-    kernels. Fans out over the domain pool; cache-memoized. *)
+    ([Workload.analysis_source]) of the 18 SPEC2006 kernels. Fans out
+    over the domain pool; cache-memoized. *)
 
 val class_refinement_ok : row list -> bool
 (** The acceptance invariant: for every workload at every mode,
@@ -35,7 +34,7 @@ val render : row list -> string
 (** The two tables: class structure per mechanism (oracle mode) and the
     gadget-edge precision ladder, each with its invariant verdict. *)
 
-val crossval_summary : ?jobs:int -> unit -> Rsti_attacks.Crossval.summary
+val crossval_summary : unit -> Rsti_attacks.Crossval.summary
 (** The full cross-validation: the substitution catalog plus generated
     candidates over the catalog programs and every executed SPEC2006
     kernel. *)
@@ -46,6 +45,7 @@ val render_crossval : Rsti_attacks.Crossval.summary -> string
     there are zero disagreements (["MISMATCH"] otherwise — the CI gate
     greps for the former). *)
 
-val report : ?jobs:int -> unit -> string
-(** [render (collect ())] followed by
-    [render_crossval (crossval_summary ())]. *)
+val to_json : row list -> Rsti_attacks.Crossval.summary -> Rsti_util.Json.t
+(** The [attack-surface] block of BENCH_fig9.json: one object per row
+    (workload, mechanism slug, mode, class and edge counts), whether
+    both refinement invariants hold, and the cross-validation counts. *)

@@ -187,7 +187,3 @@ let render cov =
         | [] -> "(no incidents)\n"))
   ^ "\n"
   ^ verdict_line cov
-
-let report ?jobs ?flight () =
-  let cov = Incident.collect ?jobs ?flight () in
-  render cov

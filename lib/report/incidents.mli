@@ -1,4 +1,5 @@
-(** The security-event forensics report behind [rstic report incidents]:
+(** The security-event forensics report behind the [detection-latency]
+    section of {!Sections}:
     per-mechanism detection-latency percentiles (p50/p90/p99 in simulated
     cycles and instructions), the static↔dynamic coverage map, the
     per-incident table, one fully rendered forensic record, and the
@@ -14,7 +15,4 @@ val render_record : Rsti_attacks.Incident.record -> string
 val verdict_line : Rsti_attacks.Incident.coverage -> string
 
 val render : Rsti_attacks.Incident.coverage -> string
-(** Render an already-collected coverage map. *)
-
-val report : ?jobs:int -> ?flight:int -> unit -> string
-(** Collect ({!Rsti_attacks.Incident.collect}) and render. *)
+(** Render a coverage map ({!Rsti_attacks.Incident.collect}). *)

@@ -47,3 +47,34 @@ let of_mech ms mech = List.filter (fun (m : Run.measurement) -> m.mech = mech) m
 let overheads ms = List.map (fun (m : Run.measurement) -> m.Run.overhead_pct) ms
 
 let all t = t.spec2006 @ t.spec2017 @ t.nbench @ t.pytorch @ t.nginx
+
+let to_json p =
+  let module J = Rsti_util.Json in
+  let geomean ms mech =
+    Rsti_util.Stats.geomean_overhead (overheads (of_mech ms mech))
+  in
+  let geomeans =
+    List.concat_map
+      (fun (label, ms) ->
+        List.map
+          (fun mech ->
+            J.Obj
+              [
+                ("suite", J.Str label);
+                ("mech", J.Str (RT.mechanism_slug mech));
+                ("overhead_pct", J.Float (geomean ms mech));
+              ])
+          mechs)
+      [
+        ("SPEC2006", p.spec2006);
+        ("SPEC2017", p.spec2017);
+        ("nbench", p.nbench);
+        ("CPython", p.pytorch);
+        ("NGINX", p.nginx);
+        ("all", all p);
+      ]
+  in
+  [
+    ("benchmarks", J.List (List.map Run.measurement_json (all p)));
+    ("geomeans", J.List geomeans);
+  ]

@@ -25,3 +25,8 @@ val overheads : Rsti_workloads.Run.measurement list -> float list
 
 val all : t -> Rsti_workloads.Run.measurement list
 (** Every measurement of every suite, concatenated. *)
+
+val to_json : t -> (string * Rsti_util.Json.t) list
+(** The [benchmarks] (every measurement) and [geomeans] (per suite,
+    CPython for PyTorch, and over [all], per mechanism) blocks of
+    BENCH_fig9.json. *)

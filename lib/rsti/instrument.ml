@@ -122,12 +122,6 @@ let fresh st =
   st.next_reg <- r + 1;
   r
 
-(* Which slots carry PAC instrumentation: the criterion lives in
-   {!Analysis.instrument_candidate} so the attack-surface analysis
-   enumerates exactly the population the rewriter instruments. *)
-let should_instrument mech anal ty slot =
-  Analysis.instrument_candidate anal mech ty slot
-
 (* The slot address rides along on every sign/auth: the PAC backend only
    consumes it for STL's Mloc modifiers, but the shadow-MAC backend
    (section 7's "RSTI with mechanisms other than PAC") keys its MAC
@@ -172,13 +166,13 @@ let instrument_function ~elide mech anal plan externs (fn : Ir.func) :
           { ins with i = Ir.Pp (Ir.Pp_auth { dst; src = Ir.Reg tmp; slot_addr = Ir.Null }) };
         ]
     | Ir.Load { ty; slot; addr; _ }
-      when should_instrument mech anal ty slot
+      when Analysis.instrument_candidate anal mech ty slot
            && elide_slot slot
            && not (match addr with Ir.Reg r -> pp_addr_reg r | _ -> false) ->
         st.c <- add_counts st.c { zero_counts with elided = 1 };
         [ ins ]
     | Ir.Load { dst; addr; ty; slot }
-      when should_instrument mech anal ty slot
+      when Analysis.instrument_candidate anal mech ty slot
            && not (match addr with Ir.Reg r -> pp_addr_reg r | _ -> false) ->
         let tmp = fresh st in
         let m, slot_addr = modifier_for mech anal slot addr in
@@ -201,14 +195,14 @@ let instrument_function ~elide mech anal plan externs (fn : Ir.func) :
           };
         ]
     | Ir.Store { ty; slot; addr; _ }
-      when should_instrument mech anal ty slot
+      when Analysis.instrument_candidate anal mech ty slot
            && elide_slot slot
            && (not (param_is_pp slot))
            && not (match addr with Ir.Reg r -> pp_addr_reg r | _ -> false) ->
         st.c <- add_counts st.c { zero_counts with elided = 1 };
         [ ins ]
     | Ir.Store { src; addr; ty; slot }
-      when should_instrument mech anal ty slot
+      when Analysis.instrument_candidate anal mech ty slot
            && (not (param_is_pp slot))
            && not (match addr with Ir.Reg r -> pp_addr_reg r | _ -> false) ->
         let tmp = fresh st in
@@ -421,8 +415,3 @@ let instrument ?(elide = fun _ -> false) mech anal (m : Ir.modul) : result =
     let counts = List.fold_left (fun acc (_, c) -> add_counts acc c) zero_counts per_func in
     { modul = m'; pp_table = plan.table; counts; per_func }
   end
-
-let compile_and_instrument ?(file = "<string>") ?elide mech src =
-  let m = Rsti_ir.Lower.compile ~file src in
-  let anal = Analysis.analyze m in
-  (instrument ?elide mech anal m, anal)

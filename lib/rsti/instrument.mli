@@ -52,10 +52,3 @@ val instrument :
     this way are tallied in [elided]. PARTS never elides (it models a
     compiler without the whole-program proof); the default elides
     nothing. *)
-
-val compile_and_instrument :
-  ?file:string -> ?elide:(Rsti_ir.Ir.slot -> bool) ->
-  Rsti_sti.Rsti_type.mechanism -> string ->
-  result * Rsti_sti.Analysis.t
-(** Front-end convenience: source → checked → lowered → analyzed →
-    instrumented. *)

@@ -191,22 +191,36 @@ let component_reason t slot =
       Hashtbl.replace t.comp_cache root r;
       r
 
+(* The categorical obligations, in the order the syntactic verdict
+   checks them once the address has not escaped. The discharge path
+   re-checks them: the syntactic verdict reports the *first* failing
+   obligation, so an aliased code-pointer slot reads [Address_escapes] —
+   discharging that must not elide the CFI check hiding behind it. *)
+let categorical_reason t (slot : Ir.slot) : reason option =
+  let si = Analysis.slot_info t.anal slot in
+  if Ctype.is_code_pointer si.sty then Some Code_pointer
+  else if si.read_only then Some Const_slot
+  else if Hashtbl.mem t.tainted (Analysis.component_of t.anal slot) then
+    Some Heap_value
+  else
+    match slot with
+    | Ir.Svar id when si.kind = Analysis.Kglobal && Hashtbl.mem t.windowed id
+      ->
+        Some Overflow_window
+    | _ -> None
+
 let syntactic_verdict t (slot : Ir.slot) : verdict =
   match Analysis.alias_slot t.anal slot with
   | Ir.Sfield _ | Ir.Sanon _ -> Must_check Heap_reachable
   | Ir.Svar id as slot -> (
-      let si = Analysis.slot_info t.anal slot in
       if Analysis.address_taken t.anal id then Must_check Address_escapes
-      else if Ctype.is_code_pointer si.sty then Must_check Code_pointer
-      else if si.read_only then Must_check Const_slot
-      else if Hashtbl.mem t.tainted (Analysis.component_of t.anal slot) then
-        Must_check Heap_value
-      else if si.kind = Analysis.Kglobal && Hashtbl.mem t.windowed id then
-        Must_check Overflow_window
       else
-        match component_reason t slot with
+        match categorical_reason t slot with
         | Some r -> Must_check r
-        | None -> Provably_safe)
+        | None -> (
+            match component_reason t slot with
+            | Some r -> Must_check r
+            | None -> Provably_safe))
 
 (* Obligations a confinement proof may discharge. They all assert the
    *possibility* of an attacker-writable access path to the slot —
@@ -220,23 +234,6 @@ let dischargeable = function
       true
   | Code_pointer | Const_slot | Heap_value | Overflow_window | Scope_escapes ->
       false
-
-(* The categorical obligations re-checked on the discharge path: the
-   syntactic verdict reports the *first* failing obligation, so an
-   aliased code-pointer slot reads [Address_escapes] — discharging that
-   must not elide the CFI check hiding behind it. *)
-let categorical_reason t (slot : Ir.slot) : reason option =
-  let si = Analysis.slot_info t.anal slot in
-  if Ctype.is_code_pointer si.sty then Some Code_pointer
-  else if si.read_only then Some Const_slot
-  else if Hashtbl.mem t.tainted (Analysis.component_of t.anal slot) then
-    Some Heap_value
-  else
-    match slot with
-    | Ir.Svar id when si.kind = Analysis.Kglobal && Hashtbl.mem t.windowed id
-      ->
-        Some Overflow_window
-    | _ -> None
 
 (* The scope checker's diagnostic refinement: when a discharge fails
    and some local in the slot's flow component provably outlives its
@@ -281,17 +278,9 @@ let verdict t (slot : Ir.slot) : verdict =
 let elide t slot = verdict t slot = Provably_safe
 
 (* Would the instrumentation pass touch this slot at all under the three
-   RSTI mechanisms? (Mirrors Instrument.should_instrument: fields,
-   anonymous slots, globals, and escaping locals/params.) *)
+   RSTI mechanisms? They share one criterion, so STWC's answers for all. *)
 let is_candidate t (si : Analysis.slot_info) =
-  Ctype.is_pointer si.sty
-  &&
-  match si.kind with
-  | Analysis.Kglobal | Analysis.Kfield _ | Analysis.Kanon -> true
-  | Analysis.Klocal | Analysis.Kparam -> (
-      match si.slot with
-      | Ir.Svar id -> Analysis.address_taken t.anal id
-      | _ -> true)
+  Analysis.instrument_candidate t.anal Rsti_sti.Rsti_type.Stwc si.sty si.slot
 
 type summary = {
   candidates : int;
@@ -320,18 +309,6 @@ let summary t =
     safe = List.length (List.filter (( = ) Provably_safe) verdicts);
     reasons;
   }
-
-let summary_to_string s =
-  Printf.sprintf "elision: %d/%d candidate slots provably safe%s" s.safe
-    s.candidates
-    (if s.reasons = [] then ""
-     else
-       " ("
-       ^ String.concat ", "
-           (List.map
-              (fun (r, n) -> Printf.sprintf "%s: %d" (reason_to_string r) n)
-              s.reasons)
-       ^ ")")
 
 (* Obligations-discharged tallies for the metrics registry
    ([elide.<precision>.{candidates,safe,reason.<r>}]). Computing a

@@ -110,4 +110,3 @@ type summary = {
 }
 
 val summary : t -> summary
-val summary_to_string : summary -> string

@@ -63,9 +63,13 @@ let get_slot t (s : Ir.slot) ~sty ~read_only ~kind ~decl_func =
       end;
       si
 
+(* An anonymous slot is keyed by its qualifier-stripped type, so it takes
+   that type and its permission (R/W) whichever qualified form of it is
+   queried first: a cast to [const char*] and one to [char*] name the
+   same storage and sign under the same modifier. *)
 let anon_slot t ty =
-  get_slot t (Ir.Sanon ty) ~sty:ty ~read_only:(Ctype.declared_read_only ty) ~kind:Kanon
-    ~decl_func:None
+  let ty = Ctype.strip_all_quals ty in
+  get_slot t (Ir.Sanon ty) ~sty:ty ~read_only:false ~kind:Kanon ~decl_func:None
 
 let slot_info t (s : Ir.slot) =
   match Hashtbl.find_opt t.slots (slot_key s) with

@@ -7,6 +7,13 @@ let mechanism_to_string = function
   | Parts -> "PARTS"
   | Nop -> "baseline"
 
+let mechanism_slug = function
+  | Stwc -> "stwc"
+  | Stc -> "stc"
+  | Stl -> "stl"
+  | Parts -> "parts"
+  | Nop -> "none"
+
 let all_mechanisms = [ Stwc; Stc; Stl ]
 
 type t = { rt_types : string list; rt_scope : string list; rt_read_only : bool }

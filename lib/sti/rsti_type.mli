@@ -15,6 +15,11 @@ type mechanism =
   | Nop    (** no instrumentation (baseline for overhead ratios) *)
 
 val mechanism_to_string : mechanism -> string
+
+val mechanism_slug : mechanism -> string
+(** The lower-case name the command line and the bench JSON use: stwc,
+    stc, stl, parts, none. *)
+
 val all_mechanisms : mechanism list
 (** The three RSTI mechanisms, in the paper's order: STWC, STC, STL. *)
 

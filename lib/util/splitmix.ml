@@ -41,10 +41,6 @@ let pick t = function
   | [] -> invalid_arg "Splitmix.pick: empty list"
   | l -> List.nth l (int t (List.length l))
 
-let pick_arr t a =
-  if Array.length a = 0 then invalid_arg "Splitmix.pick_arr: empty array";
-  a.(int t (Array.length a))
-
 let weighted t choices =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 choices in
   if total <= 0 then invalid_arg "Splitmix.weighted: weights must sum > 0";

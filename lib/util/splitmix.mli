@@ -34,9 +34,6 @@ val float : t -> float -> float
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. Raises [Invalid_argument] on []. *)
 
-val pick_arr : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val weighted : t -> (int * 'a) list -> 'a
 (** [weighted t choices] picks proportionally to the integer weights.
     Weights must be non-negative with a positive sum. *)

@@ -23,7 +23,6 @@ let exit_code (o : Interp.outcome) =
         (Printf.sprintf "workload trapped: %s" (Interp.trap_to_string tr))
 
 let measure ?(config = Pipeline.default) (w : Workload.t) mechs =
-  let config = { config with Pipeline.mechanisms = mechs } in
   let analyzed =
     Pipeline.analyze ~config
       (Pipeline.compile ~config
@@ -71,10 +70,7 @@ let measure ?(config = Pipeline.default) (w : Workload.t) mechs =
     mechs
 
 let measure_suite ?(config = Pipeline.default) ws mechs =
-  List.concat
-    (Scheduler.map ?jobs:config.Pipeline.jobs
-       (fun w -> measure ~config w mechs)
-       ws)
+  List.concat (Scheduler.map (fun w -> measure ~config w mechs) ws)
 
 let analyze_workload ?(config = Pipeline.default) (w : Workload.t) =
   Pipeline.analysis
@@ -85,3 +81,15 @@ let analyze_workload ?(config = Pipeline.default) (w : Workload.t) =
 
 let geomean_overhead ms =
   Rsti_util.Stats.geomean_overhead (List.map (fun m -> m.overhead_pct) ms)
+
+let measurement_json m =
+  let module J = Rsti_util.Json in
+  J.Obj
+    [
+      ("name", J.Str m.workload.Workload.name);
+      ("suite", J.Str (Workload.suite_to_string m.workload.Workload.suite));
+      ("mech", J.Str (RT.mechanism_slug m.mech));
+      ("base_cycles", J.Int m.base_cycles);
+      ("mech_cycles", J.Int m.mech_cycles);
+      ("overhead_pct", J.Float m.overhead_pct);
+    ]

@@ -25,9 +25,8 @@ val measure :
   Workload.t ->
   Rsti_sti.Rsti_type.mechanism list ->
   measurement list
-(** One measurement per mechanism, in mechanism order (the list becomes
-    [config.mechanisms]; default config {!Rsti_engine.Pipeline.default}).
-    The [Parts] mechanism always runs under
+(** One measurement per mechanism, in mechanism order (default config
+    {!Rsti_engine.Pipeline.default}). The [Parts] mechanism always runs under
     {!Rsti_machine.Cost.parts_codegen} with [config.costs]'s [pac]. The
     output-equality assertion applies under elision too, so a
     behaviour-changing elision raises [Divergence]. *)
@@ -38,8 +37,8 @@ val measure_suite :
   Rsti_sti.Rsti_type.mechanism list ->
   measurement list
 (** {!measure} fanned out over the engine's domain pool
-    ([config.jobs]); the result is flattened in workload order, so it is
-    identical for any job count. *)
+    ({!Rsti_engine.Scheduler.default_jobs} workers); the result is
+    flattened in workload order, so it is identical for any job count. *)
 
 val analyze_workload :
   ?config:Rsti_engine.Pipeline.config -> Workload.t -> Rsti_sti.Analysis.t
@@ -49,3 +48,7 @@ val analyze_workload :
 
 val geomean_overhead : measurement list -> float
 (** Geometric-mean overhead (percent) across measurements. *)
+
+val measurement_json : measurement -> Rsti_util.Json.t
+(** One [benchmarks] row of BENCH_fig9.json: workload name and suite,
+    mechanism slug, base and instrumented cycles, overhead. *)

@@ -331,15 +331,19 @@ let take n l = List.filteri (fun i _ -> i < n) l
    affordable while exercising the same fan-out/merge path as the full
    figure reproduction. *)
 let reduced_perf ~jobs () =
-  let config = { Pipeline.default with Pipeline.jobs = Some jobs } in
-  let suite ws = Run.measure_suite ~config (take 2 ws) RT.all_mechanisms in
-  {
-    Perf.spec2006 = suite Rsti_workloads.Spec2006.all;
-    spec2017 = suite Rsti_workloads.Spec2017.all;
-    nbench = suite Rsti_workloads.Nbench.all;
-    pytorch = suite Rsti_workloads.Pytorch.all;
-    nginx = suite Rsti_workloads.Nginx.all;
-  }
+  Scheduler.set_default_jobs jobs;
+  let suite ws = Run.measure_suite (take 2 ws) RT.all_mechanisms in
+  let p =
+    {
+      Perf.spec2006 = suite Rsti_workloads.Spec2006.all;
+      spec2017 = suite Rsti_workloads.Spec2017.all;
+      nbench = suite Rsti_workloads.Nbench.all;
+      pytorch = suite Rsti_workloads.Pytorch.all;
+      nginx = suite Rsti_workloads.Nginx.all;
+    }
+  in
+  Scheduler.clear_default_jobs ();
+  p
 
 let test_fig9_fig10_identical_across_jobs () =
   let serial = reduced_perf ~jobs:1 () in

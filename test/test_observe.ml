@@ -398,7 +398,9 @@ let test_events_identical_across_jobs () =
   let doc jobs =
     Observe.Events.reset ();
     Cache.clear ();
-    let cov = Rsti_attacks.Incident.collect ~jobs () in
+    Scheduler.set_default_jobs jobs;
+    let cov = Rsti_attacks.Incident.collect () in
+    Scheduler.clear_default_jobs ();
     Rsti_attacks.Incident.emit_events cov;
     let d = Observe.Events.to_jsonl () in
     Observe.Events.reset ();

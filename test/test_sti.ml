@@ -236,6 +236,63 @@ let test_index_on_demand_anon_slot () =
   Alcotest.(check (list (list string)))
     "module slots keep their members" before (List.map members_of own)
 
+(* [a:char*] asked for as [const char*] and as [char*]: a cast chain
+   through [void*] under STWC (cast re-signs) and dop-proftpd's
+   [pr_response_send_raw(const char* )] under STL (argument re-sign). On
+   fresh analyses, the slot's modifier is the same whichever form is
+   asked first, before or after instrumenting, and instrumenting after
+   asking either form first emits the same module. *)
+let const_cast_chain =
+  {|
+extern void* malloc(long n);
+int main(void) {
+  const char *s = (const char *) malloc(4);
+  void *v = (void *) s;
+  char *t = (char *) v;
+  return 0;
+}
+|}
+
+let test_anon_permission_order_free () =
+  let const_form = Ir.Sanon (Ctype.Ptr (Ctype.Const Ctype.Char))
+  and plain_form = Ir.Sanon (Ctype.Ptr Ctype.Char) in
+  List.iter
+    (fun (name, src, mech) ->
+      let m = Pipeline.(ir (compile (source ~file:"t.c" src))) in
+      let instrument a = (Rsti_rsti.Instrument.instrument mech a m).Rsti_rsti.Instrument.modul in
+      let ask ~instrumented order =
+        let a = Analysis.analyze m in
+        if instrumented then ignore (instrument a);
+        List.map
+          (fun s ->
+            ((Analysis.slot_info a s).Analysis.read_only, Analysis.modifier_of a mech s))
+          order
+      in
+      let expected = List.hd (ask ~instrumented:false [ plain_form ]) in
+      checkb (name ^ ": R/W") false (fst expected);
+      List.iter
+        (fun instrumented ->
+          List.iter
+            (fun order ->
+              checkb
+                (Printf.sprintf "%s: same modifier (%s first, instrumented=%b)" name
+                   (Ir.slot_to_string (List.hd order)) instrumented)
+                true
+                (List.for_all (( = ) expected) (ask ~instrumented order)))
+            [ [ const_form; plain_form ]; [ plain_form; const_form ] ])
+        [ false; true ];
+      let instrumented_after first =
+        let a = Analysis.analyze m in
+        ignore (Analysis.modifier_of a mech first);
+        Ir.modul_to_string (instrument a)
+      in
+      Alcotest.(check string) (name ^ ": instrumented module")
+        (instrumented_after plain_form) (instrumented_after const_form))
+    [
+      ("cast chain", const_cast_chain, RT.Stwc);
+      ("dop-proftpd", Rsti_attacks.Catalog.dop_proftpd.Rsti_attacks.Scenario.program, RT.Stl);
+    ]
+
 (* The slots the instrumenter asks modifiers for, in program order: each
    pointer access's slot, and the anonymous slots of each pointer cast's
    two types (created on demand when the module never dereferences them). *)
@@ -410,5 +467,7 @@ let tests =
     Alcotest.test_case "escape: alias consistency" `Quick test_alias_consistency_through_double_pointer;
     QCheck_alcotest.to_alcotest prop_stats_invariants_generated;
     Alcotest.test_case "index: on-demand anon slot" `Quick test_index_on_demand_anon_slot;
+    Alcotest.test_case "anon slot: permission independent of query order" `Quick
+      test_anon_permission_order_free;
     QCheck_alcotest.to_alcotest prop_index_matches_scan;
   ]
