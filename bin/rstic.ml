@@ -642,9 +642,8 @@ let lint_cmd =
 let report_cmd =
   let module Sections = Rsti_report.Sections in
   let doc =
-    "Print paper-reproduction reports: the bench harness's sections \
-     (without its micro-benchmarks), each exactly as the bench prints it \
-     under its header."
+    "Print paper-reproduction reports: the bench harness's sections, \
+     each exactly as the bench prints it under its header."
   in
   let section_conv =
     let parse name =

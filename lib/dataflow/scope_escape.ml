@@ -73,7 +73,6 @@ module Frame_transfer = struct
     let bottom = IntMap.empty
     let equal = IntMap.equal IntSet.equal
     let join = IntMap.union (fun _ a b -> Some (IntSet.union a b))
-    let widen = join
   end
 
   type ctx = { locals : IntSet.t } (* var ids owned by this function *)
@@ -219,8 +218,7 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
                       if not (IntSet.is_empty ids) then
                         emit ~line:(line_of ins) ~sink:(Passed_extern f) ids)
                     args
-              | _ -> ())
-          |> ignore;
+              | _ -> ());
           match fn.Ir.blocks.(b).Ir.term with
           | Ir.Ret (Some (Ir.Reg r)) ->
               let ids = Frame_transfer.get (F.exit_state res b) r in

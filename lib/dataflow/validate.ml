@@ -11,10 +11,14 @@
    have followed — a translation validator in the classic sense: it does
    not trust the rewriter, it checks its output.
 
-   The checker is a {!Solver.Forward} client. The lattice maps each
-   virtual register to a provenance typestate (fresh load result, sign
-   output, cast result, strip/re-sign output, pp-library output); the
-   flow-sensitive states feed two kinds of checks:
+   Registers are assigned once ([Ir]), so a register's provenance
+   typestate (fresh load result, sign output, strip/re-sign output,
+   pp-library output) is fixed by its one defining instruction.
+   The checker builds a def table per function — and reports a second
+   definition of any register as an issue rather than trusting the IR
+   for it — then walks the blocks once, in array order, reading each
+   operand's typestate off the table. The typestates feed two kinds of
+   checks:
 
    - structural, at each instruction: a sign's output may only flow into
      the store it guards, an auth may only consume a fresh load, a
@@ -50,7 +54,7 @@ type report = {
 let ok r = r.issues = []
 
 (* ------------------------------------------------------------------ *)
-(* The register typestate lattice                                      *)
+(* Register typestates                                                 *)
 (* ------------------------------------------------------------------ *)
 
 type vstate =
@@ -58,11 +62,9 @@ type vstate =
   | Vloaded of Ir.slot          (* fresh pointer load: possibly signed
                                    in-memory bits, awaiting auth *)
   | Vsigned of Ir.modifier * Rsti_pa.Key.which    (* Ksign output *)
-  | Vcast                       (* differing-pointer bitcast result *)
   | Vresign                                       (* Kresign output *)
   | Vstrip                                        (* Kstrip output *)
   | Vpp                                 (* pp-runtime library output *)
-  | Vconflict
 
 (* The cast shapes [Instrument] re-signs under STWC/STL. *)
 let cast_pair_guard from_ty to_ty =
@@ -71,69 +73,6 @@ let cast_pair_guard from_ty to_ty =
        (Ctype.equal
           (Ctype.strip_all_quals from_ty)
           (Ctype.strip_all_quals to_ty))
-
-module IntMap = Map.Make (Int)
-
-let vstate_of (st : vstate IntMap.t) (v : Ir.value) =
-  match v with
-  | Ir.Reg r -> ( match IntMap.find_opt r st with Some s -> s | None -> Vother)
-  | _ -> Vother
-
-module T = struct
-  module L = struct
-    type t = vstate IntMap.t
-
-    let bottom = IntMap.empty
-    let equal = IntMap.equal ( = )
-
-    let join a b =
-      IntMap.union (fun _ x y -> Some (if x = y then x else Vconflict)) a b
-
-    let widen = join (* finite height: |regs| x |states| *)
-  end
-
-  type ctx = unit
-
-  let instr () (ins : Ir.instr) st =
-    match ins.Ir.i with
-    | Ir.Load { dst; addr; ty; slot } ->
-        let s =
-          if vstate_of st addr = Vpp then Vother (* pp inner access: raw *)
-          else if Ctype.is_pointer ty then Vloaded slot
-          else Vother
-        in
-        IntMap.add dst s st
-    | Ir.Pac p ->
-        let s =
-          match p.Ir.p_kind with
-          | Ir.Ksign -> Vsigned (p.Ir.p_mod, p.Ir.p_key)
-          | Ir.Kauth -> Vother
-          | Ir.Kresign -> Vresign
-          | Ir.Kstrip -> Vstrip
-        in
-        IntMap.add p.Ir.p_dst s st
-    | Ir.Pp (Ir.Pp_sign { dst; _ } | Ir.Pp_auth { dst; _ } | Ir.Pp_add_tbi { dst; _ }) ->
-        IntMap.add dst Vpp st
-    | Ir.Pp (Ir.Pp_add _) -> st
-    | Ir.Bitcast { dst; from_ty; to_ty; _ } ->
-        IntMap.add dst
-          (if cast_pair_guard from_ty to_ty then Vcast else Vother)
-          st
-    | Ir.Alloca { dst; _ }
-    | Ir.Gep { dst; _ }
-    | Ir.Gepidx { dst; _ }
-    | Ir.Binop { dst; _ }
-    | Ir.Neg { dst; _ }
-    | Ir.Lognot { dst; _ }
-    | Ir.Bitnot { dst; _ }
-    | Ir.Cast_num { dst; _ } -> IntMap.add dst Vother st
-    | Ir.Call { dst = Some d; _ } -> IntMap.add d Vother st
-    | Ir.Call { dst = None; _ } | Ir.Store _ -> st
-
-  let term () (_ : Ir.terminator) st = st
-end
-
-module F = Solver.Forward (T)
 
 (* Operand positions of an instruction, with flags saying whether that
    position may legitimately consume a Vsigned / a Vloaded value. *)
@@ -229,15 +168,51 @@ let check anal mech (m : Ir.modul) : report =
   let track_casts = mech = Rsti_type.Stwc || mech = Rsti_type.Stl in
   let check_function (fn : Ir.func) =
     let fname = fn.Ir.name in
-    let cfg = Cfg.of_func fn in
-    let res = F.solve ~ctx:() cfg in
+    (* The def table: each register's one defining instruction. *)
+    let defs = Hashtbl.create 64 in
+    Ir.iter_instrs
+      (fun ins ->
+        match Ir.def_reg ins.Ir.i with
+        | Some r when Hashtbl.mem defs r ->
+            issue fname "register %%r%d defined twice" r
+        | Some r -> Hashtbl.replace defs r ins.Ir.i
+        | None -> ())
+      fn;
+    (* Whether [v] is a pp-library output. A load's typestate asks this
+       of its address without going through [sv], so a malformed module
+       whose load addresses its own result cannot loop. *)
+    let def_pp = function
+      | Ir.Reg r -> (
+          match Hashtbl.find_opt defs r with
+          | Some (Ir.Pp _) -> true
+          | _ -> false)
+      | _ -> false
+    in
+    (* A register's typestate, from its definition; parameters (no
+       defining instruction) and non-registers are [Vother]. *)
+    let sv = function
+      | Ir.Reg r -> (
+          match Hashtbl.find_opt defs r with
+          | Some (Ir.Load { addr; ty; slot; _ }) ->
+              if def_pp addr then Vother (* pp inner access: raw *)
+              else if Ctype.is_pointer ty then Vloaded slot
+              else Vother
+          | Some (Ir.Pac p) -> (
+              match p.Ir.p_kind with
+              | Ir.Ksign -> Vsigned (p.Ir.p_mod, p.Ir.p_key)
+              | Ir.Kauth -> Vother
+              | Ir.Kresign -> Vresign
+              | Ir.Kstrip -> Vstrip)
+          | Some (Ir.Pp _) -> Vpp
+          | _ -> Vother)
+      | _ -> Vother
+    in
     (* function-local side tables over the SSA registers *)
     let loads = Hashtbl.create 32 in (* reg -> (slot, ty) of a ptr load *)
     let authed = Hashtbl.create 32 in
     let casts = Hashtbl.create 8 in (* reg -> (from_ty, to_ty), unpaired *)
     let signs_pending = Hashtbl.create 8 in
-    let visit (ins : Ir.instr) st =
-      let sv v = vstate_of st v in
+    let visit (ins : Ir.instr) =
       List.iter
         (fun (v, ok_signed, ok_loaded) ->
           match sv v with
@@ -251,10 +226,10 @@ let check anal mech (m : Ir.modul) : report =
         (positions ins.Ir.i);
       match ins.Ir.i with
       | Ir.Load { dst; addr; ty; slot } ->
-          if sv addr = Vpp then () (* pp inner access: exempt *)
+          if def_pp addr then () (* pp inner access: exempt *)
           else if Ctype.is_pointer ty then Hashtbl.replace loads dst (slot, ty)
       | Ir.Store { src; addr; ty; slot } ->
-          if sv addr = Vpp then ()
+          if def_pp addr then ()
           else if Ctype.is_pointer ty then begin
             let s = sum_of fname slot in
             match sv src with
@@ -281,11 +256,7 @@ let check anal mech (m : Ir.modul) : report =
           | Ir.Ksign -> Hashtbl.replace signs_pending p.Ir.p_dst ()
           | Ir.Kauth -> (
               match p.Ir.p_src with
-              | Ir.Reg r
-                when (match sv (Ir.Reg r) with
-                     | Vloaded _ -> true
-                     | _ -> false)
-                     && Hashtbl.mem loads r ->
+              | Ir.Reg r when Hashtbl.mem loads r ->
                   let slot, ty = Hashtbl.find loads r in
                   Hashtbl.replace authed r ();
                   let s = sum_of fname slot in
@@ -377,30 +348,28 @@ let check anal mech (m : Ir.modul) : report =
               args
       | _ -> ()
     in
-    for i = 0 to Cfg.n_blocks cfg - 1 do
-      (* State at the terminator: the walk's own, not [exit_state] —
-         unreachable blocks keep bottom in the solver but their
-         instruction pairs still resolve locally. *)
-      let st = F.iter_block ~ctx:() res i visit in
-      match fn.Ir.blocks.(i).Ir.term with
-      | Ir.Ret (Some v) -> (
-          (match vstate_of st v with
-          | Vsigned _ -> issue fname "signed value returned raw"
-          | Vloaded slot ->
-              (sum_of fname slot).extra_uses <-
-                (sum_of fname slot).extra_uses + 1
-          | _ -> ());
-          if
-            mech = Rsti_type.Stl
-            && Ctype.is_pointer fn.Ir.ret
-            && vstate_of st v <> Vresign
-          then issue fname "STL pointer return is not re-signed")
-      | Ir.Condbr (c, _, _) -> (
-          match vstate_of st c with
-          | Vsigned _ -> issue fname "signed value used in a branch"
-          | _ -> ())
-      | _ -> ()
-    done;
+    Array.iter
+      (fun (b : Ir.block) ->
+        List.iter visit b.Ir.instrs;
+        match b.Ir.term with
+        | Ir.Ret (Some v) -> (
+            (match sv v with
+            | Vsigned _ -> issue fname "signed value returned raw"
+            | Vloaded slot ->
+                (sum_of fname slot).extra_uses <-
+                  (sum_of fname slot).extra_uses + 1
+            | _ -> ());
+            if
+              mech = Rsti_type.Stl
+              && Ctype.is_pointer fn.Ir.ret
+              && sv v <> Vresign
+            then issue fname "STL pointer return is not re-signed")
+        | Ir.Condbr (c, _, _) -> (
+            match sv c with
+            | Vsigned _ -> issue fname "signed value used in a branch"
+            | _ -> ())
+        | _ -> ())
+      fn.Ir.blocks;
     Hashtbl.iter
       (fun r ((slot, _ty) : Ir.slot * Ctype.t) ->
         if not (Hashtbl.mem authed r) then

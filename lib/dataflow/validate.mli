@@ -2,17 +2,19 @@
     {e instrumented} module against the signed-at-rest / raw-in-flight
     discipline, without trusting the rewriter that produced it.
 
-    A forward dataflow ({!Solver.Forward}) assigns every register a
-    provenance typestate — fresh load result, sign output, cast result,
-    strip/re-sign output, pp-library output — and the checker enforces,
-    per instruction, that sign outputs only reach their guarded store,
-    auths only consume fresh loads, casts pair with re-signs (STWC/STL),
-    extern calls take stripped pointers and STL boundaries re-sign; and,
-    per slot across the module, that instrumentation is all-or-nothing:
-    a slot authenticated anywhere has every pointer store signed and
-    every load authenticated under the one modifier {!Rsti_sti.Analysis}
-    derives for it. Whole-slot elision passes; a dropped sign with the
-    auths left behind does not. *)
+    Registers are assigned once, so one def table per function gives
+    every register its provenance typestate — fresh load result, sign
+    output, strip/re-sign output, pp-library output — from its defining
+    instruction; a register defined twice is itself an issue. One walk
+    over the blocks then enforces, per instruction, that sign outputs
+    only reach their guarded store, auths only consume fresh loads,
+    casts pair with re-signs (STWC/STL), extern calls take stripped
+    pointers and STL boundaries re-sign; and, per slot across the
+    module, that instrumentation is all-or-nothing: a slot authenticated
+    anywhere has every pointer store signed and every load
+    authenticated under the one modifier {!Rsti_sti.Analysis} derives
+    for it. Whole-slot elision passes; a dropped sign with the auths
+    left behind does not. *)
 
 type issue = { i_fn : string; i_what : string }
 

@@ -148,6 +148,24 @@ let iter_instrs f (fn : func) =
 let fold_instrs f acc (fn : func) =
   Array.fold_left (fun acc b -> List.fold_left f acc b.instrs) acc fn.blocks
 
+(* The register an instruction defines, if any. *)
+let def_reg = function
+  | Alloca { dst; _ }
+  | Load { dst; _ }
+  | Gep { dst; _ }
+  | Gepidx { dst; _ }
+  | Bitcast { dst; _ }
+  | Binop { dst; _ }
+  | Neg { dst; _ }
+  | Lognot { dst; _ }
+  | Bitnot { dst; _ }
+  | Cast_num { dst; _ }
+  | Pp (Pp_sign { dst; _ } | Pp_auth { dst; _ } | Pp_add_tbi { dst; _ }) ->
+      Some dst
+  | Pac p -> Some p.p_dst
+  | Call { dst; _ } -> dst
+  | Store _ | Pp (Pp_add _) -> None
+
 (* ----------------------------------------------------------------- *)
 (* Printing (for tests and the CLI's --emit-ir)                       *)
 (* ----------------------------------------------------------------- *)

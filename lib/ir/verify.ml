@@ -19,22 +19,7 @@ let verify_function (m : Ir.modul) (fn : Ir.func) : error list =
   (* First pass: collect definitions (registers are assigned once and the
      lowering guarantees defs precede uses in execution order, so a
      global definition set is the right granularity). *)
-  Ir.iter_instrs
-    (fun ins ->
-      match ins.Ir.i with
-      | Ir.Alloca { dst; _ } | Ir.Load { dst; _ } | Ir.Gep { dst; _ }
-      | Ir.Gepidx { dst; _ } | Ir.Bitcast { dst; _ } | Ir.Binop { dst; _ }
-      | Ir.Neg { dst; _ } | Ir.Lognot { dst; _ } | Ir.Bitnot { dst; _ }
-      | Ir.Cast_num { dst; _ } ->
-          define dst
-      | Ir.Call { dst; _ } -> Option.iter define dst
-      | Ir.Pac p -> define p.p_dst
-      | Ir.Pp (Ir.Pp_sign { dst; _ })
-      | Ir.Pp (Ir.Pp_auth { dst; _ })
-      | Ir.Pp (Ir.Pp_add_tbi { dst; _ }) ->
-          define dst
-      | Ir.Store _ | Ir.Pp (Ir.Pp_add _) -> ())
-    fn;
+  Ir.iter_instrs (fun ins -> Option.iter define (Ir.def_reg ins.Ir.i)) fn;
   let use (v : Ir.value) =
     match v with
     | Ir.Reg r ->

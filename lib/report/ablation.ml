@@ -324,8 +324,6 @@ let render_elide_precision_cs data =
           string_of_int r.cs_safe_pt;
           string_of_int r.cs_safe_cs;
           string_of_int (r.cs_safe_cs - r.cs_safe_pt);
-          Printf.sprintf "%.3f" r.cs_seconds_pt;
-          Printf.sprintf "%.3f" r.cs_seconds_cs;
         ])
       data
   in
@@ -335,10 +333,10 @@ let render_elide_precision_cs data =
    insensitive proof — non-negative by the qcheck refinement property,\n\
    strictly positive where merged return channels were the blocker.\n\n"
   ^ Tab.render
-      ~align:Tab.[ Left; Right; Right; Right; Right; Right; Right; Right ]
+      ~align:Tab.[ Left; Right; Right; Right; Right; Right ]
       ~header:
         [ "BM"; "candidates"; "safe (syn)"; "safe (pt)"; "safe (cs k=2)";
-          "delta"; "s (pt)"; "s (cs)" ]
+          "delta" ]
       rows
 
 let cs_rows_json rows =

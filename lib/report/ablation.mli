@@ -50,8 +50,9 @@ val elide_precision_cs_data : unit -> cs_row list
 (** The three-way precision ladder over SPEC2006 as data. *)
 
 val render_elide_precision_cs : cs_row list -> string
-(** Safe counts at all three precisions, the cloning delta, and per-mode
-    wall-clocks. *)
+(** Safe counts at all three precisions and the cloning delta. The
+    per-mode wall-clocks go only to {!cs_rows_json}, so the text is the
+    same on every run. *)
 
 val cs_rows_json : cs_row list -> Rsti_util.Json.t
 (** The [elide-precision-cs] block of BENCH_fig9.json: one object per

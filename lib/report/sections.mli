@@ -1,8 +1,8 @@
 (** The paper-reproduction reports, one table: Tables 1-3, Figures 9-10,
     sections 6.2-6.3, the ablations, the elision, validation,
     attack-surface and detection-latency reports. The bench harness runs
-    every entry (plus its own micro-benchmarks) and [rstic report NAME]
-    looks names up here, so both print the same text for a section. *)
+    every entry and [rstic report NAME] looks names up here, so both
+    print the same text for a section. *)
 
 type t = {
   name : string;  (** the command-line name, e.g. ["table1"] *)

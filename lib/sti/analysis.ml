@@ -118,20 +118,9 @@ let reg_defs (fn : Ir.func) =
   let defs = Hashtbl.create 64 in
   Ir.iter_instrs
     (fun ins ->
-      match ins.i with
-      | Ir.Alloca { dst; _ } | Ir.Load { dst; _ } | Ir.Gep { dst; _ }
-      | Ir.Gepidx { dst; _ } | Ir.Bitcast { dst; _ }
-      | Ir.Binop { dst; _ } | Ir.Neg { dst; _ } | Ir.Lognot { dst; _ }
-      | Ir.Bitnot { dst; _ } | Ir.Cast_num { dst; _ } ->
-          Hashtbl.replace defs dst ins.i
-      | Ir.Call { dst = Some dst; _ } -> Hashtbl.replace defs dst ins.i
-      | Ir.Call { dst = None; _ } -> ()
-      | Ir.Pac p -> Hashtbl.replace defs p.p_dst ins.i
-      | Ir.Pp (Ir.Pp_sign { dst; _ })
-      | Ir.Pp (Ir.Pp_auth { dst; _ })
-      | Ir.Pp (Ir.Pp_add_tbi { dst; _ }) ->
-          Hashtbl.replace defs dst ins.i
-      | Ir.Pp (Ir.Pp_add _) | Ir.Store _ -> ())
+      match Ir.def_reg ins.i with
+      | Some dst -> Hashtbl.replace defs dst ins.i
+      | None -> ())
     fn;
   defs
 

@@ -1,7 +1,7 @@
 (* Tests for the interprocedural dataflow framework: CFG/solver/call
    graph units, Andersen points-to confinement, and the PAC-typestate
-   translation validator (green on everything Instrument emits, red on a
-   module with one sign deliberately removed). *)
+   translation validator (green on everything Instrument emits, red on
+   every mutant kind of it). *)
 
 module Ir = Rsti_ir.Ir
 module Cfg = Rsti_dataflow.Cfg
@@ -79,7 +79,6 @@ module Store_seen = struct
     let bottom = false
     let equal = Bool.equal
     let join = ( || )
-    let widen = ( || )
   end
 
   type ctx = unit
@@ -108,8 +107,7 @@ let test_solver_fixpoint () =
   (* iter_block replays states consistent with the block boundary *)
   let entry_seen = ref None in
   F.iter_block ~ctx:() res 0 (fun _ st ->
-      if !entry_seen = None then entry_seen := Some st)
-  |> ignore;
+      if !entry_seen = None then entry_seen := Some st);
   (match !entry_seen with
   | Some st -> checkb "entry block starts at bottom" false st
   | None -> ())
@@ -707,25 +705,119 @@ let test_validator_green_on_workloads () =
 
 (* ------------------------- validator: red -------------------------- *)
 
-(* Removing a single sign (and rewriting its store back to the raw
-   value) must be caught: the slot still has auths, so the typestate's
-   all-or-nothing summary trips. *)
-let test_validator_red_on_broken () =
-  let broken_checked = ref 0 in
+(* Replace the first instruction, in module order, that [f] rewrites. *)
+let rewrite_first f (m : Ir.modul) =
+  let hit = ref false in
+  let block (b : Ir.block) =
+    let rec go acc = function
+      | [] -> b
+      | ins :: rest -> (
+          match f ins with
+          | Some ins' ->
+              hit := true;
+              { b with Ir.instrs = List.rev_append acc (ins' :: rest) }
+          | None -> go (ins :: acc) rest)
+    in
+    if !hit then b else go [] b.Ir.instrs
+  in
+  let m_funcs =
+    List.map
+      (fun (fn : Ir.func) ->
+        { fn with Ir.blocks = Array.map block fn.Ir.blocks })
+      m.Ir.m_funcs
+  in
+  if !hit then Some { m with Ir.m_funcs } else None
+
+let modifier_off_by_one =
+  let bump = function
+    | Ir.Mconst h -> Ir.Mconst (Int64.succ h)
+    | Ir.Mloc h -> Ir.Mloc (Int64.succ h)
+  in
+  rewrite_first (fun ins ->
+      match ins.Ir.i with
+      | Ir.Pac ({ p_kind = Ir.Ksign | Ir.Kauth; _ } as p) ->
+          Some { ins with Ir.i = Ir.Pac { p with Ir.p_mod = bump p.Ir.p_mod } }
+      | _ -> None)
+
+let auth_to_strip =
+  rewrite_first (fun ins ->
+      match ins.Ir.i with
+      | Ir.Pac ({ p_kind = Ir.Kauth; _ } as p) ->
+          Some { ins with Ir.i = Ir.Pac { p with Ir.p_kind = Ir.Kstrip } }
+      | _ -> None)
+
+(* A copy of the first Binop, in the first function that has one, at
+   the head of that function's last block: its register is then defined
+   twice. *)
+let copied_definition (m : Ir.modul) =
+  let binop (fn : Ir.func) =
+    Array.to_list fn.Ir.blocks
+    |> List.concat_map (fun (b : Ir.block) -> b.Ir.instrs)
+    |> List.find_opt (fun (ins : Ir.instr) ->
+           match ins.Ir.i with Ir.Binop _ -> true | _ -> false)
+  in
+  match
+    List.find_map (fun fn -> Option.map (fun i -> (fn, i)) (binop fn)) m.Ir.m_funcs
+  with
+  | Some (fn, ({ Ir.i = Ir.Binop { dst; _ }; _ } as ins)) ->
+      let blocks = Array.copy fn.Ir.blocks in
+      let last = Array.length blocks - 1 in
+      blocks.(last) <-
+        { (blocks.(last)) with Ir.instrs = ins :: blocks.(last).Ir.instrs };
+      let m_funcs =
+        List.map (fun f -> if f == fn then { fn with Ir.blocks } else f) m.Ir.m_funcs
+      in
+      Some
+        ( { m with Ir.m_funcs },
+          Some (Printf.sprintf "register %%r%d defined twice" dst) )
+  | _ -> None
+
+(* Each mutant kind: a module rewrite, and the issue its report must
+   carry (any issue when [None]). *)
+let mutants =
+  let plain f m = Option.map (fun m -> (m, None)) (f m) in
+  [
+    ("dropped sign", plain Validate.break_one_sign);
+    ("copied definition", copied_definition);
+    ("modifier off by one", plain modifier_off_by_one);
+    ("auth turned into a strip", plain auth_to_strip);
+  ]
+
+(* Every mutant kind of every SPEC2006 kernel under each PAC mechanism
+   (elision off) must be rejected. A dropped sign leaves the slot's auths
+   behind, so the all-or-nothing summary trips; a wrong modifier and a
+   strip in an auth's place fail the per-instruction checks; a second
+   definition of a register is reported as such. *)
+let test_validator_red_on_mutants () =
   List.iter
     (fun (w : Rsti_workloads.Workload.t) ->
       let src = Rsti_workloads.Workload.analysis_source w in
       let m = Rsti_ir.Lower.compile ~file:(w.name ^ ".c") src in
       let anal = Analysis.analyze m in
-      let r = Instrument.instrument RT.Stwc anal m in
-      match Validate.break_one_sign r.Instrument.modul with
-      | None -> ()
-      | Some bad ->
-          incr broken_checked;
-          checkb (w.name ^ " broken copy rejected") false
-            (Validate.ok (Validate.check anal RT.Stwc bad)))
-    Rsti_workloads.Spec2006.all;
-  checkb "at least one workload had a breakable sign" true (!broken_checked > 0)
+      List.iter
+        (fun mech ->
+          let r = Instrument.instrument mech anal m in
+          List.iter
+            (fun (kind, mutate) ->
+              let where =
+                Printf.sprintf "%s/%s/%s" w.name
+                  (RT.mechanism_to_string mech) kind
+              in
+              match mutate r.Instrument.modul with
+              | None -> Alcotest.failf "%s: no such mutant" where
+              | Some (bad, expected) -> (
+                  let rep = Validate.check anal mech bad in
+                  checkb (where ^ " rejected") false (Validate.ok rep);
+                  match expected with
+                  | Some what ->
+                      checkb (where ^ ": " ^ what) true
+                        (List.exists
+                           (fun (i : Validate.issue) -> i.Validate.i_what = what)
+                           rep.Validate.issues)
+                  | None -> ()))
+            mutants)
+        mechanisms)
+    Rsti_workloads.Spec2006.all
 
 (* ---------------------- validator: attack victims ------------------ *)
 
@@ -789,8 +881,8 @@ let tests =
     Alcotest.test_case
       "validate: green on all workloads x mechanisms x elide modes" `Slow
       test_validator_green_on_workloads;
-    Alcotest.test_case "validate: red on one removed sign" `Slow
-      test_validator_red_on_broken;
+    Alcotest.test_case "validate: red on every mutant kind" `Slow
+      test_validator_red_on_mutants;
     Alcotest.test_case "validate: Table-1 victims through the pipeline" `Slow
       test_validator_attack_victims;
   ]
