@@ -225,11 +225,19 @@ type attack = { trigger : trigger; action : intruder -> unit }
 (* ------------------------------------------------------------------ *)
 
 (* A function's resolved view, built on its first call: the same IR
-   with every name, layout and type decision taken once. Operands naming
-   a global, a function or a string become constants. An operand or an
-   instruction that cannot be resolved keeps the exception that executing
-   it raises, so a bad name or type still fails only when it runs. *)
-type operand = K of int64 | R of int | Bad of exn
+   with every name, layout and type decision taken once.
+
+   Every operand is a register of the function's register file, a
+   [bytes] of 64-bit registers. A constant operand (an immediate, a
+   float's bits, null, or the address of a global, a function or a
+   string) reads a register above [nregs] that each call's register file
+   holds from the start. An operand that cannot be resolved, or names a
+   register the function does not have, is a negative index [lnot k]
+   whose read raises [bad.(k)]; a destination outside the registers is
+   [-1], whose write raises [Invalid_argument] as an out-of-bounds
+   register did. An instruction that cannot be resolved becomes [Fail].
+   So a bad name, type or register fails only when it runs. *)
+type operand = int
 
 type conv = To_double | To_integer | To_char | Same
 
@@ -249,8 +257,8 @@ type code =
   | Alloca of { dst : int; size : int }  (* rounded up to 16 bytes *)
   | Load of { dst : int; addr : operand; byte : bool }
   | Store of { src : operand; addr : operand; byte : bool }
-  | Gep of { dst : int; base : operand; off : int64 }
-  | Gepidx of { dst : int; base : operand; size : int64; idx : operand }
+  | Gep of { dst : int; base : operand; off : int }
+  | Gepidx of { dst : int; base : operand; size : int; idx : operand }
   | Move of { dst : int; src : operand }
   | Binop of { dst : int; op : Ast.binop; fl : Ir.float_op; a : operand; b : operand }
   | Neg of { dst : int; fl : Ir.float_op; src : operand }
@@ -258,11 +266,12 @@ type code =
   | Bitnot of { dst : int; src : operand }
   | Cast_num of { dst : int; src : operand; conv : conv }
   | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
-  | Pac of { p : Ir.pac; src : operand; slot : operand }
+  | Pac of { p : Ir.pac; dst : int; src : operand; slot : operand }
   | Pp of pp
   | Fail of { cost : int; exn : exn }  (* charge [cost], then raise [exn] *)
 
-type term = Ret of operand option | Br of int | Condbr of operand * int * int | Unreachable
+(* [Ret] of a void return reads a constant 0. *)
+type term = Ret of operand | Br of int | Condbr of operand * int * int | Unreachable
 
 type block = {
   body : code array;
@@ -273,6 +282,8 @@ type block = {
 type func = {
   name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
   nregs : int;
+  frame : bytes;  (* a fresh register file: [nregs] zeros, then the constants *)
+  bad : exn array;
   blocks : block array;
 }
 
@@ -295,13 +306,13 @@ type t = {
   string_addrs : int64 array;
   mutable heap_ptr : int64;
   mutable allocs : (int64 * int) list;
-  mutable sp : int64;
+  mutable sp : int;  (* canonical, so an [int] *)
+  mutable stack_low : int;  (* the lowest [sp] so far: the stack above is mapped *)
   mutable cycles : int;
   counts : counts;
   mutable notes : string list;  (* reverse *)
   out : Buffer.t;
-  mutable steps : int;
-  mutable step_limit : int;
+  mutable step_limit : int;  (* on [counts.instrs] *)
   mutable auth_failed : bool;   (* any auth failure so far *)
   call_counts : int array;  (* by function index *)
   extern_counts : int array;  (* by libc index *)
@@ -442,14 +453,14 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     string_addrs;
     heap_ptr = Layout.heap_base;
     allocs = [];
-    sp = Layout.stack_top;
+    sp = Int64.to_int Layout.stack_top;
+    stack_low = Int64.to_int Layout.stack_top;
     cycles = 0;
     counts =
       { instrs = 0; loads = 0; stores = 0; pac_signs = 0; pac_auths = 0;
         pac_strips = 0; pp_calls = 0; pac_charges = 0 };
     notes = [];
     out = Buffer.create 256;
-    steps = 0;
     step_limit = 200_000_000;
     auth_failed = false;
     call_counts = Array.make (Array.length funcs) 0;
@@ -477,6 +488,7 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
   }
 
 let pp_meta_base = Int64.add Layout.rodata_base 0x8000L
+let stack_limit = Int64.to_int Layout.stack_limit
 
 let pac_ctx t = t.pac
 
@@ -514,19 +526,45 @@ let code_at t a =
 (* Resolution                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Register [r]; a negative operand raises what resolution kept for it. *)
+let get f regs r =
+  if r < 0 then raise f.bad.(lnot r);
+  Bytes.get_int64_ne regs (r lsl 3)
+[@@inline]
+
+let set regs r v = Bytes.set_int64_ne regs (r lsl 3) v [@@inline]
+
 (* Never raises: whatever executing a piece of [fn] would raise is kept
-   in a [Bad] operand or a [Fail] instruction. *)
+   in [bad] or in a [Fail] instruction. *)
 let resolve t i =
   let fn = t.funcs.(i) in
+  let nregs = max 0 fn.nregs in
+  (* one register per constant operand: resolution runs on every
+     machine's first call of each function, so it does not look for
+     repeats *)
+  let consts = ref [] and nconsts = ref 0 in
+  let const v =
+    consts := v :: !consts;
+    incr nconsts;
+    nregs + !nconsts - 1
+  in
+  let bad = ref [] and nbad = ref 0 in
+  let fail exn =
+    bad := exn :: !bad;
+    incr nbad;
+    lnot (!nbad - 1)
+  in
+  let in_file r = r >= 0 && r < nregs in
+  let dst r = if in_file r then r else -1 in
   let operand (v : Ir.value) =
     match v with
-    | Ir.Imm n -> K n
-    | Ir.Fimm x -> K (Int64.bits_of_float x)
-    | Ir.Reg r -> R r
-    | Ir.Null -> K 0L
-    | Ir.Global g -> ( match global_addr t g with a -> K a | exception e -> Bad e)
-    | Ir.Funcaddr f -> ( match func_addr t f with a -> K a | exception e -> Bad e)
-    | Ir.Str s -> ( match t.string_addrs.(s) with a -> K a | exception e -> Bad e)
+    | Ir.Imm n -> const n
+    | Ir.Fimm x -> const (Int64.bits_of_float x)
+    | Ir.Reg r -> if in_file r then r else fail (Invalid_argument "index out of bounds")
+    | Ir.Null -> const 0L
+    | Ir.Global g -> ( match global_addr t g with a -> const a | exception e -> fail e)
+    | Ir.Funcaddr f -> ( match func_addr t f with a -> const a | exception e -> fail e)
+    | Ir.Str s -> ( match t.string_addrs.(s) with a -> const a | exception e -> fail e)
   in
   let failing cost f = match f () with c -> c | exception exn -> Fail { cost; exn } in
   (* char is one byte, everything else a 64-bit word *)
@@ -540,43 +578,49 @@ let resolve t i =
   in
   let code (ins : Ir.instr) =
     match ins.i with
-    | Ir.Alloca { dst; ty; _ } ->
+    | Ir.Alloca { dst = d; ty; _ } ->
         failing t.costs.alu (fun () ->
             let size = max 8 (Ir.sizeof t.m ty) in
-            Alloca { dst; size = (size + 15) / 16 * 16 })
-    | Ir.Load { dst; addr; ty; _ } -> Load { dst; addr = operand addr; byte = byte ty }
+            Alloca { dst = dst d; size = (size + 15) / 16 * 16 })
+    | Ir.Load { dst = d; addr; ty; _ } ->
+        Load { dst = dst d; addr = operand addr; byte = byte ty }
     | Ir.Store { src; addr; ty; _ } ->
         Store { src = operand src; addr = operand addr; byte = byte ty }
-    | Ir.Gep { dst; base; sname; field } ->
+    | Ir.Gep { dst = d; base; sname; field } ->
         failing t.costs.gep (fun () ->
             let off, _ = Ir.field_offset t.m sname field in
-            Gep { dst; base = operand base; off = Int64.of_int off })
-    | Ir.Gepidx { dst; base; elem; idx } ->
+            Gep { dst = dst d; base = operand base; off })
+    | Ir.Gepidx { dst = d; base; elem; idx } ->
         failing t.costs.gep (fun () ->
-            let size = Int64.of_int (Ir.sizeof t.m elem) in
-            Gepidx { dst; base = operand base; size; idx = operand idx })
-    | Ir.Bitcast { dst; src; _ } -> Move { dst; src = operand src }
-    | Ir.Binop { dst; op; fl; a; b } -> Binop { dst; op; fl; a = operand a; b = operand b }
-    | Ir.Neg { dst; fl; src } -> Neg { dst; fl; src = operand src }
-    | Ir.Lognot { dst; src } -> Lognot { dst; src = operand src }
-    | Ir.Bitnot { dst; src } -> Bitnot { dst; src = operand src }
-    | Ir.Cast_num { dst; src; from_ty; to_ty } ->
-        Cast_num { dst; src = operand src; conv = conv from_ty to_ty }
-    | Ir.Call { dst; callee; args; arg_tys; _ } ->
+            let size = Ir.sizeof t.m elem in
+            Gepidx { dst = dst d; base = operand base; size; idx = operand idx })
+    | Ir.Bitcast { dst = d; src; _ } -> Move { dst = dst d; src = operand src }
+    | Ir.Binop { dst = d; op; fl; a; b } ->
+        Binop { dst = dst d; op; fl; a = operand a; b = operand b }
+    | Ir.Neg { dst = d; fl; src } -> Neg { dst = dst d; fl; src = operand src }
+    | Ir.Lognot { dst = d; src } -> Lognot { dst = dst d; src = operand src }
+    | Ir.Bitnot { dst = d; src } -> Bitnot { dst = dst d; src = operand src }
+    | Ir.Cast_num { dst = d; src; from_ty; to_ty } ->
+        Cast_num { dst = dst d; src = operand src; conv = conv from_ty to_ty }
+    | Ir.Call { dst = d; callee; args; arg_tys; _ } ->
         let callee =
           match callee with
           | Ir.Direct name -> (
               match Hashtbl.find_opt t.syms name with Some c -> c | None -> Missing name)
           | Ir.Indirect c -> Via (operand c)
         in
-        Call { dst; callee; args = Array.of_list (List.map operand args); arg_tys }
-    | Ir.Pac p -> Pac { p; src = operand p.p_src; slot = operand p.p_slot_addr }
+        Call
+          { dst = Option.map dst d; callee; args = Array.of_list (List.map operand args);
+            arg_tys }
+    | Ir.Pac p ->
+        Pac { p; dst = dst p.p_dst; src = operand p.p_src; slot = operand p.p_slot_addr }
     | Ir.Pp (Ir.Pp_add _) -> Pp Pp_add
-    | Ir.Pp (Ir.Pp_sign { dst; src; ce; slot_addr }) ->
-        Pp (Pp_sign { dst; src = operand src; ce; slot = operand slot_addr })
-    | Ir.Pp (Ir.Pp_auth { dst; src; slot_addr }) ->
-        Pp (Pp_auth { dst; src = operand src; slot = operand slot_addr })
-    | Ir.Pp (Ir.Pp_add_tbi { dst; src; ce }) -> Pp (Pp_add_tbi { dst; src = operand src; ce })
+    | Ir.Pp (Ir.Pp_sign { dst = d; src; ce; slot_addr }) ->
+        Pp (Pp_sign { dst = dst d; src = operand src; ce; slot = operand slot_addr })
+    | Ir.Pp (Ir.Pp_auth { dst = d; src; slot_addr }) ->
+        Pp (Pp_auth { dst = dst d; src = operand src; slot = operand slot_addr })
+    | Ir.Pp (Ir.Pp_add_tbi { dst = d; src; ce }) ->
+        Pp (Pp_add_tbi { dst = dst d; src = operand src; ce })
   in
   let line (ins : Ir.instr) =
     match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0
@@ -585,24 +629,36 @@ let resolve t i =
     let instrs = Array.of_list b.instrs in
     let term =
       match b.term with
-      | Ir.Ret v -> Ret (Option.map operand v)
+      | Ir.Ret v -> Ret (operand (Option.value v ~default:(Ir.Imm 0L)))
       | Ir.Br l -> Br l
       | Ir.Condbr (c, l1, l2) -> Condbr (operand c, l1, l2)
       | Ir.Unreachable -> Unreachable
     in
     { body = Array.map code instrs; lines = Array.map line instrs; term }
   in
-  { name = fn.name; nregs = fn.nregs; blocks = Array.map block fn.blocks }
+  let blocks = Array.map block fn.blocks in
+  let frame = Bytes.make (8 * (nregs + !nconsts)) '\000' in
+  List.iteri (fun k v -> set frame (nregs + !nconsts - 1 - k) v) !consts;
+  { name = fn.name; nregs; frame; bad = Array.of_list (List.rev !bad); blocks }
 
-let get regs = function K v -> v | R r -> regs.(r) | Bad e -> raise e [@@inline]
+let resolved t i =
+  match t.resolved.(i) with
+  | Some f -> f
+  | None ->
+      let f = resolve t i in
+      t.resolved.(i) <- Some f;
+      f
 
-(* The argument values, in an array of at least [size] registers. *)
-let eval_args regs (args : operand array) size =
-  let argv = Array.make (max size (Array.length args)) 0L in
+(* Function [g]'s register file for a call: its constants, and the
+   argument values in its first registers. Every argument is read, in
+   order; one past [g]'s registers is dropped. *)
+let frame_of f regs (g : func) (args : operand array) =
+  let frame = Bytes.copy g.frame in
   for j = 0 to Array.length args - 1 do
-    argv.(j) <- get regs args.(j)
+    let v = get f regs args.(j) in
+    if j < g.nregs then set frame j v
   done;
-  argv
+  frame
 
 (* ------------------------------------------------------------------ *)
 (* Attacker hooks                                                      *)
@@ -649,10 +705,10 @@ let charge t c =
 [@@inline]
 
 let step t =
-  t.steps <- t.steps + 1;
-  t.counts.instrs <- t.counts.instrs + 1;
+  let c = t.counts in
+  c.instrs <- c.instrs + 1;
   if t.profiling then t.cur_site.s_instrs <- t.cur_site.s_instrs + 1;
-  if t.steps > t.step_limit then raise (Trap_exn Step_limit_exceeded)
+  if c.instrs > t.step_limit then raise (Trap_exn Step_limit_exceeded)
 [@@inline]
 
 (* Site switching, called (under [profiling] only) before each
@@ -784,6 +840,7 @@ let account t kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
     if t.fpac then
       raise (Trap_exn (Pac_auth_failure { func; modifier; ptr = src }))
   end
+[@@inline]
 
 let mem_fault t func fault =
   Trap_exn
@@ -1010,7 +1067,7 @@ and run_builtin_body t name (args : int64 array) : int64 =
       let cmp_ptr = arg 3 in
       let call_cmp a b =
         match code_at t cmp_ptr with
-        | Some (Defined i) -> call_function t i [| a; b |]
+        | Some (Defined i) -> call_values t i [| a; b |]
         | Some (Libc i) -> run_builtin t i [| a; b |]
         | _ ->
             raise
@@ -1056,23 +1113,24 @@ and run_builtin_body t name (args : int64 array) : int64 =
 (* Instruction execution                                               *)
 (* ------------------------------------------------------------------ *)
 
-and modifier_value regs (m : Ir.modifier) slot : int64 =
+and modifier_value f regs (m : Ir.modifier) slot : int64 =
   match m with
   | Ir.Mconst c -> c
-  | Ir.Mloc c -> Int64.logxor c (get regs slot)
+  | Ir.Mloc c -> Int64.logxor c (get f regs slot)
 
 and mac_of t key ~modifier value =
   Rsti_pa.Qarma.encrypt
     ~key:(Rsti_pa.Key.lookup (Rsti_pa.Pac.keys t.pac) key)
     ~tweak:modifier value
 
-and exec_shadow_mac t fname regs (p : Ir.pac) ~src ~slot =
+and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
-  let src = get regs src in
-  let m = modifier_value regs p.p_mod slot in
-  let slot = get regs slot in
+  let fname = f.name in
+  let src = get f regs src in
+  let m = modifier_value f regs p.p_mod slot in
+  let slot = get f regs slot in
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
@@ -1081,7 +1139,7 @@ and exec_shadow_mac t fname regs (p : Ir.pac) ~src ~slot =
       else I64tbl.replace t.shadow slot (mac_of t key ~modifier:m src);
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
         ~ok:true;
-      regs.(p.p_dst) <- src
+      set regs dst src
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.load);
       let ok =
@@ -1092,81 +1150,83 @@ and exec_shadow_mac t fname regs (p : Ir.pac) ~src ~slot =
           | None -> false
       in
       account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src ~ok;
-      regs.(p.p_dst) <-
+      set regs dst
         (if ok then src else Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src)
   | Ir.Kresign ->
       (* casts carry no per-slot state under the shadow backend *)
       charge t (2 * t.costs.pac);
       account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
         ~ok:true;
-      regs.(p.p_dst) <- src
+      set regs dst src
   | Ir.Kstrip ->
       charge t t.costs.strip;
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
         ~result:src ~ok:true;
-      regs.(p.p_dst) <- src
+      set regs dst src
 
-and exec_pac t fname regs (p : Ir.pac) ~src ~slot =
-  if t.backend = `Shadow_mac then exec_shadow_mac t fname regs p ~src ~slot
+and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
+  if t.backend = `Shadow_mac then exec_shadow_mac t f regs p ~dst ~src ~slot
   else begin
-  let src = get regs src in
+  let fname = f.name in
+  let src = get f regs src in
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value regs p.p_mod slot in
+      let m = modifier_value f regs p.p_mod slot in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m src in
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:signed
         ~ok:true;
-      regs.(p.p_dst) <- signed
+      set regs dst signed
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value regs p.p_mod slot in
+      let m = modifier_value f regs p.p_mod slot in
       let v, ok =
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
         | Ok v -> (v, true)
         | Error corrupted -> (corrupted, false)
       in
       account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:v ~ok;
-      regs.(p.p_dst) <- v
+      set regs dst v
   | Ir.Kresign ->
       charge t (2 * (t.costs.pac + t.costs.pac_spill));
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
          value (the pp mechanism) gets a real authenticate + re-sign. A
          failure is the auth half's, so it reports the source modifier. *)
-      let mt = modifier_value regs p.p_mod slot in
+      let mt = modifier_value f regs p.p_mod slot in
       if not (Rsti_pa.Pac.is_signed t.pac src) then begin
         account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
           ~result:src ~ok:true;
-        regs.(p.p_dst) <- src
+        set regs dst src
       end
       else begin
-        let mf = modifier_value regs p.p_mod_from slot in
+        let mf = modifier_value f regs p.p_mod_from slot in
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:mf src with
         | Ok v ->
             let resigned = Rsti_pa.Pac.sign t.pac ~key ~modifier:mt v in
             account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
               ~result:resigned ~ok:true;
-            regs.(p.p_dst) <- resigned
+            set regs dst resigned
         | Error corrupted ->
             account t Op_resign ~func:fname ~key
               ~static_mod:(static_modifier p.p_mod_from) ~modifier:mf ~src
               ~result:corrupted ~ok:false;
-            regs.(p.p_dst) <- corrupted
+            set regs dst corrupted
       end
   | Ir.Kstrip ->
       charge t t.costs.strip;
       let stripped = Rsti_pa.Pac.strip t.pac src in
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
         ~result:stripped ~ok:true;
-      regs.(p.p_dst) <- stripped
+      set regs dst stripped
   end
 
-and exec_pp t fname regs (pp : pp) =
+and exec_pp t f regs (pp : pp) =
   charge t t.costs.pp;
   t.counts.pp_calls <- t.counts.pp_calls + 1;
   prof_pp t;
+  let fname = f.name in
   let fe_modifier ce =
     Memory.read_u64 t.mem (Int64.add pp_meta_base (Int64.of_int (ce * 8)))
   in
@@ -1175,18 +1235,18 @@ and exec_pp t fname regs (pp : pp) =
   | Pp_add -> () (* table is static in our model; cost only *)
   | Pp_sign { dst; src; ce; slot } ->
       let fe = fe_modifier ce in
-      let m = Int64.logxor fe (get regs slot) in
-      let v = get regs src in
+      let m = Int64.logxor fe (get f regs slot) in
+      let v = get f regs src in
       let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m v in
       account t Op_pp_sign ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
         ~result:signed ~ok:true;
-      regs.(dst) <- signed
+      set regs dst signed
   | Pp_add_tbi { dst; src; ce } ->
-      regs.(dst) <- Rsti_pa.Vaddr.with_top_byte (get regs src) ce
+      set regs dst (Rsti_pa.Vaddr.with_top_byte (get f regs src) ce)
   | Pp_auth { dst; src; slot } ->
-      let v = get regs src in
+      let v = get f regs src in
       let fe = fe_modifier (Rsti_pa.Vaddr.top_byte v) in
-      let m = Int64.logxor fe (get regs slot) in
+      let m = Int64.logxor fe (get f regs slot) in
       let r, ok =
         match Rsti_pa.Pac.auth t.pac ~key ~modifier:m v with
         | Ok r -> (r, true)
@@ -1194,50 +1254,48 @@ and exec_pp t fname regs (pp : pp) =
       in
       account t Op_pp_auth ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
         ~result:r ~ok;
-      regs.(dst) <- (if ok then Rsti_pa.Vaddr.with_top_byte r 0 else r)
+      set regs dst (if ok then Rsti_pa.Vaddr.with_top_byte r 0 else r)
 
-and binop_int op a b fname =
-  match op with
-  | Ast.Add -> Int64.add a b
-  | Ast.Sub -> Int64.sub a b
-  | Ast.Mul -> Int64.mul a b
-  | Ast.Div ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.div a b
-  | Ast.Mod ->
-      if b = 0L then raise (Trap_exn (Div_by_zero fname)) else Int64.rem a b
-  | Ast.Eq -> if Int64.equal a b then 1L else 0L
-  | Ast.Ne -> if Int64.equal a b then 0L else 1L
-  | Ast.Lt -> if Int64.compare a b < 0 then 1L else 0L
-  | Ast.Le -> if Int64.compare a b <= 0 then 1L else 0L
-  | Ast.Gt -> if Int64.compare a b > 0 then 1L else 0L
-  | Ast.Ge -> if Int64.compare a b >= 0 then 1L else 0L
-  | Ast.Bitand -> Int64.logand a b
-  | Ast.Bitor -> Int64.logor a b
-  | Ast.Bitxor -> Int64.logxor a b
-  | Ast.Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Ast.Shr -> Int64.shift_right a (Int64.to_int b land 63)
-  | Ast.Logand -> if a <> 0L && b <> 0L then 1L else 0L
-  | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L
-
-and binop_float op a b fname =
-  let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
-  let bool v = if v then 1L else 0L in
-  match op with
-  | Ast.Add -> Int64.bits_of_float (x +. y)
-  | Ast.Sub -> Int64.bits_of_float (x -. y)
-  | Ast.Mul -> Int64.bits_of_float (x *. y)
-  | Ast.Div -> Int64.bits_of_float (x /. y)
-  | Ast.Mod -> Int64.bits_of_float (Float.rem x y)
-  | Ast.Eq -> bool (x = y)
-  | Ast.Ne -> bool (x <> y)
-  | Ast.Lt -> bool (x < y)
-  | Ast.Le -> bool (x <= y)
-  | Ast.Gt -> bool (x > y)
-  | Ast.Ge -> bool (x >= y)
-  | Ast.Bitand | Ast.Bitor | Ast.Bitxor | Ast.Shl | Ast.Shr | Ast.Logand
-  | Ast.Logor ->
-      ignore fname;
-      binop_int op a b fname
+(* Every branch yields its [int64] from primitives alone, and [binop]
+   stores it itself: an [int64] returned from a call would be boxed. *)
+and binop f regs dst (op : Ast.binop) (fl : Ir.float_op) a b =
+  let x = get f regs a and y = get f regs b in
+  let bool c = Int64.of_int (Bool.to_int c) in
+  let fx = Int64.float_of_bits x and fy = Int64.float_of_bits y in
+  set regs dst
+    (match (op, fl) with
+    | Ast.Add, Ir.Iop -> Int64.add x y
+    | Ast.Sub, Ir.Iop -> Int64.sub x y
+    | Ast.Mul, Ir.Iop -> Int64.mul x y
+    | Ast.Div, Ir.Iop ->
+        if y = 0L then raise (Trap_exn (Div_by_zero f.name)) else Int64.div x y
+    | Ast.Mod, Ir.Iop ->
+        if y = 0L then raise (Trap_exn (Div_by_zero f.name)) else Int64.rem x y
+    | Ast.Eq, Ir.Iop -> bool (Int64.equal x y)
+    | Ast.Ne, Ir.Iop -> bool (not (Int64.equal x y))
+    | Ast.Lt, Ir.Iop -> bool (Int64.compare x y < 0)
+    | Ast.Le, Ir.Iop -> bool (Int64.compare x y <= 0)
+    | Ast.Gt, Ir.Iop -> bool (Int64.compare x y > 0)
+    | Ast.Ge, Ir.Iop -> bool (Int64.compare x y >= 0)
+    | Ast.Add, Ir.Fop -> Int64.bits_of_float (fx +. fy)
+    | Ast.Sub, Ir.Fop -> Int64.bits_of_float (fx -. fy)
+    | Ast.Mul, Ir.Fop -> Int64.bits_of_float (fx *. fy)
+    | Ast.Div, Ir.Fop -> Int64.bits_of_float (fx /. fy)
+    | Ast.Mod, Ir.Fop -> Int64.bits_of_float (Float.rem fx fy)
+    | Ast.Eq, Ir.Fop -> bool (fx = fy)
+    | Ast.Ne, Ir.Fop -> bool (fx <> fy)
+    | Ast.Lt, Ir.Fop -> bool (fx < fy)
+    | Ast.Le, Ir.Fop -> bool (fx <= fy)
+    | Ast.Gt, Ir.Fop -> bool (fx > fy)
+    | Ast.Ge, Ir.Fop -> bool (fx >= fy)
+    (* the bitwise and logical operators read float bits as integers *)
+    | Ast.Bitand, _ -> Int64.logand x y
+    | Ast.Bitor, _ -> Int64.logor x y
+    | Ast.Bitxor, _ -> Int64.logxor x y
+    | Ast.Shl, _ -> Int64.shift_left x (Int64.to_int y land 63)
+    | Ast.Shr, _ -> Int64.shift_right x (Int64.to_int y land 63)
+    | Ast.Logand, _ -> bool (x <> 0L && y <> 0L)
+    | Ast.Logor, _ -> bool (x <> 0L || y <> 0L))
 
 (* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
    paper's introduction contrasts RSTI with): an indirect call may only
@@ -1266,33 +1324,24 @@ and check_cfi_libc t caller arg_tys name =
         raise (Trap_exn (Cfi_violation { func = caller; target = name }))
   | _ -> () (* unknown prototype: coarse CFI allows it *)
 
-(* [argv] holds the arguments and becomes the callee's register file
-   when it is large enough. *)
-and call_function t i (argv : int64 array) : int64 =
-  let f =
-    match t.resolved.(i) with
-    | Some f -> f
-    | None ->
-        let f = resolve t i in
-        t.resolved.(i) <- Some f;
-        f
-  in
+(* [regs] is [g]'s register file, the arguments already in place. *)
+and call_function t i (g : func) regs : int64 =
   let n = t.call_counts.(i) + 1 in
   t.call_counts.(i) <- n;
-  (match t.attacks with [] -> () | _ -> fire_attacks t (On_call (f.name, n)));
+  (match t.attacks with [] -> () | _ -> fire_attacks t (On_call (g.name, n)));
   charge t t.costs.call;
-  let regs =
-    if Array.length argv >= f.nregs then argv
-    else begin
-      let regs = Array.make f.nregs 0L in
-      Array.blit argv 0 regs 0 (Array.length argv);
-      regs
-    end
-  in
   let saved_sp = t.sp in
-  let result = exec_block t f regs 0 in
+  let result = exec_block t g regs 0 in
   t.sp <- saved_sp;
   result
+
+(* A call on argument values: the entry points, indirect calls and
+   qsort's comparator. *)
+and call_values t i (argv : int64 array) : int64 =
+  let g = resolved t i in
+  let regs = Bytes.copy g.frame in
+  Array.iteri (fun j v -> if j < g.nregs then set regs j v) argv;
+  call_function t i g regs
 
 and exec_block t f regs label : int64 =
   let b = f.blocks.(label) in
@@ -1304,12 +1353,9 @@ and exec_block t f regs label : int64 =
     exec t f regs body.(i)
   done;
   match b.term with
-  | Ret None ->
+  | Ret v ->
       charge t t.costs.branch;
-      0L
-  | Ret (Some v) ->
-      charge t t.costs.branch;
-      get regs v
+      get f regs v
   | Br l ->
       charge t t.costs.branch;
       step t;
@@ -1317,87 +1363,86 @@ and exec_block t f regs label : int64 =
   | Condbr (c, l1, l2) ->
       charge t t.costs.branch;
       step t;
-      exec_block t f regs (if Int64.equal (get regs c) 0L then l2 else l1)
+      exec_block t f regs (if Int64.equal (get f regs c) 0L then l2 else l1)
   | Unreachable -> raise (Trap_exn (Unknown_function (f.name ^ ":unreachable")))
 
+(* Each case stores its own result: see [binop]. *)
 and exec t f regs (c : code) : unit =
   match c with
   | Alloca { dst; size } ->
       charge t t.costs.alu;
-      t.sp <- Int64.sub t.sp (Int64.of_int size);
-      if t.sp < Layout.stack_limit then raise (Trap_exn Stack_overflow);
-      Memory.map t.mem ~addr:t.sp ~size;
-      regs.(dst) <- t.sp
-  | Load { dst; addr; byte } ->
+      t.sp <- t.sp - size;
+      if t.sp < stack_limit then raise (Trap_exn Stack_overflow);
+      (* [sp] only falls by an [Alloca], so every byte from [stack_low]
+         up has been allocated once and is mapped. *)
+      if t.sp < t.stack_low then begin
+        Memory.map t.mem ~addr:(Int64.of_int t.sp) ~size:(t.stack_low - t.sp);
+        t.stack_low <- t.sp
+      end;
+      set regs dst (Int64.of_int t.sp)
+  | Load { dst; addr; byte } -> (
       charge t t.costs.load;
       t.counts.loads <- t.counts.loads + 1;
-      let a = get regs addr in
-      regs.(dst) <-
-        (try
-           if byte then Int64.of_int (Memory.read_u8 t.mem a) else Memory.read_u64 t.mem a
-         with Memory.Fault fault -> raise (mem_fault t f.name fault))
+      if addr < 0 then raise f.bad.(lnot addr);
+      try Memory.load t.mem regs ~dst:(dst lsl 3) ~addr:(addr lsl 3) ~byte
+      with Memory.Fault fault -> raise (mem_fault t f.name fault))
   | Store { src; addr; byte } -> (
       charge t t.costs.store;
       t.counts.stores <- t.counts.stores + 1;
-      let v = get regs src in
-      let a = get regs addr in
-      try
-        if byte then Memory.write_u8 t.mem a (Int64.to_int (Int64.logand v 0xFFL))
-        else Memory.write_u64 t.mem a v
+      if src < 0 then raise f.bad.(lnot src);
+      if addr < 0 then raise f.bad.(lnot addr);
+      try Memory.store t.mem regs ~src:(src lsl 3) ~addr:(addr lsl 3) ~byte
       with Memory.Fault fault -> raise (mem_fault t f.name fault))
   | Gep { dst; base; off } ->
       charge t t.costs.gep;
-      regs.(dst) <- Int64.add (get regs base) off
+      set regs dst (Int64.add (get f regs base) (Int64.of_int off))
   | Gepidx { dst; base; size; idx } ->
       charge t t.costs.gep;
-      regs.(dst) <- Int64.add (get regs base) (Int64.mul size (get regs idx))
+      set regs dst
+        (Int64.add (get f regs base) (Int64.mul (Int64.of_int size) (get f regs idx)))
   | Move { dst; src } ->
       charge t t.costs.alu;
-      regs.(dst) <- get regs src
+      set regs dst (get f regs src)
   | Binop { dst; op; fl; a; b } ->
       charge t t.costs.alu;
-      let va = get regs a and vb = get regs b in
-      regs.(dst) <-
-        (match fl with
-        | Ir.Iop -> binop_int op va vb f.name
-        | Ir.Fop -> binop_float op va vb f.name)
-  | Neg { dst; fl; src } ->
+      binop f regs dst op fl a b
+  | Neg { dst; fl; src } -> (
       charge t t.costs.alu;
-      let v = get regs src in
-      regs.(dst) <-
-        (match fl with
-        | Ir.Iop -> Int64.neg v
-        | Ir.Fop -> Int64.bits_of_float (-.Int64.float_of_bits v))
+      let v = get f regs src in
+      match fl with
+      | Ir.Iop -> set regs dst (Int64.neg v)
+      | Ir.Fop -> set regs dst (Int64.bits_of_float (-.Int64.float_of_bits v)))
   | Lognot { dst; src } ->
       charge t t.costs.alu;
-      regs.(dst) <- (if Int64.equal (get regs src) 0L then 1L else 0L)
+      set regs dst (Int64.of_int (Bool.to_int (Int64.equal (get f regs src) 0L)))
   | Bitnot { dst; src } ->
       charge t t.costs.alu;
-      regs.(dst) <- Int64.lognot (get regs src)
-  | Cast_num { dst; src; conv } ->
+      set regs dst (Int64.lognot (get f regs src))
+  | Cast_num { dst; src; conv } -> (
       charge t t.costs.alu;
-      let v = get regs src in
-      regs.(dst) <-
-        (match conv with
-        | To_double -> Int64.bits_of_float (Int64.to_float v)
-        | To_integer -> Int64.of_float (Int64.float_of_bits v)
-        | To_char -> Int64.logand v 0xFFL
-        | Same -> v)
+      let v = get f regs src in
+      match conv with
+      | To_double -> set regs dst (Int64.bits_of_float (Int64.to_float v))
+      | To_integer -> set regs dst (Int64.of_float (Int64.float_of_bits v))
+      | To_char -> set regs dst (Int64.logand v 0xFFL)
+      | Same -> set regs dst v)
   | Call { dst; callee; args; arg_tys } ->
       let result =
         match callee with
-        | Defined i -> call_function t i (eval_args regs args t.funcs.(i).nregs)
-        | Libc i -> run_builtin t i (eval_args regs args 0)
+        | Defined i ->
+            let g = resolved t i in
+            call_function t i g (frame_of f regs g args)
+        | Libc i -> run_builtin t i (Array.map (get f regs) args)
         | Missing name ->
-            ignore (eval_args regs args 0);
+            ignore (Array.map (get f regs) args);
             raise (Trap_exn (Unknown_function name))
         | Via c -> (
-            let argv = eval_args regs args 0 in
-            let target = get regs c in
+            let argv = Array.map (get f regs) args in
+            let target = get f regs c in
             match code_at t target with
             | Some (Defined i) ->
                 if t.cfi then check_cfi t f.name arg_tys t.funcs.(i);
-                call_function t i argv
+                call_values t i argv
             | Some (Libc i) ->
                 if t.cfi then check_cfi_libc t f.name arg_tys t.libc.(i);
                 run_builtin t i argv
@@ -1407,9 +1452,9 @@ and exec t f regs (c : code) : unit =
                      (Bad_indirect_call
                         { target; func = f.name; after_auth_fail = t.auth_failed })))
       in
-      (match dst with Some d -> regs.(d) <- result | None -> ())
-  | Pac { p; src; slot } -> exec_pac t f.name regs p ~src ~slot
-  | Pp pp -> exec_pp t f.name regs pp
+      (match dst with Some d -> set regs d result | None -> ())
+  | Pac { p; dst; src; slot } -> exec_pac t f regs p ~dst ~src ~slot
+  | Pp pp -> exec_pp t f regs pp
   | Fail { cost; exn } ->
       charge t cost;
       raise exn
@@ -1432,10 +1477,10 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
   let status =
     try
       (match Hashtbl.find_opt t.syms Ir.global_init_name with
-      | Some (Defined i) -> ignore (call_function t i [||])
+      | Some (Defined i) -> ignore (call_values t i [||])
       | _ -> ());
       match Hashtbl.find_opt t.syms entry with
-      | Some (Defined i) -> Exited (call_function t i [||])
+      | Some (Defined i) -> Exited (call_values t i [||])
       | _ -> Trapped (Unknown_function entry)
     with
     | Trap_exn tr -> Trapped tr

@@ -208,8 +208,10 @@ val create :
     [seed], install the read-only pointer-to-pointer metadata table.
     Code is resolved lazily: a function's instructions are turned into
     the form the machine executes on its first call, so a run pays only
-    for the functions it enters, and a name or type the IR gets wrong
-    raises only when the instruction that uses it executes.
+    for the functions it enters, and a name, type or register the IR
+    gets wrong raises only when the instruction that uses it executes.
+    Each call runs on a register file of unboxed 64-bit registers, its
+    constants held in registers above the function's own.
     [fpac] (default true) selects ARMv8.6 FPAC semantics — a failing
     [aut*] traps synchronously, as on the Apple M1 the paper evaluates
     on; with [fpac:false] the failure only corrupts the pointer and the
@@ -248,5 +250,6 @@ val run :
   t ->
   outcome
 (** Execute [__rsti_global_init] then [entry] (default ["main"]).
-    [step_limit] bounds interpreted instructions (default 200 million).
+    [step_limit] bounds interpreted instructions, [counts.instrs]
+    (default 200 million).
     A machine can be run only once; create a fresh one per run. *)

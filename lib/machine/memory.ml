@@ -17,55 +17,84 @@ let page_size = 1 lsl page_bits
 module Pages = Hashtbl.Make (Int)
 
 (* Pages are keyed by page number; a canonical address has 48 bits, so
-   its page number fits an [int]. Pages are never unmapped, so the
-   last-page cache cannot go stale. *)
+   the address and its page number fit an [int]. In front of the table
+   sits a direct-mapped cache: slot [slot_of no] holds page [no] once an
+   access has looked it up. Pages are never unmapped, so a slot cannot go
+   stale. *)
+let cache_bits = 7
+
 type t = {
   pages : bytes Pages.t;
-  mutable last_no : int;  (* -1 until the first access *)
-  mutable last : bytes;
-  mutable ro_regions : (int64 * int64) list; (* inclusive lo, exclusive hi *)
+  cached_no : int array;  (* the page number in each slot, -1 when empty *)
+  cached : bytes array;
+  mutable ro_regions : (int * int) list;  (* inclusive lo, exclusive hi *)
 }
 
 let create () =
-  { pages = Pages.create 256; last_no = -1; last = Bytes.empty; ro_regions = [] }
+  {
+    pages = Pages.create 256;
+    cached_no = Array.make (1 lsl cache_bits) (-1);
+    cached = Array.make (1 lsl cache_bits) Bytes.empty;
+    ro_regions = [];
+  }
 
-let canonical_limit = 0x0001_0000_0000_0000L (* 2^48 *)
+(* Fibonacci hashing: the top bits of the page number times 2^63/phi, so
+   the consecutive pages of each segment spread over the slots and the
+   segments' first pages do not meet in one. *)
+let slot_of no = (no * -0x30E44323405AC1F5) lsr (63 - cache_bits) [@@inline]
 
 let check_canonical a =
-  if Int64.unsigned_compare a canonical_limit >= 0 then
-    raise (Fault (Non_canonical a))
+  if Int64.shift_right_logical a 48 <> 0L then raise (Fault (Non_canonical a))
+[@@inline]
 
-let page_of a = Int64.to_int (Int64.shift_right_logical a page_bits)
-let offset_of a = Int64.to_int a land (page_size - 1)
+let offset_of a = Int64.to_int a land (page_size - 1) [@@inline]
+
+(* The cache missed: look the page up and fill its slot. [a] is the
+   canonical address being accessed, as an [int]. *)
+let fill t a =
+  let no = a lsr page_bits in
+  match Pages.find t.pages no with
+  | p ->
+      let s = slot_of no in
+      t.cached_no.(s) <- no;
+      t.cached.(s) <- p;
+      p
+  | exception Not_found -> raise (Fault (Unmapped (Int64.of_int a)))
 
 let get_page t a =
   check_canonical a;
-  let no = page_of a in
-  if no = t.last_no then t.last
-  else
-    match Pages.find t.pages no with
-    | p ->
-        t.last_no <- no;
-        t.last <- p;
-        p
-    | exception Not_found -> raise (Fault (Unmapped a))
+  let a = Int64.to_int a in
+  let no = a lsr page_bits in
+  let s = slot_of no in
+  if t.cached_no.(s) = no then t.cached.(s) else fill t a
+[@@inline]
 
 let map t ~addr ~size =
   check_canonical addr;
-  let first = page_of addr
-  and last = page_of (Int64.add addr (Int64.of_int (max 0 (size - 1)))) in
+  let first = Int64.to_int addr lsr page_bits
+  and last =
+    Int64.to_int (Int64.add addr (Int64.of_int (max 0 (size - 1)))) lsr page_bits
+  in
   for no = first to last do
-    if no <> t.last_no && not (Pages.mem t.pages no) then
+    if t.cached_no.(slot_of no) <> no && not (Pages.mem t.pages no) then
       Pages.replace t.pages no (Bytes.make page_size '\000')
   done
 
 let protect t ~addr ~size =
-  t.ro_regions <- (addr, Int64.add addr (Int64.of_int size)) :: t.ro_regions
+  let lo = Int64.to_int addr in
+  t.ro_regions <- (lo, lo + size) :: t.ro_regions
 
-let rec in_region a = function
+let rec in_region (a : int) = function
   | [] -> false
-  | (lo, hi) :: rest ->
-      (Int64.compare a lo >= 0 && Int64.compare a hi < 0) || in_region a rest
+  | (lo, hi) :: rest -> (a >= lo && a < hi) || in_region a rest
+
+(* A non-canonical address lies in no region, which are canonical, so the
+   canonical check may come first. *)
+let check_writable t a =
+  check_canonical a;
+  if t.ro_regions <> [] && in_region (Int64.to_int a) t.ro_regions then
+    raise (Fault (Read_only a))
+[@@inline]
 
 let read_u8 t a = Char.code (Bytes.get (get_page t a) (offset_of a))
 
@@ -73,7 +102,7 @@ let write_u8_unchecked t a v =
   Bytes.set (get_page t a) (offset_of a) (Char.chr (v land 0xFF))
 
 let write_u8 t a v =
-  if in_region a t.ro_regions then raise (Fault (Read_only a));
+  check_writable t a;
   write_u8_unchecked t a v
 
 let read_u64 t a =
@@ -99,8 +128,31 @@ let write_u64_raw t a v =
     done
 
 let write_u64 t a v =
-  if in_region a t.ro_regions then raise (Fault (Read_only a));
+  check_writable t a;
   write_u64_raw t a v
+
+(* The load/store unit moves words between memory and a register file in
+   place, so no [int64] crosses into or out of this module boxed; only a
+   word that straddles two pages goes through [read_u64]/[write_u64_raw]. *)
+let load t regs ~dst ~addr ~byte =
+  let a = Bytes.get_int64_ne regs addr in
+  let off = offset_of a in
+  if byte then
+    Bytes.set_int64_ne regs dst (Int64.of_int (Bytes.get_uint8 (get_page t a) off))
+  else if off + 8 <= page_size then
+    Bytes.set_int64_ne regs dst (Bytes.get_int64_le (get_page t a) off)
+  else Bytes.set_int64_ne regs dst (read_u64 t a)
+
+let store t regs ~src ~addr ~byte =
+  let a = Bytes.get_int64_ne regs addr in
+  check_writable t a;
+  let off = offset_of a in
+  if byte then
+    Bytes.set_uint8 (get_page t a) off
+      (Int64.to_int (Bytes.get_int64_ne regs src) land 0xFF)
+  else if off + 8 <= page_size then
+    Bytes.set_int64_le (get_page t a) off (Bytes.get_int64_ne regs src)
+  else write_u64_raw t a (Bytes.get_int64_ne regs src)
 
 let read_bytes t a n =
   let out = Bytes.create n in

@@ -64,6 +64,182 @@ let test_mem_cstring () =
   checks "cstring" "hello" (Memory.read_cstring m 0x1000L);
   checki "nul" 0 (Memory.read_u8 m 0x1005L)
 
+(* The load/store unit against a table of what the memory model's word
+   and byte accessors gave before the unit and its page cache existed.
+   Each row is an address at a mid-page offset (0x400) or at page
+   offsets 4089-4095, where a word straddles into the next page; each
+   entry reads "load word, load byte, store word then load it, store
+   byte then load it", a fault shown as U (unmapped), N (non-canonical)
+   or R (read-only) and its address. Every row starts from a fresh
+   memory. *)
+let load_store_table =
+  [
+    ( "next mapped", 0x2000_0000L,
+      [ "dd0357fc9f05400 0 1122334455667788 cd";
+        "b5c919ab4d6d6f 6f 1122334455667788 cd";
+        "5000b5c919ab4d6d 6d 1122334455667788 cd";
+        "c15000b5c919ab4d 4d 1122334455667788 cd";
+        "47c15000b5c919ab ab 1122334455667788 cd";
+        "7747c15000b5c919 19 1122334455667788 cd";
+        "e77747c15000b5c9 c9 1122334455667788 cd";
+        "84e77747c15000b5 b5 1122334455667788 cd" ] );
+    ( "next unmapped", 0x1000_0000L,
+      [ "75db8dbe79f05400 0 1122334455667788 cd";
+        "U10001000 6f U10001000 cd";
+        "U10001001 6d U10001000 cd";
+        "U10001002 fd U10001000 cd";
+        "U10001003 e9 U10001000 cd";
+        "U10001004 71 U10001000 cd";
+        "U10001005 d4 U10001000 cd";
+        "U10001006 1d U10001000 cd" ] );
+    ( "unmapped", 0x3000_0000L,
+      [ "U30000400 U30000400 U30000400 U30000400";
+        "U30001000 U30000ff9 U30000ff9 U30000ff9";
+        "U30001001 U30000ffa U30000ffa U30000ffa";
+        "U30001002 U30000ffb U30000ffb U30000ffb";
+        "U30001003 U30000ffc U30000ffc U30000ffc";
+        "U30001004 U30000ffd U30000ffd U30000ffd";
+        "U30001005 U30000ffe U30000ffe U30000ffe";
+        "U30001006 U30000fff U30000fff U30000fff" ] );
+    ( "last canonical", 0xFFFF_FFFF_F000L,
+      [ "e2604e08822f0400 0 1122334455667788 cd";
+        "N1000000000000 1f N1000000000000 cd";
+        "N1000000000001 ac N1000000000000 cd";
+        "N1000000000002 5 N1000000000000 cd";
+        "N1000000000003 34 N1000000000000 cd";
+        "N1000000000004 32 N1000000000000 cd";
+        "N1000000000005 59 N1000000000000 cd";
+        "N1000000000006 8a N1000000000000 cd" ] );
+    ( "non-canonical", 0x0001_0000_2000_0000L,
+      [ "N1000020000400 N1000020000400 N1000020000400 N1000020000400";
+        "N1000020001000 N1000020000ff9 N1000020000ff9 N1000020000ff9";
+        "N1000020001001 N1000020000ffa N1000020000ffa N1000020000ffa";
+        "N1000020001002 N1000020000ffb N1000020000ffb N1000020000ffb";
+        "N1000020001003 N1000020000ffc N1000020000ffc N1000020000ffc";
+        "N1000020001004 N1000020000ffd N1000020000ffd N1000020000ffd";
+        "N1000020001005 N1000020000ffe N1000020000ffe N1000020000ffe";
+        "N1000020001006 N1000020000fff N1000020000fff N1000020000fff" ] );
+    ( "pp metadata", 0x60_8000L,
+      [ "40536190efdad400 0 R608400 R608400";
+        "U609000 ef U609000 cd";
+        "U609001 57 U609000 cd";
+        "U609002 73 U609000 cd";
+        "U609003 bc U609000 cd";
+        "U609004 45 U609000 cd";
+        "U609005 4c U609000 cd";
+        "U609006 e8 U609000 cd" ] );
+    ( "ro next page", 0x4000_0000L,
+      [ "3db9850269f05400 0 1122334455667788 cd";
+        "e5b2692ded6d6f 6f 1122334455667788 cd";
+        "5000e5b2692ded6d 6d 1122334455667788 cd";
+        "c15000e5b2692ded ed 1122334455667788 cd";
+        "e7c15000e5b2692d 2d 1122334455667788 cd";
+        "f9e7c15000e5b269 69 1122334455667788 cd";
+        "36f9e7c15000e5b2 b2 1122334455667788 cd";
+        "6e36f9e7c15000e5 e5 1122334455667788 cd" ] );
+    ( "ro page", 0x5000_0000L,
+      [ "d5ae2cc3b9f05400 0 R50000400 R50000400";
+        "7da710ef3d6d6f 6f R50000ff9 R50000ff9";
+        "50007da710ef3d6d 6d R50000ffa R50000ffa";
+        "c150007da710ef3d 3d R50000ffb R50000ffb";
+        "37c150007da710ef ef R50000ffc R50000ffc";
+        "bb37c150007da710 10 R50000ffd R50000ffd";
+        "debb37c150007da7 a7 R50000ffe R50000ffe";
+        "62debb37c150007d 7d R50000fff R50000fff" ] );
+  ]
+
+let load_store_memory () =
+  let m = Memory.create () in
+  let fill base size =
+    Memory.map m ~addr:base ~size;
+    for k = 0 to (size / 8) - 1 do
+      let a = Int64.add base (Int64.of_int (8 * k)) in
+      Memory.write_u64_raw m a (Int64.mul a 0x9E3779B97F4A7C15L)
+    done
+  in
+  fill 0x2000_0000L 8192;
+  fill 0x1000_0000L 4096;
+  fill 0xFFFF_FFFF_F000L 4096;
+  (* the pointer-to-pointer metadata's layout: the first half of its page *)
+  fill 0x60_8000L 4096;
+  Memory.protect m ~addr:0x60_8000L ~size:2048;
+  fill 0x4000_0000L 8192;
+  Memory.protect m ~addr:0x4000_1000L ~size:2048;
+  fill 0x5000_0000L 8192;
+  Memory.protect m ~addr:0x5000_0000L ~size:4096;
+  m
+
+(* Registers: 0 the address, 1 the value to store, 2 the destination. *)
+let unit_op ~store ~byte a v =
+  let m = load_store_memory () in
+  let regs = Bytes.create 24 in
+  Bytes.set_int64_ne regs 0 a;
+  Bytes.set_int64_ne regs 8 v;
+  Bytes.set_int64_ne regs 16 (-1L);
+  match
+    if store then Memory.store m regs ~src:8 ~addr:0 ~byte;
+    Memory.load m regs ~dst:16 ~addr:0 ~byte;
+    Bytes.get_int64_ne regs 16
+  with
+  | v -> Printf.sprintf "%Lx" v
+  | exception Memory.Fault (Memory.Unmapped a) -> Printf.sprintf "U%Lx" a
+  | exception Memory.Fault (Memory.Non_canonical a) -> Printf.sprintf "N%Lx" a
+  | exception Memory.Fault (Memory.Read_only a) -> Printf.sprintf "R%Lx" a
+
+let test_mem_load_store_unit () =
+  List.iter
+    (fun (name, base, rows) ->
+      List.iteri
+        (fun i expected ->
+          let off = if i = 0 then 0x400 else 4088 + i in
+          let a = Int64.add base (Int64.of_int off) in
+          checks
+            (Printf.sprintf "%s +0x%x" name off)
+            expected
+            (String.concat " "
+               [
+                 unit_op ~store:false ~byte:false a 0L;
+                 unit_op ~store:false ~byte:true a 0L;
+                 unit_op ~store:true ~byte:false a 0x1122334455667788L;
+                 unit_op ~store:true ~byte:true a 0x11223344556677CDL;
+               ]))
+        rows)
+    load_store_table;
+  (* Many times more pages than the page cache has slots, from two
+     regions, so pages that share a slot take turns in it. *)
+  let m = Memory.create () in
+  let page k =
+    Int64.add
+      (if k land 1 = 0 then 0x2000_0000L else 0x7fff_f000_0000L)
+      (Int64.of_int (4096 * (k / 2)))
+  in
+  let regs = Bytes.create 16 in
+  let access ~store k =
+    Bytes.set_int64_ne regs 0 (Int64.add (page k) 8L);
+    Bytes.set_int64_ne regs 8 (Int64.of_int (k * 7919));
+    if store then Memory.store m regs ~src:8 ~addr:0 ~byte:false
+    else begin
+      Memory.load m regs ~dst:8 ~addr:0 ~byte:false;
+      check64 (Printf.sprintf "page %d" k) (Int64.of_int (k * 7919))
+        (Bytes.get_int64_ne regs 8)
+    end
+  in
+  let pages = 1024 in
+  for k = 0 to pages - 1 do
+    Memory.map m ~addr:(page k) ~size:4096;
+    access ~store:true k
+  done;
+  for k = pages - 1 downto 0 do access ~store:false k done;
+  for k = 0 to pages - 1 do access ~store:false ((k * 389) mod pages) done;
+  (* Mapping a page again keeps what it holds, whether the cache has it
+     (page 0, just read) or not. *)
+  access ~store:false 0;
+  Memory.map m ~addr:(page 0) ~size:8192;
+  Memory.map m ~addr:(Int64.sub (page (pages - 1)) 4096L) ~size:16384;
+  access ~store:false 0;
+  access ~store:false (pages - 1);
+  access ~store:false 2
+
 (* ---------------------------- interpreter --------------------------- *)
 
 let run ?attacks src = Pipeline.run_baseline ?attacks (compiled src)
@@ -187,9 +363,12 @@ let test_interp_step_limit () =
      from the pipeline's compiled module *)
   let m = Pipeline.ir (compiled "int main(void) { while (1) { } return 0; }") in
   let vm = Interp.create m in
-  match (Interp.run ~step_limit:10_000 vm).status with
+  let o = Interp.run ~step_limit:10_000 vm in
+  (match o.status with
   | Interp.Trapped Interp.Step_limit_exceeded -> ()
-  | _ -> Alcotest.fail "expected step limit"
+  | _ -> Alcotest.fail "expected step limit");
+  (* the limit counts the instructions the outcome reports *)
+  checki "instrs" 10_001 o.counts.instrs
 
 let test_interp_cycles_positive_and_counted () =
   let o = run "int main(void) { int s = 0; for (int i = 0; i < 10; i++) { s += i; } return s; }" in
@@ -333,7 +512,78 @@ let test_interp_bad_ir_fails_when_run () =
       ("field", gep "s" "nope", Not_found);
       ("sizeof void", Ir.Alloca { dst = 0; ty = Ctype.Void; dv = None },
        Invalid_argument "Ctype.sizeof: void has no size");
+      (* register 2 is the first past [nregs] *)
+      ("operand register", load (Ir.Reg 2), Invalid_argument "index out of bounds");
+      ("destination register",
+       Ir.Binop { dst = 2; op = Rsti_minic.Ast.Add; fl = Ir.Iop; a = Ir.Imm 1L; b = Ir.Imm 2L },
+       Invalid_argument "index out of bounds");
+      (* the value is read before the address, which would fault *)
+      ("store from a global",
+       Ir.Store { src = Ir.Global "nope"; addr = Ir.Reg 1; ty = Ctype.Long;
+                  slot = Ir.Sanon Ctype.Long },
+       Invalid_argument "Interp.global_addr: unknown global nope");
     ]
+
+(* Constants live in registers above a function's own; a function with
+   more than 300 distinct ones (integers and doubles) runs as it did when
+   each operand carried its constant. *)
+let test_interp_many_constants () =
+  let body =
+    String.concat ""
+      (List.init 320 (fun k ->
+           Printf.sprintf "  s = s * 31 + %d;\n  x = x * 0.5 + %d.25;\n" (1000 + (7 * k)) k))
+  in
+  let src =
+    Printf.sprintf
+      "extern int printf(const char *fmt, ...);\n\
+       int main(void) {\n  long s = 0;\n  double x = 1.0;\n%s  printf(\"%%ld %%f\\n\", s, x);\n\
+      \  return (int) (s %% 251);\n}\n"
+      body
+  in
+  let o = Interp.run (Interp.create (Pipeline.ir (compiled src))) in
+  let c = o.Interp.counts in
+  checks "status" "exit 20"
+    (match o.Interp.status with
+    | Interp.Exited n -> Printf.sprintf "exit %Ld" n
+    | Interp.Trapped t -> Interp.trap_to_string t);
+  checks "output" "7863655130013459552 636.5\n" o.Interp.output;
+  checki "instrs" 2570 c.Interp.instrs;
+  checki "cycles" 4519 o.Interp.cycles;
+  checki "loads" 643 c.Interp.loads;
+  checki "stores" 642 c.Interp.stores
+
+(* The machine's hot path allocates nothing: a call-free loop of word and
+   byte loads and stores, indexed addresses, integer and float
+   arithmetic and branches. *)
+let test_interp_hot_loop_allocates_nothing () =
+  let src =
+    {|extern int printf(const char *fmt, ...);
+long words[64];
+char bytes[64];
+int main(void) {
+  long sum = 0;
+  double x = 0.5;
+  for (int i = 0; i < 20000; i++) {
+    words[i % 64] = words[(i + 1) % 64] + i;
+    bytes[i % 64] = (char) (i & 127);
+    sum = sum + words[i % 64] + bytes[(i + 3) % 64];
+    x = x * 0.999 + 1.5;
+  }
+  printf("%ld %f\n", sum, x);
+  return 0;
+}
+|}
+  in
+  let vm = Interp.create (Pipeline.ir (compiled src)) in
+  let before = Gc.minor_words () in
+  let o = Interp.run vm in
+  let words = Gc.minor_words () -. before in
+  let instrs = o.Interp.counts.Interp.instrs in
+  checks "output" "21263798543 1500\n" o.Interp.output;
+  checki "instrs" 860013 instrs;
+  let per_instr = words /. float_of_int instrs in
+  if per_instr >= 0.05 then
+    Alcotest.failf "%.3f minor words per simulated instruction (%.0f words)" per_instr words
 
 let test_interp_profiles_populated () =
   let o =
@@ -517,6 +767,7 @@ let tests =
     Alcotest.test_case "mem: non-canonical faults" `Quick test_mem_non_canonical_faults;
     Alcotest.test_case "mem: read-only regions" `Quick test_mem_read_only;
     Alcotest.test_case "mem: cstrings" `Quick test_mem_cstring;
+    Alcotest.test_case "memory: load/store unit" `Quick test_mem_load_store_unit;
     Alcotest.test_case "interp: arithmetic" `Quick test_interp_arith;
     Alcotest.test_case "interp: division truncates" `Quick test_interp_division_truncates;
     Alcotest.test_case "interp: div by zero" `Quick test_interp_div_by_zero_traps;
@@ -547,6 +798,9 @@ let tests =
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
     Alcotest.test_case "interp: bad IR fails when run" `Quick test_interp_bad_ir_fails_when_run;
+    Alcotest.test_case "interp: many constants" `Quick test_interp_many_constants;
+    Alcotest.test_case "interp: hot loop allocates nothing" `Quick
+      test_interp_hot_loop_allocates_nothing;
     Alcotest.test_case "interp: profiles" `Quick test_interp_profiles_populated;
     Alcotest.test_case "interp: profile order" `Quick test_interp_profile_order;
     Alcotest.test_case "interp: outcome size bounded" `Quick test_interp_outcome_size_bounded;
