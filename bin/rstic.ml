@@ -25,9 +25,10 @@
                --attack-surface adds the modifier-collision and
                feasible-substitution rules; exits 1 when any
                error-severity finding is reported
-     report    print paper-reproduction reports by name (the bench
-               harness's sections; report table1 table2 is the attack
-               catalog) *)
+     report    regenerate the paper's tables and figures: every report
+               (the bench) or the named ones (report table1 table2 is
+               the attack catalog); --json/--metrics/--events/--trace
+               write the bench documents *)
 
 open Cmdliner
 
@@ -36,6 +37,93 @@ module Interp = Rsti_machine.Interp
 module Pipeline = Rsti_engine.Pipeline
 module Scheduler = Rsti_engine.Scheduler
 module Elide = Rsti_staticcheck.Elide
+module Points_to = Rsti_dataflow.Points_to
+module Observe = Rsti_observe.Observe
+module Json = Rsti_util.Json
+
+(* [--jobs N]: evaluating the term installs N as the engine's job count;
+   without the flag the scheduler keeps its own default. *)
+let jobs_term =
+  let jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Number of worker domains for suite-level fan-out. Defaults \
+             to $(b,RSTI_JOBS), then the machine's recommended domain \
+             count. Results are deterministic: output is byte-identical \
+             for any N.")
+  in
+  Term.(const (Option.iter Scheduler.set_default_jobs) $ jobs)
+
+(* [--points-to MODE]; the bare flag means [bare]. *)
+let points_to_term ?(bare = Points_to.Insensitive) ~doc () =
+  let parse s =
+    match Points_to.mode_of_string s with
+    | Some m -> Ok m
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown points-to mode %S (insensitive|cloning[:K])"
+               s))
+  in
+  let print fmt m = Format.pp_print_string fmt (Points_to.mode_to_string m) in
+  Arg.(
+    value
+    & opt ~vopt:(Some bare) (some (conv (parse, print))) None
+    & info [ "points-to" ] ~docv:"MODE" ~doc)
+
+type telemetry = {
+  trace : string option;
+  metrics : string option;
+  events : string option;
+}
+
+(* [--trace], [--metrics], [--events]: each names a file written by
+   {!write_telemetry} at exit. Evaluating the term turns span recording
+   on when [--trace] is given; counters and events are always kept. *)
+let telemetry_term =
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  let setup trace metrics events =
+    if trace <> None then Observe.set_enabled true;
+    { trace; metrics; events }
+  in
+  Term.(
+    const setup
+    $ file "trace"
+        "Record spans (report sections, pipeline stages, scheduler tasks, \
+         cache lookups, dataflow fixpoints) and write them to $(docv) as \
+         a Chrome trace-event JSON document (loadable in Perfetto or \
+         chrome://tracing). Span recording is off without this flag."
+    $ file "metrics"
+        "Write the telemetry counter/gauge/histogram registry \
+         ($(b,rsti-metrics/1)) to $(docv)."
+    $ file "events"
+        "Write the security-event log ($(b,rsti-events/1): a header line, \
+         then one compact JSON object per event, lexicographically \
+         sorted, byte-identical at any $(b,--jobs)) to $(docv). Incident \
+         events carry the failing PAC site, expected vs observed signer, \
+         detection latency and the static-class mapping.")
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let write_telemetry tel =
+  Option.iter
+    (fun path ->
+      write_file path
+        (Json.to_string ~indent:false (Observe.Span.chrome_trace ()) ^ "\n"))
+    tel.trace;
+  Option.iter
+    (fun path ->
+      write_file path (Json.to_string (Observe.Metrics.to_json ()) ^ "\n"))
+    tel.metrics;
+  Option.iter
+    (fun path -> write_file path (Observe.Events.to_jsonl ()))
+    tel.events
 
 let mech_conv =
   let parse s =
@@ -149,7 +237,7 @@ let run_cmd =
              translation validator before running; exit 1 on any issue.")
   in
   let run_pt_flag =
-    Rsti_engine_cli.points_to_term ~bare:(Rsti_dataflow.Points_to.Cloning 2)
+    points_to_term ~bare:(Points_to.Cloning 2)
       ~doc:
         "Shorthand selecting the points-to-backed elision precision: \
          $(b,insensitive) is $(b,--elide=points-to), $(b,cloning:K) is \
@@ -170,8 +258,7 @@ let run_cmd =
              failure. Defaults to 16 when $(b,--events) is given, off \
              otherwise.")
   in
-  let action () obs events file mech stats elision validate profile pt_mode
-      flight =
+  let action () tel file mech stats elision validate profile pt_mode flight =
     let elision =
       match pt_mode with
       | None -> elision
@@ -181,7 +268,8 @@ let run_cmd =
     let flight =
       match flight with
       | Some n -> n
-      | None -> if events <> None then Rsti_attacks.Incident.default_flight else 0
+      | None ->
+          if tel.events <> None then Rsti_attacks.Incident.default_flight else 0
     in
     let _, inst = compile_instrumented ~elision ~validate file mech in
     let o = Pipeline.run ~profile ~flight inst in
@@ -209,33 +297,29 @@ let run_cmd =
       Printf.printf "hot functions: %s\n" (top o.call_profile);
       Printf.printf "libc calls:    %s\n" (top o.extern_profile)
     end;
-    (match events with
-    | None -> ()
-    | Some path ->
-        let module Observe = Rsti_observe.Observe in
-        let module Json = Rsti_util.Json in
-        List.iter
-          (fun inc ->
-            Observe.Events.emit ~cat:"incident" ~name:(Filename.basename file)
-              (Rsti_attacks.Incident.incident_fields inc))
-          o.Interp.incidents;
-        Observe.Events.emit ~cat:"run" ~name:(Filename.basename file)
-          [
-            ("mech", Json.Str (RT.mechanism_to_string mech));
-            ("cycles", Json.Int o.Interp.cycles);
-            ("instrs", Json.Int o.Interp.counts.Interp.instrs);
-            ("pac_signs", Json.Int o.Interp.counts.Interp.pac_signs);
-            ("pac_auths", Json.Int o.Interp.counts.Interp.pac_auths);
-            ( "incidents",
-              Json.Int (List.length o.Interp.incidents) );
-            ( "status",
-              Json.Str
-                (match o.Interp.status with
-                | Interp.Exited c -> Printf.sprintf "exit:%Ld" c
-                | Interp.Trapped tr -> "trap:" ^ Interp.trap_to_string tr) );
-          ];
-        Rsti_engine_cli.write_events path);
-    Rsti_engine_cli.finish_observe obs;
+    if tel.events <> None then begin
+      List.iter
+        (fun inc ->
+          Observe.Events.emit ~cat:"incident" ~name:(Filename.basename file)
+            (Rsti_attacks.Incident.incident_fields inc))
+        o.Interp.incidents;
+      Observe.Events.emit ~cat:"run" ~name:(Filename.basename file)
+        [
+          ("mech", Json.Str (RT.mechanism_to_string mech));
+          ("cycles", Json.Int o.Interp.cycles);
+          ("instrs", Json.Int o.Interp.counts.Interp.instrs);
+          ("pac_signs", Json.Int o.Interp.counts.Interp.pac_signs);
+          ("pac_auths", Json.Int o.Interp.counts.Interp.pac_auths);
+          ( "incidents",
+            Json.Int (List.length o.Interp.incidents) );
+          ( "status",
+            Json.Str
+              (match o.Interp.status with
+              | Interp.Exited c -> Printf.sprintf "exit:%Ld" c
+              | Interp.Trapped tr -> "trap:" ^ Interp.trap_to_string tr) );
+        ]
+    end;
+    write_telemetry tel;
     match o.Interp.status with
     | Interp.Exited code -> exit (Int64.to_int code land 0xFF)
     | Interp.Trapped tr ->
@@ -244,10 +328,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const action $ Rsti_engine_cli.setup_jobs_term
-      $ Rsti_engine_cli.observe_term $ Rsti_engine_cli.events_term $ file_arg
-      $ mech_arg $ stats $ elide_flag $ validate_flag $ profile_flag
-      $ run_pt_flag $ flight_flag)
+      const action $ jobs_term $ telemetry_term $ file_arg $ mech_arg $ stats
+      $ elide_flag $ validate_flag $ profile_flag $ run_pt_flag $ flight_flag)
 
 let emit_ir_cmd =
   let doc = "Print the (optionally instrumented) IR of a MiniC program." in
@@ -296,7 +378,7 @@ let print_attack_surface file (results : Rsti_dataflow.Equiv.result list) =
 let analyze_cmd =
   let doc = "Print the STI analysis of a MiniC program." in
   let pt_flag =
-    Rsti_engine_cli.points_to_term
+    points_to_term
       ~doc:
         "Run the Andersen points-to analysis at MODE ($(b,insensitive), \
          the bare-flag default, or $(b,cloning:K) for k-limited \
@@ -504,7 +586,7 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
-      const action $ Rsti_engine_cli.setup_jobs_term $ file_arg
+      const action $ jobs_term $ file_arg
       $ analyze_format_arg $ pt_flag $ surface_flag)
 
 let lint_cmd =
@@ -546,7 +628,7 @@ let lint_cmd =
              linted file).")
   in
   let lint_pt_flag =
-    Rsti_engine_cli.points_to_term ~bare:(Rsti_dataflow.Points_to.Cloning 2)
+    points_to_term ~bare:(Points_to.Cloning 2)
       ~doc:
         "Also run the points-to-backed dataflow rules \
          ($(b,scope-escape), $(b,stale-frame-deref)) at MODE \
@@ -636,14 +718,16 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
-      const action $ Rsti_engine_cli.setup_jobs_term $ target_arg
+      const action $ jobs_term $ target_arg
       $ lint_format_arg $ lint_pt_flag $ lint_surface_flag)
 
 let report_cmd =
   let module Sections = Rsti_report.Sections in
   let doc =
-    "Print paper-reproduction reports: the bench harness's sections, \
-     each exactly as the bench prints it under its header."
+    "Regenerate the paper's tables and figures and this reproduction's \
+     reports: each named report, or every report with no names, printed \
+     under its header. The section count, wall clock and job count go to \
+     stderr, so stdout is the same for any $(b,--jobs)."
   in
   let section_conv =
     let parse name =
@@ -656,20 +740,45 @@ let report_cmd =
   in
   let which =
     Arg.(
-      non_empty
+      value
       & pos_all section_conv []
       & info [] ~docv:"REPORT"
           ~doc:
-            ("Reports to print, in the order given: "
+            ("Reports to print, in the order given, each once (default: \
+              all, in this order): "
             ^ String.concat ", "
                 (List.map (fun (s : Sections.t) -> s.name) Sections.all)
             ^ "."))
   in
-  let action () which =
-    List.iter (fun (s : Sections.t) -> print_endline (fst (s.run ()))) which
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the machine-readable summary ($(b,rsti-bench-fig9/1): \
+             seconds per report, engine cache totals, and the blocks the \
+             reports produce, Figure 9's per-benchmark overheads and \
+             geomeans among them) to $(docv).")
+  in
+  (* Each report runs once, where first named: a second run would repeat
+     its block in the summary and its events in the log. *)
+  let rec once = function
+    | [] -> []
+    | (s : Sections.t) :: rest ->
+        s :: once (List.filter (fun (r : Sections.t) -> r.name <> s.name) rest)
+  in
+  let action () tel json which =
+    let summary =
+      Sections.run (if which = [] then Sections.all else once which)
+    in
+    Option.iter
+      (fun path -> write_file path (Json.to_string summary ^ "\n"))
+      json;
+    write_telemetry tel
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const action $ Rsti_engine_cli.setup_jobs_term $ which)
+    Term.(const action $ jobs_term $ telemetry_term $ json $ which)
 
 let workloads_cmd =
   let doc =
@@ -692,9 +801,7 @@ let workloads_cmd =
     List.iter
       (fun (w : Rsti_workloads.Workload.t) ->
         let path = Filename.concat dir (w.name ^ ".c") in
-        let oc = open_out path in
-        output_string oc (Rsti_workloads.Workload.analysis_source w);
-        close_out oc;
+        write_file path (Rsti_workloads.Workload.analysis_source w);
         Printf.printf "%s\n" path)
       Rsti_workloads.Spec2006.all
   in

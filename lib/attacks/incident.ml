@@ -11,7 +11,6 @@ module Interp = Rsti_machine.Interp
 module Equiv = Rsti_dataflow.Equiv
 module Points_to = Rsti_dataflow.Points_to
 module Pipeline = Rsti_engine.Pipeline
-module Cache = Rsti_engine.Cache
 module Scheduler = Rsti_engine.Scheduler
 module Observe = Rsti_observe.Observe
 module Json = Rsti_util.Json
@@ -69,30 +68,6 @@ type coverage = {
   cov_missing : (string * RT.mechanism) list;
   cov_crossval : Crossval.catalog_row list;
 }
-
-(* ----------------------------------------------------------------- *)
-(* Per-run extraction, memoized                                        *)
-(* ----------------------------------------------------------------- *)
-
-(* Attack replays bypass the outcome cache (attack closures are not part
-   of any key), but the replay itself is deterministic — so the verdict
-   and incident list are a pure function of (program, mechanism, flight
-   capacity) and memoize under this module's [incident] stage. *)
-let st_incident : (Scenario.verdict * Interp.incident list) Cache.stage =
-  Cache.stage "incident"
-
-let raw_run src (sc : Scenario.t) mech =
-  Cache.memo st_incident
-    ~key:
-      (String.concat "|"
-         [
-           Pipeline.digest src;
-           RT.mechanism_to_string mech;
-           "fl" ^ string_of_int default_flight;
-         ])
-    (fun () ->
-      let rr = Scenario.run ~flight:default_flight sc mech in
-      (rr.Scenario.verdict, rr.Scenario.outcome.Interp.incidents))
 
 (* ----------------------------------------------------------------- *)
 (* Static correlation                                                  *)
@@ -174,7 +149,7 @@ let catalog_rows () =
 
 let run_one ~table (sc : Scenario.t) mech =
   let src = Pipeline.source ~file:(sc.Scenario.id ^ ".c") sc.Scenario.program in
-  let verdict, incidents = raw_run src sc mech in
+  let rr = Scenario.run ~flight:default_flight sc mech in
   let anal = Pipeline.analyze (Pipeline.compile src) in
   let surface = Pipeline.attack_surface mech anal in
   let feasible =
@@ -186,13 +161,13 @@ let run_one ~table (sc : Scenario.t) mech =
   in
   let records =
     List.map (make_record ~table ~scenario:sc ~mech ~surface ~pp_table)
-      incidents
+      rr.Scenario.outcome.Interp.incidents
   in
   {
     rr_table = table;
     rr_scenario = sc.Scenario.id;
     rr_mech = mech;
-    rr_verdict = verdict;
+    rr_verdict = rr.Scenario.verdict;
     rr_records = records;
     rr_replay_edges = surface.Equiv.r_metrics.Equiv.m_replay_edges;
     rr_feasible_edges = feasible.Equiv.r_metrics.Equiv.m_feasible_edges;

@@ -59,9 +59,6 @@ let st_elide_ctx : (Rsti_ir.Ir.slot -> bool) Cache.stage =
 let st_instrument : Rsti_rsti.Instrument.result Cache.stage =
   Cache.stage "instrument"
 
-let st_validate : Rsti_dataflow.Validate.report Cache.stage =
-  Cache.stage "validate"
-
 let st_outcome :
     (Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) Cache.stage =
   Cache.stage "outcome"
@@ -173,13 +170,10 @@ let elide_pred ?(config = default) ?(mode = Elide.Syntactic) (a : analyzed) =
       proof st_elide_ctx (fun () ->
           confinement ~config (Points_to.Cloning k) a.comp)
 
-(* Instrumentation and validation share one key: mechanism x elision. *)
-let mech_key (a : analyzed) mech elision =
-  key a.comp.src [ RT.mechanism_to_string mech; Elide.mode_to_string elision ]
-
 (* The PAC-typestate validator over an instrumented module: re-checks
-   the rewriter's output against the signed-at-rest discipline. *)
-let validation ?(config = default) (i : instrumented) =
+   the rewriter's output against the signed-at-rest discipline. Not
+   memoized: a full report run never checks one module twice. *)
+let validation (i : instrumented) =
   stage_span "pipeline.validate"
     (fun () ->
       [
@@ -187,9 +181,8 @@ let validation ?(config = default) (i : instrumented) =
         ("mech", RT.mechanism_to_string i.mech);
       ])
   @@ fun () ->
-  memo config st_validate (mech_key i.stage i.mech i.elision) (fun () ->
-      Rsti_dataflow.Validate.check i.stage.anal i.mech
-        i.result.Rsti_rsti.Instrument.modul)
+  Rsti_dataflow.Validate.check i.stage.anal i.mech
+    i.result.Rsti_rsti.Instrument.modul
 
 let instrument ?(config = default) mech (a : analyzed) =
   (* Parts/Nop model toolchains without the whole-program proof; the
@@ -206,16 +199,19 @@ let instrument ?(config = default) mech (a : analyzed) =
           ("elision", Elide.mode_to_string elision);
         ])
     @@ fun () ->
-    memo config st_instrument (mech_key a mech elision) (fun () ->
-        let elide =
-          if elision = Elide.Off then None
-          else Some (elide_pred ~config ~mode:elision a)
-        in
-        Rsti_rsti.Instrument.instrument ?elide mech a.anal a.comp.modul)
+    memo config st_instrument
+      (key a.comp.src
+         [ RT.mechanism_to_string mech; Elide.mode_to_string elision ])
+    @@ fun () ->
+    let elide =
+      if elision = Elide.Off then None
+      else Some (elide_pred ~config ~mode:elision a)
+    in
+    Rsti_rsti.Instrument.instrument ?elide mech a.anal a.comp.modul
   in
   let i = { stage = a; mech; elision; result } in
   if config.validate then begin
-    let rep = validation ~config i in
+    let rep = validation i in
     if not (Rsti_dataflow.Validate.ok rep) then raise (Validation_failed rep)
   end;
   i
@@ -309,7 +305,6 @@ let run_baseline ?(config = default) ?(attacks = []) ?fpac ?cfi ?backend
 
 let file (s : source) = s.file
 let text (s : source) = s.text
-let digest (s : source) = s.digest
 let ir (c : compiled) = c.modul
 let compiled_of_analyzed (a : analyzed) = a.comp
 let analysis (a : analyzed) = a.anal

@@ -1,5 +1,5 @@
 (** The staged experiment pipeline — the one typed entry point every
-    consumer (bench harness, [rstic], the report/workload/attack
+    consumer ([rstic], the report/workload/attack
     libraries) uses to go from MiniC source to a measured run:
 
     {[ source --> compiled --> analyzed --> instrumented(mech) --> outcome ]}
@@ -17,7 +17,7 @@
     Every stage is memoized in the content-keyed {!Cache} when
     [config.cache] is set: this module owns the compile, analysis,
     points_to, points_to_cs, scope_escape, elide, elide_pt, elide_ctx,
-    instrument, validate, outcome and attack_surface stages, and writes
+    instrument, outcome and attack_surface stages, and writes
     each stage's computation once. Keys start from the source digest
     {!source} computes once; a stage looks up its dependencies only when
     it misses. Fan-out over workloads happens in {!Scheduler}.
@@ -66,7 +66,7 @@ type instrumented
 val source : ?file:string -> string -> source
 (** Wrap MiniC text; [file] (default ["<memory>.c"]) names it in
     diagnostics and debug metadata. Hashes (file, text) once into the
-    {!digest} every cache key of this source starts with. *)
+    digest every cache key of this source starts with. *)
 
 val compile : ?config:config -> source -> compiled
 (** Parse, type-check, lower ([Ir.Lower.compile]). Frontend errors
@@ -122,10 +122,6 @@ val run_baseline :
 val file : source -> string
 val text : source -> string
 
-val digest : source -> string
-(** The MD5 of (file, text), hex: the part of every cache key that names
-    the source. Stages owned outside this module key on it too. *)
-
 val ir : compiled -> Rsti_ir.Ir.modul
 
 val compiled_of_analyzed : analyzed -> compiled
@@ -172,11 +168,10 @@ val elide_pred :
     [Syntactic]; [Off] is constantly false); exposed for consumers that
     report per-slot verdicts. *)
 
-val validation :
-  ?config:config -> instrumented -> Rsti_dataflow.Validate.report
+val validation : instrumented -> Rsti_dataflow.Validate.report
 (** The PAC-typestate validator's report for an instrumented stage value
-    (cache-memoized). [config.validate] runs this automatically inside
-    {!instrument}. *)
+    (computed on each call). [config.validate] runs this automatically
+    inside {!instrument}. *)
 
 val attack_surface :
   ?config:config ->

@@ -1228,7 +1228,8 @@ and exec_pp t f regs (pp : pp) =
   prof_pp t;
   let fname = f.name in
   let fe_modifier ce =
-    Memory.read_u64 t.mem (Int64.add pp_meta_base (Int64.of_int (ce * 8)))
+    try Memory.read_u64 t.mem (Int64.add pp_meta_base (Int64.of_int (ce * 8)))
+    with Memory.Fault fault -> raise (mem_fault t fname fault)
   in
   let key = Rsti_pa.Key.DA in
   match pp with

@@ -21,13 +21,11 @@
     disabled, {!Span.enter} returns the preallocated {!Span.none} handle
     and records nothing, so instrumented hot paths allocate nothing.
     Metric counters are lock-free atomics and stay live even when spans
-    are disabled (they replace counters the engine always maintained);
-    anything more expensive than a counter bump (e.g. tallying an
-    elision summary) must itself be gated on {!enabled}. *)
+    are disabled (they replace counters the engine always maintained),
+    so a counter's value never depends on whether spans are recorded. *)
 
 val set_enabled : bool -> unit
-(** Default [false]. Enables span recording (and the derived tallies
-    gated on {!enabled}). *)
+(** Default [false]. Enables span recording. *)
 
 val enabled : unit -> bool
 

@@ -1,5 +1,6 @@
 module Tab = Rsti_util.Tab
 module Json = Rsti_util.Json
+module Cache = Rsti_engine.Cache
 
 type t = {
   name : string;
@@ -87,3 +88,47 @@ let all =
           ));
     };
   ]
+
+let run sections =
+  let t_start = Unix.gettimeofday () in
+  let timed =
+    List.map
+      (fun s ->
+        print_endline (Tab.section s.title);
+        let t0 = Unix.gettimeofday () in
+        let blocks =
+          Rsti_observe.Observe.Span.with_ ("bench." ^ s.name) (fun () ->
+              let text, blocks = s.run () in
+              print_endline text;
+              blocks)
+        in
+        (s.name, Unix.gettimeofday () -. t0, blocks))
+      sections
+  in
+  let wall_clock = Unix.gettimeofday () -. t_start in
+  let jobs = Rsti_engine.Scheduler.default_jobs () in
+  Printf.eprintf "[bench] %d section(s) in %.2f s at %d job(s)\n%!"
+    (List.length sections) wall_clock jobs;
+  let cache = Cache.stats () in
+  Json.Obj
+    ([
+       ("schema", Json.Str "rsti-bench-fig9/1");
+       ("jobs", Json.Int jobs);
+       ("wall_clock_s", Json.Float wall_clock);
+       ( "sections",
+         Json.List
+           (List.map
+              (fun (name, seconds, _) ->
+                Json.Obj
+                  [ ("name", Json.Str name); ("seconds", Json.Float seconds) ])
+              timed) );
+       ( "cache",
+         Json.Obj
+           [
+             ("hits", Json.Int cache.Cache.hits);
+             ("misses", Json.Int cache.Cache.misses);
+             ("duplicated", Json.Int cache.Cache.duplicated);
+           ] );
+     ]
+    @ List.concat_map (fun (_, _, blocks) -> blocks) timed
+    @ perf_json ())

@@ -309,33 +309,3 @@ let summary t =
     safe = List.length (List.filter (( = ) Provably_safe) verdicts);
     reasons;
   }
-
-(* Obligations-discharged tallies for the metrics registry
-   ([elide.<precision>.{candidates,safe,reason.<r>}]). Computing a
-   summary walks every candidate slot, so this runs only while
-   {!Rsti_observe.Observe.enabled}; the final shadowing below puts the
-   tally on every [analyze]/[pred] call site, in and outside this
-   module. *)
-let tally t =
-  if Rsti_observe.Observe.enabled () then begin
-    let prefix =
-      match (t.conf, t.scope) with
-      | None, _ -> "elide.syntactic."
-      | Some _, None -> "elide.points_to."
-      | Some _, Some _ -> "elide.context."
-    in
-    let add name n =
-      Rsti_observe.Observe.Metrics.add
-        (Rsti_observe.Observe.Metrics.counter (prefix ^ name))
-        n
-    in
-    let s = summary t in
-    add "candidates" s.candidates;
-    add "safe" s.safe;
-    List.iter (fun (r, n) -> add ("reason." ^ reason_to_string r) n) s.reasons
-  end
-
-let analyze ?points_to ?scope anal m =
-  let t = analyze ?points_to ?scope anal m in
-  tally t;
-  t

@@ -692,7 +692,7 @@ let test_validator_green_on_workloads () =
             (fun mode ->
               let config = { config with Pipeline.elision = mode } in
               let rep =
-                Pipeline.validation ~config (Pipeline.instrument ~config mech a)
+                Pipeline.validation (Pipeline.instrument ~config mech a)
               in
               if not (Validate.ok rep) then
                 Alcotest.failf "%s/%s/%s:\n%s" w.name

@@ -182,7 +182,7 @@ let sweep ~cache (w : Workload.t) =
                     [ k.signs; k.auths; k.resigns; k.strips; k.pp_ops;
                       k.elided ] );
               ( "validation " ^ tag,
-                Validate.report_to_string (Pipeline.validation ~config i) );
+                Validate.report_to_string (Pipeline.validation i) );
             ])
           elide_modes)
       mechs
@@ -215,8 +215,7 @@ let sweep_misses =
     ("compile", 1); ("analysis", 1);
     ("points_to", 1); ("points_to_cs", 2); ("scope_escape", 3);
     ("elide", 1); ("elide_pt", 1); ("elide_ctx", 2);
-    ("instrument", 17); ("validate", 17);
-    ("outcome", 0); ("attack_surface", 15); ("incident", 0);
+    ("instrument", 17); ("outcome", 0); ("attack_surface", 15);
   ]
 
 (* A cached artifact must be indistinguishable from a fresh computation:

@@ -524,6 +524,44 @@ let test_interp_bad_ir_fails_when_run () =
        Invalid_argument "Interp.global_addr: unknown global nope");
     ]
 
+(* A pointer-to-pointer op reads its FE modifier from the pp metadata
+   page; on a machine created without a [pp_table] nothing is mapped
+   there, so the read faults and the run ends in a trap, as a load from
+   an unmapped address does. *)
+let test_interp_pp_without_metadata_traps () =
+  let module Ir = Rsti_ir.Ir in
+  let module Ctype = Rsti_minic.Ctype in
+  let modul pp =
+    let main =
+      {
+        Ir.name = "main";
+        ret = Ctype.Int;
+        params = [];
+        blocks =
+          [|
+            { Ir.label = 0; instrs = [ { Ir.i = Ir.Pp pp; dbg = None } ];
+              term = Ir.Ret (Some (Ir.Imm 0L)) };
+          |];
+        nregs = 1;
+        loc = Rsti_minic.Loc.dummy;
+      }
+    in
+    { Ir.m_structs = []; m_globals = []; m_funcs = [ main ]; m_strings = [||];
+      m_externs = [] }
+  in
+  List.iter
+    (fun (name, pp) ->
+      match (Interp.run (Interp.create (modul pp))).Interp.status with
+      | Interp.Trapped (Interp.Mem_fault _) -> ()
+      | Interp.Trapped tr ->
+          Alcotest.failf "%s: expected a memory fault, got %s" name
+            (Interp.trap_to_string tr)
+      | Interp.Exited c -> Alcotest.failf "%s: exited %Ld" name c)
+    [
+      ("pp_sign", Ir.Pp_sign { dst = 0; src = Ir.Imm 5L; ce = 3; slot_addr = Ir.Imm 0L });
+      ("pp_auth", Ir.Pp_auth { dst = 0; src = Ir.Imm 5L; slot_addr = Ir.Imm 0L });
+    ]
+
 (* Constants live in registers above a function's own; a function with
    more than 300 distinct ones (integers and doubles) runs as it did when
    each operand carried its constant. *)
@@ -798,6 +836,8 @@ let tests =
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
     Alcotest.test_case "interp: bad IR fails when run" `Quick test_interp_bad_ir_fails_when_run;
+    Alcotest.test_case "interp: pp op without metadata traps" `Quick
+      test_interp_pp_without_metadata_traps;
     Alcotest.test_case "interp: many constants" `Quick test_interp_many_constants;
     Alcotest.test_case "interp: hot loop allocates nothing" `Quick
       test_interp_hot_loop_allocates_nothing;

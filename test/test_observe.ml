@@ -307,10 +307,8 @@ let test_cache_stage_stats () =
         "elide_pt";
         "elide_ctx";
         "instrument";
-        "validate";
         "outcome";
         "attack_surface";
-        "incident";
       ]);
   let find n = List.assoc n st in
   checki "one compile miss" 1 (find "compile").Cache.misses;
