@@ -74,6 +74,23 @@ let points_to_term ?(bare = Points_to.Insensitive) ~doc () =
     & opt ~vopt:(Some bare) (some (conv (parse, print))) None
     & info [ "points-to" ] ~docv:"MODE" ~doc)
 
+(* An output file. The command line is parsed before any work runs, so a
+   path that cannot be written fails at once, as a usage error naming
+   it, instead of when the file is written at the end. *)
+let out_file =
+  let parse path =
+    let dir = Filename.dirname path in
+    let fail why = Error (`Msg (Printf.sprintf "cannot write %s: %s" path why)) in
+    if Sys.file_exists path && Sys.is_directory path then fail "it is a directory"
+    else if not (Sys.file_exists dir && Sys.is_directory dir) then
+      fail ("no directory " ^ dir)
+    else
+      match Unix.access (if Sys.file_exists path then path else dir) [ Unix.W_OK ] with
+      | () -> Ok path
+      | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 type telemetry = {
   trace : string option;
   metrics : string option;
@@ -85,7 +102,7 @@ type telemetry = {
    on when [--trace] is given; counters and events are always kept. *)
 let telemetry_term =
   let file name doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some out_file) None & info [ name ] ~docv:"FILE" ~doc)
   in
   let setup trace metrics events =
     if trace <> None then Observe.set_enabled true;
@@ -753,7 +770,7 @@ let report_cmd =
   let json =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the machine-readable summary ($(b,rsti-bench-fig9/1): \

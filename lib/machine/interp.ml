@@ -282,7 +282,11 @@ type block = {
 type func = {
   name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
   nregs : int;
-  frame : bytes;  (* a fresh register file: [nregs] zeros, then the constants *)
+  frame : bytes;
+      (* a fresh register file: [nregs] zeros, the constants, then the
+         PA unit's two operand registers at byte offsets [md] and [res] *)
+  md : int;  (* a PAC op's runtime modifier *)
+  res : int;  (* its result, until [account] has seen it *)
   bad : exn array;
   blocks : block array;
 }
@@ -339,13 +343,16 @@ type t = {
   mutable fr_next : int;  (* total ops recorded; slot = fr_next mod cap *)
   signers : pac_op I64tbl.t;
       (* signed value -> the sign op that produced it (latest wins), so
-         the observed signer survives even after falling out of the ring *)
+         the observed signer survives even after falling out of the ring;
+         at most [signers_cap] values *)
   mutable incidents : incident list;  (* reverse *)
   mutable corrupt_at : (int * int) option;
       (* (cycle, instr) of the first intruder store, the corruption
          point detection latency is measured from *)
   mutable cur_line : int;  (* !dbg line of the dispatching instruction *)
 }
+
+let signers_cap = 16_384
 
 exception Trap_exn of trap
 exception Exit_exn of int64
@@ -489,8 +496,6 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
 
 let pp_meta_base = Int64.add Layout.rodata_base 0x8000L
 let stack_limit = Int64.to_int Layout.stack_limit
-
-let pac_ctx t = t.pac
 
 let global_addr t name =
   match Hashtbl.find_opt t.global_addrs name with
@@ -637,9 +642,11 @@ let resolve t i =
     { body = Array.map code instrs; lines = Array.map line instrs; term }
   in
   let blocks = Array.map block fn.blocks in
-  let frame = Bytes.make (8 * (nregs + !nconsts)) '\000' in
+  let md = 8 * (nregs + !nconsts) in
+  let frame = Bytes.make (md + 16) '\000' in
   List.iteri (fun k v -> set frame (nregs + !nconsts - 1 - k) v) !consts;
-  { name = fn.name; nregs; frame; bad = Array.of_list (List.rev !bad); blocks }
+  { name = fn.name; nregs; frame; md; res = md + 8; bad = Array.of_list (List.rev !bad);
+    blocks }
 
 let resolved t i =
   match t.resolved.(i) with
@@ -767,7 +774,8 @@ let record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
   t.fr_next <- t.fr_next + 1;
   match kind with
   | Op_sign | Op_pp_sign | Op_resign ->
-      if ok then I64tbl.replace t.signers result op
+      if ok && (I64tbl.length t.signers < signers_cap || I64tbl.mem t.signers result)
+      then I64tbl.replace t.signers result op
   | Op_auth | Op_pp_auth | Op_strip -> ()
 
 let flight_window t =
@@ -847,6 +855,22 @@ let mem_fault t func fault =
     (Mem_fault
        { fault = Memory.fault_to_string fault; func; after_auth_fail = t.auth_failed })
 
+(* A PAC op's runtime modifier, into its register [f.md]: the constant,
+   or the constant XOR the slot address. Each branch stores its own
+   value, so nothing is boxed. *)
+let set_modifier f regs (m : Ir.modifier) slot =
+  match m with
+  | Ir.Mconst c -> Bytes.set_int64_ne regs f.md c
+  | Ir.Mloc c -> Bytes.set_int64_ne regs f.md (Int64.logxor c (get f regs slot))
+[@@inline]
+
+(* The pointer-to-pointer FE modifier of CE tag [ce], read from the
+   read-only metadata into [f.md] through the load/store unit ([f.res]
+   holds the address meanwhile). *)
+let load_fe t f regs ce =
+  Bytes.set_int64_ne regs f.res (Int64.add pp_meta_base (Int64.of_int (ce * 8)));
+  try Memory.load t.mem regs ~dst:f.md ~addr:f.res ~byte:false
+  with Memory.Fault fault -> raise (mem_fault t f.name fault)
 
 let malloc t size =
   if size < 0 || size > 0x1000000 then 0L (* 16 MiB cap: huge requests fail *)
@@ -1113,111 +1137,118 @@ and run_builtin_body t name (args : int64 array) : int64 =
 (* Instruction execution                                               *)
 (* ------------------------------------------------------------------ *)
 
-and modifier_value f regs (m : Ir.modifier) slot : int64 =
-  match m with
-  | Ir.Mconst c -> c
-  | Ir.Mloc c -> Int64.logxor c (get f regs slot)
-
-and mac_of t key ~modifier value =
-  Rsti_pa.Qarma.encrypt
-    ~key:(Rsti_pa.Key.lookup (Rsti_pa.Pac.keys t.pac) key)
-    ~tweak:modifier value
-
+(* The PA unit's operands and results pass through the register file:
+   the modifier in [f.md], the result in [f.res] until [account] has
+   seen it, and then into [dst], so a bad destination still fails after
+   the op is accounted. Nothing here boxes an [int64]. *)
 and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
   let fname = f.name in
-  let src = get f regs src in
-  let m = modifier_value f regs p.p_mod slot in
+  let v = get f regs src in
+  set_modifier f regs p.p_mod slot;
+  let m = Bytes.get_int64_ne regs f.md in
   let slot = get f regs slot in
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.load + t.costs.store);
-      if Int64.equal src 0L then I64tbl.remove t.shadow slot
-      else I64tbl.replace t.shadow slot (mac_of t key ~modifier:m src);
-      account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
-        ~ok:true;
-      set regs dst src
+      if Int64.equal v 0L then I64tbl.remove t.shadow slot
+      else begin
+        Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src:(src lsl 3) ~modifier:f.md;
+        I64tbl.replace t.shadow slot (Bytes.get_int64_ne regs f.res)
+      end;
+      account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok:true;
+      set regs dst v
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.load);
       let ok =
-        if Int64.equal src 0L then not (I64tbl.mem t.shadow slot)
+        if Int64.equal v 0L then not (I64tbl.mem t.shadow slot)
         else
-          match I64tbl.find_opt t.shadow slot with
-          | Some expected -> Int64.equal expected (mac_of t key ~modifier:m src)
-          | None -> false
+          match I64tbl.find t.shadow slot with
+          | expected ->
+              Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src:(src lsl 3) ~modifier:f.md;
+              Int64.equal expected (Bytes.get_int64_ne regs f.res)
+          | exception Not_found -> false
       in
-      account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src ~ok;
-      set regs dst
-        (if ok then src else Rsti_pa.Vaddr.corrupt (Rsti_pa.Pac.layout t.pac) src)
+      account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok;
+      if ok then set regs dst v
+      else
+        Rsti_pa.Vaddr.corrupt_at (Rsti_pa.Pac.layout t.pac) regs ~dst:(dst lsl 3)
+          ~src:(src lsl 3)
   | Ir.Kresign ->
       (* casts carry no per-slot state under the shadow backend *)
       charge t (2 * t.costs.pac);
-      account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:src
+      account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v
         ~ok:true;
-      set regs dst src
+      set regs dst v
   | Ir.Kstrip ->
       charge t t.costs.strip;
-      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
-        ~result:src ~ok:true;
-      set regs dst src
+      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
+        ~result:v ~ok:true;
+      set regs dst v
 
 and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
   if t.backend = `Shadow_mac then exec_shadow_mac t f regs p ~dst ~src ~slot
   else begin
   let fname = f.name in
-  let src = get f regs src in
+  let v = get f regs src in
+  let src = src lsl 3 and md = f.md and res = f.res in
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value f regs p.p_mod slot in
-      let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m src in
-      account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src ~result:signed
-        ~ok:true;
+      set_modifier f regs p.p_mod slot;
+      Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src ~modifier:md;
+      let signed = Bytes.get_int64_ne regs res in
+      account t Op_sign ~func:fname ~key ~static_mod
+        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
       set regs dst signed
   | Ir.Kauth ->
       charge t (t.costs.pac + t.costs.pac_spill);
-      let m = modifier_value f regs p.p_mod slot in
-      let v, ok =
-        match Rsti_pa.Pac.auth t.pac ~key ~modifier:m src with
-        | Ok v -> (v, true)
-        | Error corrupted -> (corrupted, false)
-      in
-      account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src ~result:v ~ok;
-      set regs dst v
+      set_modifier f regs p.p_mod slot;
+      let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
+      let r = Bytes.get_int64_ne regs res in
+      account t Op_auth ~func:fname ~key ~static_mod
+        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
+      set regs dst r
   | Ir.Kresign ->
       charge t (2 * (t.costs.pac + t.costs.pac_spill));
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
          value (the pp mechanism) gets a real authenticate + re-sign. A
          failure is the auth half's, so it reports the source modifier. *)
-      let mt = modifier_value f regs p.p_mod slot in
-      if not (Rsti_pa.Pac.is_signed t.pac src) then begin
-        account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
-          ~result:src ~ok:true;
-        set regs dst src
+      set_modifier f regs p.p_mod slot;
+      let mt = Bytes.get_int64_ne regs md in
+      if not (Rsti_pa.Pac.is_signed t.pac regs src) then begin
+        account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src:v ~result:v
+          ~ok:true;
+        set regs dst v
       end
       else begin
-        let mf = modifier_value f regs p.p_mod_from slot in
-        match Rsti_pa.Pac.auth t.pac ~key ~modifier:mf src with
-        | Ok v ->
-            let resigned = Rsti_pa.Pac.sign t.pac ~key ~modifier:mt v in
-            account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src
-              ~result:resigned ~ok:true;
-            set regs dst resigned
-        | Error corrupted ->
-            account t Op_resign ~func:fname ~key
-              ~static_mod:(static_modifier p.p_mod_from) ~modifier:mf ~src
-              ~result:corrupted ~ok:false;
-            set regs dst corrupted
+        set_modifier f regs p.p_mod_from slot;
+        if Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md then begin
+          Bytes.set_int64_ne regs md mt;
+          Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src:res ~modifier:md;
+          let resigned = Bytes.get_int64_ne regs res in
+          account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src:v
+            ~result:resigned ~ok:true;
+          set regs dst resigned
+        end
+        else begin
+          let corrupted = Bytes.get_int64_ne regs res in
+          account t Op_resign ~func:fname ~key
+            ~static_mod:(static_modifier p.p_mod_from)
+            ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:corrupted ~ok:false;
+          set regs dst corrupted
+        end
       end
   | Ir.Kstrip ->
       charge t t.costs.strip;
-      let stripped = Rsti_pa.Pac.strip t.pac src in
-      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src
+      Rsti_pa.Pac.strip t.pac regs ~dst:res ~src;
+      let stripped = Bytes.get_int64_ne regs res in
+      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
         ~result:stripped ~ok:true;
       set regs dst stripped
   end
@@ -1226,36 +1257,35 @@ and exec_pp t f regs (pp : pp) =
   charge t t.costs.pp;
   t.counts.pp_calls <- t.counts.pp_calls + 1;
   prof_pp t;
-  let fname = f.name in
-  let fe_modifier ce =
-    try Memory.read_u64 t.mem (Int64.add pp_meta_base (Int64.of_int (ce * 8)))
-    with Memory.Fault fault -> raise (mem_fault t fname fault)
-  in
+  let fname = f.name and md = f.md and res = f.res in
   let key = Rsti_pa.Key.DA in
   match pp with
   | Pp_add -> () (* table is static in our model; cost only *)
   | Pp_sign { dst; src; ce; slot } ->
-      let fe = fe_modifier ce in
-      let m = Int64.logxor fe (get f regs slot) in
+      load_fe t f regs ce;
+      let fe = Bytes.get_int64_ne regs md in
+      Bytes.set_int64_ne regs md (Int64.logxor fe (get f regs slot));
       let v = get f regs src in
-      let signed = Rsti_pa.Pac.sign t.pac ~key ~modifier:m v in
-      account t Op_pp_sign ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
-        ~result:signed ~ok:true;
+      Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src:(src lsl 3) ~modifier:md;
+      let signed = Bytes.get_int64_ne regs res in
+      account t Op_pp_sign ~func:fname ~key ~static_mod:fe
+        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
       set regs dst signed
   | Pp_add_tbi { dst; src; ce } ->
-      set regs dst (Rsti_pa.Vaddr.with_top_byte (get f regs src) ce)
+      if src < 0 then raise f.bad.(lnot src);
+      Rsti_pa.Vaddr.with_top_byte_at regs ~dst:(dst lsl 3) ~src:(src lsl 3) ce
   | Pp_auth { dst; src; slot } ->
       let v = get f regs src in
-      let fe = fe_modifier (Rsti_pa.Vaddr.top_byte v) in
-      let m = Int64.logxor fe (get f regs slot) in
-      let r, ok =
-        match Rsti_pa.Pac.auth t.pac ~key ~modifier:m v with
-        | Ok r -> (r, true)
-        | Error corrupted -> (corrupted, false)
-      in
-      account t Op_pp_auth ~func:fname ~key ~static_mod:fe ~modifier:m ~src:v
-        ~result:r ~ok;
-      set regs dst (if ok then Rsti_pa.Vaddr.with_top_byte r 0 else r)
+      let src = src lsl 3 in
+      load_fe t f regs (Rsti_pa.Vaddr.top_byte_at regs src);
+      let fe = Bytes.get_int64_ne regs md in
+      Bytes.set_int64_ne regs md (Int64.logxor fe (get f regs slot));
+      let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
+      let r = Bytes.get_int64_ne regs res in
+      account t Op_pp_auth ~func:fname ~key ~static_mod:fe
+        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
+      if ok then Rsti_pa.Vaddr.with_top_byte_at regs ~dst:(dst lsl 3) ~src:res 0
+      else set regs dst r
 
 (* Every branch yields its [int64] from primitives alone, and [binop]
    stores it itself: an [int64] returned from a call would be boxed. *)

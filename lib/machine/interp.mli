@@ -98,7 +98,10 @@ type pac_op = {
     exactly that pair. The {e observed} signer [inc_signer] is the sign
     operation that actually produced the failing pointer value, tracked
     for the whole run (not just the window); [None] means the value was
-    never signed at all — a raw overwrite. Detection latency runs from
+    never signed at all — a raw overwrite — or was first signed after
+    the recorder stopped taking new values: it remembers the latest
+    signer of at most {!signers_cap} distinct signed values per run, and
+    a value it already remembers keeps updating. Detection latency runs from
     the first intruder store (tagged automatically by the attacker API)
     to the failing auth; [None] when no corruption was tagged. *)
 type incident = {
@@ -119,6 +122,11 @@ type incident = {
   inc_latency_cycles : int option;
   inc_latency_instrs : int option;
 }
+
+val signers_cap : int
+(** 16,384: the distinct signed values whose signer a flight-recorded
+    run remembers, so the recorder's memory is bounded whatever the run
+    signs. *)
 
 type outcome = {
   status : status;
@@ -236,9 +244,6 @@ val create :
     numbers under the run's own costs; {!reprice} does not rewrite
     them (flight runs carry attacks, which the outcome cache refuses
     anyway). *)
-
-val pac_ctx : t -> Rsti_pa.Pac.ctx
-(** The machine's PA context (tests use it to forge/inspect PACs). *)
 
 val global_addr : t -> string -> int64
 val func_addr : t -> string -> int64

@@ -28,3 +28,9 @@ val encrypt : key:key -> tweak:int64 -> int64 -> int64
 
 val decrypt : key:key -> tweak:int64 -> int64 -> int64
 (** Exact inverse of {!encrypt} for the same key and tweak. *)
+
+val encrypt_at : key -> bytes -> tweak:int -> block:int -> dst:int -> unit
+(** {!encrypt} over native-endian 64-bit words of a [bytes]: the tweak
+    and the block are read at those byte offsets and the ciphertext is
+    written at [dst], so no [int64] is boxed on the way and nothing is
+    allocated. [dst] may be [block]'s offset. *)

@@ -53,3 +53,29 @@ val top_byte : int64 -> int
 
 val with_top_byte : int64 -> int -> int64
 (** Replace the top byte. Only meaningful under TBI. *)
+
+(** {2 In place}
+
+    The same arithmetic over native-endian 64-bit words of a [bytes]
+    (the machine's register file), at byte offsets, in the idiom of
+    [Memory.load]/[store]: the pointer is read at [src] (or [off]) and
+    the result written at [dst], which may be [src]. No [int64] crosses
+    the call boxed, so the PA unit's operations allocate nothing. A PAC
+    field is at most 15 bits, so it passes as an [int]. *)
+
+val canonical_at : config -> bytes -> dst:int -> src:int -> unit
+val is_canonical_at : config -> bytes -> int -> bool
+
+val embed_pac_at : config -> bytes -> dst:int -> src:int -> pac:int -> unit
+(** {!embed_pac} of the low [pac_width] bits of [pac]. *)
+
+val extract_pac_at : config -> bytes -> int -> int
+val corrupt_at : config -> bytes -> dst:int -> src:int -> unit
+
+val pac_input_at : config -> bytes -> int -> int
+(** What the PAC covers: the canonical pointer, with the top byte
+    cleared under TBI so that software tags do not perturb the PAC. Its
+    top two bits are equal, so the 64-bit value fits an [int] exactly. *)
+
+val top_byte_at : bytes -> int -> int
+val with_top_byte_at : bytes -> dst:int -> src:int -> int -> unit

@@ -130,15 +130,16 @@ let pac_brute_force () =
         let width = Rsti_pa.Vaddr.pac_width layout in
         let rng = Rsti_util.Splitmix.create 4242L in
         let accepted = ref 0 in
+        (* registers: the forged pointer, the modifier, the result *)
+        let regs = Bytes.create 24 in
+        Bytes.set_int64_ne regs 8 7L;
         for _ = 1 to trials do
           (* the attacker controls the PAC bits but not the keys *)
           let guess = Rsti_util.Splitmix.next64 rng in
-          let forged =
-            Rsti_pa.Vaddr.embed_pac layout ~pac:guess 0x2000_0040L
-          in
-          match Rsti_pa.Pac.auth pac ~key:Rsti_pa.Key.DA ~modifier:7L forged with
-          | Ok _ -> incr accepted
-          | Error _ -> ()
+          Bytes.set_int64_ne regs 0
+            (Rsti_pa.Vaddr.embed_pac layout ~pac:guess 0x2000_0040L);
+          if Rsti_pa.Pac.auth pac ~key:Rsti_pa.Key.DA regs ~dst:16 ~src:0 ~modifier:8
+          then incr accepted
         done;
         let rate = float_of_int !accepted /. float_of_int trials in
         [

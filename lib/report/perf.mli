@@ -16,7 +16,9 @@ val collect : unit -> t
 (** Run everything under {!Rsti_engine.Pipeline.default} (takes tens of
     seconds of simulation at one job; the scheduler's default job count
     parallelizes, and the engine cache reuses compile/analysis artifacts
-    across sections). *)
+    across sections). Adds each mechanism's instrumented-run totals over
+    all the rows to the counters [machine.fig9.<mech>.instrs], [cycles],
+    [pac_signs], [pac_auths], [pac_strips] and [pp_calls]. *)
 
 val of_mech : Rsti_workloads.Run.measurement list -> Rsti_sti.Rsti_type.mechanism ->
   Rsti_workloads.Run.measurement list

@@ -592,19 +592,22 @@ let test_interp_many_constants () =
 
 (* The machine's hot path allocates nothing: a call-free loop of word and
    byte loads and stores, indexed addresses, integer and float
-   arithmetic and branches. *)
+   arithmetic and branches, and, built under STL and PARTS, the PAC
+   signs and auths of its global pointer. *)
 let test_interp_hot_loop_allocates_nothing () =
   let src =
     {|extern int printf(const char *fmt, ...);
 long words[64];
 char bytes[64];
+long *cursor;
 int main(void) {
   long sum = 0;
   double x = 0.5;
   for (int i = 0; i < 20000; i++) {
     words[i % 64] = words[(i + 1) % 64] + i;
     bytes[i % 64] = (char) (i & 127);
-    sum = sum + words[i % 64] + bytes[(i + 3) % 64];
+    cursor = &words[(i + 7) % 64];
+    sum = sum + words[i % 64] + bytes[(i + 3) % 64] + *cursor;
     x = x * 0.999 + 1.5;
   }
   printf("%ld %f\n", sum, x);
@@ -612,16 +615,36 @@ int main(void) {
 }
 |}
   in
-  let vm = Interp.create (Pipeline.ir (compiled src)) in
-  let before = Gc.minor_words () in
-  let o = Interp.run vm in
-  let words = Gc.minor_words () -. before in
-  let instrs = o.Interp.counts.Interp.instrs in
-  checks "output" "21263798543 1500\n" o.Interp.output;
-  checki "instrs" 860013 instrs;
-  let per_instr = words /. float_of_int instrs in
-  if per_instr >= 0.05 then
-    Alcotest.failf "%.3f minor words per simulated instruction (%.0f words)" per_instr words
+  let c = compiled src in
+  let analyzed = Pipeline.analyze c in
+  List.iter
+    (fun (label, mech, want_instrs, want_pac) ->
+      let modul, pp_table =
+        match mech with
+        | None -> (Pipeline.ir c, [])
+        | Some mech ->
+            let r = Pipeline.result (Pipeline.instrument mech analyzed) in
+            (r.Rsti_rsti.Instrument.modul, r.Rsti_rsti.Instrument.pp_table)
+      in
+      let vm = Interp.create ~pp_table modul in
+      let before = Gc.minor_words () in
+      let o = Interp.run vm in
+      let words = Gc.minor_words () -. before in
+      let counts = o.Interp.counts in
+      let instrs = counts.Interp.instrs in
+      checks (label ^ " output") "42345334816 1500\n" o.Interp.output;
+      checki (label ^ " instrs") want_instrs instrs;
+      checki (label ^ " PAC signs") want_pac counts.Interp.pac_signs;
+      checki (label ^ " PAC auths") want_pac counts.Interp.pac_auths;
+      let per_instr = words /. float_of_int instrs in
+      if per_instr >= 0.05 then
+        Alcotest.failf "%s: %.3f minor words per simulated instruction (%.0f words)"
+          label per_instr words)
+    [
+      ("uninstrumented", None, 1020013, 0);
+      ("STL", Some Rsti_sti.Rsti_type.Stl, 1060014, 20000);
+      ("PARTS", Some Rsti_sti.Rsti_type.Parts, 1060014, 20000);
+    ]
 
 let test_interp_profiles_populated () =
   let o =

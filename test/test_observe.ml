@@ -528,6 +528,53 @@ let prop_incident_latency_consistent =
         o.Interp.incidents;
       true)
 
+(* The flight recorder remembers the signer of at most
+   [Interp.signers_cap] distinct signed values a run: a replayed value
+   signed before the table filled still names its signer, one first
+   signed after it reads as a raw overwrite. *)
+let test_signers_bounded () =
+  let n = Interp.signers_cap + 100 in
+  let src =
+    Printf.sprintf
+      {|long arr[%d];
+long *first;
+long *last;
+long *victim;
+void mark(void) { }
+int main(void) {
+  first = &arr[0];
+  for (int i = 1; i < %d; i++) { last = &arr[i]; }
+  victim = &arr[0];
+  mark();
+  return (int) *victim;
+}
+|}
+      n n
+  in
+  let inst =
+    Pipeline.(instrument RT.Stl (analyze (compile (source ~file:"signers.c" src))))
+  in
+  let replay from =
+    let atk =
+      {
+        Interp.trigger = Interp.On_call ("mark", 1);
+        action =
+          (fun intr ->
+            intr.write_word (intr.global_addr "victim")
+              (intr.read_word (intr.global_addr from)));
+      }
+    in
+    match (Pipeline.run ~flight:4 ~attacks:[ atk ] inst).Interp.incidents with
+    | [ inc ] -> inc
+    | l -> Alcotest.failf "replay of %s: %d incidents" from (List.length l)
+  in
+  let first = replay "first" and last = replay "last" in
+  checkb "signed before the table filled: signer named" true
+    (match first.Interp.inc_signer with
+    | Some op -> op.Interp.op_result = first.Interp.inc_ptr
+    | None -> false);
+  checkb "first signed after it: no signer" true (last.Interp.inc_signer = None)
+
 let tests =
   [
     Alcotest.test_case "span: nesting and records" `Quick test_span_records;
@@ -552,5 +599,6 @@ let tests =
       test_events_identical_across_jobs;
     Alcotest.test_case "incident: coverage maps every detection" `Slow
       test_incident_coverage_invariant;
+    Alcotest.test_case "flight: signers table bounded" `Quick test_signers_bounded;
     QCheck_alcotest.to_alcotest prop_incident_latency_consistent;
   ]

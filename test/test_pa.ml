@@ -62,6 +62,97 @@ let prop_qarma_injective =
       let k = key () in
       a = b || Qarma.encrypt ~key:k ~tweak a <> Qarma.encrypt ~key:k ~tweak b)
 
+(* The cipher as first written, one 4-bit cell at a time on 16-cell
+   arrays (cell 0 the most significant nibble): the reference the
+   word-sliced {!Qarma} must equal bit for bit. *)
+module Cellwise = struct
+  let rounds = Qarma.rounds
+
+  let cells_of x =
+    Array.init 16 (fun i -> Int64.to_int (Int64.shift_right_logical x (60 - (4 * i))) land 0xF)
+
+  let word_of c =
+    Array.fold_left (fun w n -> Int64.logor (Int64.shift_left w 4) (Int64.of_int n)) 0L c
+
+  let invert perm =
+    let inv = Array.make 16 0 in
+    Array.iteri (fun i p -> inv.(p) <- i) perm;
+    inv
+
+  let sbox = [| 10; 13; 14; 6; 15; 7; 3; 5; 9; 8; 0; 12; 11; 1; 2; 4 |]
+  let sbox_inv = invert sbox
+  let tau = [| 0; 11; 6; 13; 10; 1; 12; 7; 5; 14; 3; 8; 15; 4; 9; 2 |]
+  let tau_inv = invert tau
+  let h = [| 6; 5; 14; 15; 0; 1; 2; 3; 7; 12; 13; 4; 8; 9; 10; 11 |]
+  let lfsr_cells = [| 0; 1; 3; 4; 8; 11; 13 |]
+
+  let lfsr n =
+    let b0 = n land 1 and b1 = (n lsr 1) land 1 in
+    let b2 = (n lsr 2) land 1 and b3 = (n lsr 3) land 1 in
+    ((b0 lxor b1) lsl 3) lor (b3 lsl 2) lor (b2 lsl 1) lor b1
+
+  let rot n r = ((n lsl r) lor (n lsr (4 - r))) land 0xF
+  let permute perm s = Array.init 16 (fun i -> s.(perm.(i)))
+  let substitute box s = Array.map (fun n -> box.(n)) s
+
+  (* each output cell XORs the other three cells of its column rotated by
+     the circulant (0,1,2,1) *)
+  let mix_columns s =
+    Array.init 16 (fun i ->
+        let row = i / 4 and col = i mod 4 in
+        let cell d = s.((((row + d) land 3) * 4) + col) in
+        rot (cell 1) 1 lxor rot (cell 2) 2 lxor rot (cell 3) 1)
+
+  let xor a b = Array.map2 ( lxor ) a b
+
+  let round_constants =
+    let rng = Sm.create 0x5254495F51524D41L in
+    Array.init (rounds + 1) (fun _ -> cells_of (Sm.next64 rng))
+
+  let tweak_schedule tweak =
+    let ts = Array.make rounds (cells_of tweak) in
+    for r = 1 to rounds - 1 do
+      let t = permute h ts.(r - 1) in
+      Array.iter (fun i -> t.(i) <- lfsr t.(i)) lfsr_cells;
+      ts.(r) <- t
+    done;
+    ts
+
+  let forward k t c s = substitute sbox (mix_columns (permute tau (xor s (xor k (xor t c)))))
+  let backward k t c s = xor (permute tau_inv (mix_columns (substitute sbox_inv s))) (xor k (xor t c))
+  let reflector a b s = xor (mix_columns (xor s a)) b
+
+  let crypt ~inverse (key : Qarma.key) tweak block =
+    let ts = tweak_schedule tweak in
+    let k = cells_of key.k0 in
+    let w0 = key.w0 in
+    let w1 =
+      cells_of
+        (Int64.logxor
+           (Int64.logor (Int64.shift_right_logical w0 1) (Int64.shift_left w0 63))
+           (Int64.shift_right_logical w0 63))
+    and k1 = mix_columns k in
+    let s = ref (cells_of (Int64.logxor block w0)) in
+    for i = 0 to rounds - 1 do
+      let c = round_constants.(if inverse then rounds else i) in
+      s := forward k ts.(i) c !s
+    done;
+    s := if inverse then reflector k1 w1 !s else reflector w1 k1 !s;
+    for i = rounds - 1 downto 0 do
+      let c = round_constants.(if inverse then i else rounds) in
+      s := backward k ts.(i) c !s
+    done;
+    Int64.logxor (word_of !s) w0
+end
+
+let prop_qarma_word_sliced =
+  QCheck.Test.make ~name:"qarma word-sliced = cell-wise" ~count:10_000
+    QCheck.(quad int64 int64 int64 int64)
+    (fun (k0, w0, tweak, block) ->
+      let key = { Qarma.k0; w0 } in
+      Qarma.encrypt ~key ~tweak block = Cellwise.crypt ~inverse:false key tweak block
+      && Qarma.decrypt ~key ~tweak block = Cellwise.crypt ~inverse:true key tweak block)
+
 (* ------------------------------ vaddr ------------------------------ *)
 
 let test_pac_width () =
@@ -136,19 +227,46 @@ let test_key_of_int () =
 
 let ctx () = Pac.make ~seed:123L ()
 
+(* The PA unit works on a register file; these run one operation on a
+   fresh one holding the pointer at byte 0 and the modifier at 8, with
+   the result at 16. *)
+let regs p modifier =
+  let r = Bytes.create 24 in
+  Bytes.set_int64_ne r 0 p;
+  Bytes.set_int64_ne r 8 modifier;
+  r
+
+let result r = Bytes.get_int64_ne r 16
+
+let sign c ~key ~modifier p =
+  let r = regs p modifier in
+  Pac.sign c ~key r ~dst:16 ~src:0 ~modifier:8;
+  result r
+
+let auth c ~key ~modifier p =
+  let r = regs p modifier in
+  if Pac.auth c ~key r ~dst:16 ~src:0 ~modifier:8 then Ok (result r) else Error (result r)
+
+let strip c p =
+  let r = regs p 0L in
+  Pac.strip c r ~dst:16 ~src:0;
+  result r
+
+let is_signed c p = Pac.is_signed c (regs p 0L) 0
+
 let test_sign_auth_roundtrip () =
   let c = ctx () in
   let p = 0x0000_2000_0000_0040L in
-  let s = Pac.sign c ~key:Key.DA ~modifier:0xAAL p in
-  checkb "signed has pac bits" true (Pac.is_signed c s);
-  match Pac.auth c ~key:Key.DA ~modifier:0xAAL s with
+  let s = sign c ~key:Key.DA ~modifier:0xAAL p in
+  checkb "signed has pac bits" true (is_signed c s);
+  match auth c ~key:Key.DA ~modifier:0xAAL s with
   | Ok q -> check64 "auth strips to original" p q
   | Error _ -> Alcotest.fail "auth should succeed"
 
 let test_auth_wrong_modifier_fails () =
   let c = ctx () in
-  let s = Pac.sign c ~key:Key.DA ~modifier:0xAAL 0x2000_0000L in
-  match Pac.auth c ~key:Key.DA ~modifier:0xABL s with
+  let s = sign c ~key:Key.DA ~modifier:0xAAL 0x2000_0000L in
+  match auth c ~key:Key.DA ~modifier:0xABL s with
   | Ok _ -> Alcotest.fail "wrong modifier must fail"
   | Error corrupted ->
       checkb "corrupted non-canonical" false
@@ -156,50 +274,81 @@ let test_auth_wrong_modifier_fails () =
 
 let test_auth_wrong_key_fails () =
   let c = ctx () in
-  let s = Pac.sign c ~key:Key.DA ~modifier:1L 0x2000_0000L in
+  let s = sign c ~key:Key.DA ~modifier:1L 0x2000_0000L in
   checkb "wrong key fails" true
-    (match Pac.auth c ~key:Key.IA ~modifier:1L s with Error _ -> true | Ok _ -> false)
+    (match auth c ~key:Key.IA ~modifier:1L s with Error _ -> true | Ok _ -> false)
 
 let test_auth_raw_pointer_fails () =
   let c = ctx () in
   (* an unsigned non-null pointer (the attacker's forged value) *)
   checkb "raw pointer rejected" true
-    (match Pac.auth c ~key:Key.DA ~modifier:1L 0x2000_0040L with
+    (match auth c ~key:Key.DA ~modifier:1L 0x2000_0040L with
     | Error _ -> true
     | Ok _ -> false)
 
 let test_null_never_signed () =
   let c = ctx () in
-  check64 "sign NULL = NULL" 0L (Pac.sign c ~key:Key.DA ~modifier:77L 0L);
+  check64 "sign NULL = NULL" 0L (sign c ~key:Key.DA ~modifier:77L 0L);
   checkb "auth NULL ok" true
-    (match Pac.auth c ~key:Key.DA ~modifier:123L 0L with Ok 0L -> true | _ -> false)
+    (match auth c ~key:Key.DA ~modifier:123L 0L with Ok 0L -> true | _ -> false)
 
 let test_strip () =
   let c = ctx () in
   let p = 0x0000_2000_0000_0040L in
-  let s = Pac.sign c ~key:Key.DA ~modifier:5L p in
-  check64 "xpac strips" p (Pac.strip c s)
+  let s = sign c ~key:Key.DA ~modifier:5L p in
+  check64 "xpac strips" p (strip c s)
 
 let test_tbi_tag_does_not_affect_pac () =
   let c = ctx () in
   let p = 0x0000_2000_0000_0040L in
-  let s = Pac.sign c ~key:Key.DA ~modifier:5L p in
+  let s = sign c ~key:Key.DA ~modifier:5L p in
   let tagged = Vaddr.with_top_byte s 0x42 in
   (* authentication ignores the software tag byte under TBI *)
   checkb "tagged still authenticates" true
-    (match Pac.auth c ~key:Key.DA ~modifier:5L tagged with Ok _ -> true | Error _ -> false)
+    (match auth c ~key:Key.DA ~modifier:5L tagged with Ok _ -> true | Error _ -> false)
 
 let test_different_seeds_different_pacs () =
   let c1 = Pac.make ~seed:1L () and c2 = Pac.make ~seed:2L () in
   let p = 0x2000_0000L in
   checkb "per-process keys" true
-    (Pac.sign c1 ~key:Key.DA ~modifier:1L p <> Pac.sign c2 ~key:Key.DA ~modifier:1L p)
+    (sign c1 ~key:Key.DA ~modifier:1L p <> sign c2 ~key:Key.DA ~modifier:1L p)
 
+(* Signing writes the PAC field and nothing else: the signed pointer is
+   its stripped form with its own field embedded. *)
 let test_compute_pac_fits_field () =
   let c = ctx () in
-  let pac = Pac.compute_pac c ~key:Key.DA ~modifier:99L 0x2000_0000L in
+  let layout = Pac.layout c in
+  let s = sign c ~key:Key.DA ~modifier:99L 0x2000_0000L in
   checkb "pac fits width" true
-    (Int64.unsigned_compare pac (Bits.mask (Vaddr.pac_width (Pac.layout c))) <= 0)
+    (Vaddr.embed_pac layout ~pac:(Vaddr.extract_pac layout s) (strip c s) = s
+    && Int64.unsigned_compare (Vaddr.extract_pac layout s)
+         (Bits.mask (Vaddr.pac_width layout)) <= 0)
+
+(* The memo stops growing at its cap, and what it evicts never shows:
+   every PAC, computed once and again after far more distinct PACs than
+   the memo holds, equals the one a fresh context computes. Each
+   (modifier, pointer) is signed under all five keys. *)
+let test_memo_bounded () =
+  let c = ctx () and fresh = ctx () in
+  checkb "starts small" true (Pac.memo_entries c < Pac.memo_cap);
+  let n = 4 * Pac.memo_cap in
+  let op i = (Key.which_of_int (i mod 5), Int64.of_int (i / 5 mod 7)) in
+  let ptr i = Int64.add 0x2000_0000L (Int64.of_int (16 * (i / 5))) in
+  let signed =
+    Array.init n (fun i ->
+        let key, modifier = op i in
+        sign c ~key ~modifier (ptr i))
+  in
+  checki "size at the cap" Pac.memo_cap (Pac.memo_entries c);
+  Array.iteri
+    (fun i s ->
+      let key, modifier = op i in
+      let again = sign c ~key ~modifier (ptr i) in
+      if s <> again || s <> sign fresh ~key ~modifier (ptr i) then
+        Alcotest.failf "PAC %d: %Lx, then %Lx; a fresh context gives %Lx" i s again
+          (sign fresh ~key ~modifier (ptr i)))
+    signed;
+  checki "still at the cap" Pac.memo_cap (Pac.memo_entries c)
 
 let prop_sign_auth =
   QCheck.Test.make ~name:"sign/auth roundtrip for canonical pointers" ~count:300
@@ -207,8 +356,8 @@ let prop_sign_auth =
     (fun (off, modifier) ->
       let c = ctx () in
       let p = Int64.add 0x2000_0000L (Int64.of_int off) in
-      let s = Pac.sign c ~key:Key.DA ~modifier p in
-      match Pac.auth c ~key:Key.DA ~modifier s with Ok q -> q = p | Error _ -> false)
+      let s = sign c ~key:Key.DA ~modifier p in
+      match auth c ~key:Key.DA ~modifier s with Ok q -> q = p | Error _ -> false)
 
 let prop_modifier_separation =
   QCheck.Test.make ~name:"distinct modifiers reject replays (w.h.p.)" ~count:300
@@ -217,15 +366,15 @@ let prop_modifier_separation =
       QCheck.assume (m1 <> m2);
       let c = ctx () in
       let p = 0x2000_0040L in
-      let s = Pac.sign c ~key:Key.DA ~modifier:m1 p in
+      let s = sign c ~key:Key.DA ~modifier:m1 p in
       (* 7-bit PAC: forgery chance 1/128 per pair; deterministic seeds keep
          this stable, and the chosen seed avoids collisions in this range *)
-      match Pac.auth c ~key:Key.DA ~modifier:m2 s with
+      match auth c ~key:Key.DA ~modifier:m2 s with
       | Error _ -> true
       | Ok _ ->
           (* accept rare PAC collisions: they must match the truncated PAC *)
-          Pac.compute_pac c ~key:Key.DA ~modifier:m1 p
-          = Pac.compute_pac c ~key:Key.DA ~modifier:m2 p)
+          let pac m = Vaddr.extract_pac (Pac.layout c) (sign c ~key:Key.DA ~modifier:m p) in
+          pac m1 = pac m2)
 
 let test_brute_force_rate_tracks_width () =
   (* deterministic seeds: the 7-bit acceptance rate over 2048 guesses
@@ -236,7 +385,7 @@ let test_brute_force_rate_tracks_width () =
     let accepted = ref 0 in
     for _ = 1 to 2048 do
       let forged = Vaddr.embed_pac layout ~pac:(Sm.next64 rng) 0x2000_0040L in
-      match Pac.auth pac ~key:Key.DA ~modifier:7L forged with
+      match auth pac ~key:Key.DA ~modifier:7L forged with
       | Ok _ -> incr accepted
       | Error _ -> ()
     done;
@@ -427,12 +576,12 @@ let check_pac_known_answers layout rows =
       in
       let key = Key.which_of_int (i mod 5) in
       let name = Printf.sprintf "row %d" i in
-      let s = Pac.sign c ~key ~modifier p in
+      let s = sign c ~key ~modifier p in
       check64 (name ^ " sign") signed s;
-      Alcotest.check result (name ^ " auth") good (Pac.auth c ~key ~modifier s);
+      Alcotest.check result (name ^ " auth") good (auth c ~key ~modifier s);
       Alcotest.check result (name ^ " auth, wrong modifier") bad
-        (Pac.auth c ~key ~modifier:(Int64.succ modifier) s);
-      check64 (name ^ " strip") stripped (Pac.strip c s))
+        (auth c ~key ~modifier:(Int64.succ modifier) s);
+      check64 (name ^ " strip") stripped (strip c s))
     rows
 
 let test_pac_known_answers () =
@@ -469,8 +618,10 @@ let tests =
     Alcotest.test_case "pac: TBI tag independence" `Quick test_tbi_tag_does_not_affect_pac;
     Alcotest.test_case "pac: per-seed keys" `Quick test_different_seeds_different_pacs;
     Alcotest.test_case "pac: pac fits field" `Quick test_compute_pac_fits_field;
+    Alcotest.test_case "pac: memo bounded" `Quick test_memo_bounded;
     QCheck_alcotest.to_alcotest prop_qarma_roundtrip;
     QCheck_alcotest.to_alcotest prop_qarma_injective;
+    QCheck_alcotest.to_alcotest prop_qarma_word_sliced;
     QCheck_alcotest.to_alcotest prop_sign_auth;
     QCheck_alcotest.to_alcotest prop_modifier_separation;
   ]

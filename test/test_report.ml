@@ -243,8 +243,22 @@ let test_bench_documents () =
     (match member "sections" fig9 with
     | Json.List l -> List.map (str "name") l
     | _ -> []);
-  check_kind "metrics" metrics_schema
-    (parse "BENCH_metrics.json" (read "../BENCH_metrics.json"));
+  let metrics = parse "BENCH_metrics.json" (read "../BENCH_metrics.json") in
+  check_kind "metrics" metrics_schema metrics;
+  let counters =
+    match member "counters" metrics with Json.Obj kvs -> List.map fst kvs | _ -> []
+  in
+  List.iter
+    (fun mech ->
+      List.iter
+        (fun count ->
+          let name =
+            Printf.sprintf "machine.fig9.%s.%s"
+              (Rsti_sti.Rsti_type.mechanism_slug mech) count
+          in
+          checkb (name ^ " counted") true (List.mem name counters))
+        [ "instrs"; "cycles"; "pac_signs"; "pac_auths"; "pac_strips"; "pp_calls" ])
+    Rsti_sti.Rsti_type.all_mechanisms;
   let text = read "../BENCH_events.jsonl" in
   checkb "events end with a newline" true (String.ends_with ~suffix:"\n" text);
   match String.split_on_char '\n' (String.sub text 0 (String.length text - 1)) with
