@@ -292,7 +292,7 @@ let run_cmd =
     let o = Pipeline.run ~profile ~flight inst in
     let r = Pipeline.result inst in
     print_string o.Interp.output;
-    if profile then print_string (Interp.profile_report o);
+    if profile then print_endline (Interp.profile_report o);
     if stats then begin
       Printf.printf "--- %s%s ---\n"
         (RT.mechanism_to_string mech)

@@ -45,8 +45,8 @@ type counts = {
 }
 
 (* One profiled (function, source line) pair. Attribution is exact, not
-   sampled: every cycle the machine charges goes through [charge], which
-   also adds it to the current site when profiling, so the sites of an
+   sampled: every cycle a profiled machine charges goes through
+   [charge], which also adds it to the current site, so the sites of an
    outcome partition its cycle total. The per-site instrumentation
    counters ([s_pac_charges]/[s_strips]/[s_pp_calls]) mirror the global
    {!counts} ones so {!reprice} moves site cycles exactly too. *)
@@ -236,7 +236,13 @@ type attack = { trigger : trigger; action : intruder -> unit }
    whose read raises [bad.(k)]; a destination outside the registers is
    [-1], whose write raises [Invalid_argument] as an out-of-bounds
    register did. An instruction that cannot be resolved becomes [Fail].
-   So a bad name, type or register fails only when it runs. *)
+   So a bad name, type or register fails only when it runs.
+
+   An instruction whose operands all resolved to registers takes a
+   pre-checked form where there is one: it holds each register as its
+   byte offset in the file and skips the negative-operand test. A load,
+   store, gep, gepidx or bitcast has no other form, so one with an
+   operand that cannot be resolved becomes [Fail] too. *)
 type operand = int
 
 type conv = To_double | To_integer | To_char | Same
@@ -255,11 +261,6 @@ type pp =
 
 type code =
   | Alloca of { dst : int; size : int }  (* rounded up to 16 bytes *)
-  | Load of { dst : int; addr : operand; byte : bool }
-  | Store of { src : operand; addr : operand; byte : bool }
-  | Gep of { dst : int; base : operand; off : int }
-  | Gepidx of { dst : int; base : operand; size : int; idx : operand }
-  | Move of { dst : int; src : operand }
   | Binop of { dst : int; op : Ast.binop; fl : Ir.float_op; a : operand; b : operand }
   | Neg of { dst : int; fl : Ir.float_op; src : operand }
   | Lognot of { dst : int; src : operand }
@@ -268,16 +269,45 @@ type code =
   | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
   | Pac of { p : Ir.pac; dst : int; src : operand; slot : operand }
   | Pp of pp
-  | Fail of { cost : int; exn : exn }  (* charge [cost], then raise [exn] *)
+  | Fail of exn
+  (* the pre-checked forms; every field but [off] and [size] a byte offset *)
+  | Ld of { dst : int; addr : int }  (* a word *)
+  | Ldb of { dst : int; addr : int }  (* a byte *)
+  | St of { src : int; addr : int }
+  | Stb of { src : int; addr : int }
+  | Add of { dst : int; a : int; b : int }  (* integer arithmetic and comparisons *)
+  | Sub of { dst : int; a : int; b : int }
+  | Mul of { dst : int; a : int; b : int }
+  | Eq of { dst : int; a : int; b : int }
+  | Ne of { dst : int; a : int; b : int }
+  | Lt of { dst : int; a : int; b : int }
+  | Le of { dst : int; a : int; b : int }
+  | Gt of { dst : int; a : int; b : int }
+  | Ge of { dst : int; a : int; b : int }
+  | Gep of { dst : int; base : int; off : int }
+  | Gepidx of { dst : int; base : int; size : int; idx : int }
+  | Move of { dst : int; src : int }
+
+let loads_of = function Ld _ | Ldb _ -> 1 | _ -> 0
+let stores_of = function St _ | Stb _ -> 1 | _ -> 0
 
 (* [Ret] of a void return reads a constant 0. *)
 type term = Ret of operand | Br of int | Condbr of operand * int * int | Unreachable
 
+(* A block runs in segments: a cut follows each call, so a callee always
+   starts from exact counters. [segs] holds [seg_width] ints a segment:
+   where it stops (one past its last instruction), then its cycles,
+   steps, loads and stores; the last segment's totals include the
+   terminator's charge and step. *)
 type block = {
   body : code array;
   lines : int array;  (* each instruction's !dbg line, 0 when it has none *)
+  cost : int array;  (* each instruction's static charge *)
+  segs : int array;
   term : term;
 }
+
+let seg_width = 5
 
 type func = {
   name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
@@ -304,8 +334,9 @@ type t = {
   costs : Cost.t;
   funcs : Ir.func array;  (* function i sits at [text_base + 16 i] *)
   resolved : func option array;  (* by function index, filled on first call *)
+  defs : (string, int) Hashtbl.t;  (* the module's functions, by name *)
   libc : string array;  (* libc symbol i sits at [libc_base + 16 i] *)
-  syms : (string, callee) Hashtbl.t;  (* [Defined] or [Libc], by name *)
+  libc_index : (string, int) Hashtbl.t;  (* [libc]'s names *)
   global_addrs : (string, int64) Hashtbl.t;
   string_addrs : int64 array;
   mutable heap_ptr : int64;
@@ -329,15 +360,15 @@ type t = {
   (* the shadow-MAC backend's table: slot address -> 64-bit MAC, held by
      the trusted runtime (CCFI stores it in protected memory) *)
   shadow : int64 I64tbl.t;
-  (* exact hot-site profiler; when off, the only cost on the hot path is
-     one boolean load per charge and nothing allocates *)
+  (* exact hot-site profiler; it makes the machine step and charge each
+     instruction, and nothing of it allocates when off *)
   profiling : bool;
   prof_sites : (string * int, site) Hashtbl.t;
   mutable cur_site : site;
-  (* PAC flight recorder; same discipline as the profiler — when off
-     ([recording] = false), every PAC op pays one boolean test and
-     nothing allocates. When on, the last [Array.length fr_buf] ops are
-     kept in a preallocated ring. *)
+  (* PAC flight recorder; like the profiler, it makes the machine step
+     and charge each instruction. When off ([recording] = false), every
+     PAC op pays one boolean test and nothing allocates. When on, the
+     last [Array.length fr_buf] ops are kept in a preallocated ring. *)
   recording : bool;
   fr_buf : pac_op array;
   mutable fr_next : int;  (* total ops recorded; slot = fr_next mod cap *)
@@ -367,6 +398,16 @@ let builtin_names =
     "sqrt"; "fabs"; "floor"; "ceil"; "pow"; "exec";
   ]
 
+let index_of names =
+  let h = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace h name i) names;
+  h
+
+(* The libc of every module whose externs are all built-ins: built once
+   and never written afterwards, so machines on any domain share it. *)
+let builtins = Array.of_list (List.sort_uniq compare builtin_names)
+let builtin_index = index_of builtins
+
 (* Ring slots are overwritten before they are ever read, so the filler
    op is never observable. *)
 let dummy_op =
@@ -389,15 +430,18 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
   let mem = Memory.create () in
   let pac = Rsti_pa.Pac.make ~seed () in
   let funcs = Array.of_list m.m_funcs in
-  let syms = Hashtbl.create 64 in
-  Array.iteri (fun i (f : Ir.func) -> Hashtbl.replace syms f.name (Defined i)) funcs;
+  let defs = Hashtbl.create (Array.length funcs) in
+  Array.iteri (fun i (f : Ir.func) -> Hashtbl.replace defs f.name i) funcs;
   (* Externs and built-ins live in the simulated libc. *)
-  let libc =
-    Array.of_list (List.sort_uniq compare (builtin_names @ List.map fst m.m_externs))
+  let libc, libc_index =
+    if List.for_all (fun (name, _) -> Hashtbl.mem builtin_index name) m.m_externs then
+      (builtins, builtin_index)
+    else
+      let libc =
+        Array.of_list (List.sort_uniq compare (builtin_names @ List.map fst m.m_externs))
+      in
+      (libc, index_of libc)
   in
-  Array.iteri
-    (fun i name -> if not (Hashtbl.mem syms name) then Hashtbl.replace syms name (Libc i))
-    libc;
   (* Globals. *)
   let global_addrs = Hashtbl.create 32 in
   let gp = ref Layout.globals_base in
@@ -454,8 +498,9 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     costs;
     funcs;
     resolved = Array.make (Array.length funcs) None;
+    defs;
     libc;
-    syms;
+    libc_index;
     global_addrs;
     string_addrs;
     heap_ptr = Layout.heap_base;
@@ -502,10 +547,19 @@ let global_addr t name =
   | Some a -> a
   | None -> invalid_arg ("Interp.global_addr: unknown global " ^ name)
 
+(* What a name calls: a defined function shadows a libc symbol. *)
+let callee_of t name =
+  match Hashtbl.find t.defs name with
+  | i -> Defined i
+  | exception Not_found -> (
+      match Hashtbl.find t.libc_index name with
+      | i -> Libc i
+      | exception Not_found -> Missing name)
+
 let func_addr t name =
-  match Hashtbl.find_opt t.syms name with
-  | Some (Defined i) -> Layout.code_addr_of_index Layout.text_base i
-  | Some (Libc i) -> Layout.code_addr_of_index Layout.libc_base i
+  match callee_of t name with
+  | Defined i -> Layout.code_addr_of_index Layout.text_base i
+  | Libc i -> Layout.code_addr_of_index Layout.libc_base i
   | _ -> invalid_arg ("Interp.func_addr: unknown function " ^ name)
 
 (* The function or libc symbol whose code starts at [a], if any. *)
@@ -524,8 +578,7 @@ let code_at t a =
   else
     let i = slot Layout.libc_base (Array.length t.libc) in
     (* a libc name a defined function shadows has no code *)
-    if i >= 0 && Hashtbl.find_opt t.syms t.libc.(i) = Some (Libc i) then Some (Libc i)
-    else None
+    if i >= 0 && not (Hashtbl.mem t.defs t.libc.(i)) then Some (Libc i) else None
 
 (* ------------------------------------------------------------------ *)
 (* Resolution                                                          *)
@@ -538,6 +591,35 @@ let get f regs r =
 [@@inline]
 
 let set regs r v = Bytes.set_int64_ne regs (r lsl 3) v [@@inline]
+
+(* The register at byte offset [o], as the pre-checked forms hold it. *)
+let get_at regs o = Bytes.get_int64_ne regs o [@@inline]
+let set_at regs o v = Bytes.set_int64_ne regs o v [@@inline]
+let truth c = Int64.of_int (Bool.to_int c) [@@inline]
+
+(* Each instruction's static charge. A call's is 0: the machine charges
+   [call] or [extern_call] once it knows the callee. *)
+let cost_of t (ins : Ir.instr) =
+  let c = t.costs in
+  match ins.i with
+  | Ir.Alloca _ | Ir.Bitcast _ | Ir.Binop _ | Ir.Neg _ | Ir.Lognot _ | Ir.Bitnot _
+  | Ir.Cast_num _ ->
+      c.alu
+  | Ir.Load _ -> c.load
+  | Ir.Store _ -> c.store
+  | Ir.Gep _ | Ir.Gepidx _ -> c.gep
+  | Ir.Call _ -> 0
+  | Ir.Pp _ -> c.pp
+  | Ir.Pac p -> (
+      match (t.backend, p.p_kind) with
+      | _, Ir.Kstrip -> c.strip
+      | `Pac, (Ir.Ksign | Ir.Kauth) -> c.pac + c.pac_spill
+      | `Pac, Ir.Kresign -> 2 * (c.pac + c.pac_spill)
+      (* the shadow-MAC backend pays a shadow-table access beside each MAC;
+         a cast carries no per-slot state there *)
+      | `Shadow_mac, Ir.Ksign -> c.pac + c.load + c.store
+      | `Shadow_mac, Ir.Kauth -> c.pac + c.load
+      | `Shadow_mac, Ir.Kresign -> 2 * c.pac)
 
 (* Never raises: whatever executing a piece of [fn] would raise is kept
    in [bad] or in a [Fail] instruction. *)
@@ -561,17 +643,18 @@ let resolve t i =
   in
   let in_file r = r >= 0 && r < nregs in
   let dst r = if in_file r then r else -1 in
-  let operand (v : Ir.value) =
+  (* [v]'s register; raises what reading [v] would raise *)
+  let reg (v : Ir.value) =
     match v with
     | Ir.Imm n -> const n
     | Ir.Fimm x -> const (Int64.bits_of_float x)
-    | Ir.Reg r -> if in_file r then r else fail (Invalid_argument "index out of bounds")
+    | Ir.Reg r -> if in_file r then r else invalid_arg "index out of bounds"
     | Ir.Null -> const 0L
-    | Ir.Global g -> ( match global_addr t g with a -> const a | exception e -> fail e)
-    | Ir.Funcaddr f -> ( match func_addr t f with a -> const a | exception e -> fail e)
-    | Ir.Str s -> ( match t.string_addrs.(s) with a -> const a | exception e -> fail e)
+    | Ir.Global g -> const (global_addr t g)
+    | Ir.Funcaddr f -> const (func_addr t f)
+    | Ir.Str s -> const t.string_addrs.(s)
   in
-  let failing cost f = match f () with c -> c | exception exn -> Fail { cost; exn } in
+  let operand v = match reg v with r -> r | exception e -> fail e in
   (* char is one byte, everything else a 64-bit word *)
   let byte ty = match Ctype.strip_const ty with Ctype.Char -> true | _ -> false in
   let conv from_ty to_ty =
@@ -584,24 +667,43 @@ let resolve t i =
   let code (ins : Ir.instr) =
     match ins.i with
     | Ir.Alloca { dst = d; ty; _ } ->
-        failing t.costs.alu (fun () ->
-            let size = max 8 (Ir.sizeof t.m ty) in
-            Alloca { dst = dst d; size = (size + 15) / 16 * 16 })
+        let size = max 8 (Ir.sizeof t.m ty) in
+        Alloca { dst = dst d; size = (size + 15) / 16 * 16 }
+    (* these have only pre-checked forms: an operand that does not
+       resolve raises here, and the instruction becomes [Fail] of it. A
+       store reads its value before its address, a gepidx its index
+       before its base. *)
     | Ir.Load { dst = d; addr; ty; _ } ->
-        Load { dst = dst d; addr = operand addr; byte = byte ty }
+        let d = dst d lsl 3 and addr = reg addr lsl 3 in
+        if byte ty then Ldb { dst = d; addr } else Ld { dst = d; addr }
     | Ir.Store { src; addr; ty; _ } ->
-        Store { src = operand src; addr = operand addr; byte = byte ty }
+        let src = reg src lsl 3 in
+        let addr = reg addr lsl 3 in
+        if byte ty then Stb { src; addr } else St { src; addr }
     | Ir.Gep { dst = d; base; sname; field } ->
-        failing t.costs.gep (fun () ->
-            let off, _ = Ir.field_offset t.m sname field in
-            Gep { dst = dst d; base = operand base; off })
+        let off, _ = Ir.field_offset t.m sname field in
+        Gep { dst = dst d lsl 3; base = reg base lsl 3; off }
     | Ir.Gepidx { dst = d; base; elem; idx } ->
-        failing t.costs.gep (fun () ->
-            let size = Ir.sizeof t.m elem in
-            Gepidx { dst = dst d; base = operand base; size; idx = operand idx })
-    | Ir.Bitcast { dst = d; src; _ } -> Move { dst = dst d; src = operand src }
-    | Ir.Binop { dst = d; op; fl; a; b } ->
-        Binop { dst = dst d; op; fl; a = operand a; b = operand b }
+        let size = Ir.sizeof t.m elem in
+        let idx = reg idx lsl 3 in
+        let base = reg base lsl 3 in
+        Gepidx { dst = dst d lsl 3; base; size; idx }
+    | Ir.Bitcast { dst = d; src; _ } -> Move { dst = dst d lsl 3; src = reg src lsl 3 }
+    | Ir.Binop { dst = d; op; fl; a; b } -> (
+        let d = dst d and a = operand a and b = operand b in
+        let dst = d lsl 3 and ra = a lsl 3 and rb = b lsl 3 in
+        match (op, fl) with
+        | _ when a < 0 || b < 0 -> Binop { dst = d; op; fl; a; b }
+        | Ast.Add, Ir.Iop -> Add { dst; a = ra; b = rb }
+        | Ast.Sub, Ir.Iop -> Sub { dst; a = ra; b = rb }
+        | Ast.Mul, Ir.Iop -> Mul { dst; a = ra; b = rb }
+        | Ast.Eq, Ir.Iop -> Eq { dst; a = ra; b = rb }
+        | Ast.Ne, Ir.Iop -> Ne { dst; a = ra; b = rb }
+        | Ast.Lt, Ir.Iop -> Lt { dst; a = ra; b = rb }
+        | Ast.Le, Ir.Iop -> Le { dst; a = ra; b = rb }
+        | Ast.Gt, Ir.Iop -> Gt { dst; a = ra; b = rb }
+        | Ast.Ge, Ir.Iop -> Ge { dst; a = ra; b = rb }
+        | _ -> Binop { dst = d; op; fl; a; b })
     | Ir.Neg { dst = d; fl; src } -> Neg { dst = dst d; fl; src = operand src }
     | Ir.Lognot { dst = d; src } -> Lognot { dst = dst d; src = operand src }
     | Ir.Bitnot { dst = d; src } -> Bitnot { dst = dst d; src = operand src }
@@ -610,8 +712,7 @@ let resolve t i =
     | Ir.Call { dst = d; callee; args; arg_tys; _ } ->
         let callee =
           match callee with
-          | Ir.Direct name -> (
-              match Hashtbl.find_opt t.syms name with Some c -> c | None -> Missing name)
+          | Ir.Direct name -> callee_of t name
           | Ir.Indirect c -> Via (operand c)
         in
         Call
@@ -627,11 +728,13 @@ let resolve t i =
     | Ir.Pp (Ir.Pp_add_tbi { dst = d; src; ce }) ->
         Pp (Pp_add_tbi { dst = dst d; src = operand src; ce })
   in
+  let code ins = match code ins with c -> c | exception exn -> Fail exn in
   let line (ins : Ir.instr) =
     match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0
   in
   let block (b : Ir.block) =
     let instrs = Array.of_list b.instrs in
+    let body = Array.map code instrs and cost = Array.map (fun ins -> cost_of t ins) instrs in
     let term =
       match b.term with
       | Ir.Ret v -> Ret (operand (Option.value v ~default:(Ir.Imm 0L)))
@@ -639,7 +742,30 @@ let resolve t i =
       | Ir.Condbr (c, l1, l2) -> Condbr (operand c, l1, l2)
       | Ir.Unreachable -> Unreachable
     in
-    { body = Array.map code instrs; lines = Array.map line instrs; term }
+    (* a segment ends after each call, and the last one at the terminator *)
+    let calls = Array.fold_left (fun n c -> match c with Call _ -> n + 1 | _ -> n) 0 body in
+    let segs = Array.make (seg_width * (calls + 1)) 0 in
+    let k = ref 0 in
+    for j = 0 to Array.length body - 1 do
+      let c = body.(j) in
+      segs.(!k + 1) <- segs.(!k + 1) + cost.(j);
+      segs.(!k + 2) <- segs.(!k + 2) + 1;
+      segs.(!k + 3) <- segs.(!k + 3) + loads_of c;
+      segs.(!k + 4) <- segs.(!k + 4) + stores_of c;
+      match c with
+      | Call _ ->
+          segs.(!k) <- j + 1;
+          k := !k + seg_width
+      | _ -> ()
+    done;
+    segs.(!k) <- Array.length body;
+    (match term with
+    | Ret _ -> segs.(!k + 1) <- segs.(!k + 1) + t.costs.branch
+    | Br _ | Condbr _ ->
+        segs.(!k + 1) <- segs.(!k + 1) + t.costs.branch;
+        segs.(!k + 2) <- segs.(!k + 2) + 1
+    | Unreachable -> ());
+    { body; lines = Array.map line instrs; cost; segs; term }
   in
   let blocks = Array.map block fn.blocks in
   let md = 8 * (nregs + !nconsts) in
@@ -812,8 +938,8 @@ let record_incident t ~func ~key ~static_mod ~modifier ~ptr =
 (* Every PAC-unit operation, on either backend or in the pp runtime, is
    accounted here and nowhere else: its counters and the profiler's
    per-site copy, its flight-recorder entry and, when the check failed,
-   the incident and the FPAC trap. The caller charges cycles itself,
-   because the backends price the same op differently. With the profiler
+   the incident and the FPAC trap. Its cycles are the instruction's
+   static charge ([cost_of]), which the backends set apart. With the profiler
    and the recorder off, each costs one branch and nothing allocates. *)
 let account t kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
   let signs, auths, strips, charges =
@@ -854,6 +980,24 @@ let mem_fault t func fault =
   Trap_exn
     (Mem_fault
        { fault = Memory.fault_to_string fault; func; after_auth_fail = t.auth_failed })
+
+(* Instruction [i] of [b]'s segment [k], which starts at [start], raised
+   after the segment was accounted whole: take back the totals of the
+   instructions after [i] and, in the last segment, the terminator's, so
+   the counters stop where stepping and charging each instruction would
+   have stopped them. *)
+let take_back t b k start i =
+  let c = t.counts and segs = b.segs in
+  let cycles = ref segs.(k + 1) and loads = ref segs.(k + 3) and stores = ref segs.(k + 4) in
+  for j = start to i do
+    cycles := !cycles - b.cost.(j);
+    loads := !loads - loads_of b.body.(j);
+    stores := !stores - stores_of b.body.(j)
+  done;
+  t.cycles <- t.cycles - !cycles;
+  c.instrs <- c.instrs - (segs.(k + 2) - (i + 1 - start));
+  c.loads <- c.loads - !loads;
+  c.stores <- c.stores - !stores
 
 (* A PAC op's runtime modifier, into its register [f.md]: the constant,
    or the constant XOR the slot address. Each branch stores its own
@@ -1153,7 +1297,6 @@ and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
-      charge t (t.costs.pac + t.costs.load + t.costs.store);
       if Int64.equal v 0L then I64tbl.remove t.shadow slot
       else begin
         Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src:(src lsl 3) ~modifier:f.md;
@@ -1162,7 +1305,6 @@ and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
       account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok:true;
       set regs dst v
   | Ir.Kauth ->
-      charge t (t.costs.pac + t.costs.load);
       let ok =
         if Int64.equal v 0L then not (I64tbl.mem t.shadow slot)
         else
@@ -1178,13 +1320,10 @@ and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
         Rsti_pa.Vaddr.corrupt_at (Rsti_pa.Pac.layout t.pac) regs ~dst:(dst lsl 3)
           ~src:(src lsl 3)
   | Ir.Kresign ->
-      (* casts carry no per-slot state under the shadow backend *)
-      charge t (2 * t.costs.pac);
       account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v
         ~ok:true;
       set regs dst v
   | Ir.Kstrip ->
-      charge t t.costs.strip;
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
         ~result:v ~ok:true;
       set regs dst v
@@ -1198,7 +1337,6 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
-      charge t (t.costs.pac + t.costs.pac_spill);
       set_modifier f regs p.p_mod slot;
       Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src ~modifier:md;
       let signed = Bytes.get_int64_ne regs res in
@@ -1206,7 +1344,6 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
         ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
       set regs dst signed
   | Ir.Kauth ->
-      charge t (t.costs.pac + t.costs.pac_spill);
       set_modifier f regs p.p_mod slot;
       let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
       let r = Bytes.get_int64_ne regs res in
@@ -1214,7 +1351,6 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
         ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
       set regs dst r
   | Ir.Kresign ->
-      charge t (2 * (t.costs.pac + t.costs.pac_spill));
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
          value (the pp mechanism) gets a real authenticate + re-sign. A
@@ -1245,7 +1381,6 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
         end
       end
   | Ir.Kstrip ->
-      charge t t.costs.strip;
       Rsti_pa.Pac.strip t.pac regs ~dst:res ~src;
       let stripped = Bytes.get_int64_ne regs res in
       account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
@@ -1254,7 +1389,6 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
   end
 
 and exec_pp t f regs (pp : pp) =
-  charge t t.costs.pp;
   t.counts.pp_calls <- t.counts.pp_calls + 1;
   prof_pp t;
   let fname = f.name and md = f.md and res = f.res in
@@ -1291,7 +1425,6 @@ and exec_pp t f regs (pp : pp) =
    stores it itself: an [int64] returned from a call would be boxed. *)
 and binop f regs dst (op : Ast.binop) (fl : Ir.float_op) a b =
   let x = get f regs a and y = get f regs b in
-  let bool c = Int64.of_int (Bool.to_int c) in
   let fx = Int64.float_of_bits x and fy = Int64.float_of_bits y in
   set regs dst
     (match (op, fl) with
@@ -1302,31 +1435,31 @@ and binop f regs dst (op : Ast.binop) (fl : Ir.float_op) a b =
         if y = 0L then raise (Trap_exn (Div_by_zero f.name)) else Int64.div x y
     | Ast.Mod, Ir.Iop ->
         if y = 0L then raise (Trap_exn (Div_by_zero f.name)) else Int64.rem x y
-    | Ast.Eq, Ir.Iop -> bool (Int64.equal x y)
-    | Ast.Ne, Ir.Iop -> bool (not (Int64.equal x y))
-    | Ast.Lt, Ir.Iop -> bool (Int64.compare x y < 0)
-    | Ast.Le, Ir.Iop -> bool (Int64.compare x y <= 0)
-    | Ast.Gt, Ir.Iop -> bool (Int64.compare x y > 0)
-    | Ast.Ge, Ir.Iop -> bool (Int64.compare x y >= 0)
+    | Ast.Eq, Ir.Iop -> truth (Int64.equal x y)
+    | Ast.Ne, Ir.Iop -> truth (not (Int64.equal x y))
+    | Ast.Lt, Ir.Iop -> truth (Int64.compare x y < 0)
+    | Ast.Le, Ir.Iop -> truth (Int64.compare x y <= 0)
+    | Ast.Gt, Ir.Iop -> truth (Int64.compare x y > 0)
+    | Ast.Ge, Ir.Iop -> truth (Int64.compare x y >= 0)
     | Ast.Add, Ir.Fop -> Int64.bits_of_float (fx +. fy)
     | Ast.Sub, Ir.Fop -> Int64.bits_of_float (fx -. fy)
     | Ast.Mul, Ir.Fop -> Int64.bits_of_float (fx *. fy)
     | Ast.Div, Ir.Fop -> Int64.bits_of_float (fx /. fy)
     | Ast.Mod, Ir.Fop -> Int64.bits_of_float (Float.rem fx fy)
-    | Ast.Eq, Ir.Fop -> bool (fx = fy)
-    | Ast.Ne, Ir.Fop -> bool (fx <> fy)
-    | Ast.Lt, Ir.Fop -> bool (fx < fy)
-    | Ast.Le, Ir.Fop -> bool (fx <= fy)
-    | Ast.Gt, Ir.Fop -> bool (fx > fy)
-    | Ast.Ge, Ir.Fop -> bool (fx >= fy)
+    | Ast.Eq, Ir.Fop -> truth (fx = fy)
+    | Ast.Ne, Ir.Fop -> truth (fx <> fy)
+    | Ast.Lt, Ir.Fop -> truth (fx < fy)
+    | Ast.Le, Ir.Fop -> truth (fx <= fy)
+    | Ast.Gt, Ir.Fop -> truth (fx > fy)
+    | Ast.Ge, Ir.Fop -> truth (fx >= fy)
     (* the bitwise and logical operators read float bits as integers *)
     | Ast.Bitand, _ -> Int64.logand x y
     | Ast.Bitor, _ -> Int64.logor x y
     | Ast.Bitxor, _ -> Int64.logxor x y
     | Ast.Shl, _ -> Int64.shift_left x (Int64.to_int y land 63)
     | Ast.Shr, _ -> Int64.shift_right x (Int64.to_int y land 63)
-    | Ast.Logand, _ -> bool (x <> 0L && y <> 0L)
-    | Ast.Logor, _ -> bool (x <> 0L || y <> 0L))
+    | Ast.Logand, _ -> truth (x <> 0L && y <> 0L)
+    | Ast.Logor, _ -> truth (x <> 0L || y <> 0L))
 
 (* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
    paper's introduction contrasts RSTI with): an indirect call may only
@@ -1374,34 +1507,124 @@ and call_values t i (argv : int64 array) : int64 =
   Array.iteri (fun j v -> if j < g.nregs then set regs j v) argv;
   call_function t i g regs
 
+(* Block [label] of [f], then the blocks it branches to; returns what
+   [f] returns. A machine with neither the profiler nor the flight
+   recorder on accounts per segment: it adds each segment's totals once,
+   before the segment's first instruction, and runs the instructions
+   with no step, charge or observer test. A segment that would cross the
+   step limit, and every instruction of a profiled or flight-recorded
+   machine, goes through [exec_each] instead, so the profiler's site and
+   the recorder's line are current whenever either reads them.
+   [charged] says whether the last segment, whose totals hold the
+   terminator's charge and step, was accounted whole. *)
 and exec_block t f regs label : int64 =
   let b = f.blocks.(label) in
-  let body = b.body in
-  for i = 0 to Array.length body - 1 do
-    if t.profiling then set_site t f.name b.lines.(i);
-    if t.recording then t.cur_line <- b.lines.(i);
-    step t;
-    exec t f regs body.(i)
-  done;
+  let charged = ref false in
+  if t.profiling || t.recording then exec_each t f regs b 0 (Array.length b.body)
+  else begin
+    let segs = b.segs and body = b.body and c = t.counts in
+    let last = Array.length segs - seg_width in
+    let k = ref 0 and i = ref 0 in
+    while !k <= last do
+      let stop = segs.(!k) and steps = segs.(!k + 2) in
+      if c.instrs + steps > t.step_limit then begin
+        exec_each t f regs b !i stop;
+        charged := false
+      end
+      else begin
+        t.cycles <- t.cycles + segs.(!k + 1);
+        c.instrs <- c.instrs + steps;
+        c.loads <- c.loads + segs.(!k + 3);
+        c.stores <- c.stores + segs.(!k + 4);
+        let start = !i in
+        (try
+           while !i < stop do
+             exec t f regs body.(!i);
+             incr i
+           done
+         with e -> (
+           take_back t b !k start !i;
+           match e with
+           | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
+               raise (mem_fault t f.name fault)
+           | e -> raise e));
+        charged := true
+      end;
+      i := stop;
+      k := !k + seg_width
+    done
+  end;
   match b.term with
   | Ret v ->
-      charge t t.costs.branch;
+      if not !charged then charge t t.costs.branch;
       get f regs v
   | Br l ->
-      charge t t.costs.branch;
-      step t;
+      if not !charged then begin
+        charge t t.costs.branch;
+        step t
+      end;
       exec_block t f regs l
   | Condbr (c, l1, l2) ->
-      charge t t.costs.branch;
-      step t;
+      if not !charged then begin
+        charge t t.costs.branch;
+        step t
+      end;
       exec_block t f regs (if Int64.equal (get f regs c) 0L then l2 else l1)
   | Unreachable -> raise (Trap_exn (Unknown_function (f.name ^ ":unreachable")))
 
-(* Each case stores its own result: see [binop]. *)
+(* Instructions [start, stop) of [b], each stepped and charged just
+   before it runs: the loop of profiled and flight-recorded machines. *)
+and exec_each t f regs b start stop =
+  let c = t.counts in
+  for i = start to stop - 1 do
+    let code = b.body.(i) in
+    if t.profiling then set_site t f.name b.lines.(i);
+    if t.recording then t.cur_line <- b.lines.(i);
+    step t;
+    charge t b.cost.(i);
+    match code with
+    | Ld _ | Ldb _ ->
+        c.loads <- c.loads + 1;
+        exec_mem t f regs code
+    | St _ | Stb _ ->
+        c.stores <- c.stores + 1;
+        exec_mem t f regs code
+    | _ -> exec t f regs code
+  done
+
+and exec_mem t f regs code =
+  try exec t f regs code with Memory.Fault fault -> raise (mem_fault t f.name fault)
+
+(* The caller has stepped and charged the instruction and counted its
+   load or store. Each case here is free of calls or ends in a tail
+   call, so the pre-checked forms run without a frame of their own. *)
 and exec t f regs (c : code) : unit =
   match c with
+  | Ld { dst; addr } -> Memory.load t.mem regs ~dst ~addr ~byte:false
+  | Ldb { dst; addr } -> Memory.load t.mem regs ~dst ~addr ~byte:true
+  | St { src; addr } -> Memory.store t.mem regs ~src ~addr ~byte:false
+  | Stb { src; addr } -> Memory.store t.mem regs ~src ~addr ~byte:true
+  | Add { dst; a; b } -> set_at regs dst (Int64.add (get_at regs a) (get_at regs b))
+  | Sub { dst; a; b } -> set_at regs dst (Int64.sub (get_at regs a) (get_at regs b))
+  | Mul { dst; a; b } -> set_at regs dst (Int64.mul (get_at regs a) (get_at regs b))
+  | Eq { dst; a; b } -> set_at regs dst (truth (get_at regs a = get_at regs b))
+  | Ne { dst; a; b } -> set_at regs dst (truth (get_at regs a <> get_at regs b))
+  | Lt { dst; a; b } -> set_at regs dst (truth (get_at regs a < get_at regs b))
+  | Le { dst; a; b } -> set_at regs dst (truth (get_at regs a <= get_at regs b))
+  | Gt { dst; a; b } -> set_at regs dst (truth (get_at regs a > get_at regs b))
+  | Ge { dst; a; b } -> set_at regs dst (truth (get_at regs a >= get_at regs b))
+  | Gep { dst; base; off } ->
+      set_at regs dst (Int64.add (get_at regs base) (Int64.of_int off))
+  | Gepidx { dst; base; size; idx } ->
+      set_at regs dst
+        (Int64.add (get_at regs base) (Int64.mul (Int64.of_int size) (get_at regs idx)))
+  | Move { dst; src } -> set_at regs dst (get_at regs src)
+  | c -> exec_generic t f regs c
+
+(* Each case stores its own result: see [binop]. *)
+and exec_generic t f regs (c : code) : unit =
+  match c with
   | Alloca { dst; size } ->
-      charge t t.costs.alu;
       t.sp <- t.sp - size;
       if t.sp < stack_limit then raise (Trap_exn Stack_overflow);
       (* [sp] only falls by an [Alloca], so every byte from [stack_low]
@@ -1411,46 +1634,15 @@ and exec t f regs (c : code) : unit =
         t.stack_low <- t.sp
       end;
       set regs dst (Int64.of_int t.sp)
-  | Load { dst; addr; byte } -> (
-      charge t t.costs.load;
-      t.counts.loads <- t.counts.loads + 1;
-      if addr < 0 then raise f.bad.(lnot addr);
-      try Memory.load t.mem regs ~dst:(dst lsl 3) ~addr:(addr lsl 3) ~byte
-      with Memory.Fault fault -> raise (mem_fault t f.name fault))
-  | Store { src; addr; byte } -> (
-      charge t t.costs.store;
-      t.counts.stores <- t.counts.stores + 1;
-      if src < 0 then raise f.bad.(lnot src);
-      if addr < 0 then raise f.bad.(lnot addr);
-      try Memory.store t.mem regs ~src:(src lsl 3) ~addr:(addr lsl 3) ~byte
-      with Memory.Fault fault -> raise (mem_fault t f.name fault))
-  | Gep { dst; base; off } ->
-      charge t t.costs.gep;
-      set regs dst (Int64.add (get f regs base) (Int64.of_int off))
-  | Gepidx { dst; base; size; idx } ->
-      charge t t.costs.gep;
-      set regs dst
-        (Int64.add (get f regs base) (Int64.mul (Int64.of_int size) (get f regs idx)))
-  | Move { dst; src } ->
-      charge t t.costs.alu;
-      set regs dst (get f regs src)
-  | Binop { dst; op; fl; a; b } ->
-      charge t t.costs.alu;
-      binop f regs dst op fl a b
+  | Binop { dst; op; fl; a; b } -> binop f regs dst op fl a b
   | Neg { dst; fl; src } -> (
-      charge t t.costs.alu;
       let v = get f regs src in
       match fl with
       | Ir.Iop -> set regs dst (Int64.neg v)
       | Ir.Fop -> set regs dst (Int64.bits_of_float (-.Int64.float_of_bits v)))
-  | Lognot { dst; src } ->
-      charge t t.costs.alu;
-      set regs dst (Int64.of_int (Bool.to_int (Int64.equal (get f regs src) 0L)))
-  | Bitnot { dst; src } ->
-      charge t t.costs.alu;
-      set regs dst (Int64.lognot (get f regs src))
+  | Lognot { dst; src } -> set regs dst (truth (Int64.equal (get f regs src) 0L))
+  | Bitnot { dst; src } -> set regs dst (Int64.lognot (get f regs src))
   | Cast_num { dst; src; conv } -> (
-      charge t t.costs.alu;
       let v = get f regs src in
       match conv with
       | To_double -> set regs dst (Int64.bits_of_float (Int64.to_float v))
@@ -1486,9 +1678,10 @@ and exec t f regs (c : code) : unit =
       (match dst with Some d -> set regs d result | None -> ())
   | Pac { p; dst; src; slot } -> exec_pac t f regs p ~dst ~src ~slot
   | Pp pp -> exec_pp t f regs pp
-  | Fail { cost; exn } ->
-      charge t cost;
-      raise exn
+  | Fail exn -> raise exn
+  | Ld _ | Ldb _ | St _ | Stb _ | Add _ | Sub _ | Mul _ | Eq _ | Ne _ | Lt _ | Le _ | Gt _
+  | Ge _ | Gep _ | Gepidx _ | Move _ ->
+      exec t f regs c
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
@@ -1507,12 +1700,12 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
   Option.iter (fun l -> t.step_limit <- l) step_limit;
   let status =
     try
-      (match Hashtbl.find_opt t.syms Ir.global_init_name with
-      | Some (Defined i) -> ignore (call_values t i [||])
-      | _ -> ());
-      match Hashtbl.find_opt t.syms entry with
-      | Some (Defined i) -> Exited (call_values t i [||])
-      | _ -> Trapped (Unknown_function entry)
+      (match Hashtbl.find_opt t.defs Ir.global_init_name with
+      | Some i -> ignore (call_values t i [||])
+      | None -> ());
+      match Hashtbl.find_opt t.defs entry with
+      | Some i -> Exited (call_values t i [||])
+      | None -> Trapped (Unknown_function entry)
     with
     | Trap_exn tr -> Trapped tr
     | Exit_exn code -> Exited code

@@ -11,7 +11,15 @@
     An {!outcome} records each fact of a run once. The counters,
     [call_profile], [extern_profile] and [output] say what ran. The
     flight recorder's [incidents] say which PAC operation failed and who
-    signed the value. [notes] holds what the attack hooks wrote. *)
+    signed the value. [notes] holds what the attack hooks wrote.
+
+    A machine charges each basic block's static cost at once, not each
+    instruction's, unless it profiles or records; either way the
+    outcome is the same. The cycle total and {!counts} are exact at
+    every call (a callee, and an attack hook it fires, starts from the
+    counts of the instructions that ran before it), at every trap and
+    at exit: they count the instruction that trapped or called [exit]
+    and nothing after it. *)
 
 type trap =
   | Mem_fault of { fault : string; func : string; after_auth_fail : bool }
@@ -232,15 +240,17 @@ val create :
     CCFI-style alternative — a full-width MAC of (pointer, modifier)
     held in a runtime-protected shadow table keyed by the slot address,
     with pointers left raw. Same STI policy, different mechanism.
-    [profile] (default false) turns on the exact hot-site profiler;
-    when off, profiling costs one boolean test per charge and allocates
-    nothing.
+    [profile] (default false) turns on the exact hot-site profiler.
+    A machine with neither the profiler nor the flight recorder charges
+    each basic block once; either one makes it step and charge each
+    instruction as it runs, so every charge and every recorded
+    operation has its site and line, and the outcome does not change.
     [flight] (default 0 = off) is the PAC flight recorder's ring
     capacity: every sign/auth/resign/strip/pp op is captured as a
     {!pac_op}, the last [flight] of them are kept, and a failing auth
     emits an {!incident} carrying that window plus detection latency.
-    Same discipline as the profiler: when off, each PAC op pays one
-    boolean test and nothing allocates. Flight timestamps are cycle
+    When off, each PAC op pays one boolean test and nothing allocates.
+    Flight timestamps are cycle
     numbers under the run's own costs; {!reprice} does not rewrite
     them (flight runs carry attacks, which the outcome cache refuses
     anyway). *)
@@ -256,5 +266,6 @@ val run :
   outcome
 (** Execute [__rsti_global_init] then [entry] (default ["main"]).
     [step_limit] bounds interpreted instructions, [counts.instrs]
-    (default 200 million).
+    (default 200 million): the instruction past it traps, with
+    [counts.instrs = step_limit + 1] and nothing charged for it.
     A machine can be run only once; create a fresh one per run. *)

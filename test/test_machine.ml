@@ -370,6 +370,32 @@ let test_interp_step_limit () =
   (* the limit counts the instructions the outcome reports *)
   checki "instrs" 10_001 o.counts.instrs
 
+(* A callee starts from exact counters. For every limit in a window
+   longer than one iteration of a loop that calls [tick] mid-block, so
+   that it spans the instructions before the call, the callee and those
+   after it, the plain and the profiled machine stop alike. *)
+let test_interp_step_limit_across_call () =
+  let m =
+    Pipeline.ir
+      (compiled
+         "int tick(int x) { int y = x * 3; return y - x; }\n\
+          int main(void) { int s = 0; while (1) { s = s + 1; s = tick(s); s = s - 1; } \
+          return s; }")
+  in
+  for limit = 100 to 160 do
+    let run profile = Interp.run ~step_limit:limit (Interp.create ~profile m) in
+    let plain = run false and profiled = run true in
+    List.iter
+      (fun (what, (o : Interp.outcome)) ->
+        (match o.status with
+        | Interp.Trapped Interp.Step_limit_exceeded -> ()
+        | _ -> Alcotest.failf "%s run at limit %d: expected step limit" what limit);
+        checki (Printf.sprintf "%s instrs at limit %d" what limit) (limit + 1)
+          o.counts.instrs)
+      [ ("plain", plain); ("profiled", profiled) ];
+    checki (Printf.sprintf "cycles at limit %d" limit) profiled.cycles plain.cycles
+  done
+
 let test_interp_cycles_positive_and_counted () =
   let o = run "int main(void) { int s = 0; for (int i = 0; i < 10; i++) { s += i; } return s; }" in
   checkb "cycles > instrs" true (o.Interp.cycles > o.Interp.counts.instrs);
@@ -522,6 +548,14 @@ let test_interp_bad_ir_fails_when_run () =
        Ir.Store { src = Ir.Global "nope"; addr = Ir.Reg 1; ty = Ctype.Long;
                   slot = Ir.Sanon Ctype.Long },
        Invalid_argument "Interp.global_addr: unknown global nope");
+      (* with two bad operands, the one read first *)
+      ("store from a global to a function",
+       Ir.Store { src = Ir.Global "nope"; addr = Ir.Funcaddr "nope"; ty = Ctype.Long;
+                  slot = Ir.Sanon Ctype.Long },
+       Invalid_argument "Interp.global_addr: unknown global nope");
+      ("gepidx of a global by a function",
+       Ir.Gepidx { dst = 0; base = Ir.Global "nope"; elem = Ctype.Long; idx = Ir.Funcaddr "nope" },
+       Invalid_argument "Interp.func_addr: unknown function nope");
     ]
 
 (* A pointer-to-pointer op reads its FE modifier from the pp metadata
@@ -847,6 +881,8 @@ let tests =
     Alcotest.test_case "interp: heap zeroed" `Quick test_interp_malloc_zeroed;
     Alcotest.test_case "interp: stack overflow" `Quick test_interp_stack_overflow;
     Alcotest.test_case "interp: step limit" `Quick test_interp_step_limit;
+    Alcotest.test_case "interp: step limit across a call" `Quick
+      test_interp_step_limit_across_call;
     Alcotest.test_case "interp: cycle accounting" `Quick test_interp_cycles_positive_and_counted;
     Alcotest.test_case "interp: snprintf" `Quick test_interp_snprintf;
     Alcotest.test_case "interp: single use" `Quick test_interp_machine_single_use;

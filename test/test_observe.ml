@@ -22,6 +22,8 @@ module Cache = Rsti_engine.Cache
 module Interp = Rsti_machine.Interp
 module Workload = Rsti_workloads.Workload
 module RT = Rsti_sti.Rsti_type
+module Cost = Rsti_machine.Cost
+module Instrument = Rsti_rsti.Instrument
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -201,25 +203,54 @@ let test_telemetry_identical_across_jobs () =
 
 (* ---------------------------- profiler ------------------------------ *)
 
+(* Two runs of one program agree on all that does not depend on the
+   profiler or the flight recorder: status, cycles, every counter,
+   output and both call profiles. *)
+let check_same_outcome name (a : Interp.outcome) (b : Interp.outcome) =
+  checkb (name ^ ": status") true (a.Interp.status = b.Interp.status);
+  checki (name ^ ": cycles") a.Interp.cycles b.Interp.cycles;
+  List.iter
+    (fun (field, get) ->
+      checki (name ^ ": " ^ field) (get a.Interp.counts) (get b.Interp.counts))
+    [
+      ("instrs", fun (c : Interp.counts) -> c.instrs);
+      ("loads", fun c -> c.loads);
+      ("stores", fun c -> c.stores);
+      ("pac_signs", fun c -> c.pac_signs);
+      ("pac_auths", fun c -> c.pac_auths);
+      ("pac_strips", fun c -> c.pac_strips);
+      ("pp_calls", fun c -> c.pp_calls);
+      ("pac_charges", fun c -> c.pac_charges);
+    ];
+  Alcotest.(check string) (name ^ ": output") a.Interp.output b.Interp.output;
+  checkb (name ^ ": call profile") true (a.Interp.call_profile = b.Interp.call_profile);
+  checkb (name ^ ": extern profile") true
+    (a.Interp.extern_profile = b.Interp.extern_profile)
+
 (* The exact profiler's partition invariant: an outcome's sites sum to
-   the global cycle and event counters, for every kernel and mechanism. *)
+   the global cycle and event counters, for one kernel of each suite
+   under each Figure-9 configuration. A plain machine accounts per block
+   and a profiled or flight-recorded one per instruction, so the plain
+   run must match both observed runs in all they do not add. *)
 let test_profiler_partitions_totals () =
   let kernels =
-    [
-      List.hd Rsti_workloads.Spec2006.all;
-      List.hd Rsti_workloads.Nbench.all;
-      List.hd Rsti_workloads.Pytorch.all;
-    ]
+    List.map List.hd
+      Rsti_workloads.
+        [ Spec2006.all; Spec2017.all; Nbench.all; Pytorch.all; Nginx.all ]
   in
   let config = { Pipeline.default with Pipeline.cache = false } in
   List.iter
     (fun (w : Workload.t) ->
+      let src = Pipeline.source ~file:(w.name ^ ".c") w.source in
+      let a = Pipeline.analyze ~config (Pipeline.compile ~config src) in
       List.iter
         (fun mech ->
-          let src = Pipeline.source ~file:(w.name ^ ".c") w.source in
-          let i =
-            Pipeline.instrument ~config mech
-              (Pipeline.analyze ~config (Pipeline.compile ~config src))
+          let i = Pipeline.instrument ~config mech a in
+          let config =
+            if mech = RT.Parts then
+              { config with
+                Pipeline.costs = { Cost.parts_codegen with pac = Cost.default.pac } }
+            else config
           in
           let o = Pipeline.run ~config ~profile:true i in
           let sum f = List.fold_left (fun acc s -> acc + f s) 0 o.Interp.sites in
@@ -240,12 +271,133 @@ let test_profiler_partitions_totals () =
           checki (name "pp partition") o.Interp.counts.Interp.pp_calls
             (sum (fun s -> s.Interp.s_pp_calls));
           let o0 = Pipeline.run ~config i in
-          checki (name "profiling does not change cycles") o0.Interp.cycles
-            o.Interp.cycles;
+          check_same_outcome (name "profiling does not change the outcome") o0 o;
+          check_same_outcome (name "recording does not change the outcome") o0
+            (Pipeline.run ~config ~flight:16 i);
           checkb (name "unprofiled outcome has no sites") true
             (o0.Interp.sites = []))
-        RT.all_mechanisms)
+        [ RT.Nop; RT.Stwc; RT.Stc; RT.Stl; RT.Parts ])
     kernels
+
+(* A plain machine accounts per block; a profiled or flight-recorded one
+   steps and charges each instruction as it runs. Runs [modul] all three
+   ways, checks they agree and returns the plain outcome. *)
+let observed_agree ?(pp_table = []) ?(attacks = []) name modul =
+  let run ~profile ~flight =
+    Interp.run ~attacks (Interp.create ~pp_table ~profile ~flight modul)
+  in
+  let plain = run ~profile:false ~flight:0 in
+  check_same_outcome (name ^ " profiled") plain (run ~profile:true ~flight:0);
+  check_same_outcome (name ^ " flight-recorded") plain (run ~profile:false ~flight:16);
+  plain
+
+let compiled name src = Pipeline.compile (Pipeline.source ~file:(name ^ ".c") src)
+
+let check_status name want (o : Interp.outcome) =
+  if not (want o.Interp.status) then
+    Alcotest.failf "%s: unexpected %s" name
+      (match o.Interp.status with
+      | Interp.Exited n -> Printf.sprintf "exit %Ld" n
+      | Interp.Trapped t -> Interp.trap_to_string t)
+
+(* Runs that end inside a block, where the plain machine takes back what
+   it charged for the instructions after the one that trapped, and an
+   exit() from nested calls. *)
+let test_observed_traps_agree () =
+  let agree name src = observed_agree name (Pipeline.ir (compiled name src)) in
+  check_status "division by zero"
+    (function Interp.Trapped (Interp.Div_by_zero "ratio") -> true | _ -> false)
+    (agree "division by zero"
+       {|int ratio(int a, int b) {
+  int q = a / b;
+  int r = q * 2;
+  return r + 1;
+}
+int main(void) {
+  int s = 0;
+  for (int i = 3; i >= 0; i--) { s = s + ratio(12, i); }
+  return s;
+}
+|});
+  check_status "unmapped load"
+    (function
+      | Interp.Trapped (Interp.Mem_fault { func = "peek"; _ }) -> true | _ -> false)
+    (agree "unmapped load"
+       {|long peek(long *p) {
+  long v = *p;
+  long w = v + 1;
+  return w;
+}
+int main(void) {
+  long x = 5;
+  long *bad = 0;
+  long s = peek(&x);
+  s = s + peek(bad);
+  return (int) s;
+}
+|});
+  check_status "stack overflow"
+    (function Interp.Trapped Interp.Stack_overflow -> true | _ -> false)
+    (agree "stack overflow"
+       {|int boom(int n) { int pad[64]; pad[0] = n; return boom(n + pad[0]); }
+int main(void) { return boom(1); }
+|});
+  let o =
+    agree "exit"
+      {|extern void exit(int code);
+extern int printf(const char *fmt, ...);
+int depth(int n) {
+  if (n == 0) { printf("bye\n"); exit(7); }
+  int r = depth(n - 1);
+  return r + 1;
+}
+int main(void) { printf("%d\n", depth(3)); return 0; }
+|}
+  in
+  check_status "exit" (fun s -> s = Interp.Exited 7L) o;
+  Alcotest.(check string) "exit: output" "bye\n" o.Interp.output;
+  (* an intruder swaps a raw pointer into a signed slot: the next load
+     of it fails authentication mid-block *)
+  let fpac =
+    Pipeline.(
+      instrument RT.Stl
+        (analyze
+           (compiled "fpac"
+              {|long cell;
+long *victim;
+void mark(void) { }
+int main(void) {
+  victim = &cell;
+  mark();
+  long v = *victim;
+  return (int) v;
+}
+|})))
+  in
+  let raw =
+    {
+      Interp.trigger = Interp.On_call ("mark", 1);
+      action =
+        (fun intr -> intr.write_word (intr.global_addr "victim") (intr.global_addr "cell"));
+    }
+  in
+  check_status "FPAC"
+    (function Interp.Trapped (Interp.Pac_auth_failure _) -> true | _ -> false)
+    (observed_agree "FPAC" ~attacks:[ raw ]
+       (Pipeline.result fpac).Instrument.modul);
+  (* a catalog attack with its hooks *)
+  let sc = Rsti_attacks.Catalog.cve_libtiff in
+  let r =
+    Pipeline.(
+      result
+        (instrument RT.Stwc
+           (analyze (compiled sc.Rsti_attacks.Scenario.id sc.Rsti_attacks.Scenario.program))))
+  in
+  let o =
+    observed_agree sc.Rsti_attacks.Scenario.id ~attacks:sc.Rsti_attacks.Scenario.attacks
+      ~pp_table:r.Instrument.pp_table r.Instrument.modul
+  in
+  checkb "catalog attack detected" true (Interp.detected o)
 
 (* Serving a profiled run from the cache under a different PA cost
    re-prices every site exactly: the served sites equal a fresh
@@ -589,6 +741,8 @@ let tests =
       test_profiler_partitions_totals;
     Alcotest.test_case "profiler: cache re-pricing exact per-site" `Quick
       test_profile_reprice_exact;
+    Alcotest.test_case "observed: traps and exit alike plain, profiled, recorded"
+      `Quick test_observed_traps_agree;
     Alcotest.test_case "cache: per-stage statistics" `Quick
       test_cache_stage_stats;
     Alcotest.test_case "metrics: histogram percentiles" `Quick
