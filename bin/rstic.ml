@@ -253,15 +253,6 @@ let run_cmd =
             "Check the instrumented module with the PAC-typestate \
              translation validator before running; exit 1 on any issue.")
   in
-  let run_pt_flag =
-    points_to_term ~bare:(Points_to.Cloning 2)
-      ~doc:
-        "Shorthand selecting the points-to-backed elision precision: \
-         $(b,insensitive) is $(b,--elide=points-to), $(b,cloning:K) is \
-         $(b,--elide=context:K) (the bare flag means $(b,cloning:2)). \
-         Takes precedence over $(b,--elide)."
-      ()
-  in
   let flight_flag =
     Arg.(
       value
@@ -275,13 +266,7 @@ let run_cmd =
              failure. Defaults to 16 when $(b,--events) is given, off \
              otherwise.")
   in
-  let action () tel file mech stats elision validate profile pt_mode flight =
-    let elision =
-      match pt_mode with
-      | None -> elision
-      | Some Rsti_dataflow.Points_to.Insensitive -> Elide.With_points_to
-      | Some (Rsti_dataflow.Points_to.Cloning k) -> Elide.With_context k
-    in
+  let action () tel file mech stats elision validate profile flight =
     let flight =
       match flight with
       | Some n -> n
@@ -346,7 +331,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const action $ jobs_term $ telemetry_term $ file_arg $ mech_arg $ stats
-      $ elide_flag $ validate_flag $ profile_flag $ run_pt_flag $ flight_flag)
+      $ elide_flag $ validate_flag $ profile_flag $ flight_flag)
 
 let emit_ir_cmd =
   let doc = "Print the (optionally instrumented) IR of a MiniC program." in

@@ -18,10 +18,10 @@
     catalog: statically replayable gadget edges confirmed by a
     successful replay, and cross-class controls confirmed by a trap.
 
-    Attack replays bypass the engine's outcome cache, but they are
-    deterministic — so the per-run (verdict, incidents) extraction is
-    memoized under the [incident] cache stage this module owns, keyed
-    on (program digest, mechanism, flight capacity). *)
+    Attack replays bypass the engine's outcome cache, so every
+    (scenario, mechanism) pair is replayed afresh; only the static side
+    (compilation, analysis, attack surface, instrumentation) comes from
+    the engine's cached pipeline stages. *)
 
 val mechanisms : Rsti_sti.Rsti_type.mechanism list
 (** STWC, STC, STL, PARTS — the coverage columns. *)

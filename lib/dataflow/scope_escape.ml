@@ -2,12 +2,14 @@
    outlive its defining scope?
 
    The paper enforces scope at runtime (the location-sensitive STL
-   mechanism); this pass is the static counterpart. Per function, a
-   forward may-escape lattice over the {!Cfg} tracks which registers may
-   hold addresses of the function's own locals (allocas seed the map;
-   geps, element addressing and bitcasts propagate it — an interior
-   pointer pins the whole frame slot). Sinks are the three ways an
-   address can outlive the frame:
+   mechanism); this pass is the static counterpart. Registers are
+   assigned once, so no two values of a register ever join: each
+   register's frame local is read off its one definition. An alloca of
+   one of the function's own locals holds that local; a gep, element
+   address or bitcast of a register holding a local holds the same one
+   (an interior pointer pins the whole frame slot); anything else holds
+   none. Every block is walked, reachable from the entry or not. Sinks
+   are the three ways an address can outlive the frame:
 
    - stored into longer-lived memory (a global, a struct field whose
      instances are not all in this frame, or a deref destination the
@@ -15,7 +17,7 @@
    - returned to the caller,
    - passed to external code (which may stash it anywhere).
 
-   The CFG pass yields precisely-located events; the points-to solution
+   The walk yields precisely-located events; the points-to solution
    then completes it interprocedurally — a local whose address sits in
    some longer-lived object's content cell, escapes to extern code, or
    flows out of the defining function's return channel may escape even
@@ -28,7 +30,6 @@
 
 module Ir = Rsti_ir.Ir
 module Dinfo = Rsti_ir.Dinfo
-module IntMap = Map.Make (Int)
 module IntSet = Set.Make (Int)
 
 type sink =
@@ -64,52 +65,13 @@ type t = {
   n_locals : int;
 }
 
-(* ----------------------- the may-escape lattice -------------------- *)
-
-module Frame_transfer = struct
-  module L = struct
-    type t = IntSet.t IntMap.t (* reg -> local var ids it may address *)
-
-    let bottom = IntMap.empty
-    let equal = IntMap.equal IntSet.equal
-    let join = IntMap.union (fun _ a b -> Some (IntSet.union a b))
-  end
-
-  type ctx = { locals : IntSet.t } (* var ids owned by this function *)
-
-  let get st r =
-    match IntMap.find_opt r st with Some s -> s | None -> IntSet.empty
-
-  let held st = function Ir.Reg r -> get st r | _ -> IntSet.empty
-
-  let instr ctx (ins : Ir.instr) st =
-    match ins.Ir.i with
-    | Ir.Alloca { dst; dv = Some d; _ }
-      when IntSet.mem d.Dinfo.dv_id ctx.locals ->
-        IntMap.add dst (IntSet.singleton d.Dinfo.dv_id) st
-    | Ir.Gep { dst; base; _ } | Ir.Gepidx { dst; base; _ } ->
-        (* an interior address keeps the frame slot alive *)
-        IntMap.add dst (held st base) st
-    | Ir.Bitcast { dst; src; _ } -> IntMap.add dst (held st src) st
-    | Ir.Alloca { dst; _ }
-    | Ir.Load { dst; _ }
-    | Ir.Binop { dst; _ }
-    | Ir.Neg { dst; _ }
-    | Ir.Lognot { dst; _ }
-    | Ir.Bitnot { dst; _ }
-    | Ir.Cast_num { dst; _ } ->
-        IntMap.add dst IntSet.empty st
-    | Ir.Call { dst = Some d; _ } -> IntMap.add d IntSet.empty st
-    | Ir.Call { dst = None; _ } | Ir.Store _ | Ir.Pac _ | Ir.Pp _ -> st
-
-  let term _ _ st = st
-end
-
-module F = Solver.Forward (Frame_transfer)
-
 (* --------------------------- the analysis -------------------------- *)
 
 let c_analyses = Rsti_observe.Observe.Metrics.counter "dataflow.scope_escape.analyses"
+
+(* What a register holding no local's address reads as (var ids are
+   non-negative). *)
+let no_local = -1
 
 let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
   let module Observe = Rsti_observe.Observe in
@@ -120,23 +82,16 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
       Hashtbl.replace globals g.Ir.gvar.Rsti_minic.Tast.v_id
         g.Ir.gvar.Rsti_minic.Tast.v_name)
     m.Ir.m_globals;
-  (* locals: every alloca'd variable, owned by its declaring function *)
+  (* locals: every alloca'd variable, owned by its declaring function;
+     filled function by function as the walk below reaches each one *)
   let owner : (int, string * string * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fn : Ir.func) ->
-      Ir.iter_instrs
-        (fun ins ->
-          match ins.Ir.i with
-          | Ir.Alloca { dv = Some d; _ } ->
-              Hashtbl.replace owner d.Dinfo.dv_id
-                (fn.Ir.name, d.Dinfo.dv_name, d.Dinfo.dv_line)
-          | _ -> ())
-        fn)
-    m.Ir.m_funcs;
   let defined = Hashtbl.create 32 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace defined f.Ir.name ()) m.Ir.m_funcs;
-  let frame_obj ~fn ~locals = function
-    | Points_to.Ovar id -> IntSet.mem id locals
+  let frame_obj ~fn = function
+    | Points_to.Ovar id -> (
+        match Hashtbl.find_opt owner id with
+        | Some (f, _, _) -> f = fn
+        | None -> false)
     | Points_to.Otmp (f, _) -> f = fn
     | _ -> false
   in
@@ -144,37 +99,60 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
   let line_of (ins : Ir.instr) =
     match ins.Ir.dbg with Some d -> d.Dinfo.dl_line | None -> 0
   in
-  (* the CFG pass: precisely-located sink events *)
+  (* per function: precisely-located sink events *)
   List.iter
     (fun (fn : Ir.func) ->
       let fname = fn.Ir.name in
-      let locals =
-        Hashtbl.fold
-          (fun id (f, _, _) acc -> if f = fname then IntSet.add id acc else acc)
-          owner IntSet.empty
+      (* one pass: each register's one definition, and this function's
+         locals *)
+      let defs = Hashtbl.create 64 in
+      Ir.iter_instrs
+        (fun ins ->
+          (match ins.Ir.i with
+          | Ir.Alloca { dv = Some d; _ } ->
+              Hashtbl.replace owner d.Dinfo.dv_id
+                (fname, d.Dinfo.dv_name, d.Dinfo.dv_line)
+          | _ -> ());
+          match Ir.def_reg ins.Ir.i with
+          | Some r -> Hashtbl.replace defs r ins.Ir.i
+          | None -> ())
+        fn;
+      (* register -> the local it holds, memoised *)
+      let memo = Hashtbl.create 64 in
+      let rec local_of r =
+        match Hashtbl.find_opt memo r with
+        | Some l -> l
+        | None ->
+            (* a definition that leads back to [r] reads as no local *)
+            Hashtbl.replace memo r no_local;
+            let l =
+              match Hashtbl.find_opt defs r with
+              | Some (Ir.Alloca { dv = Some d; _ }) -> d.Dinfo.dv_id
+              | Some
+                  ( Ir.Gep { base = Ir.Reg b; _ }
+                  | Ir.Gepidx { base = Ir.Reg b; _ }
+                  | Ir.Bitcast { src = Ir.Reg b; _ } ) ->
+                  local_of b
+              | _ -> no_local
+            in
+            Hashtbl.replace memo r l;
+            l
       in
-      if not (IntSet.is_empty locals) then begin
-        let ctx = { Frame_transfer.locals } in
-        let cfg = Cfg.of_func fn in
-        let res = F.solve ~ctx cfg in
-        let emit ~line ~sink ids =
-          IntSet.iter
-            (fun l ->
-              match Hashtbl.find_opt owner l with
-              | Some (f, name, _) when f = fname ->
-                  escapes :=
-                    { local = l; local_name = name; func = fname; line; sink }
-                    :: !escapes
-              | _ -> ())
-            ids
-        in
-        for b = 0 to Cfg.n_blocks cfg - 1 do
-          F.iter_block ~ctx res b (fun ins st ->
-              let held v = Frame_transfer.held st v in
+      let held = function Ir.Reg r -> local_of r | _ -> no_local in
+      let emit ~line ~sink l =
+        let _, name, _ = Hashtbl.find owner l in
+        escapes :=
+          { local = l; local_name = name; func = fname; line; sink }
+          :: !escapes
+      in
+      Array.iter
+        (fun (b : Ir.block) ->
+          List.iter
+            (fun ins ->
               match ins.Ir.i with
               | Ir.Store { src; addr; slot; _ } ->
-                  let ids = held src in
-                  if not (IntSet.is_empty ids) then begin
+                  let l = held src in
+                  if l <> no_local then begin
                     let dst =
                       match slot with
                       | Ir.Svar id -> (
@@ -184,49 +162,43 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
                       | Ir.Sfield (s, _) -> (
                           match Points_to.instances_of pt s with
                           | [] -> None
-                          | is
-                            when List.for_all (frame_obj ~fn:fname ~locals) is
-                            ->
+                          | is when List.for_all (frame_obj ~fn:fname) is ->
                               None
                           | _ -> Some ("a struct " ^ s ^ " outside the frame"))
                       | Ir.Sanon _ -> (
                           match Points_to.points_to pt ~fn:fname addr with
                           | [] -> None
                           | objs
-                            when List.for_all (frame_obj ~fn:fname ~locals)
-                                   objs ->
+                            when List.for_all (frame_obj ~fn:fname) objs ->
                               None
                           | objs ->
                               let o =
                                 List.find
-                                  (fun o ->
-                                    not (frame_obj ~fn:fname ~locals o))
+                                  (fun o -> not (frame_obj ~fn:fname o))
                                   objs
                               in
                               Some (Points_to.obj_to_string o))
                     in
                     match dst with
-                    | Some d ->
-                        emit ~line:(line_of ins) ~sink:(Stored d) ids
+                    | Some d -> emit ~line:(line_of ins) ~sink:(Stored d) l
                     | None -> ()
                   end
               | Ir.Call { callee = Ir.Direct f; args; _ }
                 when not (Hashtbl.mem defined f) ->
                   List.iter
                     (fun a ->
-                      let ids = held a in
-                      if not (IntSet.is_empty ids) then
-                        emit ~line:(line_of ins) ~sink:(Passed_extern f) ids)
+                      let l = held a in
+                      if l <> no_local then
+                        emit ~line:(line_of ins) ~sink:(Passed_extern f) l)
                     args
-              | _ -> ());
-          match fn.Ir.blocks.(b).Ir.term with
-          | Ir.Ret (Some (Ir.Reg r)) ->
-              let ids = Frame_transfer.get (F.exit_state res b) r in
-              if not (IntSet.is_empty ids) then
-                emit ~line:0 ~sink:Returned ids
-          | _ -> ()
-        done
-      end)
+              | _ -> ())
+            b.Ir.instrs;
+          match b.Ir.term with
+          | Ir.Ret (Some v) ->
+              let l = held v in
+              if l <> no_local then emit ~line:0 ~sink:Returned l
+          | _ -> ())
+        fn.Ir.blocks)
     m.Ir.m_funcs;
   (* interprocedural completion from the points-to solution: addresses
      that escape through callees have no sink instruction in the

@@ -2,14 +2,16 @@
     can outlive the defining scope — the static counterpart of the
     paper's runtime scope enforcement.
 
-    A forward may-escape lattice over the {!Cfg} tracks which registers
-    may hold addresses of the function's own locals, flagging the three
-    outliving sinks (stored into longer-lived memory, returned, passed
-    to external code) with precise lines; the {!Points_to} solution then
-    completes the picture interprocedurally (addresses stashed by
-    callees) and powers the stale-frame rule: a deref in [g] of a
-    pointer targeting a local of [f] where [f] cannot be an active
-    caller of [g] touches a frame that has provably ended. *)
+    Each register's frame local is read off its one definition (an
+    alloca of the function's own local, or a gep, gepidx or bitcast of
+    a register holding one). A walk over every block, reachable from
+    the entry or not, flags the three outliving sinks (stored into
+    longer-lived memory, returned, passed to external code) with
+    precise lines; the {!Points_to} solution then completes the picture
+    interprocedurally (addresses stashed by callees) and powers the
+    stale-frame rule: a deref in [g] of a pointer targeting a local of
+    [f] where [f] cannot be an active caller of [g] touches a frame that
+    has provably ended. *)
 
 type sink =
   | Stored of string        (** description of the longer-lived destination *)
@@ -22,8 +24,9 @@ type escape = {
   local : int;         (** var id *)
   local_name : string;
   func : string;       (** defining function *)
-  line : int;          (** sink line, or 0 / the declaration line when the
-                           sink is interprocedural *)
+  line : int;          (** the sink's line (0 for a return), or the
+                           declaration line when the sink is
+                           interprocedural *)
   sink : sink;
 }
 

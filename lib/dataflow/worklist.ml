@@ -1,8 +1,8 @@
 (* A deduplicating FIFO worklist over dense integer ids — the engine
-   under both fixpoint drivers in this library (the CFG solver iterates
-   block ids, the points-to solver iterates constraint-graph node ids).
-   Pushing an id already on the list is a no-op, so the client never
-   schedules the same unit of work twice per round. *)
+   under the one fixpoint in this library, the points-to solver, which
+   iterates constraint-graph node ids. Pushing an id already on the list
+   is a no-op, so the client never schedules the same unit of work twice
+   per round. *)
 
 type t = { q : int Queue.t; mutable on : Bytes.t }
 

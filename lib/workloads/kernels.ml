@@ -336,37 +336,6 @@ int main(void) {
 |}
       n n n iters
 
-let string_churn ~rounds =
-  prelude
-  ^ Printf.sprintf
-      {|
-char* patterns[8];
-int main(void) {
-  patterns[0] = "the quick brown fox";
-  patterns[1] = "jumps over the lazy dog";
-  patterns[2] = "pack my box with five dozen";
-  patterns[3] = "liquor jugs";
-  patterns[4] = "sphinx of black quartz";
-  patterns[5] = "judge my vow";
-  patterns[6] = "quick zephyrs blow";
-  patterns[7] = "vexing daft jim";
-  char* buf = (char*) malloc(256);
-  long found = 0;
-  long total_len = 0;
-  for (int r = 0; r < %d; r++) {
-    char* p = patterns[r %% 8];
-    strcpy(buf, p);
-    total_len = total_len + strlen(buf);
-    if (strstr(buf, "qu")) { found = found + 1; }
-    char* q = strstr(buf, "o");
-    if (q) { total_len = total_len + (q - buf); }
-  }
-  printf("strings found %%ld len %%ld\n", found, total_len);
-  return 0;
-}
-|}
-      rounds
-
 let dispatch_table ~rounds =
   prelude
   ^ Printf.sprintf

@@ -31,9 +31,6 @@ val stencil : n:int -> iters:int -> string
 (** Double-precision 1-D stencil over arrays; no pointers in the hot loop
     (lbm/nab archetype). *)
 
-val string_churn : rounds:int -> string
-(** strcpy/strstr/strlen churn over heap buffers (perlbench regex-ish). *)
-
 val dispatch_table : rounds:int -> string
 (** Function-pointer opcode dispatch loop (sjeng/deepsjeng archetype). *)
 

@@ -1,11 +1,9 @@
-(* Tests for the interprocedural dataflow framework: CFG/solver/call
-   graph units, Andersen points-to confinement, and the PAC-typestate
+(* Tests for the interprocedural dataflow framework: the call graph,
+   Andersen points-to confinement, scope escape, and the PAC-typestate
    translation validator (green on everything Instrument emits, red on
    every mutant kind of it). *)
 
 module Ir = Rsti_ir.Ir
-module Cfg = Rsti_dataflow.Cfg
-module Solver = Rsti_dataflow.Solver
 module Callgraph = Rsti_dataflow.Callgraph
 module Points_to = Rsti_dataflow.Points_to
 module Validate = Rsti_dataflow.Validate
@@ -19,98 +17,6 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let compile src = Rsti_ir.Lower.compile ~file:"t.c" src
-
-let branching_src =
-  {|
-int total;
-int main(void) {
-  int i;
-  i = 0;
-  total = 0;
-  while (i < 10) {
-    if (i > 5) { total = total + 2; } else { total = total + 1; }
-    i = i + 1;
-  }
-  return total;
-}
-|}
-
-(* ------------------------------ CFG -------------------------------- *)
-
-let test_cfg_shape () =
-  let m = compile branching_src in
-  List.iter
-    (fun (fn : Ir.func) ->
-      let cfg = Cfg.of_func fn in
-      checki (fn.Ir.name ^ " block count") (Array.length fn.Ir.blocks)
-        (Cfg.n_blocks cfg);
-      let rpo = Cfg.rpo cfg in
-      if Array.length rpo > 0 then
-        checki (fn.Ir.name ^ " rpo starts at entry") 0 rpo.(0);
-      (* succ and pred are inverse relations *)
-      for i = 0 to Cfg.n_blocks cfg - 1 do
-        List.iter
-          (fun s ->
-            checkb
-              (Printf.sprintf "%s: %d in pred(%d)" fn.Ir.name i s)
-              true
-              (List.mem i (Cfg.pred cfg s)))
-          (Cfg.succ cfg i);
-        List.iter
-          (fun p ->
-            checkb
-              (Printf.sprintf "%s: %d in succ(%d)" fn.Ir.name i p)
-              true
-              (List.mem i (Cfg.succ cfg p)))
-          (Cfg.pred cfg i)
-      done;
-      checkb (fn.Ir.name ^ " entry reachable") true (Cfg.reachable cfg 0))
-    m.Ir.m_funcs
-
-(* ----------------------------- solver ------------------------------ *)
-
-(* A one-bit forward lattice ("a store has been executed on some path
-   into this point"): exercises join over branch merges and fixpoint
-   termination over the loop. *)
-module Store_seen = struct
-  module L = struct
-    type t = bool
-
-    let bottom = false
-    let equal = Bool.equal
-    let join = ( || )
-  end
-
-  type ctx = unit
-
-  let instr () (ins : Ir.instr) st =
-    match ins.Ir.i with Ir.Store _ -> true | _ -> st
-
-  let term () _ st = st
-end
-
-module F = Solver.Forward (Store_seen)
-
-let test_solver_fixpoint () =
-  let m = compile branching_src in
-  let fn = List.find (fun (f : Ir.func) -> f.Ir.name = "main") m.Ir.m_funcs in
-  let cfg = Cfg.of_func fn in
-  let res = F.solve ~ctx:() cfg in
-  (* main stores to [total] in its entry block, so every reachable
-     block's exit sees the bit set *)
-  for i = 0 to Cfg.n_blocks cfg - 1 do
-    if Cfg.reachable cfg i then
-      checkb (Printf.sprintf "block %d exit" i) true (F.exit_state res i)
-  done;
-  checkb "visited at least every reachable block" true
-    (res.F.visits >= Array.length (Cfg.rpo cfg));
-  (* iter_block replays states consistent with the block boundary *)
-  let entry_seen = ref None in
-  F.iter_block ~ctx:() res 0 (fun _ st ->
-      if !entry_seen = None then entry_seen := Some st);
-  (match !entry_seen with
-  | Some st -> checkb "entry block starts at bottom" false st
-  | None -> ())
 
 (* --------------------------- call graph ---------------------------- *)
 
@@ -637,6 +543,178 @@ int main(void) { int local; local = 1; both(&local); return local; }
          e.Scope_escape.sink = Scope_escape.Passed_extern "<extern>")
        es)
 
+(* Addresses that reach their sinks through an interior pointer or a
+   cast defined in an earlier block: each short-circuit operand ends the
+   block that computed the address, inside a loop and a branch. *)
+let cross_block_src =
+  {|
+struct pair { long a; long b; };
+long *keep;
+extern void sink(long *h, int c);
+char *f(int n) {
+  struct pair s;
+  long arr[4];
+  long v;
+  int i;
+  i = 0;
+  while (i < n) {
+    if (i > 2) {
+      keep = &s.b + (n > 5 && i > 3);
+    } else {
+      sink(&arr[i], n > 1 && i > 0);
+    }
+    if (i == 7) {
+      return (char *)&v + (n > 0 || i > 1);
+    }
+    i = i + 1;
+  }
+  return 0;
+}
+int main(void) { f(9); return 0; }
+|}
+
+let test_scope_escape_across_blocks () =
+  let m = compile cross_block_src in
+  let fn = List.find (fun (f : Ir.func) -> f.Ir.name = "f") m.Ir.m_funcs in
+  let block_where p =
+    let found = ref (-1) in
+    Array.iteri
+      (fun bi (b : Ir.block) -> if p b && !found < 0 then found := bi)
+      fn.Ir.blocks;
+    !found
+  in
+  let has p (b : Ir.block) = List.exists (fun ins -> p ins.Ir.i) b.Ir.instrs in
+  let alloca name =
+    Ir.fold_instrs
+      (fun acc ins ->
+        match ins.Ir.i with
+        | Ir.Alloca { dst; dv = Some d; _ } when d.Rsti_ir.Dinfo.dv_name = name
+          ->
+            Ir.Reg dst
+        | _ -> acc)
+      Ir.Null fn
+  in
+  (* the gep, gepidx and bitcast of each local are defined in a block
+     other than their sink's *)
+  let defined_apart name sink =
+    let a = alloca name in
+    let def =
+      block_where
+        (has (function
+          | Ir.Gep { base; _ }
+          | Ir.Gepidx { base; _ }
+          | Ir.Bitcast { src = base; _ } ->
+              base = a
+          | _ -> false))
+    in
+    checkb (name ^ ": address defined apart from its sink") true
+      (def >= 0 && def <> block_where sink)
+  in
+  defined_apart "s"
+    (has (function Ir.Store { addr = Ir.Global "keep"; _ } -> true | _ -> false));
+  defined_apart "arr"
+    (has (function Ir.Call { callee = Ir.Direct "sink"; _ } -> true | _ -> false));
+  defined_apart "v" (fun b ->
+      match b.Ir.term with Ir.Ret (Some (Ir.Reg _)) -> true | _ -> false);
+  List.iter
+    (fun mode ->
+      let sc = Scope_escape.analyze ~points_to:(Points_to.analyze ~mode m) m in
+      Alcotest.(check (list (triple string int string)))
+        (Points_to.mode_to_string mode ^ ": local, line, sink")
+        [
+          ("f.arr", 15, "passed to external function sink");
+          ("f.s", 13, "stored into global keep");
+          ("f.v", 0, "returned to caller");
+        ]
+        (List.sort compare
+           (List.map
+              (fun (e : Scope_escape.escape) ->
+                ( e.Scope_escape.func ^ "." ^ e.Scope_escape.local_name,
+                  e.Scope_escape.line,
+                  Scope_escape.sink_to_string e.Scope_escape.sink ))
+              (Scope_escape.escapes sc))))
+    [ Points_to.Insensitive; Points_to.Cloning 2 ]
+
+(* A sink the entry block cannot reach is reported at its own line,
+   naming its destination, as the same store is in live code. *)
+let test_scope_escape_dead_code () =
+  let _, es =
+    escapes_of
+      {|
+int *keep;
+int f(int n) {
+  int x;
+  x = n;
+  return x;
+  keep = &x;
+  return 0;
+}
+int main(void) { return f(1); }
+|}
+      "x"
+  in
+  checkb "stored into global keep at line 7" true
+    (match es with
+    | [ e ] ->
+        e.Scope_escape.func = "f" && e.Scope_escape.line = 7
+        && e.Scope_escape.sink = Scope_escape.Stored "global keep"
+    | _ -> false)
+
+(* A register defined as a gep of itself (no lowering emits one) holds
+   no local: the analysis returns and reports nothing for it. *)
+let test_scope_escape_self_gep () =
+  let m =
+    compile
+      {|
+struct pair { long a; long b; };
+long *keep;
+int main(void) { struct pair s; s.a = 1; return 0; }
+|}
+  in
+  let main = List.find (fun (f : Ir.func) -> f.Ir.name = "main") m.Ir.m_funcs in
+  (* the debug variable and type of [s], for the hand-built alloca *)
+  let dv, ty =
+    Ir.fold_instrs
+      (fun acc ins ->
+        match ins.Ir.i with
+        | Ir.Alloca { dv = Some _ as dv; ty; _ } -> Some (dv, ty)
+        | _ -> acc)
+      None main
+    |> Option.get
+  in
+  let keep = global_slot m "keep" in
+  let ins i = { Ir.i; dbg = None } in
+  let fn =
+    {
+      main with
+      Ir.blocks =
+        [|
+          {
+            Ir.label = 0;
+            instrs =
+              [
+                ins (Ir.Alloca { dst = 0; ty; dv });
+                ins (Ir.Gep { dst = 1; base = Ir.Reg 1; sname = "pair"; field = "b" });
+                ins
+                  (Ir.Store
+                     {
+                       src = Ir.Reg 1;
+                       addr = Ir.Global "keep";
+                       ty = Rsti_minic.Ctype.(Ptr Long);
+                       slot = keep;
+                     });
+              ];
+            term = Ir.Ret (Some (Ir.Imm 0L));
+          };
+        |];
+      nregs = 2;
+    }
+  in
+  let m = { m with Ir.m_funcs = [ fn ] } in
+  let sc = Scope_escape.analyze ~points_to:(Points_to.analyze m) m in
+  checki "no escape" 0 (List.length (Scope_escape.escapes sc));
+  checkb "one local, none escaping" true (Scope_escape.stats sc = (0, 1))
+
 (* ------------------ elision precision on workloads ----------------- *)
 
 (* The headline acceptance property: provably-safe counts are monotone
@@ -844,10 +922,6 @@ let test_validator_attack_victims () =
 
 let tests =
   [
-    Alcotest.test_case "cfg: succ/pred inverse, rpo from entry" `Quick
-      test_cfg_shape;
-    Alcotest.test_case "solver: fixpoint over loop and branch merge" `Quick
-      test_solver_fixpoint;
     Alcotest.test_case "callgraph: bottom-up order and reachability" `Quick
       test_callgraph_bottom_up;
     Alcotest.test_case "points-to: confinement separates escapees" `Quick
@@ -876,6 +950,12 @@ let tests =
       `Quick test_scope_escape_returned_through_callee;
     Alcotest.test_case "scope-escape: extern wins over a stored sink" `Quick
       test_scope_escape_extern_wins;
+    Alcotest.test_case "scope-escape: gep, gepidx and bitcast across blocks"
+      `Quick test_scope_escape_across_blocks;
+    Alcotest.test_case "scope-escape: a dead-code sink at its own line" `Quick
+      test_scope_escape_dead_code;
+    Alcotest.test_case "scope-escape: a self-defined gep holds no local"
+      `Quick test_scope_escape_self_gep;
     Alcotest.test_case "elide: precision ladder monotone on SPEC2006" `Slow
       test_elide_precision_monotone;
     Alcotest.test_case
