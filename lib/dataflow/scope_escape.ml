@@ -114,7 +114,7 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
                 (fname, d.Dinfo.dv_name, d.Dinfo.dv_line)
           | _ -> ());
           match Ir.def_reg ins.Ir.i with
-          | Some r -> Hashtbl.replace defs r ins.Ir.i
+          | Some r -> Hashtbl.replace defs r ins
           | None -> ())
         fn;
       (* register -> the local it holds, memoised *)
@@ -127,11 +127,12 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
             Hashtbl.replace memo r no_local;
             let l =
               match Hashtbl.find_opt defs r with
-              | Some (Ir.Alloca { dv = Some d; _ }) -> d.Dinfo.dv_id
+              | Some { Ir.i = Ir.Alloca { dv = Some d; _ }; _ } -> d.Dinfo.dv_id
               | Some
-                  ( Ir.Gep { base = Ir.Reg b; _ }
-                  | Ir.Gepidx { base = Ir.Reg b; _ }
-                  | Ir.Bitcast { src = Ir.Reg b; _ } ) ->
+                  { Ir.i =
+                      ( Ir.Gep { base = Ir.Reg b; _ }
+                      | Ir.Gepidx { base = Ir.Reg b; _ }
+                      | Ir.Bitcast { src = Ir.Reg b; _ } ); _ } ->
                   local_of b
               | _ -> no_local
             in
@@ -194,9 +195,12 @@ let analyze ~points_to:(pt : Points_to.t) (m : Ir.modul) =
               | _ -> ())
             b.Ir.instrs;
           match b.Ir.term with
-          | Ir.Ret (Some v) ->
-              let l = held v in
-              if l <> no_local then emit ~line:0 ~sink:Returned l
+          | Ir.Ret (Some (Ir.Reg r)) when local_of r <> no_local ->
+              (* a [Ret] has no line: the line of [r]'s definition (the
+                 return expression), else the local's declaration's *)
+              let l = local_of r and line = line_of (Hashtbl.find defs r) in
+              let _, _, decl = Hashtbl.find owner l in
+              emit ~line:(if line > 0 then line else decl) ~sink:Returned l
           | _ -> ())
         fn.Ir.blocks)
     m.Ir.m_funcs;

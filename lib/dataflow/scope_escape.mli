@@ -24,9 +24,10 @@ type escape = {
   local : int;         (** var id *)
   local_name : string;
   func : string;       (** defining function *)
-  line : int;          (** the sink's line (0 for a return), or the
-                           declaration line when the sink is
-                           interprocedural *)
+  line : int;          (** the sink's line (for a return, the line of
+                           the returned expression), or the declaration
+                           line when the sink is interprocedural or the
+                           expression has no line *)
   sink : sink;
 }
 

@@ -11,8 +11,6 @@ let stage_span name (attrs : unit -> (string * string) list) f =
   if Observe.enabled () then Observe.Span.with_ ~attrs:(attrs ()) name f
   else f ()
 
-let c_reprices = Observe.Metrics.counter "cache.outcome.reprices"
-
 type config = {
   costs : Rsti_machine.Cost.t;
   elision : Elide.mode;
@@ -59,9 +57,7 @@ let st_elide_ctx : (Rsti_ir.Ir.slot -> bool) Cache.stage =
 let st_instrument : Rsti_rsti.Instrument.result Cache.stage =
   Cache.stage "instrument"
 
-let st_outcome :
-    (Rsti_machine.Interp.outcome * Rsti_machine.Cost.t) Cache.stage =
-  Cache.stage "outcome"
+let st_outcome : Rsti_machine.Interp.outcome Cache.stage = Cache.stage "outcome"
 
 let st_attack_surface : Rsti_dataflow.Equiv.result Cache.stage =
   Cache.stage "attack_surface"
@@ -216,26 +212,13 @@ let instrument ?(config = default) mech (a : analyzed) =
   end;
   i
 
-(* Run outcomes are memoizable exactly when no attack closure is
-   installed: the machine is deterministic, so the outcome is a pure
-   function of the module's source digest, the cost record, and the
-   machine knobs. Only the base ISA prices go into the key — the
-   instrumentation prices (pac, strip, pp, pac_spill) map 1:1 onto
-   outcome counters, so a hit under different ones is re-priced
-   ({!Rsti_machine.Interp.reprice}) instead of re-simulated. That is
-   what makes the PA-cost ablation cheap: one simulation per
-   (workload, mechanism) serves the whole sweep. *)
-let cost_key (c : Rsti_machine.Cost.t) =
-  Printf.sprintf "%d.%d.%d.%d.%d.%d.%d" c.Rsti_machine.Cost.alu
-    c.Rsti_machine.Cost.load c.Rsti_machine.Cost.store c.Rsti_machine.Cost.gep
-    c.Rsti_machine.Cost.branch c.Rsti_machine.Cost.call
-    c.Rsti_machine.Cost.extern_call
-
 (* The body {!run} and {!run_baseline} share: load [modul] into a fresh
-   machine and run it; an attack-free run is memoized under [stage_key]
-   (what names the module) plus the base prices and the machine knobs. A
-   profiled outcome carries sites an unprofiled one lacks, and a
-   flight-recorded one carries incidents, so both go into the key. *)
+   machine and run it. Run outcomes are memoizable exactly when no attack
+   closure is installed: the machine is deterministic, so the outcome is
+   a pure function of the module ([stage_key] names it), the cost record
+   and the machine knobs, which make the key. A profiled outcome carries
+   sites an unprofiled one lacks, and a flight-recorded one carries
+   incidents, so both go into the key. *)
 let execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
     ?pp_table ~stage_key modul =
   let exec () =
@@ -247,11 +230,14 @@ let execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
   in
   if attacks <> [] then exec ()
   else
+    let c = config.costs in
     let key =
       String.concat "|"
         (stage_key
         @ [
-            cost_key config.costs;
+            Printf.sprintf "%d.%d.%d.%d.%d.%d.%d.%d.%d.%d.%d" c.alu c.load
+              c.store c.gep c.branch c.call c.extern_call c.pac c.strip c.pp
+              c.pac_spill;
             (match fpac with None -> "-" | Some b -> string_of_bool b);
             (match cfi with None -> "-" | Some b -> string_of_bool b);
             (match backend with
@@ -262,15 +248,7 @@ let execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
             (if flight > 0 then "fl" ^ string_of_int flight else "-");
           ])
     in
-    let costs = config.costs in
-    let o, priced = memo config st_outcome key (fun () -> (exec (), costs)) in
-    if priced == costs || priced = costs then o
-    else begin
-      Observe.Metrics.incr c_reprices;
-      Rsti_machine.Interp.reprice ~from:priced ~to_:costs
-        ~pac_spill_charged:(backend <> Some `Shadow_mac)
-        o
-    end
+    memo config st_outcome key exec
 
 let run ?(config = default) ?(attacks = []) ?fpac ?backend ?entry
     ?(profile = false) ?(flight = 0) (i : instrumented) =
@@ -292,15 +270,10 @@ let run ?(config = default) ?(attacks = []) ?fpac ?backend ?entry
       ]
     i.result.Rsti_rsti.Instrument.modul
 
-(* An uninstrumented module executes no PA/xpac/pp instructions, so on
-   top of the key's price-blindness the whole PA-cost ablation shares
-   one baseline run per workload (re-pricing it is the identity: every
-   instrumentation counter is zero). *)
-let run_baseline ?(config = default) ?(attacks = []) ?fpac ?cfi ?backend
-    ?entry ?(profile = false) ?(flight = 0) (c : compiled) =
+let run_baseline ?(config = default) ?(attacks = []) ?cfi ?entry (c : compiled) =
   stage_span "pipeline.run_baseline" (fun () -> [ ("file", c.src.file) ])
   @@ fun () ->
-  execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
+  execute config ~attacks ?cfi ?entry ~profile:false ~flight:0
     ~stage_key:[ "base"; c.src.digest ] c.modul
 
 let file (s : source) = s.file

@@ -22,15 +22,13 @@
     {!source} computes once; a stage looks up its dependencies only when
     it misses. Fan-out over workloads happens in {!Scheduler}.
     Attack-free runs memoize too — the machine is deterministic, so an
-    outcome is a pure function of the source digest, the cost record and
-    the machine knobs. {!run}/{!run_baseline} key on the source digest,
-    the base ISA prices and the knobs only: the instrumentation prices
-    ([pac], [strip], [pp], [pac_spill]) map 1:1 onto outcome counters,
-    so a hit under different ones is re-priced
-    ({!Rsti_machine.Interp.reprice}) instead of re-simulated — one
-    simulation per (workload, mechanism) serves an entire PA-cost sweep.
-    Runs with attacks installed always execute — attack closures are not
-    part of any key. *)
+    outcome is a pure function of the source digest, the whole cost
+    record and the machine knobs, which {!run}/{!run_baseline} key on.
+    A run under other prices is served by pricing one execution
+    ({!Rsti_machine.Interp.price}), not by this cache: that is how
+    [Workloads.Run.measure] serves every mechanism and PA-cost sweep from
+    one uninstrumented run per workload. Runs with attacks installed
+    always execute — attack closures are not part of any key. *)
 
 type config = {
   costs : Rsti_machine.Cost.t;  (** cycle model for {!run} *)
@@ -106,16 +104,12 @@ val run :
 val run_baseline :
   ?config:config ->
   ?attacks:Rsti_machine.Interp.attack list ->
-  ?fpac:bool ->
   ?cfi:bool ->
-  ?backend:[ `Pac | `Shadow_mac ] ->
   ?entry:string ->
-  ?profile:bool ->
-  ?flight:int ->
   compiled ->
   Rsti_machine.Interp.outcome
 (** Execute the uninstrumented module ([cfi] enables the signature-CFI
-    baseline machine). [profile] and [flight] as in {!run}. *)
+    baseline machine). *)
 
 (** {2 Stage accessors} *)
 

@@ -41,15 +41,14 @@ type counts = {
   mutable pac_auths : int;
   mutable pac_strips : int;
   mutable pp_calls : int;
-  mutable pac_charges : int;
 }
 
 (* One profiled (function, source line) pair. Attribution is exact, not
    sampled: every cycle a profiled machine charges goes through
    [charge], which also adds it to the current site, so the sites of an
-   outcome partition its cycle total. The per-site instrumentation
-   counters ([s_pac_charges]/[s_strips]/[s_pp_calls]) mirror the global
-   {!counts} ones so {!reprice} moves site cycles exactly too. *)
+   outcome partition its cycle total. [s_pac_charges] counts the [pac]
+   prices charged at the site (a resign's two; a pp op's sign or auth is
+   priced at [pp] instead). *)
 type site = {
   s_func : string;
   s_line : int;  (* 0 when the instruction carries no !dbg location *)
@@ -129,81 +128,6 @@ type incident = {
   inc_latency_cycles : int option;
   inc_latency_instrs : int option;
 }
-
-type outcome = {
-  status : status;
-  cycles : int;
-  counts : counts;
-  output : string;
-  call_profile : (string * int) list;
-      (* defined-function call counts, descending *)
-  extern_profile : (string * int) list;
-      (* simulated-libc call counts, descending *)
-  sites : site list;
-      (* hot-site profile, cycles descending; [] unless profiling *)
-  incidents : incident list;
-      (* chronological; [] unless flight recording *)
-  notes : string list;  (* the intruder's notes, chronological *)
-}
-
-let detected (o : outcome) =
-  match o.status with
-  | Trapped (Mem_fault { after_auth_fail = true; _ })
-  | Trapped (Bad_indirect_call { after_auth_fail = true; _ })
-  | Trapped (Pac_auth_failure _) ->
-      true
-  | _ -> false
-
-(* Costs never influence control flow (the step limit counts
-   instructions, not cycles), so a finished run's trace is identical
-   under any cost record and the cycle total is the only thing to
-   adjust. Each instrumentation price maps to one counter: [pac] was
-   charged [pac_charges] times (resigns count twice; the pp mechanism's
-   sign/auth price at [pp]), [strip] once per [pac_strips], [pp] once
-   per [pp_calls], and [pac_spill] rides along with every [pac] charge
-   on the [`Pac] backend and never on [`Shadow_mac]. The base ISA
-   prices have no exact counters, so a change there is refused. *)
-let reprice ~from ~to_ ~pac_spill_charged (o : outcome) =
-  let d get = get to_ - get from in
-  if
-    d (fun (c : Cost.t) -> c.alu) <> 0
-    || d (fun (c : Cost.t) -> c.load) <> 0
-    || d (fun (c : Cost.t) -> c.store) <> 0
-    || d (fun (c : Cost.t) -> c.gep) <> 0
-    || d (fun (c : Cost.t) -> c.branch) <> 0
-    || d (fun (c : Cost.t) -> c.call) <> 0
-    || d (fun (c : Cost.t) -> c.extern_call) <> 0
-  then invalid_arg "Interp.reprice: base ISA prices differ";
-  let spill =
-    if pac_spill_charged then d (fun (c : Cost.t) -> c.pac_spill) else 0
-  in
-  let d_pac = d (fun (c : Cost.t) -> c.pac) + spill in
-  let d_strip = d (fun (c : Cost.t) -> c.strip) in
-  let d_pp = d (fun (c : Cost.t) -> c.pp) in
-  let cycles =
-    o.cycles
-    + (d_pac * o.counts.pac_charges)
-    + (d_strip * o.counts.pac_strips)
-    + (d_pp * o.counts.pp_calls)
-  in
-  let sites =
-    match o.sites with
-    | [] -> []
-    | sites ->
-        List.map
-          (fun s ->
-            {
-              s with
-              s_cycles =
-                s.s_cycles
-                + (d_pac * s.s_pac_charges)
-                + (d_strip * s.s_strips)
-                + (d_pp * s.s_pp_calls);
-            })
-          sites
-        |> List.sort by_cycles
-  in
-  { o with cycles; sites }
 
 type intruder = {
   read_word : int64 -> int64;
@@ -297,8 +221,8 @@ type term = Ret of operand | Br of int | Condbr of operand * int * int | Unreach
 (* A block runs in segments: a cut follows each call, so a callee always
    starts from exact counters. [segs] holds [seg_width] ints a segment:
    where it stops (one past its last instruction), then its cycles,
-   steps, loads and stores; the last segment's totals include the
-   terminator's charge and step. *)
+   steps, loads and stores, and last how often the run entered it; the
+   last segment's totals include the terminator's charge and step. *)
 type block = {
   body : code array;
   lines : int array;  (* each instruction's !dbg line, 0 when it has none *)
@@ -307,7 +231,8 @@ type block = {
   term : term;
 }
 
-let seg_width = 5
+let seg_width = 6
+let visit_slot = 5  (* the visit count's place in a segment *)
 
 type func = {
   name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
@@ -320,6 +245,36 @@ type func = {
   bad : exn array;
   blocks : block array;
 }
+
+(* A run's segment visits, read in place: the machine's own functions and
+   resolved views, whose [segs] hold the counts. A function the run never
+   entered is [None]. *)
+type profile = { funcs : Ir.func array; code : func option array }
+
+type outcome = {
+  status : status;
+  cycles : int;
+  counts : counts;
+  output : string;
+  call_profile : (string * int) list;
+      (* defined-function call counts, descending *)
+  extern_profile : (string * int) list;
+      (* simulated-libc call counts, descending *)
+  sites : site list;
+      (* hot-site profile, cycles descending; [] unless profiling *)
+  incidents : incident list;
+      (* chronological; [] unless flight recording *)
+  notes : string list;  (* the intruder's notes, chronological *)
+  visits : profile;
+}
+
+let detected (o : outcome) =
+  match o.status with
+  | Trapped (Mem_fault { after_auth_fail = true; _ })
+  | Trapped (Bad_indirect_call { after_auth_fail = true; _ })
+  | Trapped (Pac_auth_failure _) ->
+      true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Machine state                                                       *)
@@ -510,7 +465,7 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     cycles = 0;
     counts =
       { instrs = 0; loads = 0; stores = 0; pac_signs = 0; pac_auths = 0;
-        pac_strips = 0; pp_calls = 0; pac_charges = 0 };
+        pac_strips = 0; pp_calls = 0 };
     notes = [];
     out = Buffer.create 256;
     step_limit = 200_000_000;
@@ -956,7 +911,6 @@ let account t kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
   c.pac_signs <- c.pac_signs + signs;
   c.pac_auths <- c.pac_auths + auths;
   c.pac_strips <- c.pac_strips + strips;
-  c.pac_charges <- c.pac_charges + charges;
   if t.profiling then begin
     let s = t.cur_site in
     s.s_strips <- s.s_strips + strips;
@@ -1508,52 +1462,52 @@ and call_values t i (argv : int64 array) : int64 =
   call_function t i g regs
 
 (* Block [label] of [f], then the blocks it branches to; returns what
-   [f] returns. A machine with neither the profiler nor the flight
-   recorder on accounts per segment: it adds each segment's totals once,
-   before the segment's first instruction, and runs the instructions
-   with no step, charge or observer test. A segment that would cross the
-   step limit, and every instruction of a profiled or flight-recorded
-   machine, goes through [exec_each] instead, so the profiler's site and
-   the recorder's line are current whenever either reads them.
-   [charged] says whether the last segment, whose totals hold the
-   terminator's charge and step, was accounted whole. *)
+   [f] returns. Each segment counts its visit as it is entered. A machine
+   with neither the profiler nor the flight recorder on accounts per
+   segment: it adds the segment's totals once, before its first
+   instruction, and runs the instructions with no step, charge or
+   observer test. A segment that would cross the step limit, and every
+   segment of a profiled or flight-recorded machine, goes through
+   [exec_each] instead, so the profiler's site and the recorder's line
+   are current whenever either reads them. [charged] says whether the
+   last segment, whose totals hold the terminator's charge and step, was
+   accounted whole. *)
 and exec_block t f regs label : int64 =
   let b = f.blocks.(label) in
+  let segs = b.segs and body = b.body and c = t.counts in
+  let observed = t.profiling || t.recording in
+  let last = Array.length segs - seg_width in
   let charged = ref false in
-  if t.profiling || t.recording then exec_each t f regs b 0 (Array.length b.body)
-  else begin
-    let segs = b.segs and body = b.body and c = t.counts in
-    let last = Array.length segs - seg_width in
-    let k = ref 0 and i = ref 0 in
-    while !k <= last do
-      let stop = segs.(!k) and steps = segs.(!k + 2) in
-      if c.instrs + steps > t.step_limit then begin
-        exec_each t f regs b !i stop;
-        charged := false
-      end
-      else begin
-        t.cycles <- t.cycles + segs.(!k + 1);
-        c.instrs <- c.instrs + steps;
-        c.loads <- c.loads + segs.(!k + 3);
-        c.stores <- c.stores + segs.(!k + 4);
-        let start = !i in
-        (try
-           while !i < stop do
-             exec t f regs body.(!i);
-             incr i
-           done
-         with e -> (
-           take_back t b !k start !i;
-           match e with
-           | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
-               raise (mem_fault t f.name fault)
-           | e -> raise e));
-        charged := true
-      end;
-      i := stop;
-      k := !k + seg_width
-    done
-  end;
+  let k = ref 0 and i = ref 0 in
+  while !k <= last do
+    let stop = segs.(!k) and steps = segs.(!k + 2) in
+    segs.(!k + visit_slot) <- segs.(!k + visit_slot) + 1;
+    if observed || c.instrs + steps > t.step_limit then begin
+      exec_each t f regs b !i stop;
+      charged := false
+    end
+    else begin
+      t.cycles <- t.cycles + segs.(!k + 1);
+      c.instrs <- c.instrs + steps;
+      c.loads <- c.loads + segs.(!k + 3);
+      c.stores <- c.stores + segs.(!k + 4);
+      let start = !i in
+      (try
+         while !i < stop do
+           exec t f regs body.(!i);
+           incr i
+         done
+       with e -> (
+         take_back t b !k start !i;
+         match e with
+         | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
+             raise (mem_fault t f.name fault)
+         | e -> raise e));
+      charged := true
+    end;
+    i := stop;
+    k := !k + seg_width
+  done;
   match b.term with
   | Ret v ->
       if not !charged then charge t t.costs.branch;
@@ -1726,6 +1680,83 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
     sites;
     incidents = List.rev t.incidents;
     notes = List.rev t.notes;
+    visits = { funcs = t.funcs; code = t.resolved };
+  }
+
+(* What executing [c] adds to the PA unit's counts, as [account] and
+   [exec_pp] count them, [v] times over. *)
+let count_pa (n : counts) v c =
+  match c with
+  | Pac { p; _ } -> (
+      match p.p_kind with
+      | Ir.Ksign -> n.pac_signs <- n.pac_signs + v
+      | Ir.Kauth -> n.pac_auths <- n.pac_auths + v
+      | Ir.Kresign ->
+          n.pac_signs <- n.pac_signs + v;
+          n.pac_auths <- n.pac_auths + v
+      | Ir.Kstrip -> n.pac_strips <- n.pac_strips + v)
+  | Pp pp -> (
+      n.pp_calls <- n.pp_calls + v;
+      match pp with
+      | Pp_sign _ -> n.pac_signs <- n.pac_signs + v
+      | Pp_auth _ -> n.pac_auths <- n.pac_auths + v
+      | Pp_add | Pp_add_tbi _ -> ())
+  | _ -> ()
+
+(* Every charge is an instruction's static cost, a terminator's, [call]
+   or [extern_call], and every count an instruction's, so a run that
+   exited is the sum of its segment visits times their totals plus its
+   calls. A module that enters the same segments as often (RSTI only
+   inserts instructions into blocks, never a block or a call) is priced
+   from [base]'s visits and its own resolved segments. *)
+let price ?costs ?backend modul (base : outcome) =
+  (match base.status with
+  | Exited _ -> ()
+  | Trapped tr -> invalid_arg ("Interp.price: the base run trapped: " ^ trap_to_string tr));
+  let t = create ?costs ?backend modul and seen = base.visits in
+  let differ what = invalid_arg ("Interp.price: " ^ what ^ " differ from the base run's") in
+  if
+    Array.length t.funcs <> Array.length seen.funcs
+    || not (Array.for_all2 (fun (a : Ir.func) (b : Ir.func) -> a.name = b.name) t.funcs seen.funcs)
+  then differ "functions";
+  let n = t.counts in
+  Array.iteri
+    (fun i -> function
+      | None -> ()
+      | Some (g : func) ->
+          let f = resolved t i in
+          if Array.length f.blocks <> Array.length g.blocks then differ (f.name ^ "'s blocks");
+          Array.iteri
+            (fun l (b : block) ->
+              let segs = b.segs and entered = g.blocks.(l).segs in
+              if Array.length segs <> Array.length entered then
+                differ (Printf.sprintf "%s's block %d segments" f.name l);
+              let start = ref 0 in
+              for k = 0 to (Array.length segs / seg_width) - 1 do
+                let k = k * seg_width in
+                let v = entered.(k + visit_slot) in
+                t.cycles <- t.cycles + (v * segs.(k + 1));
+                n.instrs <- n.instrs + (v * segs.(k + 2));
+                n.loads <- n.loads + (v * segs.(k + 3));
+                n.stores <- n.stores + (v * segs.(k + 4));
+                if v > 0 then
+                  for j = !start to segs.(k) - 1 do
+                    count_pa n v b.body.(j)
+                  done;
+                start := segs.(k)
+              done)
+            f.blocks)
+    seen.code;
+  let calls = List.fold_left (fun a (_, c) -> a + c) 0 in
+  {
+    base with
+    cycles =
+      t.cycles
+      + (t.costs.call * calls base.call_profile)
+      + (t.costs.extern_call * calls base.extern_profile);
+    counts = n;
+    sites = [];
+    incidents = [];
   }
 
 (* A perf-report-style rendering of {!outcome.sites}. The percentage

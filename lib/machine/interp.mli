@@ -45,9 +45,6 @@ type counts = {
   mutable pac_auths : int;      (** auths + the auth halves of resigns *)
   mutable pac_strips : int;
   mutable pp_calls : int;
-  mutable pac_charges : int;
-      (** times the [pac] price was charged (a resign charges twice;
-          the pp mechanism's sign/auth price at [pp], not here) *)
 }
 
 (** One profiled (function, source line) pair of the exact hot-site
@@ -57,8 +54,11 @@ type counts = {
     land on that site too; pre-[entry] setup lands on the ["_start"]
     pseudo-site), so an outcome's sites partition its cycle total —
     [sum s_cycles = cycles], [sum s_instrs = counts.instrs], and
-    likewise for [s_pac_charges]/[s_strips]/[s_pp_calls] against the
-    global counters. *)
+    likewise [s_strips] and [s_pp_calls] against [pac_strips] and
+    [pp_calls]. [s_pac_charges] counts the [pac] prices charged at the
+    site (a resign's two; a pp op's sign or auth is priced at [pp]
+    instead), so in a run without pp ops the sites' [s_pac_charges] sum
+    to [pac_signs + pac_auths]. *)
 type site = {
   s_func : string;
   s_line : int;  (** 0 when the instruction carries no !dbg location *)
@@ -136,6 +136,11 @@ val signers_cap : int
     run remembers, so the recorder's memory is bounded whatever the run
     signs. *)
 
+type profile
+(** How often a run entered each block segment (a block is cut after
+    each call) of each function: what {!price} sums. An outcome reads it
+    in place from the machine that ran, so reporting it copies nothing. *)
+
 type outcome = {
   status : status;
   cycles : int;
@@ -158,25 +163,12 @@ type outcome = {
   notes : string list;
       (** the strings attack hooks passed to [intruder.note],
           chronological *)
+  visits : profile;  (** the run's segment visits, which {!price} sums *)
 }
 
 val detected : outcome -> bool
 (** True when execution ended in a trap that followed a PAC authentication
     failure — i.e. RSTI detected and stopped an attack. *)
-
-val reprice :
-  from:Cost.t -> to_:Cost.t -> pac_spill_charged:bool -> outcome -> outcome
-(** Re-price a finished run under a different cost record without
-    re-simulating: costs never influence control flow, so the trace —
-    and with it {!counts}, status, profiles, output — is identical, and
-    only the cycle total moves. Valid only when [from] and [to_] differ
-    in the instrumentation prices ([pac], [strip], [pp], [pac_spill]);
-    the base ISA prices are not reconstructible from {!counts} and a
-    difference there raises [Invalid_argument]. [pac_spill_charged] is
-    whether the run's backend pays the spill price alongside each [pac]
-    charge ([`Pac] does, [`Shadow_mac] never spills). A profiled
-    outcome's {!site}s carry the same per-price counters, so their
-    cycles are re-priced exactly too and keep partitioning the total. *)
 
 val profile_report : ?top:int -> outcome -> string
 (** A perf-report-style table of the hottest [top] (default 20) sites —
@@ -250,10 +242,7 @@ val create :
     {!pac_op}, the last [flight] of them are kept, and a failing auth
     emits an {!incident} carrying that window plus detection latency.
     When off, each PAC op pays one boolean test and nothing allocates.
-    Flight timestamps are cycle
-    numbers under the run's own costs; {!reprice} does not rewrite
-    them (flight runs carry attacks, which the outcome cache refuses
-    anyway). *)
+    Flight timestamps are cycle numbers under the run's own costs. *)
 
 val global_addr : t -> string -> int64
 val func_addr : t -> string -> int64
@@ -269,3 +258,20 @@ val run :
     (default 200 million): the instruction past it traps, with
     [counts.instrs = step_limit + 1] and nothing charged for it.
     A machine can be run only once; create a fresh one per run. *)
+
+val price :
+  ?costs:Cost.t -> ?backend:[ `Pac | `Shadow_mac ] -> Rsti_ir.Ir.modul -> outcome -> outcome
+(** [price modul base] is the outcome [modul] would have on a machine
+    with neither the profiler nor the flight recorder, under [costs] and
+    [backend] as in {!create}, if it enters every block segment as often
+    as [base]'s run did, as an RSTI build of [base]'s module does. It
+    resolves [modul] as a machine would; its cycles are, per segment,
+    [base]'s visits times [modul]'s static cycles, plus [call] per
+    defined-function call and [extern_call] per libc call of [base]'s
+    profiles, and every count is summed the same way (the PA counts from
+    each segment's PA and pp instructions). Status, output, both call
+    profiles, notes and visits are [base]'s; [sites] and [incidents] are
+    empty. Nothing executes.
+    @raise Invalid_argument when [base] did not exit, or [modul]'s
+    functions, an entered function's blocks or a block's segments
+    (calls) differ from [base]'s. *)

@@ -365,8 +365,10 @@ let backend_comparison () =
         let a = analyzed_workload w in
         let inst = Pipeline.instrument mech a in
         let base = Pipeline.run_baseline (Pipeline.compiled_of_analyzed a) in
-        let run backend = Pipeline.run ~backend inst in
-        let pac = run `Pac and mac = run `Shadow_mac in
+        let price backend =
+          Rsti_machine.Interp.price ~backend (Pipeline.instrumented_ir inst) base
+        in
+        let pac = price `Pac and mac = price `Shadow_mac in
         let overhead (o : Rsti_machine.Interp.outcome) =
           (float_of_int o.cycles /. float_of_int base.Rsti_machine.Interp.cycles -. 1.)
           *. 100.

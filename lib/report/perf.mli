@@ -1,8 +1,10 @@
 (** Shared performance-measurement data for the Figure 9 / Figure 10 /
-    correlation reproductions: every workload of every suite, run under
-    the three RSTI mechanisms, measured once and reused. Collection fans
-    out over the engine's domain pool (one task per workload) and merges
-    deterministically — the record is identical for any job count. *)
+    correlation reproductions: every workload of every suite, executed
+    once uninstrumented and priced under the three RSTI mechanisms
+    ({!Rsti_workloads.Run.measure}), measured once and reused. Collection
+    fans out over the engine's domain pool (one task per workload) and
+    merges deterministically — the record is identical for any job
+    count. *)
 
 type t = {
   spec2006 : Rsti_workloads.Run.measurement list;
@@ -13,11 +15,12 @@ type t = {
 }
 
 val collect : unit -> t
-(** Run everything under {!Rsti_engine.Pipeline.default} (takes tens of
-    seconds of simulation at one job; the scheduler's default job count
-    parallelizes, and the engine cache reuses compile/analysis artifacts
-    across sections). Adds each mechanism's instrumented-run totals over
-    all the rows to the counters [machine.fig9.<mech>.instrs], [cycles],
+(** Measure everything under {!Rsti_engine.Pipeline.default} (about a
+    second of simulation at one job, the 60 baseline runs; the
+    scheduler's default job count parallelizes, and the engine cache
+    reuses compile/analysis/instrument artifacts and baseline outcomes
+    across sections). Adds each mechanism's priced totals over all the
+    rows to the counters [machine.fig9.<mech>.instrs], [cycles],
     [pac_signs], [pac_auths], [pac_strips] and [pp_calls]. *)
 
 val of_mech : Rsti_workloads.Run.measurement list -> Rsti_sti.Rsti_type.mechanism ->

@@ -1,9 +1,8 @@
 module Interp = Rsti_machine.Interp
+module Cost = Rsti_machine.Cost
 module RT = Rsti_sti.Rsti_type
 module Pipeline = Rsti_engine.Pipeline
 module Scheduler = Rsti_engine.Scheduler
-
-exception Divergence of string
 
 type measurement = {
   workload : Workload.t;
@@ -15,47 +14,31 @@ type measurement = {
   static_counts : Rsti_rsti.Instrument.static_counts;
 }
 
-let exit_code (o : Interp.outcome) =
-  match o.Interp.status with
-  | Interp.Exited code -> code
-  | Interp.Trapped tr ->
-      invalid_arg
-        (Printf.sprintf "workload trapped: %s" (Interp.trap_to_string tr))
-
 let measure ?(config = Pipeline.default) (w : Workload.t) mechs =
   let analyzed =
     Pipeline.analyze ~config
       (Pipeline.compile ~config
          (Pipeline.source ~file:(w.Workload.name ^ ".c") w.Workload.source))
   in
-  let base_outcome =
-    Pipeline.run_baseline ~config (Pipeline.compiled_of_analyzed analyzed)
+  (* the one execution: uninstrumented, at the default prices *)
+  let base =
+    Pipeline.run_baseline
+      ~config:{ config with Pipeline.costs = Cost.default }
+      (Pipeline.compiled_of_analyzed analyzed)
   in
-  let base_code = exit_code base_outcome in
+  let base_cycles =
+    (Interp.price ~costs:config.costs (Pipeline.analyzed_ir analyzed) base)
+      .Interp.cycles
+  in
   List.map
     (fun mech ->
-      let run_cfg =
+      let costs =
         if mech = RT.Parts then
-          {
-            config with
-            Pipeline.costs =
-              {
-                Rsti_machine.Cost.parts_codegen with
-                pac = config.Pipeline.costs.Rsti_machine.Cost.pac;
-              };
-          }
-        else config
+          { Cost.parts_codegen with pac = config.Pipeline.costs.Cost.pac }
+        else config.costs
       in
       let inst = Pipeline.instrument ~config mech analyzed in
-      let o = Pipeline.run ~config:run_cfg inst in
-      let code = exit_code o in
-      if code <> base_code || o.Interp.output <> base_outcome.Interp.output then
-        raise
-          (Divergence
-             (Printf.sprintf "%s under %s: exit %Ld vs %Ld, output %S vs %S"
-                w.Workload.name (RT.mechanism_to_string mech) code base_code
-                o.Interp.output base_outcome.Interp.output));
-      let base_cycles = base_outcome.Interp.cycles in
+      let o = Interp.price ~costs (Pipeline.instrumented_ir inst) base in
       let mech_cycles = o.Interp.cycles in
       {
         workload = w;
@@ -65,7 +48,7 @@ let measure ?(config = Pipeline.default) (w : Workload.t) mechs =
         overhead_pct =
           (float_of_int mech_cycles /. float_of_int base_cycles -. 1.) *. 100.;
         dyn = o.Interp.counts;
-        static_counts = (Pipeline.result inst).Rsti_rsti.Instrument.counts;
+        static_counts = Pipeline.counts inst;
       })
     mechs
 

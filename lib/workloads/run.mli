@@ -1,14 +1,11 @@
 (** The measurement runner behind Figures 9 and 10, built on the
     engine's staged pipeline: compiles a workload once (artifact-cached),
-    runs it uninstrumented and under each requested mechanism, and
-    reports cycle overheads. Instrumentation must not change program
-    behaviour — the runner asserts that the instrumented run's output and
-    exit status equal the baseline's, and raises [Divergence] otherwise
-    (this doubles as a whole-pipeline correctness check that the test
-    suite leans on). *)
-
-exception Divergence of string
-(** A mechanism changed a workload's observable behaviour. *)
+    executes it once, uninstrumented, and prices the baseline and every
+    requested mechanism's build from that run's segment visits
+    ({!Rsti_machine.Interp.price}), reporting cycle overheads. Pricing
+    assumes what RSTI guarantees, that instrumentation inserts
+    instructions into blocks and changes no path; the tests execute every
+    priced row to hold it to that. *)
 
 type measurement = {
   workload : Workload.t;
@@ -16,7 +13,7 @@ type measurement = {
   base_cycles : int;
   mech_cycles : int;
   overhead_pct : float;                       (** (mech/base - 1) * 100 *)
-  dyn : Rsti_machine.Interp.counts;           (** instrumented run *)
+  dyn : Rsti_machine.Interp.counts;           (** the priced build's *)
   static_counts : Rsti_rsti.Instrument.static_counts;
 }
 
@@ -26,10 +23,14 @@ val measure :
   Rsti_sti.Rsti_type.mechanism list ->
   measurement list
 (** One measurement per mechanism, in mechanism order (default config
-    {!Rsti_engine.Pipeline.default}). The [Parts] mechanism always runs under
-    {!Rsti_machine.Cost.parts_codegen} with [config.costs]'s [pac]. The
-    output-equality assertion applies under elision too, so a
-    behaviour-changing elision raises [Divergence]. *)
+    {!Rsti_engine.Pipeline.default}). The workload executes once,
+    uninstrumented, under {!Rsti_machine.Cost.default}; the baseline and
+    each mechanism's build (instrumented under [config.elision]) are
+    priced from that run under [config.costs], and the [Parts] mechanism
+    under {!Rsti_machine.Cost.parts_codegen} with [config.costs]'s [pac].
+    No instrumented module executes.
+    @raise Invalid_argument when the baseline run traps, or a build's
+    functions, blocks or calls differ from the baseline's. *)
 
 val measure_suite :
   ?config:Rsti_engine.Pipeline.config ->

@@ -624,7 +624,7 @@ let test_scope_escape_across_blocks () =
         [
           ("f.arr", 15, "passed to external function sink");
           ("f.s", 13, "stored into global keep");
-          ("f.v", 0, "returned to caller");
+          ("f.v", 18, "returned to caller");
         ]
         (List.sort compare
            (List.map

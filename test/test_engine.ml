@@ -245,17 +245,18 @@ let test_cache_hit_identical () =
     (fun (label, f) (_, c) -> checks ("filling = served: " ^ label) f c)
     filling served
 
-(* Run keys omit the instrumentation prices: a hit under a different
-   [pac] cost is re-priced from the outcome's counters instead of
-   re-simulated. The re-priced cycle totals must equal what a fresh
-   simulation at that cost produces — for instrumented runs, baselines,
-   and the shadow-MAC backend alike. *)
+(* Run keys hold the whole cost record: a run cached at one PA price is
+   never served at another. At every price the cached cycle totals equal
+   a fresh simulation's, and so do the totals re-priced from the one
+   baseline run's segment visits ({!Rsti_machine.Interp.price}) — for
+   instrumented runs, baselines, and the shadow-MAC backend alike. *)
 let test_run_reprice_matches_simulation () =
   Cache.clear ();
   let w = List.hd Rsti_workloads.Spec2006.all in
   let src = Pipeline.source ~file:"reprice.c" w.Workload.source in
   let a = Pipeline.analyze (Pipeline.compile src) in
   let i = Pipeline.instrument RT.Stwc a in
+  let c = Pipeline.compiled_of_analyzed a in
   let config pac =
     { Pipeline.default with
       Pipeline.costs = Rsti_machine.Cost.(with_pac default pac) }
@@ -263,28 +264,39 @@ let test_run_reprice_matches_simulation () =
   let uncached pac = { (config pac) with Pipeline.cache = false } in
   (* prime the cache at the default cost, then sweep *)
   ignore (Pipeline.run ~config:(config 7) i);
-  ignore (Pipeline.run_baseline ~config:(config 7) (Pipeline.compiled_of_analyzed a));
+  let base = Pipeline.run_baseline ~config:(config 7) c in
   List.iter
     (fun pac ->
+      let costs = (config pac).Pipeline.costs in
+      let repriced backend modul =
+        (Rsti_machine.Interp.price ~costs ~backend modul base).Rsti_machine.Interp.cycles
+      in
       let cached = Pipeline.run ~config:(config pac) i in
       let fresh = Pipeline.run ~config:(uncached pac) i in
       checki
         (Printf.sprintf "instrumented cycles at pac=%d" pac)
         fresh.Rsti_machine.Interp.cycles cached.Rsti_machine.Interp.cycles;
-      let cached_b =
-        Pipeline.run_baseline ~config:(config pac) (Pipeline.compiled_of_analyzed a)
-      in
-      let fresh_b =
-        Pipeline.run_baseline ~config:(uncached pac) (Pipeline.compiled_of_analyzed a)
-      in
+      checki
+        (Printf.sprintf "instrumented cycles re-priced at pac=%d" pac)
+        fresh.Rsti_machine.Interp.cycles
+        (repriced `Pac (Pipeline.instrumented_ir i));
+      let cached_b = Pipeline.run_baseline ~config:(config pac) c in
+      let fresh_b = Pipeline.run_baseline ~config:(uncached pac) c in
       checki
         (Printf.sprintf "baseline cycles at pac=%d" pac)
         fresh_b.Rsti_machine.Interp.cycles cached_b.Rsti_machine.Interp.cycles;
+      checki
+        (Printf.sprintf "baseline cycles re-priced at pac=%d" pac)
+        fresh_b.Rsti_machine.Interp.cycles (repriced `Pac (Pipeline.ir c));
       let cached_s = Pipeline.run ~config:(config pac) ~backend:`Shadow_mac i in
       let fresh_s = Pipeline.run ~config:(uncached pac) ~backend:`Shadow_mac i in
       checki
         (Printf.sprintf "shadow-MAC cycles at pac=%d" pac)
-        fresh_s.Rsti_machine.Interp.cycles cached_s.Rsti_machine.Interp.cycles)
+        fresh_s.Rsti_machine.Interp.cycles cached_s.Rsti_machine.Interp.cycles;
+      checki
+        (Printf.sprintf "shadow-MAC cycles re-priced at pac=%d" pac)
+        fresh_s.Rsti_machine.Interp.cycles
+        (repriced `Shadow_mac (Pipeline.instrumented_ir i)))
     [ 3; 5; 9; 12 ]
 
 (* [cache = false] computes every stage fresh and never touches a table:

@@ -835,6 +835,86 @@ let test_attack_heap_allocs_listed () =
   ignore (run ~attacks:[ atk ] src);
   checki "two allocations" 2 !seen
 
+(* ------------------------------ pricing ----------------------------- *)
+
+(* One uninstrumented run at the default prices, priced as the baseline,
+   STWC on both backends and a syntactically elided STWC build, under
+   other PA prices and another base-ISA record: each must equal the
+   build executed under those prices, whether the run was plain,
+   profiled or flight-recorded. Of the SPEC2006 kernels, namd is one
+   whose syntactic elision drops sites. *)
+let test_interp_price_matches_execution () =
+  let kernel name =
+    (List.find (fun (w : Rsti_workloads.Workload.t) -> w.name = name) Rsti_workloads.Spec2006.all)
+      .source
+  in
+  let prices =
+    List.map (fun pac -> (Printf.sprintf "pac=%d" pac, Cost.with_pac Cost.default pac)) [ 3; 5; 9; 12 ]
+    @ [ ("load=5 call=9", { Cost.default with load = 5; call = 9 }) ]
+  in
+  List.iter
+    (fun (prog, src) ->
+      let c = compiled src in
+      let a = Pipeline.analyze c in
+      let stwc_i = Pipeline.instrument Rsti_sti.Rsti_type.Stwc a in
+      let stwc = Pipeline.result stwc_i in
+      let elided =
+        Pipeline.instrument
+          ~config:{ Pipeline.default with elision = Rsti_staticcheck.Elide.Syntactic }
+          Rsti_sti.Rsti_type.Stwc a
+      in
+      if prog = "namd" then
+        checkb "namd: elision drops sites" true ((Pipeline.counts elided).elided > 0);
+      let elided = Pipeline.result elided in
+      let builds =
+        [
+          ("baseline", Pipeline.ir c, [], `Pac);
+          ("STWC", stwc.modul, stwc.pp_table, `Pac);
+          ("STWC shadow-MAC", stwc.modul, stwc.pp_table, `Shadow_mac);
+          ("STWC elided", elided.modul, elided.pp_table, `Pac);
+        ]
+      in
+      let bases =
+        List.map
+          (fun (how, profile, flight) ->
+            (how, Interp.run (Interp.create ~profile ~flight (Pipeline.ir c))))
+          [ ("plain", false, 0); ("profiled", true, 0); ("flight-recorded", false, 16) ]
+      in
+      List.iter
+        (fun (label, costs) ->
+          List.iter
+            (fun (build, modul, pp_table, backend) ->
+              let run = Interp.run (Interp.create ~costs ~backend ~pp_table modul) in
+              List.iter
+                (fun (how, base) ->
+                  Test_observe.check_same_outcome
+                    (Printf.sprintf "%s %s at %s from a %s run" prog build label how)
+                    run
+                    (Interp.price ~costs ~backend modul base))
+                bases)
+            builds;
+          (* the engine's outcome cache keys on the whole cost record *)
+          checki
+            (Printf.sprintf "%s STWC at %s, served by the engine" prog label)
+            (Interp.price ~costs stwc.modul (List.assoc "plain" bases)).Interp.cycles
+            (Pipeline.run ~config:{ Pipeline.default with costs } stwc_i).Interp.cycles)
+        prices)
+    [ ("perlbench", kernel "perlbench"); ("namd", kernel "namd"); ("exit", Test_observe.exit_nested_src) ];
+  let refused name base modul =
+    match Interp.price modul base with
+    | _ -> Alcotest.failf "%s: priced" name
+    | exception Invalid_argument _ -> ()
+  in
+  let trapped = compiled "int main(void) { int z = 0; return 1 / z; }" in
+  refused "trapped base" (Interp.run (Interp.create (Pipeline.ir trapped))) (Pipeline.ir trapped);
+  let calls n =
+    Pipeline.ir
+      (compiled
+         (Printf.sprintf "void tick(void) { }\nint main(void) { %s return 0; }"
+            (String.concat " " (List.init n (fun _ -> "tick();")))))
+  in
+  refused "one call more" (Interp.run (Interp.create (calls 1))) (calls 2)
+
 (* ------------------------------- cost ------------------------------- *)
 
 let test_cost_model_scales () =
@@ -907,6 +987,7 @@ let tests =
     Alcotest.test_case "attack: hooks fire" `Quick test_attack_hooks_fire_in_order;
     Alcotest.test_case "attack: writes visible" `Quick test_attack_write_visible_to_program;
     Alcotest.test_case "attack: heap allocs" `Quick test_attack_heap_allocs_listed;
+    Alcotest.test_case "interp: priced = executed" `Quick test_interp_price_matches_execution;
     Alcotest.test_case "cost: scales" `Quick test_cost_model_scales;
     Alcotest.test_case "cost: with_pac" `Quick test_cost_with_pac;
   ]

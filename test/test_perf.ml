@@ -1,14 +1,17 @@
 (* The performance evaluation as a test suite: every workload of every
-   suite must run identically under every mechanism (the runner raises
-   Divergence otherwise), and the paper's qualitative results must hold:
-   overhead orderings, pointer-heavy outliers, near-zero numeric kernels,
-   PARTS losing to RSTI on nbench, and a positive overhead/
-   instrumentation correlation. *)
+   suite must run identically under every mechanism (each measured row,
+   priced from the uninstrumented run, is executed and must print what
+   the baseline prints and cost what it was priced at), and the paper's
+   qualitative results must hold: overhead orderings, pointer-heavy
+   outliers, near-zero numeric kernels, PARTS losing to RSTI on nbench,
+   and a positive overhead/instrumentation correlation. *)
 
 module RT = Rsti_sti.Rsti_type
 module Run = Rsti_workloads.Run
 module Workload = Rsti_workloads.Workload
 module Stats = Rsti_util.Stats
+module Pipeline = Rsti_engine.Pipeline
+module Interp = Rsti_machine.Interp
 
 let checkb = Alcotest.(check bool)
 
@@ -48,8 +51,36 @@ let geomean ms mech =
          if m.mech = mech then Some m.overhead_pct else None)
        ms)
 
-(* one test per workload: runs under all mechanisms without divergence,
-   with non-negative overhead *)
+(* Executes [w]'s baseline and each row's build: every build exits as
+   the baseline does and prints what it prints, the baseline costs the
+   row's [base_cycles], and each build the row's cycles and counts. *)
+let check_executed (w : Workload.t) ms =
+  let a = Pipeline.analyze (Pipeline.compile (Pipeline.source ~file:(w.name ^ ".c") w.source)) in
+  let base = Pipeline.run_baseline (Pipeline.compiled_of_analyzed a) in
+  List.iter
+    (fun (m : Run.measurement) ->
+      let name what = Printf.sprintf "%s/%s: %s" w.name (RT.mechanism_to_string m.mech) what in
+      Alcotest.(check int) (name "base cycles") base.Interp.cycles m.base_cycles;
+      let o = Pipeline.run (Pipeline.instrument m.mech a) in
+      checkb (name "status") true (o.Interp.status = base.Interp.status);
+      Alcotest.(check string) (name "output") base.Interp.output o.Interp.output;
+      Alcotest.(check int) (name "cycles") o.Interp.cycles m.mech_cycles;
+      List.iter
+        (fun (field, get) -> Alcotest.(check int) (name field) (get o.Interp.counts) (get m.dyn))
+        [
+          ("instrs", fun (c : Interp.counts) -> c.instrs);
+          ("loads", fun c -> c.loads);
+          ("stores", fun c -> c.stores);
+          ("pac_signs", fun c -> c.pac_signs);
+          ("pac_auths", fun c -> c.pac_auths);
+          ("pac_strips", fun c -> c.pac_strips);
+          ("pp_calls", fun c -> c.pp_calls);
+        ])
+    ms
+
+(* one test per workload: every mechanism's build, executed, behaves as
+   the baseline and costs what it was priced at, with non-negative
+   overhead *)
 let per_workload_tests =
   List.concat_map
     (fun (suite, ws) ->
@@ -65,7 +96,9 @@ let per_workload_tests =
                   match overhead ms mech w.name with
                   | Some x -> checkb "overhead >= 0" true (x >= -0.001)
                   | None -> Alcotest.fail "missing measurement")
-                mechs))
+                mechs;
+              check_executed w
+                (List.filter (fun (m : Run.measurement) -> m.workload.name = w.name) ms)))
         ws)
     suites
 

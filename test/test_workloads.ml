@@ -185,6 +185,132 @@ let test_generator_cast_bias_extremes () =
   in
   checkb "bias drives void* casts" true (gen 1.0 > gen 0.0)
 
+(* Every committed perfbench simulate row (60 kernels x the baseline,
+   STWC, STC, STL and PARTS), priced from one uninstrumented run of its
+   kernel at the default prices: exit, output digest, instructions,
+   cycles and every PAC count must equal the row. perfbench executes the
+   same 300 rows. *)
+let test_simulate_rows_priced () =
+  let module Interp = Rsti_machine.Interp in
+  let module Cost = Rsti_machine.Cost in
+  let rows = Hashtbl.create 300 in
+  In_channel.with_open_text "../perfbench/expected/simulate.tsv" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.iter (fun line ->
+         match String.split_on_char '\t' line with
+         | [ key; row ] when line.[0] <> '#' -> Hashtbl.replace rows key row
+         | _ -> ());
+  checki "committed rows" 300 (Hashtbl.length rows);
+  let priced = ref 0 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let a = analyzed ~file:(w.name ^ ".c") w.source in
+      let base = Interp.run (Interp.create (Pipeline.analyzed_ir a)) in
+      List.iter
+        (fun (config, mech) ->
+          let modul, costs =
+            match mech with
+            | None -> (Pipeline.analyzed_ir a, Cost.default)
+            | Some mech ->
+                ( Pipeline.instrumented_ir (Pipeline.instrument mech a),
+                  if mech = RT.Parts then { Cost.parts_codegen with pac = Cost.default.pac }
+                  else Cost.default )
+          in
+          let o = Interp.price ~costs modul base in
+          let c = o.Interp.counts in
+          let key = w.name ^ "/" ^ config in
+          Alcotest.(check (option string))
+            key (Hashtbl.find_opt rows key)
+            (Some
+               (Printf.sprintf "%s %s %d %d %d %d %d %d"
+                  (match o.Interp.status with
+                  | Interp.Exited n -> Int64.to_string n
+                  | Interp.Trapped t -> "trap:" ^ Interp.trap_to_string t)
+                  (Digest.to_hex (Digest.string o.Interp.output))
+                  c.instrs o.Interp.cycles c.pac_signs c.pac_auths c.pac_strips c.pp_calls));
+          incr priced)
+        [
+          ("nop", None); ("stwc", Some RT.Stwc); ("stc", Some RT.Stc); ("stl", Some RT.Stl);
+          ("parts", Some RT.Parts);
+        ])
+    all_workloads;
+  checki "rows priced" 300 !priced
+
+(* Seeded mutants of the kernels and the catalog victims (a truncation,
+   a deletion of 1-8 characters, or one token swapped for another) end
+   in a typed frontend error, or compile, instrument under STWC, STC and
+   STL, pass the validator and run their STWC build on the machine: no
+   other exception escapes. *)
+let test_frontend_mutants () =
+  let module Interp = Rsti_machine.Interp in
+  let module Minic = Rsti_minic in
+  let sources =
+    Array.of_list
+      (List.map (fun (w : Workload.t) -> w.source) all_workloads
+      @ List.map (fun (sc : Rsti_attacks.Scenario.t) -> sc.program) Rsti_attacks.Catalog.all)
+  in
+  checki "sources" 73 (Array.length sources);
+  let vocab =
+    [| "int"; "long"; "char"; "void"; "struct"; "return"; "if"; "else"; "while"; "for";
+       "*"; "&"; "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "="; "=="; "+"; "-"; "->"; ".";
+       "0"; "1" |]
+  in
+  let rng = Rsti_util.Splitmix.create 42L in
+  let mutate src =
+    let n = String.length src in
+    let at = Rsti_util.Splitmix.int rng n in
+    match Rsti_util.Splitmix.int rng 3 with
+    | 0 -> String.sub src 0 at
+    | 1 ->
+        let len = min (n - at) (Rsti_util.Splitmix.int_in rng 1 8) in
+        String.sub src 0 at ^ String.sub src (at + len) (n - at - len)
+    | _ -> (
+        (* the first vocabulary token at or after [at], swapped *)
+        let tok = vocab.(Rsti_util.Splitmix.int rng (Array.length vocab)) in
+        let rec find i =
+          if i >= n then None
+          else
+            match
+              Array.find_opt
+                (fun v -> i + String.length v <= n && String.sub src i (String.length v) = v)
+                vocab
+            with
+            | Some v -> Some (i, v)
+            | None -> find (i + 1)
+        in
+        match find at with
+        | Some (i, v) ->
+            String.sub src 0 i ^ tok ^ String.sub src (i + String.length v) (n - i - String.length v)
+        | None -> src)
+  in
+  let config = { Pipeline.default with cache = false } in
+  let typed = ref 0 and ran = ref 0 in
+  for k = 0 to 299 do
+    let src = mutate sources.(k mod Array.length sources) in
+    let name = Printf.sprintf "mutant %d" k in
+    match Pipeline.compile ~config (Pipeline.source ~file:"mutant.c" src) with
+    | exception (Minic.Lexer.Error _ | Minic.Parser.Error _ | Minic.Typecheck.Error _) ->
+        incr typed
+    | c ->
+        let a = Pipeline.analyze ~config c in
+        List.iter
+          (fun mech ->
+            let i = Pipeline.instrument ~config mech a in
+            checkb (name ^ ": validates") true
+              (Rsti_dataflow.Validate.ok (Pipeline.validation i));
+            if mech = RT.Stwc then begin
+              let r = Pipeline.result i in
+              ignore
+                (Interp.run ~step_limit:2_000_000
+                   (Interp.create ~pp_table:r.Rsti_rsti.Instrument.pp_table
+                      r.Rsti_rsti.Instrument.modul));
+              incr ran
+            end)
+          [ RT.Stwc; RT.Stc; RT.Stl ]
+  done;
+  checkb "some mutants raise a typed error" true (!typed > 0);
+  checkb "some mutants run" true (!ran > 0)
+
 let tests =
   per_workload_static_tests
   @ [
@@ -199,4 +325,6 @@ let tests =
       Alcotest.test_case "generator pp rates" `Quick test_generator_pp_rates;
       Alcotest.test_case "generator zero pp default" `Quick test_generator_zero_pp_by_default;
       Alcotest.test_case "generator cast bias" `Quick test_generator_cast_bias_extremes;
+      Alcotest.test_case "simulate rows priced from one run" `Quick test_simulate_rows_priced;
+      Alcotest.test_case "frontend mutants: typed error or run" `Quick test_frontend_mutants;
     ]
