@@ -57,22 +57,40 @@ let jobs_term =
   in
   Term.(const (Option.iter Scheduler.set_default_jobs) $ jobs)
 
-(* [--points-to MODE]; the bare flag means [bare]. *)
-let points_to_term ?(bare = Points_to.Insensitive) ~doc () =
-  let parse s =
-    match Points_to.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown points-to mode %S (insensitive|cloning[:K])"
-               s))
+(* The positional FILE, read with [file], and [--points-to[=MODE]], the
+   bare flag meaning [bare]. An option whose value is optional takes the
+   next word as its value, so [--points-to FILE] leaves no positional
+   argument: the word is then the file, and the mode the bare flag's. *)
+let file_and_points_to ?(bare = Points_to.Insensitive) ~file ~file_doc ~doc () =
+  let path = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:file_doc) in
+  let word = Arg.conv ((fun s -> Ok (Some s)), fun fmt _ -> Format.pp_print_string fmt "MODE") in
+  let pt =
+    Arg.(
+      value
+      & opt ~vopt:(Some None) (some word) None
+      & info [ "points-to" ] ~docv:"MODE" ~doc)
   in
-  let print fmt m = Format.pp_print_string fmt (Points_to.mode_to_string m) in
-  Arg.(
-    value
-    & opt ~vopt:(Some bare) (some (conv (parse, print))) None
-    & info [ "points-to" ] ~docv:"MODE" ~doc)
+  let resolve path pt =
+    match (path, pt) with
+    | Some f, None -> `Ok (f, None)
+    | Some f, Some None -> `Ok (f, Some bare)
+    | Some f, Some (Some s) -> (
+        match Points_to.mode_of_string s with
+        | Some m -> `Ok (f, Some m)
+        | None ->
+            `Error
+              ( true,
+                Printf.sprintf
+                  "option '--points-to': unknown points-to mode %S \
+                   (insensitive|cloning[:K])"
+                  s ))
+    | None, Some (Some w) -> (
+        match Arg.conv_parser file w with
+        | Ok f -> `Ok (f, Some bare)
+        | Error (`Msg e) -> `Error (true, "FILE argument: " ^ e))
+    | None, (None | Some None) -> `Error (true, "required argument FILE is missing")
+  in
+  Term.(ret (const resolve $ path $ pt))
 
 (* An output file. The command line is parsed before any work runs, so a
    path that cannot be written fails at once, as a usage error naming
@@ -379,8 +397,8 @@ let print_attack_surface file (results : Rsti_dataflow.Equiv.result list) =
 
 let analyze_cmd =
   let doc = "Print the STI analysis of a MiniC program." in
-  let pt_flag =
-    points_to_term
+  let file_pt =
+    file_and_points_to ~file:Arg.file ~file_doc:"MiniC source file."
       ~doc:
         "Run the Andersen points-to analysis at MODE ($(b,insensitive), \
          the bare-flag default, or $(b,cloning:K) for k-limited \
@@ -431,7 +449,7 @@ let analyze_cmd =
              scope-escape and stale-frame-deref — at the requested \
              points-to mode).")
   in
-  let action () file format pt_mode surface =
+  let action () (file, pt_mode) format surface =
     let a = analyzed_of_path file in
     let m = Pipeline.analyzed_ir a and anal = Pipeline.analysis a in
     let comp = Pipeline.compiled_of_analyzed a in
@@ -588,8 +606,7 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
-      const action $ jobs_term $ file_arg
-      $ analyze_format_arg $ pt_flag $ surface_flag)
+      const action $ jobs_term $ file_pt $ analyze_format_arg $ surface_flag)
 
 let lint_cmd =
   let doc =
@@ -597,12 +614,6 @@ let lint_cmd =
      be a single source file or a directory (linted recursively, *.c only). \
      Exit status is 1 when any error-severity finding is reported, 0 \
      otherwise (warnings and notes do not affect it)."
-  in
-  let target_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"MiniC source file or directory.")
   in
   let lint_format_arg =
     let fmt_conv =
@@ -629,8 +640,9 @@ let lint_cmd =
              file), or sarif (one SARIF 2.1.0 document covering every \
              linted file).")
   in
-  let lint_pt_flag =
-    points_to_term ~bare:(Points_to.Cloning 2)
+  let target_pt =
+    file_and_points_to ~bare:(Points_to.Cloning 2) ~file:Arg.string
+      ~file_doc:"MiniC source file or directory."
       ~doc:
         "Also run the points-to-backed dataflow rules \
          ($(b,scope-escape), $(b,stale-frame-deref)) at MODE \
@@ -659,7 +671,7 @@ let lint_cmd =
     else if Filename.check_suffix path ".c" then [ path ]
     else []
   in
-  let action () target format pt_mode surface =
+  let action () (target, pt_mode) format surface =
     if not (Sys.file_exists target) then begin
       Printf.eprintf "rstic lint: no such file or directory: %s\n" target;
       exit 2
@@ -720,8 +732,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
-      const action $ jobs_term $ target_arg
-      $ lint_format_arg $ lint_pt_flag $ lint_surface_flag)
+      const action $ jobs_term $ target_pt $ lint_format_arg $ lint_surface_flag)
 
 let report_cmd =
   let module Sections = Rsti_report.Sections in

@@ -145,6 +145,262 @@ type trigger = On_call of string * int | On_extern of string * int
 type attack = { trigger : trigger; action : intruder -> unit }
 
 (* ------------------------------------------------------------------ *)
+(* Register files                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Unchecked word accesses, for an offset already known to lie inside
+   the [bytes]: a pre-checked register, or a word inside a page. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let get64u_le b i = if Sys.big_endian then swap64 (get64u b i) else get64u b i [@@inline]
+let set64u_le b i v = set64u b i (if Sys.big_endian then swap64 v else v) [@@inline]
+
+(* A register file is a [bytes] of native-endian 64-bit registers. The
+   pre-checked forms hold each register as its byte offset; resolution
+   gave every operand a register of the file, so a read is unchecked,
+   and a destination is a register of the file or -8, the bad
+   destination, whose write raises what an out-of-bounds register
+   always raised. *)
+let get_at regs o = get64u regs o [@@inline]
+
+let set_at regs o v =
+  if o < 0 then invalid_arg "index out of bounds";
+  set64u regs o v
+[@@inline]
+
+let get_f regs o = Int64.float_of_bits (get64u regs o) [@@inline]
+
+(* ------------------------------------------------------------------ *)
+(* Memory: the load/store unit                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The load/store unit lives in this compilation unit so that [exec]'s
+   loads and stores inline it: a page-cache hit makes no call. *)
+module Memory = struct
+  type fault =
+    | Unmapped of int64
+    | Non_canonical of int64
+    | Read_only of int64
+
+  exception Fault of fault
+
+  let fault_to_string = function
+    | Unmapped a -> Printf.sprintf "unmapped address 0x%Lx" a
+    | Non_canonical a ->
+        Printf.sprintf "non-canonical address 0x%Lx (corrupted pointer?)" a
+    | Read_only a -> Printf.sprintf "write to read-only address 0x%Lx" a
+
+  let page_bits = 12
+  let page_size = 1 lsl page_bits
+
+  module Pages = Hashtbl.Make (Int)
+
+  (* Pages are keyed by page number; a canonical address has 48 bits, so
+     the address and its page number fit an [int]. In front of the table
+     sits a direct-mapped cache: slot [slot_of no] holds page [no] once an
+     access has looked it up. Pages are never unmapped, so a slot cannot go
+     stale. *)
+  let cache_bits = 7
+
+  type t = {
+    pages : bytes Pages.t;
+    cached_no : int array;  (* the page number in each slot, -1 when empty *)
+    cached : bytes array;
+    mutable ro_regions : (int * int) list;  (* inclusive lo, exclusive hi *)
+    mutable ro_lo : int;  (* the regions' hull: no address outside [ro_lo, ro_hi) *)
+    mutable ro_hi : int;  (* is read-only, so a write there tests no region *)
+  }
+
+  let create () =
+    {
+      pages = Pages.create 256;
+      cached_no = Array.make (1 lsl cache_bits) (-1);
+      cached = Array.make (1 lsl cache_bits) Bytes.empty;
+      ro_regions = [];
+      ro_lo = max_int;
+      ro_hi = 0;
+    }
+
+  (* Fibonacci hashing: the top bits of the page number times 2^63/phi, so
+     the consecutive pages of each segment spread over the slots and the
+     segments' first pages do not meet in one. *)
+  let slot_of no = (no * -0x30E44323405AC1F5) lsr (63 - cache_bits) [@@inline]
+
+  let check_canonical a =
+    if Int64.shift_right_logical a 48 <> 0L then raise (Fault (Non_canonical a))
+  [@@inline]
+
+  let offset_of a = Int64.to_int a land (page_size - 1) [@@inline]
+
+  (* The cache missed: look the page up and fill its slot. [a] is the
+     canonical address being accessed, as an [int]. *)
+  let fill t a =
+    let no = a lsr page_bits in
+    match Pages.find t.pages no with
+    | p ->
+        let s = slot_of no in
+        t.cached_no.(s) <- no;
+        t.cached.(s) <- p;
+        p
+    | exception Not_found -> raise (Fault (Unmapped (Int64.of_int a)))
+
+  let get_page t a =
+    check_canonical a;
+    let a = Int64.to_int a in
+    let no = a lsr page_bits in
+    let s = slot_of no in
+    if t.cached_no.(s) = no then t.cached.(s) else fill t a
+  [@@inline]
+
+  let map t ~addr ~size =
+    check_canonical addr;
+    let first = Int64.to_int addr lsr page_bits
+    and last =
+      Int64.to_int (Int64.add addr (Int64.of_int (max 0 (size - 1)))) lsr page_bits
+    in
+    for no = first to last do
+      if t.cached_no.(slot_of no) <> no && not (Pages.mem t.pages no) then
+        Pages.replace t.pages no (Bytes.make page_size '\000')
+    done
+
+  let protect t ~addr ~size =
+    let lo = Int64.to_int addr in
+    t.ro_regions <- (lo, lo + size) :: t.ro_regions;
+    t.ro_lo <- min t.ro_lo lo;
+    t.ro_hi <- max t.ro_hi (lo + size)
+
+  let rec in_region (a : int) = function
+    | [] -> false
+    | (lo, hi) :: rest -> (a >= lo && a < hi) || in_region a rest
+
+  (* A non-canonical address lies in no region, which are canonical, so the
+     canonical check may come first. *)
+  let check_writable t a =
+    check_canonical a;
+    let i = Int64.to_int a in
+    if i >= t.ro_lo && i < t.ro_hi && in_region i t.ro_regions then
+      raise (Fault (Read_only a))
+  [@@inline]
+
+  let read_u8 t a = Char.code (Bytes.get (get_page t a) (offset_of a))
+
+  let write_u8_unchecked t a v =
+    Bytes.set (get_page t a) (offset_of a) (Char.chr (v land 0xFF))
+
+  let write_u8 t a v =
+    check_writable t a;
+    write_u8_unchecked t a v
+
+  let read_u64 t a =
+    (* Fast path when the word does not straddle a page. *)
+    let off = offset_of a in
+    if off + 8 <= page_size then Bytes.get_int64_le (get_page t a) off
+    else begin
+      let v = ref 0L in
+      for i = 7 downto 0 do
+        v := Int64.logor (Int64.shift_left !v 8)
+               (Int64.of_int (read_u8 t (Int64.add a (Int64.of_int i))))
+      done;
+      !v
+    end
+
+  let write_u64_raw t a v =
+    let off = offset_of a in
+    if off + 8 <= page_size then Bytes.set_int64_le (get_page t a) off v
+    else
+      for i = 0 to 7 do
+        write_u8_unchecked t (Int64.add a (Int64.of_int i))
+          (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+      done
+
+  let write_u64 t a v =
+    check_writable t a;
+    write_u64_raw t a v
+
+  (* The load/store unit: a word or a byte moves between memory and a
+     register file in place, [dst], [src] and [addr] being pre-checked
+     register offsets, so no [int64] is boxed on the way. Each access
+     inlines: a page-cache hit makes no call, a miss calls [fill], and
+     only a word that straddles two pages goes through [read_u64] or
+     [write_u64_raw]. A page is [page_size] bytes and the word's offset
+     was just tested, so the page is read and written unchecked. *)
+  let load_word t regs ~dst ~addr =
+    let a = get_at regs addr in
+    let off = offset_of a in
+    if off + 8 <= page_size then set_at regs dst (get64u_le (get_page t a) off)
+    else set_at regs dst (read_u64 t a)
+  [@@inline]
+
+  let load_byte t regs ~dst ~addr =
+    let a = get_at regs addr in
+    set_at regs dst (Int64.of_int (Char.code (Bytes.unsafe_get (get_page t a) (offset_of a))))
+  [@@inline]
+
+  let store_word t regs ~src ~addr =
+    let a = get_at regs addr in
+    check_writable t a;
+    let off = offset_of a in
+    if off + 8 <= page_size then set64u_le (get_page t a) off (get_at regs src)
+    else write_u64_raw t a (get_at regs src)
+  [@@inline]
+
+  let store_byte t regs ~src ~addr =
+    let a = get_at regs addr in
+    check_writable t a;
+    Bytes.unsafe_set (get_page t a) (offset_of a)
+      (Char.unsafe_chr (Int64.to_int (get_at regs src) land 0xFF))
+  [@@inline]
+
+  (* The unit's entry for callers whose offsets resolution did not check:
+     each is checked before memory is touched. *)
+  let in_file regs o =
+    if o < 0 || o > Bytes.length regs - 8 then invalid_arg "index out of bounds"
+
+  let load t regs ~dst ~addr ~byte =
+    in_file regs addr;
+    in_file regs dst;
+    if byte then load_byte t regs ~dst ~addr else load_word t regs ~dst ~addr
+
+  let store t regs ~src ~addr ~byte =
+    in_file regs addr;
+    in_file regs src;
+    if byte then store_byte t regs ~src ~addr else store_word t regs ~src ~addr
+
+  let read_bytes t a n =
+    let out = Bytes.create n in
+    for i = 0 to n - 1 do
+      Bytes.set out i (Char.chr (read_u8 t (Int64.add a (Int64.of_int i))))
+    done;
+    out
+
+  let write_bytes t a b =
+    for i = 0 to Bytes.length b - 1 do
+      write_u8 t (Int64.add a (Int64.of_int i)) (Char.code (Bytes.get b i))
+    done
+
+  let read_cstring t a =
+    let buf = Buffer.create 32 in
+    let rec go i =
+      if i >= 65536 then Buffer.contents buf
+      else begin
+        let c = read_u8 t (Int64.add a (Int64.of_int i)) in
+        if c = 0 then Buffer.contents buf
+        else begin
+          Buffer.add_char buf (Char.chr c);
+          go (i + 1)
+        end
+      end
+    in
+    go 0
+
+  let write_cstring t a s =
+    String.iteri (fun i c -> write_u8 t (Int64.add a (Int64.of_int i)) (Char.code c)) s;
+    write_u8 t (Int64.add a (Int64.of_int (String.length s))) 0
+end
+
+(* ------------------------------------------------------------------ *)
 (* Resolved code                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -162,14 +418,12 @@ type attack = { trigger : trigger; action : intruder -> unit }
    register did. An instruction that cannot be resolved becomes [Fail].
    So a bad name, type or register fails only when it runs.
 
-   An instruction whose operands all resolved to registers takes a
-   pre-checked form where there is one: it holds each register as its
-   byte offset in the file and skips the negative-operand test. A load,
-   store, gep, gepidx or bitcast has no other form, so one with an
-   operand that cannot be resolved becomes [Fail] too. *)
+   Every instruction but a call, a PA op and a pp op takes a pre-checked
+   form: it holds each register as its byte offset in the file, so it
+   runs with no negative-operand test. One with an operand that cannot
+   be resolved becomes [Fail] of what reading that operand raises (the
+   first bad one, in the order the instruction reads them). *)
 type operand = int
-
-type conv = To_double | To_integer | To_char | Same
 
 type callee =
   | Defined of int  (* index into [t.funcs] *)
@@ -183,34 +437,59 @@ type pp =
   | Pp_auth of { dst : int; src : operand; slot : operand }
   | Pp_add_tbi of { dst : int; src : operand; ce : int }
 
-type code =
-  | Alloca of { dst : int; size : int }  (* rounded up to 16 bytes *)
-  | Binop of { dst : int; op : Ast.binop; fl : Ir.float_op; a : operand; b : operand }
-  | Neg of { dst : int; fl : Ir.float_op; src : operand }
-  | Lognot of { dst : int; src : operand }
-  | Bitnot of { dst : int; src : operand }
-  | Cast_num of { dst : int; src : operand; conv : conv }
+(* What [exec] hands on to [exec_generic]. *)
+type generic =
   | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
   | Pac of { p : Ir.pac; dst : int; src : operand; slot : operand }
   | Pp of pp
   | Fail of exn
-  (* the pre-checked forms; every field but [off] and [size] a byte offset *)
+
+(* The binary operators without a pre-checked form of their own: float
+   [%] and comparisons, and the logical operators, which read float bits
+   as integers. *)
+type rare = Fmod | Feq | Fne | Flt | Fle | Fgt | Fge | Logand | Logor
+
+(* The pre-checked forms; every [int] field but [off] and [size] a byte
+   offset. Integer and float forms read and write the same 64-bit
+   registers, a float as its bits; the bitwise forms serve both. *)
+type code =
   | Ld of { dst : int; addr : int }  (* a word *)
   | Ldb of { dst : int; addr : int }  (* a byte *)
   | St of { src : int; addr : int }
   | Stb of { src : int; addr : int }
-  | Add of { dst : int; a : int; b : int }  (* integer arithmetic and comparisons *)
+  | Add of { dst : int; a : int; b : int }
   | Sub of { dst : int; a : int; b : int }
   | Mul of { dst : int; a : int; b : int }
+  | Div of { dst : int; a : int; b : int }
+  | Mod of { dst : int; a : int; b : int }
   | Eq of { dst : int; a : int; b : int }
   | Ne of { dst : int; a : int; b : int }
   | Lt of { dst : int; a : int; b : int }
   | Le of { dst : int; a : int; b : int }
   | Gt of { dst : int; a : int; b : int }
   | Ge of { dst : int; a : int; b : int }
+  | And of { dst : int; a : int; b : int }
+  | Or of { dst : int; a : int; b : int }
+  | Xor of { dst : int; a : int; b : int }
+  | Shl of { dst : int; a : int; b : int }
+  | Shr of { dst : int; a : int; b : int }
+  | Fadd of { dst : int; a : int; b : int }
+  | Fsub of { dst : int; a : int; b : int }
+  | Fmul of { dst : int; a : int; b : int }
+  | Fdiv of { dst : int; a : int; b : int }
+  | Binop of { dst : int; op : rare; a : int; b : int }
+  | Neg of { dst : int; src : int }
+  | Fneg of { dst : int; src : int }
+  | Lognot of { dst : int; src : int }
+  | Bitnot of { dst : int; src : int }
+  | To_double of { dst : int; src : int }  (* numeric casts *)
+  | To_integer of { dst : int; src : int }
+  | To_char of { dst : int; src : int }
+  | Alloca of { dst : int; size : int }  (* rounded up to 16 bytes *)
   | Gep of { dst : int; base : int; off : int }
   | Gepidx of { dst : int; base : int; size : int; idx : int }
-  | Move of { dst : int; src : int }
+  | Move of { dst : int; src : int }  (* a bitcast, or a cast that keeps the bits *)
+  | Generic of generic
 
 let loads_of = function Ld _ | Ldb _ -> 1 | _ -> 0
 let stores_of = function St _ | Stb _ -> 1 | _ -> 0
@@ -303,6 +582,10 @@ type t = {
   mutable notes : string list;  (* reverse *)
   out : Buffer.t;
   mutable step_limit : int;  (* on [counts.instrs] *)
+  mutable whole_limit : int;
+      (* the [counts.instrs] a segment accounted whole may reach:
+         [step_limit] on a plain machine, -1 on a profiled or
+         flight-recorded one, which steps each instruction *)
   mutable auth_failed : bool;   (* any auth failure so far *)
   call_counts : int array;  (* by function index *)
   extern_counts : int array;  (* by libc index *)
@@ -469,6 +752,7 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     notes = [];
     out = Buffer.create 256;
     step_limit = 200_000_000;
+    whole_limit = -1;
     auth_failed = false;
     call_counts = Array.make (Array.length funcs) 0;
     extern_counts = Array.make (Array.length libc) 0;
@@ -539,17 +823,15 @@ let code_at t a =
 (* Resolution                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Register [r]; a negative operand raises what resolution kept for it. *)
+(* Register [r] of an operand that did not take a pre-checked form; a
+   negative operand raises what resolution kept for it. *)
 let get f regs r =
   if r < 0 then raise f.bad.(lnot r);
-  Bytes.get_int64_ne regs (r lsl 3)
+  get_at regs (r lsl 3)
 [@@inline]
 
-let set regs r v = Bytes.set_int64_ne regs (r lsl 3) v [@@inline]
+let set regs r v = set_at regs (r lsl 3) v [@@inline]
 
-(* The register at byte offset [o], as the pre-checked forms hold it. *)
-let get_at regs o = Bytes.get_int64_ne regs o [@@inline]
-let set_at regs o v = Bytes.set_int64_ne regs o v [@@inline]
 let truth c = Int64.of_int (Bool.to_int c) [@@inline]
 
 (* Each instruction's static charge. A call's is 0: the machine charges
@@ -612,22 +894,16 @@ let resolve t i =
   let operand v = match reg v with r -> r | exception e -> fail e in
   (* char is one byte, everything else a 64-bit word *)
   let byte ty = match Ctype.strip_const ty with Ctype.Char -> true | _ -> false in
-  let conv from_ty to_ty =
-    match (Ctype.strip_all_quals from_ty, Ctype.strip_all_quals to_ty) with
-    | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double -> To_double
-    | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) -> To_integer
-    | _, Ctype.Char -> To_char
-    | _ -> Same
-  in
+  (* The pre-checked forms: an operand that does not resolve raises here,
+     and the instruction becomes [Fail] of it. Each reads its operands in
+     the order the instruction executes them: a binary operator [a]
+     before [b], a store its value before its address, a gepidx its index
+     before its base. *)
   let code (ins : Ir.instr) =
     match ins.i with
     | Ir.Alloca { dst = d; ty; _ } ->
         let size = max 8 (Ir.sizeof t.m ty) in
-        Alloca { dst = dst d; size = (size + 15) / 16 * 16 }
-    (* these have only pre-checked forms: an operand that does not
-       resolve raises here, and the instruction becomes [Fail] of it. A
-       store reads its value before its address, a gepidx its index
-       before its base. *)
+        Alloca { dst = dst d lsl 3; size = (size + 15) / 16 * 16 }
     | Ir.Load { dst = d; addr; ty; _ } ->
         let d = dst d lsl 3 and addr = reg addr lsl 3 in
         if byte ty then Ldb { dst = d; addr } else Ld { dst = d; addr }
@@ -645,45 +921,74 @@ let resolve t i =
         Gepidx { dst = dst d lsl 3; base; size; idx }
     | Ir.Bitcast { dst = d; src; _ } -> Move { dst = dst d lsl 3; src = reg src lsl 3 }
     | Ir.Binop { dst = d; op; fl; a; b } -> (
-        let d = dst d and a = operand a and b = operand b in
-        let dst = d lsl 3 and ra = a lsl 3 and rb = b lsl 3 in
+        let a = reg a lsl 3 in
+        let b = reg b lsl 3 in
+        let dst = dst d lsl 3 in
+        let rare op = Binop { dst; op; a; b } in
         match (op, fl) with
-        | _ when a < 0 || b < 0 -> Binop { dst = d; op; fl; a; b }
-        | Ast.Add, Ir.Iop -> Add { dst; a = ra; b = rb }
-        | Ast.Sub, Ir.Iop -> Sub { dst; a = ra; b = rb }
-        | Ast.Mul, Ir.Iop -> Mul { dst; a = ra; b = rb }
-        | Ast.Eq, Ir.Iop -> Eq { dst; a = ra; b = rb }
-        | Ast.Ne, Ir.Iop -> Ne { dst; a = ra; b = rb }
-        | Ast.Lt, Ir.Iop -> Lt { dst; a = ra; b = rb }
-        | Ast.Le, Ir.Iop -> Le { dst; a = ra; b = rb }
-        | Ast.Gt, Ir.Iop -> Gt { dst; a = ra; b = rb }
-        | Ast.Ge, Ir.Iop -> Ge { dst; a = ra; b = rb }
-        | _ -> Binop { dst = d; op; fl; a; b })
-    | Ir.Neg { dst = d; fl; src } -> Neg { dst = dst d; fl; src = operand src }
-    | Ir.Lognot { dst = d; src } -> Lognot { dst = dst d; src = operand src }
-    | Ir.Bitnot { dst = d; src } -> Bitnot { dst = dst d; src = operand src }
-    | Ir.Cast_num { dst = d; src; from_ty; to_ty } ->
-        Cast_num { dst = dst d; src = operand src; conv = conv from_ty to_ty }
+        | Ast.Add, Ir.Iop -> Add { dst; a; b }
+        | Ast.Sub, Ir.Iop -> Sub { dst; a; b }
+        | Ast.Mul, Ir.Iop -> Mul { dst; a; b }
+        | Ast.Div, Ir.Iop -> Div { dst; a; b }
+        | Ast.Mod, Ir.Iop -> Mod { dst; a; b }
+        | Ast.Eq, Ir.Iop -> Eq { dst; a; b }
+        | Ast.Ne, Ir.Iop -> Ne { dst; a; b }
+        | Ast.Lt, Ir.Iop -> Lt { dst; a; b }
+        | Ast.Le, Ir.Iop -> Le { dst; a; b }
+        | Ast.Gt, Ir.Iop -> Gt { dst; a; b }
+        | Ast.Ge, Ir.Iop -> Ge { dst; a; b }
+        | Ast.Add, Ir.Fop -> Fadd { dst; a; b }
+        | Ast.Sub, Ir.Fop -> Fsub { dst; a; b }
+        | Ast.Mul, Ir.Fop -> Fmul { dst; a; b }
+        | Ast.Div, Ir.Fop -> Fdiv { dst; a; b }
+        | Ast.Mod, Ir.Fop -> rare Fmod
+        | Ast.Eq, Ir.Fop -> rare Feq
+        | Ast.Ne, Ir.Fop -> rare Fne
+        | Ast.Lt, Ir.Fop -> rare Flt
+        | Ast.Le, Ir.Fop -> rare Fle
+        | Ast.Gt, Ir.Fop -> rare Fgt
+        | Ast.Ge, Ir.Fop -> rare Fge
+        | Ast.Bitand, _ -> And { dst; a; b }
+        | Ast.Bitor, _ -> Or { dst; a; b }
+        | Ast.Bitxor, _ -> Xor { dst; a; b }
+        | Ast.Shl, _ -> Shl { dst; a; b }
+        | Ast.Shr, _ -> Shr { dst; a; b }
+        | Ast.Logand, _ -> rare Logand
+        | Ast.Logor, _ -> rare Logor)
+    | Ir.Neg { dst = d; fl; src } -> (
+        let src = reg src lsl 3 and dst = dst d lsl 3 in
+        match fl with Ir.Iop -> Neg { dst; src } | Ir.Fop -> Fneg { dst; src })
+    | Ir.Lognot { dst = d; src } -> Lognot { dst = dst d lsl 3; src = reg src lsl 3 }
+    | Ir.Bitnot { dst = d; src } -> Bitnot { dst = dst d lsl 3; src = reg src lsl 3 }
+    | Ir.Cast_num { dst = d; src; from_ty; to_ty } -> (
+        let src = reg src lsl 3 and dst = dst d lsl 3 in
+        match (Ctype.strip_all_quals from_ty, Ctype.strip_all_quals to_ty) with
+        | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double -> To_double { dst; src }
+        | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) -> To_integer { dst; src }
+        | _, Ctype.Char -> To_char { dst; src }
+        | _ -> Move { dst; src })
     | Ir.Call { dst = d; callee; args; arg_tys; _ } ->
         let callee =
           match callee with
           | Ir.Direct name -> callee_of t name
           | Ir.Indirect c -> Via (operand c)
         in
-        Call
-          { dst = Option.map dst d; callee; args = Array.of_list (List.map operand args);
-            arg_tys }
+        Generic
+          (Call
+             { dst = Option.map dst d; callee; args = Array.of_list (List.map operand args);
+               arg_tys })
     | Ir.Pac p ->
-        Pac { p; dst = dst p.p_dst; src = operand p.p_src; slot = operand p.p_slot_addr }
-    | Ir.Pp (Ir.Pp_add _) -> Pp Pp_add
+        Generic
+          (Pac { p; dst = dst p.p_dst; src = operand p.p_src; slot = operand p.p_slot_addr })
+    | Ir.Pp (Ir.Pp_add _) -> Generic (Pp Pp_add)
     | Ir.Pp (Ir.Pp_sign { dst = d; src; ce; slot_addr }) ->
-        Pp (Pp_sign { dst = dst d; src = operand src; ce; slot = operand slot_addr })
+        Generic (Pp (Pp_sign { dst = dst d; src = operand src; ce; slot = operand slot_addr }))
     | Ir.Pp (Ir.Pp_auth { dst = d; src; slot_addr }) ->
-        Pp (Pp_auth { dst = dst d; src = operand src; slot = operand slot_addr })
+        Generic (Pp (Pp_auth { dst = dst d; src = operand src; slot = operand slot_addr }))
     | Ir.Pp (Ir.Pp_add_tbi { dst = d; src; ce }) ->
-        Pp (Pp_add_tbi { dst = dst d; src = operand src; ce })
+        Generic (Pp (Pp_add_tbi { dst = dst d; src = operand src; ce }))
   in
-  let code ins = match code ins with c -> c | exception exn -> Fail exn in
+  let code ins = match code ins with c -> c | exception exn -> Generic (Fail exn) in
   let line (ins : Ir.instr) =
     match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0
   in
@@ -698,7 +1003,9 @@ let resolve t i =
       | Ir.Unreachable -> Unreachable
     in
     (* a segment ends after each call, and the last one at the terminator *)
-    let calls = Array.fold_left (fun n c -> match c with Call _ -> n + 1 | _ -> n) 0 body in
+    let calls =
+      Array.fold_left (fun n c -> match c with Generic (Call _) -> n + 1 | _ -> n) 0 body
+    in
     let segs = Array.make (seg_width * (calls + 1)) 0 in
     let k = ref 0 in
     for j = 0 to Array.length body - 1 do
@@ -708,7 +1015,7 @@ let resolve t i =
       segs.(!k + 3) <- segs.(!k + 3) + loads_of c;
       segs.(!k + 4) <- segs.(!k + 4) + stores_of c;
       match c with
-      | Call _ ->
+      | Generic (Call _) ->
           segs.(!k) <- j + 1;
           k := !k + seg_width
       | _ -> ()
@@ -967,7 +1274,7 @@ let set_modifier f regs (m : Ir.modifier) slot =
    holds the address meanwhile). *)
 let load_fe t f regs ce =
   Bytes.set_int64_ne regs f.res (Int64.add pp_meta_base (Int64.of_int (ce * 8)));
-  try Memory.load t.mem regs ~dst:f.md ~addr:f.res ~byte:false
+  try Memory.load_word t.mem regs ~dst:f.md ~addr:f.res
   with Memory.Fault fault -> raise (mem_fault t f.name fault)
 
 let malloc t size =
@@ -1003,6 +1310,94 @@ let copy t ~dst ~src n =
       (Memory.read_bytes t.mem (Int64.add src off) len);
     copied := !copied + len
   done
+
+(* ------------------------------------------------------------------ *)
+(* The pre-checked forms                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The one place the pre-checked forms' semantics live. It is inlined
+   into both instruction loops, [exec_block]'s and [exec_each], and hands
+   every [Generic] instruction to [generic], which is [exec_generic]: so
+   a pre-checked instruction, a load or store that hits the page cache
+   included, runs with no call. The caller has stepped and charged the
+   instruction and counted its load or store. Each case stores its own
+   result: an [int64] yielded by a [match] or returned from a call would
+   be boxed. *)
+let exec t f regs (c : code) generic =
+  match c with
+  | Ld { dst; addr } -> Memory.load_word t.mem regs ~dst ~addr
+  | Ldb { dst; addr } -> Memory.load_byte t.mem regs ~dst ~addr
+  | St { src; addr } -> Memory.store_word t.mem regs ~src ~addr
+  | Stb { src; addr } -> Memory.store_byte t.mem regs ~src ~addr
+  | Add { dst; a; b } -> set_at regs dst (Int64.add (get_at regs a) (get_at regs b))
+  | Sub { dst; a; b } -> set_at regs dst (Int64.sub (get_at regs a) (get_at regs b))
+  | Mul { dst; a; b } -> set_at regs dst (Int64.mul (get_at regs a) (get_at regs b))
+  | Div { dst; a; b } ->
+      let y = get_at regs b in
+      if y = 0L then raise (Trap_exn (Div_by_zero f.name));
+      set_at regs dst (Int64.div (get_at regs a) y)
+  | Mod { dst; a; b } ->
+      let y = get_at regs b in
+      if y = 0L then raise (Trap_exn (Div_by_zero f.name));
+      set_at regs dst (Int64.rem (get_at regs a) y)
+  | Eq { dst; a; b } -> set_at regs dst (truth (get_at regs a = get_at regs b))
+  | Ne { dst; a; b } -> set_at regs dst (truth (get_at regs a <> get_at regs b))
+  | Lt { dst; a; b } -> set_at regs dst (truth (get_at regs a < get_at regs b))
+  | Le { dst; a; b } -> set_at regs dst (truth (get_at regs a <= get_at regs b))
+  | Gt { dst; a; b } -> set_at regs dst (truth (get_at regs a > get_at regs b))
+  | Ge { dst; a; b } -> set_at regs dst (truth (get_at regs a >= get_at regs b))
+  | And { dst; a; b } -> set_at regs dst (Int64.logand (get_at regs a) (get_at regs b))
+  | Or { dst; a; b } -> set_at regs dst (Int64.logor (get_at regs a) (get_at regs b))
+  | Xor { dst; a; b } -> set_at regs dst (Int64.logxor (get_at regs a) (get_at regs b))
+  | Shl { dst; a; b } ->
+      set_at regs dst
+        (Int64.shift_left (get_at regs a) (Int64.to_int (get_at regs b) land 63))
+  | Shr { dst; a; b } ->
+      set_at regs dst
+        (Int64.shift_right (get_at regs a) (Int64.to_int (get_at regs b) land 63))
+  | Fadd { dst; a; b } -> set_at regs dst (Int64.bits_of_float (get_f regs a +. get_f regs b))
+  | Fsub { dst; a; b } -> set_at regs dst (Int64.bits_of_float (get_f regs a -. get_f regs b))
+  | Fmul { dst; a; b } -> set_at regs dst (Int64.bits_of_float (get_f regs a *. get_f regs b))
+  | Fdiv { dst; a; b } -> set_at regs dst (Int64.bits_of_float (get_f regs a /. get_f regs b))
+  | Binop { dst; op; a; b } -> (
+      let x = get_at regs a and y = get_at regs b in
+      let fx = Int64.float_of_bits x and fy = Int64.float_of_bits y in
+      match op with
+      | Fmod -> set_at regs dst (Int64.bits_of_float (Float.rem fx fy))
+      | Feq -> set_at regs dst (truth (fx = fy))
+      | Fne -> set_at regs dst (truth (fx <> fy))
+      | Flt -> set_at regs dst (truth (fx < fy))
+      | Fle -> set_at regs dst (truth (fx <= fy))
+      | Fgt -> set_at regs dst (truth (fx > fy))
+      | Fge -> set_at regs dst (truth (fx >= fy))
+      | Logand -> set_at regs dst (truth (x <> 0L && y <> 0L))
+      | Logor -> set_at regs dst (truth (x <> 0L || y <> 0L)))
+  | Neg { dst; src } -> set_at regs dst (Int64.neg (get_at regs src))
+  | Fneg { dst; src } -> set_at regs dst (Int64.bits_of_float (-.get_f regs src))
+  | Lognot { dst; src } -> set_at regs dst (truth (get_at regs src = 0L))
+  | Bitnot { dst; src } -> set_at regs dst (Int64.lognot (get_at regs src))
+  | To_double { dst; src } ->
+      set_at regs dst (Int64.bits_of_float (Int64.to_float (get_at regs src)))
+  | To_integer { dst; src } -> set_at regs dst (Int64.of_float (get_f regs src))
+  | To_char { dst; src } -> set_at regs dst (Int64.logand (get_at regs src) 0xFFL)
+  | Alloca { dst; size } ->
+      t.sp <- t.sp - size;
+      if t.sp < stack_limit then raise (Trap_exn Stack_overflow);
+      (* [sp] only falls by an [Alloca], so every byte from [stack_low]
+         up has been allocated once and is mapped. *)
+      if t.sp < t.stack_low then begin
+        Memory.map t.mem ~addr:(Int64.of_int t.sp) ~size:(t.stack_low - t.sp);
+        t.stack_low <- t.sp
+      end;
+      set_at regs dst (Int64.of_int t.sp)
+  | Gep { dst; base; off } ->
+      set_at regs dst (Int64.add (get_at regs base) (Int64.of_int off))
+  | Gepidx { dst; base; size; idx } ->
+      set_at regs dst
+        (Int64.add (get_at regs base) (Int64.mul (Int64.of_int size) (get_at regs idx)))
+  | Move { dst; src } -> set_at regs dst (get_at regs src)
+  | Generic g -> generic t f regs g
+[@@inline]
 
 (* ------------------------------------------------------------------ *)
 (* printf                                                              *)
@@ -1375,46 +1770,6 @@ and exec_pp t f regs (pp : pp) =
       if ok then Rsti_pa.Vaddr.with_top_byte_at regs ~dst:(dst lsl 3) ~src:res 0
       else set regs dst r
 
-(* Every branch yields its [int64] from primitives alone, and [binop]
-   stores it itself: an [int64] returned from a call would be boxed. *)
-and binop f regs dst (op : Ast.binop) (fl : Ir.float_op) a b =
-  let x = get f regs a and y = get f regs b in
-  let fx = Int64.float_of_bits x and fy = Int64.float_of_bits y in
-  set regs dst
-    (match (op, fl) with
-    | Ast.Add, Ir.Iop -> Int64.add x y
-    | Ast.Sub, Ir.Iop -> Int64.sub x y
-    | Ast.Mul, Ir.Iop -> Int64.mul x y
-    | Ast.Div, Ir.Iop ->
-        if y = 0L then raise (Trap_exn (Div_by_zero f.name)) else Int64.div x y
-    | Ast.Mod, Ir.Iop ->
-        if y = 0L then raise (Trap_exn (Div_by_zero f.name)) else Int64.rem x y
-    | Ast.Eq, Ir.Iop -> truth (Int64.equal x y)
-    | Ast.Ne, Ir.Iop -> truth (not (Int64.equal x y))
-    | Ast.Lt, Ir.Iop -> truth (Int64.compare x y < 0)
-    | Ast.Le, Ir.Iop -> truth (Int64.compare x y <= 0)
-    | Ast.Gt, Ir.Iop -> truth (Int64.compare x y > 0)
-    | Ast.Ge, Ir.Iop -> truth (Int64.compare x y >= 0)
-    | Ast.Add, Ir.Fop -> Int64.bits_of_float (fx +. fy)
-    | Ast.Sub, Ir.Fop -> Int64.bits_of_float (fx -. fy)
-    | Ast.Mul, Ir.Fop -> Int64.bits_of_float (fx *. fy)
-    | Ast.Div, Ir.Fop -> Int64.bits_of_float (fx /. fy)
-    | Ast.Mod, Ir.Fop -> Int64.bits_of_float (Float.rem fx fy)
-    | Ast.Eq, Ir.Fop -> truth (fx = fy)
-    | Ast.Ne, Ir.Fop -> truth (fx <> fy)
-    | Ast.Lt, Ir.Fop -> truth (fx < fy)
-    | Ast.Le, Ir.Fop -> truth (fx <= fy)
-    | Ast.Gt, Ir.Fop -> truth (fx > fy)
-    | Ast.Ge, Ir.Fop -> truth (fx >= fy)
-    (* the bitwise and logical operators read float bits as integers *)
-    | Ast.Bitand, _ -> Int64.logand x y
-    | Ast.Bitor, _ -> Int64.logor x y
-    | Ast.Bitxor, _ -> Int64.logxor x y
-    | Ast.Shl, _ -> Int64.shift_left x (Int64.to_int y land 63)
-    | Ast.Shr, _ -> Int64.shift_right x (Int64.to_int y land 63)
-    | Ast.Logand, _ -> truth (x <> 0L && y <> 0L)
-    | Ast.Logor, _ -> truth (x <> 0L || y <> 0L))
-
 (* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
    paper's introduction contrasts RSTI with): an indirect call may only
    land on a function whose prototype matches the call site's static
@@ -1462,73 +1817,58 @@ and call_values t i (argv : int64 array) : int64 =
   call_function t i g regs
 
 (* Block [label] of [f], then the blocks it branches to; returns what
-   [f] returns. Each segment counts its visit as it is entered. A machine
-   with neither the profiler nor the flight recorder on accounts per
-   segment: it adds the segment's totals once, before its first
-   instruction, and runs the instructions with no step, charge or
-   observer test. A segment that would cross the step limit, and every
-   segment of a profiled or flight-recorded machine, goes through
+   [f] returns. Each segment counts its visit as it is entered. A plain
+   machine accounts per segment: it adds the segment's totals once,
+   before its first instruction, and runs the instructions with no step,
+   charge or observer test. A segment that would take [counts.instrs]
+   past [whole_limit] (one that would cross the step limit, and every
+   segment of a profiled or flight-recorded machine) goes through
    [exec_each] instead, so the profiler's site and the recorder's line
-   are current whenever either reads them. [charged] says whether the
-   last segment, whose totals hold the terminator's charge and step, was
-   accounted whole. *)
+   are current whenever either reads them. Resolution built [segs] with
+   [seg_width] slots a segment and each segment's stop at most the
+   body's length, so both are read unchecked. *)
 and exec_block t f regs label : int64 =
   let b = f.blocks.(label) in
   let segs = b.segs and body = b.body and c = t.counts in
-  let observed = t.profiling || t.recording in
   let last = Array.length segs - seg_width in
-  let charged = ref false in
   let k = ref 0 and i = ref 0 in
   while !k <= last do
-    let stop = segs.(!k) and steps = segs.(!k + 2) in
-    segs.(!k + visit_slot) <- segs.(!k + visit_slot) + 1;
-    if observed || c.instrs + steps > t.step_limit then begin
-      exec_each t f regs b !i stop;
-      charged := false
-    end
+    let stop = Array.unsafe_get segs !k and steps = Array.unsafe_get segs (!k + 2) in
+    Array.unsafe_set segs (!k + visit_slot) (Array.unsafe_get segs (!k + visit_slot) + 1);
+    if c.instrs + steps > t.whole_limit then exec_each t f regs b !i stop (!k = last)
     else begin
-      t.cycles <- t.cycles + segs.(!k + 1);
+      t.cycles <- t.cycles + Array.unsafe_get segs (!k + 1);
       c.instrs <- c.instrs + steps;
-      c.loads <- c.loads + segs.(!k + 3);
-      c.stores <- c.stores + segs.(!k + 4);
+      c.loads <- c.loads + Array.unsafe_get segs (!k + 3);
+      c.stores <- c.stores + Array.unsafe_get segs (!k + 4);
       let start = !i in
-      (try
-         while !i < stop do
-           exec t f regs body.(!i);
-           incr i
-         done
-       with e -> (
-         take_back t b !k start !i;
-         match e with
-         | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
-             raise (mem_fault t f.name fault)
-         | e -> raise e));
-      charged := true
+      try
+        while !i < stop do
+          exec t f regs (Array.unsafe_get body !i) exec_generic;
+          incr i
+        done
+      with e -> (
+        take_back t b !k start !i;
+        match e with
+        | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
+            raise (mem_fault t f.name fault)
+        | e -> raise e)
     end;
     i := stop;
     k := !k + seg_width
   done;
   match b.term with
-  | Ret v ->
-      if not !charged then charge t t.costs.branch;
-      get f regs v
-  | Br l ->
-      if not !charged then begin
-        charge t t.costs.branch;
-        step t
-      end;
-      exec_block t f regs l
-  | Condbr (c, l1, l2) ->
-      if not !charged then begin
-        charge t t.costs.branch;
-        step t
-      end;
-      exec_block t f regs (if Int64.equal (get f regs c) 0L then l2 else l1)
+  | Ret v -> get f regs v
+  | Br l -> exec_block t f regs l
+  | Condbr (c, l1, l2) -> exec_block t f regs (if get f regs c = 0L then l2 else l1)
   | Unreachable -> raise (Trap_exn (Unknown_function (f.name ^ ":unreachable")))
 
 (* Instructions [start, stop) of [b], each stepped and charged just
-   before it runs: the loop of profiled and flight-recorded machines. *)
-and exec_each t f regs b start stop =
+   before it runs, each load and store under its own fault handler, and
+   then, when [last] says they end the block, the terminator's charge and
+   step: the loop of profiled and flight-recorded machines and of a
+   segment that would cross the step limit. *)
+and exec_each t f regs b start stop last =
   let c = t.counts in
   for i = start to stop - 1 do
     let code = b.body.(i) in
@@ -1536,73 +1876,24 @@ and exec_each t f regs b start stop =
     if t.recording then t.cur_line <- b.lines.(i);
     step t;
     charge t b.cost.(i);
-    match code with
-    | Ld _ | Ldb _ ->
-        c.loads <- c.loads + 1;
-        exec_mem t f regs code
-    | St _ | Stb _ ->
-        c.stores <- c.stores + 1;
-        exec_mem t f regs code
-    | _ -> exec t f regs code
-  done
+    c.loads <- c.loads + loads_of code;
+    c.stores <- c.stores + stores_of code;
+    try exec t f regs code exec_generic
+    with Memory.Fault fault when loads_of code + stores_of code > 0 ->
+      raise (mem_fault t f.name fault)
+  done;
+  if last then
+    match b.term with
+    | Ret _ -> charge t t.costs.branch
+    | Br _ | Condbr _ ->
+        charge t t.costs.branch;
+        step t
+    | Unreachable -> ()
 
-and exec_mem t f regs code =
-  try exec t f regs code with Memory.Fault fault -> raise (mem_fault t f.name fault)
-
-(* The caller has stepped and charged the instruction and counted its
-   load or store. Each case here is free of calls or ends in a tail
-   call, so the pre-checked forms run without a frame of their own. *)
-and exec t f regs (c : code) : unit =
-  match c with
-  | Ld { dst; addr } -> Memory.load t.mem regs ~dst ~addr ~byte:false
-  | Ldb { dst; addr } -> Memory.load t.mem regs ~dst ~addr ~byte:true
-  | St { src; addr } -> Memory.store t.mem regs ~src ~addr ~byte:false
-  | Stb { src; addr } -> Memory.store t.mem regs ~src ~addr ~byte:true
-  | Add { dst; a; b } -> set_at regs dst (Int64.add (get_at regs a) (get_at regs b))
-  | Sub { dst; a; b } -> set_at regs dst (Int64.sub (get_at regs a) (get_at regs b))
-  | Mul { dst; a; b } -> set_at regs dst (Int64.mul (get_at regs a) (get_at regs b))
-  | Eq { dst; a; b } -> set_at regs dst (truth (get_at regs a = get_at regs b))
-  | Ne { dst; a; b } -> set_at regs dst (truth (get_at regs a <> get_at regs b))
-  | Lt { dst; a; b } -> set_at regs dst (truth (get_at regs a < get_at regs b))
-  | Le { dst; a; b } -> set_at regs dst (truth (get_at regs a <= get_at regs b))
-  | Gt { dst; a; b } -> set_at regs dst (truth (get_at regs a > get_at regs b))
-  | Ge { dst; a; b } -> set_at regs dst (truth (get_at regs a >= get_at regs b))
-  | Gep { dst; base; off } ->
-      set_at regs dst (Int64.add (get_at regs base) (Int64.of_int off))
-  | Gepidx { dst; base; size; idx } ->
-      set_at regs dst
-        (Int64.add (get_at regs base) (Int64.mul (Int64.of_int size) (get_at regs idx)))
-  | Move { dst; src } -> set_at regs dst (get_at regs src)
-  | c -> exec_generic t f regs c
-
-(* Each case stores its own result: see [binop]. *)
-and exec_generic t f regs (c : code) : unit =
-  match c with
-  | Alloca { dst; size } ->
-      t.sp <- t.sp - size;
-      if t.sp < stack_limit then raise (Trap_exn Stack_overflow);
-      (* [sp] only falls by an [Alloca], so every byte from [stack_low]
-         up has been allocated once and is mapped. *)
-      if t.sp < t.stack_low then begin
-        Memory.map t.mem ~addr:(Int64.of_int t.sp) ~size:(t.stack_low - t.sp);
-        t.stack_low <- t.sp
-      end;
-      set regs dst (Int64.of_int t.sp)
-  | Binop { dst; op; fl; a; b } -> binop f regs dst op fl a b
-  | Neg { dst; fl; src } -> (
-      let v = get f regs src in
-      match fl with
-      | Ir.Iop -> set regs dst (Int64.neg v)
-      | Ir.Fop -> set regs dst (Int64.bits_of_float (-.Int64.float_of_bits v)))
-  | Lognot { dst; src } -> set regs dst (truth (Int64.equal (get f regs src) 0L))
-  | Bitnot { dst; src } -> set regs dst (Int64.lognot (get f regs src))
-  | Cast_num { dst; src; conv } -> (
-      let v = get f regs src in
-      match conv with
-      | To_double -> set regs dst (Int64.bits_of_float (Int64.to_float v))
-      | To_integer -> set regs dst (Int64.of_float (Int64.float_of_bits v))
-      | To_char -> set regs dst (Int64.logand v 0xFFL)
-      | Same -> set regs dst v)
+(* Calls, the PA unit and the pp runtime, and the instructions that
+   fail. *)
+and exec_generic t f regs (g : generic) : unit =
+  match g with
   | Call { dst; callee; args; arg_tys } ->
       let result =
         match callee with
@@ -1633,9 +1924,6 @@ and exec_generic t f regs (c : code) : unit =
   | Pac { p; dst; src; slot } -> exec_pac t f regs p ~dst ~src ~slot
   | Pp pp -> exec_pp t f regs pp
   | Fail exn -> raise exn
-  | Ld _ | Ldb _ | St _ | Stb _ | Add _ | Sub _ | Mul _ | Eq _ | Ne _ | Lt _ | Le _ | Gt _
-  | Ge _ | Gep _ | Gepidx _ | Move _ ->
-      exec t f regs c
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
@@ -1652,6 +1940,7 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
   t.ran <- true;
   t.attacks <- attacks;
   Option.iter (fun l -> t.step_limit <- l) step_limit;
+  t.whole_limit <- (if t.profiling || t.recording then -1 else t.step_limit);
   let status =
     try
       (match Hashtbl.find_opt t.defs Ir.global_init_name with
@@ -1687,7 +1976,7 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
    [exec_pp] count them, [v] times over. *)
 let count_pa (n : counts) v c =
   match c with
-  | Pac { p; _ } -> (
+  | Generic (Pac { p; _ }) -> (
       match p.p_kind with
       | Ir.Ksign -> n.pac_signs <- n.pac_signs + v
       | Ir.Kauth -> n.pac_auths <- n.pac_auths + v
@@ -1695,7 +1984,7 @@ let count_pa (n : counts) v c =
           n.pac_signs <- n.pac_signs + v;
           n.pac_auths <- n.pac_auths + v
       | Ir.Kstrip -> n.pac_strips <- n.pac_strips + v)
-  | Pp pp -> (
+  | Generic (Pp pp) -> (
       n.pp_calls <- n.pp_calls + v;
       match pp with
       | Pp_sign _ -> n.pac_signs <- n.pac_signs + v

@@ -7,7 +7,7 @@
     it, strips it on a match and corrupts the pointer on a mismatch —
     exactly the behaviour of Figure 3 in the paper.
 
-    The operations work in place on a register file, as [Memory.load]
+    The operations work in place on a register file, as [Interp.Memory.load]
     and [store] do: a [bytes] of native-endian 64-bit registers, with
     [dst], [src] and [modifier] byte offsets into it. Every operand is
     read before the result is written, so [dst] may equal either, and no

@@ -58,7 +58,7 @@ val with_top_byte : int64 -> int -> int64
 
     The same arithmetic over native-endian 64-bit words of a [bytes]
     (the machine's register file), at byte offsets, in the idiom of
-    [Memory.load]/[store]: the pointer is read at [src] (or [off]) and
+    [Interp.Memory.load]/[store]: the pointer is read at [src] (or [off]) and
     the result written at [dst], which may be [src]. No [int64] crosses
     the call boxed, so the PA unit's operations allocate nothing. A PAC
     field is at most 15 bits, so it passes as an [int]. *)

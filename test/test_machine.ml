@@ -1,7 +1,7 @@
 (* Tests for the virtual machine: memory, interpreter semantics,
    builtins, traps, cycle accounting, attacker API. *)
 
-module Memory = Rsti_machine.Memory
+module Memory = Rsti_machine.Interp.Memory
 module Interp = Rsti_machine.Interp
 module Cost = Rsti_machine.Cost
 module Layout = Rsti_machine.Layout
@@ -556,7 +556,148 @@ let test_interp_bad_ir_fails_when_run () =
       ("gepidx of a global by a function",
        Ir.Gepidx { dst = 0; base = Ir.Global "nope"; elem = Ctype.Long; idx = Ir.Funcaddr "nope" },
        Invalid_argument "Interp.func_addr: unknown function nope");
+      ("binop of a global",
+       Ir.Binop { dst = 0; op = Rsti_minic.Ast.Mul; fl = Ir.Fop; a = Ir.Imm 3L; b = Ir.Global "nope" },
+       Invalid_argument "Interp.global_addr: unknown global nope");
+      ("unary op of a register",
+       Ir.Neg { dst = 0; fl = Ir.Iop; src = Ir.Reg 2 }, Invalid_argument "index out of bounds");
+      ("numeric cast of a global",
+       Ir.Cast_num { dst = 0; src = Ir.Global "nope"; from_ty = Ctype.Long; to_ty = Ctype.Double },
+       Invalid_argument "Interp.global_addr: unknown global nope");
+      (* with two bad operands, [a]'s *)
+      ("binop of a function and a global",
+       Ir.Binop { dst = 0; op = Rsti_minic.Ast.Mod; fl = Ir.Iop; a = Ir.Funcaddr "nope";
+                  b = Ir.Global "nope" },
+       Invalid_argument "Interp.func_addr: unknown function nope");
     ]
+
+(* The reference semantics of the machine's arithmetic: each operator
+   on two 64-bit registers, a float read from and written as its bits.
+   [None] is a division-by-zero trap. *)
+let reference_binop (op : Rsti_minic.Ast.binop) (fl : Rsti_ir.Ir.float_op) x y =
+  let module Ast = Rsti_minic.Ast in
+  let module Ir = Rsti_ir.Ir in
+  let fx = Int64.float_of_bits x and fy = Int64.float_of_bits y in
+  let truth c = if c then 1L else 0L and bits = Int64.bits_of_float in
+  match (op, fl) with
+  | Ast.Add, Ir.Iop -> Some (Int64.add x y)
+  | Ast.Sub, Ir.Iop -> Some (Int64.sub x y)
+  | Ast.Mul, Ir.Iop -> Some (Int64.mul x y)
+  | Ast.Div, Ir.Iop -> if y = 0L then None else Some (Int64.div x y)
+  | Ast.Mod, Ir.Iop -> if y = 0L then None else Some (Int64.rem x y)
+  | Ast.Eq, Ir.Iop -> Some (truth (Int64.equal x y))
+  | Ast.Ne, Ir.Iop -> Some (truth (not (Int64.equal x y)))
+  | Ast.Lt, Ir.Iop -> Some (truth (Int64.compare x y < 0))
+  | Ast.Le, Ir.Iop -> Some (truth (Int64.compare x y <= 0))
+  | Ast.Gt, Ir.Iop -> Some (truth (Int64.compare x y > 0))
+  | Ast.Ge, Ir.Iop -> Some (truth (Int64.compare x y >= 0))
+  | Ast.Add, Ir.Fop -> Some (bits (fx +. fy))
+  | Ast.Sub, Ir.Fop -> Some (bits (fx -. fy))
+  | Ast.Mul, Ir.Fop -> Some (bits (fx *. fy))
+  | Ast.Div, Ir.Fop -> Some (bits (fx /. fy))
+  | Ast.Mod, Ir.Fop -> Some (bits (Float.rem fx fy))
+  | Ast.Eq, Ir.Fop -> Some (truth (fx = fy))
+  | Ast.Ne, Ir.Fop -> Some (truth (fx <> fy))
+  | Ast.Lt, Ir.Fop -> Some (truth (fx < fy))
+  | Ast.Le, Ir.Fop -> Some (truth (fx <= fy))
+  | Ast.Gt, Ir.Fop -> Some (truth (fx > fy))
+  | Ast.Ge, Ir.Fop -> Some (truth (fx >= fy))
+  (* the bitwise and logical operators read float bits as integers *)
+  | Ast.Bitand, _ -> Some (Int64.logand x y)
+  | Ast.Bitor, _ -> Some (Int64.logor x y)
+  | Ast.Bitxor, _ -> Some (Int64.logxor x y)
+  | Ast.Shl, _ -> Some (Int64.shift_left x (Int64.to_int y land 63))
+  | Ast.Shr, _ -> Some (Int64.shift_right x (Int64.to_int y land 63))
+  | Ast.Logand, _ -> Some (truth (x <> 0L && y <> 0L))
+  | Ast.Logor, _ -> Some (truth (x <> 0L || y <> 0L))
+
+(* Every arithmetic instruction, on constant operands drawn from
+   boundary values (integers, shift counts and float bits), runs to its
+   reference result, or to a division-by-zero trap, on a plain, a
+   profiled and a flight-recorded machine, with the same instructions
+   and cycles on all three. *)
+let test_interp_operator_table () =
+  let module Ir = Rsti_ir.Ir in
+  let module Ctype = Rsti_minic.Ctype in
+  let module Ast = Rsti_minic.Ast in
+  let modul i =
+    let main =
+      {
+        Ir.name = "main";
+        ret = Ctype.Long;
+        params = [];
+        blocks =
+          [| { Ir.label = 0; instrs = [ { Ir.i; dbg = None } ]; term = Ir.Ret (Some (Ir.Reg 0)) } |];
+        nregs = 1;
+        loc = Rsti_minic.Loc.dummy;
+      }
+    in
+    { Ir.m_structs = []; m_globals = []; m_funcs = [ main ]; m_strings = [||]; m_externs = [] }
+  in
+  let bits = Int64.bits_of_float in
+  let values =
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 63L; 64L; bits Float.nan; bits Float.infinity;
+      bits Float.neg_infinity; bits (-0.0); bits 1.0; bits (-1.0) ]
+  in
+  let show = function Some v -> Printf.sprintf "exit %Lx" v | None -> "division by zero" in
+  let check name i want =
+    let runs =
+      List.map
+        (fun (profile, flight) -> Interp.run (Interp.create ~profile ~flight (modul i)))
+        [ (false, 0); (true, 0); (false, 16) ]
+    in
+    List.iter2
+      (fun machine (o : Interp.outcome) ->
+        let got =
+          match o.Interp.status with
+          | Interp.Exited v -> show (Some v)
+          | Interp.Trapped (Interp.Div_by_zero "main") -> show None
+          | Interp.Trapped tr -> Interp.trap_to_string tr
+        in
+        if got <> show want then Alcotest.failf "%s on the %s machine: %s, want %s" name machine got (show want))
+      [ "plain"; "profiled"; "flight-recorded" ] runs;
+    match runs with
+    | plain :: others ->
+        List.iter
+          (fun (o : Interp.outcome) ->
+            if o.Interp.counts.Interp.instrs <> plain.Interp.counts.Interp.instrs
+               || o.Interp.cycles <> plain.Interp.cycles
+            then Alcotest.failf "%s: instrs or cycles differ between machines" name)
+          others
+    | [] -> ()
+  in
+  let ops =
+    Ast.[ Add; Sub; Mul; Div; Mod; Eq; Ne; Lt; Le; Gt; Ge; Logand; Logor; Bitand; Bitor; Bitxor; Shl; Shr ]
+  in
+  List.iter
+    (fun fl ->
+      List.iteri
+        (fun k op ->
+          List.iter
+            (fun x ->
+              List.iter
+                (fun y ->
+                  check
+                    (Printf.sprintf "op %d %s %Lx %Lx" k (if fl = Ir.Fop then "fop" else "iop") x y)
+                    (Ir.Binop { dst = 0; op; fl; a = Ir.Imm x; b = Ir.Imm y })
+                    (reference_binop op fl x y))
+                values)
+            values)
+        ops)
+    [ Ir.Iop; Ir.Fop ];
+  let unary name i f =
+    List.iter (fun x -> check (Printf.sprintf "%s %Lx" name x) (i (Ir.Imm x)) (Some (f x))) values
+  in
+  let float_of = Int64.float_of_bits in
+  unary "neg" (fun src -> Ir.Neg { dst = 0; fl = Ir.Iop; src }) Int64.neg;
+  unary "fneg" (fun src -> Ir.Neg { dst = 0; fl = Ir.Fop; src }) (fun x -> bits (-.float_of x));
+  unary "lognot" (fun src -> Ir.Lognot { dst = 0; src }) (fun x -> if x = 0L then 1L else 0L);
+  unary "bitnot" (fun src -> Ir.Bitnot { dst = 0; src }) Int64.lognot;
+  let cast from_ty to_ty src = Ir.Cast_num { dst = 0; src; from_ty; to_ty } in
+  unary "long to double" (cast Ctype.Long Ctype.Double) (fun x -> bits (Int64.to_float x));
+  unary "double to long" (cast Ctype.Double Ctype.Long) (fun x -> Int64.of_float (float_of x));
+  unary "long to char" (cast Ctype.Long Ctype.Char) (fun x -> Int64.logand x 0xFFL);
+  unary "int to long" (cast Ctype.Int Ctype.Long) Fun.id
 
 (* A pointer-to-pointer op reads its FE modifier from the pp metadata
    page; on a machine created without a [pp_table] nothing is mapped
@@ -975,6 +1116,7 @@ let tests =
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
     Alcotest.test_case "interp: bad IR fails when run" `Quick test_interp_bad_ir_fails_when_run;
+    Alcotest.test_case "interp: operator table" `Quick test_interp_operator_table;
     Alcotest.test_case "interp: pp op without metadata traps" `Quick
       test_interp_pp_without_metadata_traps;
     Alcotest.test_case "interp: many constants" `Quick test_interp_many_constants;
