@@ -247,8 +247,9 @@ let run_cmd =
           ~doc:
             "Attribute interpreter cycles and PAC charges to (function, \
              line) sites and print a hot-site table after execution. \
-             Exact, not sampled; the profiled outcome is memoized \
-             separately from the unprofiled one.")
+             Exact, not sampled: the table is added up from the run's \
+             segment visits, so profiling does not change how the run \
+             executes.")
   in
   let elide_flag =
     Arg.(
@@ -292,7 +293,7 @@ let run_cmd =
           if tel.events <> None then Rsti_attacks.Incident.default_flight else 0
     in
     let _, inst = compile_instrumented ~elision ~validate file mech in
-    let o = Pipeline.run ~profile ~flight inst in
+    let o = Pipeline.run ~flight inst in
     let r = Pipeline.result inst in
     print_string o.Interp.output;
     if profile then print_endline (Interp.profile_report o);

@@ -216,17 +216,16 @@ let instrument ?(config = default) mech (a : analyzed) =
    machine and run it. Run outcomes are memoizable exactly when no attack
    closure is installed: the machine is deterministic, so the outcome is
    a pure function of the module ([stage_key] names it), the cost record
-   and the machine knobs, which make the key. A profiled outcome carries
-   sites an unprofiled one lacks, and a flight-recorded one carries
-   incidents, so both go into the key. *)
-let execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
-    ?pp_table ~stage_key modul =
+   and the machine knobs, which make the key. A flight-recorded outcome
+   carries incidents, so its ring capacity goes into the key. *)
+let execute config ~attacks ?fpac ?cfi ?backend ~flight ?pp_table ~stage_key
+    modul =
   let exec () =
     let vm =
       Rsti_machine.Interp.create ~costs:config.costs ?pp_table ?fpac ?cfi
-        ?backend ~profile ~flight modul
+        ?backend ~flight modul
     in
-    Rsti_machine.Interp.run ~attacks ?entry vm
+    Rsti_machine.Interp.run ~attacks vm
   in
   if attacks <> [] then exec ()
   else
@@ -243,15 +242,13 @@ let execute config ~attacks ?fpac ?cfi ?backend ?entry ~profile ~flight
             (match backend with
             | None | Some `Pac -> "pac"
             | Some `Shadow_mac -> "mac");
-            Option.value entry ~default:"main";
-            (if profile then "prof" else "-");
             (if flight > 0 then "fl" ^ string_of_int flight else "-");
           ])
     in
     memo config st_outcome key exec
 
-let run ?(config = default) ?(attacks = []) ?fpac ?backend ?entry
-    ?(profile = false) ?(flight = 0) (i : instrumented) =
+let run ?(config = default) ?(attacks = []) ?fpac ?backend ?(flight = 0)
+    (i : instrumented) =
   stage_span "pipeline.run"
     (fun () ->
       [
@@ -259,7 +256,7 @@ let run ?(config = default) ?(attacks = []) ?fpac ?backend ?entry
         ("mech", RT.mechanism_to_string i.mech);
       ])
   @@ fun () ->
-  execute config ~attacks ?fpac ?backend ?entry ~profile ~flight
+  execute config ~attacks ?fpac ?backend ~flight
     ~pp_table:i.result.Rsti_rsti.Instrument.pp_table
     ~stage_key:
       [
@@ -270,11 +267,11 @@ let run ?(config = default) ?(attacks = []) ?fpac ?backend ?entry
       ]
     i.result.Rsti_rsti.Instrument.modul
 
-let run_baseline ?(config = default) ?(attacks = []) ?cfi ?entry (c : compiled) =
+let run_baseline ?(config = default) ?(attacks = []) ?cfi (c : compiled) =
   stage_span "pipeline.run_baseline" (fun () -> [ ("file", c.src.file) ])
   @@ fun () ->
-  execute config ~attacks ?cfi ?entry ~profile:false ~flight:0
-    ~stage_key:[ "base"; c.src.digest ] c.modul
+  execute config ~attacks ?cfi ~flight:0 ~stage_key:[ "base"; c.src.digest ]
+    c.modul
 
 let file (s : source) = s.file
 let text (s : source) = s.text

@@ -87,25 +87,21 @@ val run :
   ?attacks:Rsti_machine.Interp.attack list ->
   ?fpac:bool ->
   ?backend:[ `Pac | `Shadow_mac ] ->
-  ?entry:string ->
-  ?profile:bool ->
   ?flight:int ->
   instrumented ->
   Rsti_machine.Interp.outcome
 (** Load the instrumented module (with its pointer-to-pointer table)
-    into a fresh machine under [config.costs] and execute it.
-    [profile] (default false) turns on the machine's exact hot-site
-    profiler ({!Rsti_machine.Interp.outcome.sites}); profiled and
-    unprofiled outcomes memoize under distinct keys. [flight] (default
-    0 = off) is the PAC flight recorder's ring capacity
+    into a fresh machine under [config.costs] and execute it from
+    [main]. Every outcome carries its exact hot-site profile
+    ({!Rsti_machine.Interp.sites}). [flight] (default 0 = off) is the
+    PAC flight recorder's ring capacity
     ({!Rsti_machine.Interp.outcome.incidents}); flight-recorded
-    outcomes likewise memoize under their own keys. *)
+    outcomes memoize under their own keys. *)
 
 val run_baseline :
   ?config:config ->
   ?attacks:Rsti_machine.Interp.attack list ->
   ?cfi:bool ->
-  ?entry:string ->
   compiled ->
   Rsti_machine.Interp.outcome
 (** Execute the uninstrumented module ([cfi] enables the signature-CFI

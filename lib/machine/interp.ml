@@ -43,12 +43,10 @@ type counts = {
   mutable pp_calls : int;
 }
 
-(* One profiled (function, source line) pair. Attribution is exact, not
-   sampled: every cycle a profiled machine charges goes through
-   [charge], which also adds it to the current site, so the sites of an
-   outcome partition its cycle total. [s_pac_charges] counts the [pac]
-   prices charged at the site (a resign's two; a pp op's sign or auth is
-   priced at [pp] instead). *)
+(* One (function, source line) pair of a run's profile, which {!sites}
+   adds up from the run's segment visits. [s_pac_charges] counts the
+   [pac] prices charged at the site (a resign's two; a pp op's sign or
+   auth is priced at [pp] instead). *)
 type site = {
   s_func : string;
   s_line : int;  (* 0 when the instruction carries no !dbg location *)
@@ -58,17 +56,6 @@ type site = {
   mutable s_strips : int;
   mutable s_pp_calls : int;
 }
-
-let new_site func line =
-  {
-    s_func = func;
-    s_line = line;
-    s_cycles = 0;
-    s_instrs = 0;
-    s_pac_charges = 0;
-    s_strips = 0;
-    s_pp_calls = 0;
-  }
 
 (* Hottest first, ties in site order: the one order of a profile. *)
 let by_cycles a b =
@@ -437,11 +424,17 @@ type pp =
   | Pp_auth of { dst : int; src : operand; slot : operand }
   | Pp_add_tbi of { dst : int; src : operand; ce : int }
 
+(* Where a PA or pp op sits in its segment: its !dbg line, and the
+   cycles and steps its segment accounts after it (in a block's last
+   segment, the terminator's too). A segment's totals are added before
+   its first instruction runs, so these place the op's own counters. *)
+type place = { line : int; cycles_after : int; steps_after : int }
+
 (* What [exec] hands on to [exec_generic]. *)
 type generic =
   | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
-  | Pac of { p : Ir.pac; dst : int; src : operand; slot : operand }
-  | Pp of pp
+  | Pac of { p : Ir.pac; dst : int; src : operand; slot : operand; at : place }
+  | Pp of pp * place
   | Fail of exn
 
 (* The binary operators without a pre-checked form of their own: float
@@ -514,7 +507,7 @@ let seg_width = 6
 let visit_slot = 5  (* the visit count's place in a segment *)
 
 type func = {
-  name : string;  (* the [Ir.func]'s own string: sites compare it with [==] *)
+  name : string;
   nregs : int;
   frame : bytes;
       (* a fresh register file: [nregs] zeros, the constants, then the
@@ -525,10 +518,18 @@ type func = {
   blocks : block array;
 }
 
+(* Where a run stopped inside a segment: the segment at [seg] of [block]
+   ran up to instruction [at], which was charged unless the step limit
+   stopped it there (then it was only stepped). Only the first frame a
+   trap leaves records it; every frame it leaves after that stopped at a
+   call, the last instruction of its segment. *)
+type cut = { block : block; seg : int; at : int; charged : bool }
+
 (* A run's segment visits, read in place: the machine's own functions and
-   resolved views, whose [segs] hold the counts. A function the run never
-   entered is [None]. *)
-type profile = { funcs : Ir.func array; code : func option array }
+   resolved views, whose [segs] hold the counts, the prices they were
+   resolved under, and the segment a trap cut short. A function the run
+   never entered is [None]. *)
+type profile = { funcs : Ir.func array; code : func option array; costs : Cost.t; cut : cut option }
 
 type outcome = {
   status : status;
@@ -539,8 +540,6 @@ type outcome = {
       (* defined-function call counts, descending *)
   extern_profile : (string * int) list;
       (* simulated-libc call counts, descending *)
-  sites : site list;
-      (* hot-site profile, cycles descending; [] unless profiling *)
   incidents : incident list;
       (* chronological; [] unless flight recording *)
   notes : string list;  (* the intruder's notes, chronological *)
@@ -582,10 +581,7 @@ type t = {
   mutable notes : string list;  (* reverse *)
   out : Buffer.t;
   mutable step_limit : int;  (* on [counts.instrs] *)
-  mutable whole_limit : int;
-      (* the [counts.instrs] a segment accounted whole may reach:
-         [step_limit] on a plain machine, -1 on a profiled or
-         flight-recorded one, which steps each instruction *)
+  mutable cut : cut option;  (* where a trap stopped the run, once it has *)
   mutable auth_failed : bool;   (* any auth failure so far *)
   call_counts : int array;  (* by function index *)
   extern_counts : int array;  (* by libc index *)
@@ -598,15 +594,9 @@ type t = {
   (* the shadow-MAC backend's table: slot address -> 64-bit MAC, held by
      the trusted runtime (CCFI stores it in protected memory) *)
   shadow : int64 I64tbl.t;
-  (* exact hot-site profiler; it makes the machine step and charge each
-     instruction, and nothing of it allocates when off *)
-  profiling : bool;
-  prof_sites : (string * int, site) Hashtbl.t;
-  mutable cur_site : site;
-  (* PAC flight recorder; like the profiler, it makes the machine step
-     and charge each instruction. When off ([recording] = false), every
-     PAC op pays one boolean test and nothing allocates. When on, the
-     last [Array.length fr_buf] ops are kept in a preallocated ring. *)
+  (* PAC flight recorder. When off ([recording] = false), every PAC op
+     pays one boolean test and nothing allocates. When on, the last
+     [Array.length fr_buf] ops are kept in a preallocated ring. *)
   recording : bool;
   fr_buf : pac_op array;
   mutable fr_next : int;  (* total ops recorded; slot = fr_next mod cap *)
@@ -618,7 +608,6 @@ type t = {
   mutable corrupt_at : (int * int) option;
       (* (cycle, instr) of the first intruder store, the corruption
          point detection latency is measured from *)
-  mutable cur_line : int;  (* !dbg line of the dispatching instruction *)
 }
 
 let signers_cap = 16_384
@@ -663,8 +652,11 @@ let dummy_op =
     op_instr = 0;
   }
 
-let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac = true)
-    ?(cfi = false) ?(backend = `Pac) ?(profile = false) ?(flight = 0) (m : Ir.modul) =
+(* Every machine's PA keys and [rand] stream start from this seed. *)
+let seed = 0xC0FFEEL
+
+let create ?(costs = Cost.default) ?(pp_table = []) ?(fpac = true) ?(cfi = false)
+    ?(backend = `Pac) ?(flight = 0) (m : Ir.modul) =
   let mem = Memory.create () in
   let pac = Rsti_pa.Pac.make ~seed () in
   let funcs = Array.of_list m.m_funcs in
@@ -715,10 +707,6 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
         addr)
       m.m_strings
   in
-  (* Execution begins (global init, entry dispatch) before any
-     instruction has named a site; those charges land on the _start
-     pseudo-site. *)
-  let boot = new_site "_start" 0 in
   (* Pointer-to-pointer CE->FE metadata: read-only, as the paper requires. *)
   let pp_base = Int64.add Layout.rodata_base 0x8000L in
   if pp_table <> [] then begin
@@ -752,7 +740,7 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     notes = [];
     out = Buffer.create 256;
     step_limit = 200_000_000;
-    whole_limit = -1;
+    cut = None;
     auth_failed = false;
     call_counts = Array.make (Array.length funcs) 0;
     extern_counts = Array.make (Array.length libc) 0;
@@ -763,19 +751,12 @@ let create ?(costs = Cost.default) ?(seed = 0xC0FFEEL) ?(pp_table = []) ?(fpac =
     cfi;
     backend;
     shadow = I64tbl.create 256;
-    profiling = profile;
-    prof_sites =
-      (let h = Hashtbl.create 64 in
-       if profile then Hashtbl.replace h ("_start", 0) boot;
-       h);
-    cur_site = boot;
     recording = flight > 0;
     fr_buf = (if flight > 0 then Array.make flight dummy_op else [||]);
     fr_next = 0;
     signers = I64tbl.create (if flight > 0 then 64 else 1);
     incidents = [];
     corrupt_at = None;
-    cur_line = 0;
   }
 
 let pp_meta_base = Int64.add Layout.rodata_base 0x8000L
@@ -857,6 +838,9 @@ let cost_of t (ins : Ir.instr) =
       | `Shadow_mac, Ir.Ksign -> c.pac + c.load + c.store
       | `Shadow_mac, Ir.Kauth -> c.pac + c.load
       | `Shadow_mac, Ir.Kresign -> 2 * c.pac)
+
+(* A PA or pp op's place until its block has been laid out. *)
+let nowhere = { line = 0; cycles_after = 0; steps_after = 0 }
 
 (* Never raises: whatever executing a piece of [fn] would raise is kept
    in [bad] or in a [Fail] instruction. *)
@@ -979,14 +963,21 @@ let resolve t i =
                arg_tys })
     | Ir.Pac p ->
         Generic
-          (Pac { p; dst = dst p.p_dst; src = operand p.p_src; slot = operand p.p_slot_addr })
-    | Ir.Pp (Ir.Pp_add _) -> Generic (Pp Pp_add)
-    | Ir.Pp (Ir.Pp_sign { dst = d; src; ce; slot_addr }) ->
-        Generic (Pp (Pp_sign { dst = dst d; src = operand src; ce; slot = operand slot_addr }))
-    | Ir.Pp (Ir.Pp_auth { dst = d; src; slot_addr }) ->
-        Generic (Pp (Pp_auth { dst = dst d; src = operand src; slot = operand slot_addr }))
-    | Ir.Pp (Ir.Pp_add_tbi { dst = d; src; ce }) ->
-        Generic (Pp (Pp_add_tbi { dst = dst d; src = operand src; ce }))
+          (Pac
+             { p; dst = dst p.p_dst; src = operand p.p_src; slot = operand p.p_slot_addr;
+               at = nowhere })
+    | Ir.Pp pp ->
+        let pp =
+          match pp with
+          | Ir.Pp_add _ -> Pp_add
+          | Ir.Pp_sign { dst = d; src; ce; slot_addr } ->
+              Pp_sign { dst = dst d; src = operand src; ce; slot = operand slot_addr }
+          | Ir.Pp_auth { dst = d; src; slot_addr } ->
+              Pp_auth { dst = dst d; src = operand src; slot = operand slot_addr }
+          | Ir.Pp_add_tbi { dst = d; src; ce } ->
+              Pp_add_tbi { dst = dst d; src = operand src; ce }
+        in
+        Generic (Pp (pp, nowhere))
   in
   let code ins = match code ins with c -> c | exception exn -> Generic (Fail exn) in
   let line (ins : Ir.instr) =
@@ -995,6 +986,7 @@ let resolve t i =
   let block (b : Ir.block) =
     let instrs = Array.of_list b.instrs in
     let body = Array.map code instrs and cost = Array.map (fun ins -> cost_of t ins) instrs in
+    let lines = Array.map line instrs in
     let term =
       match b.term with
       | Ir.Ret v -> Ret (operand (Option.value v ~default:(Ir.Imm 0L)))
@@ -1021,13 +1013,30 @@ let resolve t i =
       | _ -> ()
     done;
     segs.(!k) <- Array.length body;
-    (match term with
-    | Ret _ -> segs.(!k + 1) <- segs.(!k + 1) + t.costs.branch
-    | Br _ | Condbr _ ->
-        segs.(!k + 1) <- segs.(!k + 1) + t.costs.branch;
-        segs.(!k + 2) <- segs.(!k + 2) + 1
-    | Unreachable -> ());
-    { body; lines = Array.map line instrs; cost; segs; term }
+    let term_cycles, term_steps =
+      match term with
+      | Ret _ -> (t.costs.branch, 0)
+      | Br _ | Condbr _ -> (t.costs.branch, 1)
+      | Unreachable -> (0, 0)
+    in
+    segs.(!k + 1) <- segs.(!k + 1) + term_cycles;
+    segs.(!k + 2) <- segs.(!k + 2) + term_steps;
+    (* place each PA and pp op, walking back from the terminator; a call
+       ends its segment, so nothing after it counts *)
+    let cycles_after = ref term_cycles and steps_after = ref term_steps in
+    let place j = { line = lines.(j); cycles_after = !cycles_after; steps_after = !steps_after } in
+    for j = Array.length body - 1 downto 0 do
+      (match body.(j) with
+      | Generic (Call _) ->
+          cycles_after := 0;
+          steps_after := 0
+      | Generic (Pac r) -> body.(j) <- Generic (Pac { r with at = place j })
+      | Generic (Pp (pp, _)) -> body.(j) <- Generic (Pp (pp, place j))
+      | _ -> ());
+      cycles_after := !cycles_after + cost.(j);
+      incr steps_after
+    done;
+    { body; lines; cost; segs; term }
   in
   let blocks = Array.map block fn.blocks in
   let md = 8 * (nregs + !nconsts) in
@@ -1091,40 +1100,6 @@ let fire_attacks t trig =
     t.attacks
 
 (* ------------------------------------------------------------------ *)
-(* Value and memory helpers                                            *)
-(* ------------------------------------------------------------------ *)
-
-let charge t c =
-  t.cycles <- t.cycles + c;
-  if t.profiling then t.cur_site.s_cycles <- t.cur_site.s_cycles + c
-[@@inline]
-
-let step t =
-  let c = t.counts in
-  c.instrs <- c.instrs + 1;
-  if t.profiling then t.cur_site.s_instrs <- t.cur_site.s_instrs + 1;
-  if c.instrs > t.step_limit then raise (Trap_exn Step_limit_exceeded)
-[@@inline]
-
-(* Site switching, called (under [profiling] only) before each
-   instruction executes: terminator and call-dispatch charges attribute
-   to the site of the last instruction that ran, which keeps the
-   partition exact without threading a site through every helper. *)
-let set_site t func line =
-  let cur = t.cur_site in
-  if not (cur.s_func == func && cur.s_line = line) then
-    let key = (func, line) in
-    match Hashtbl.find_opt t.prof_sites key with
-    | Some s -> t.cur_site <- s
-    | None ->
-        let s = new_site func line in
-        Hashtbl.replace t.prof_sites key s;
-        t.cur_site <- s
-
-let prof_pp t =
-  if t.profiling then t.cur_site.s_pp_calls <- t.cur_site.s_pp_calls + 1
-
-(* ------------------------------------------------------------------ *)
 (* PAC flight recorder                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1141,94 +1116,80 @@ let op_kind_to_string = function
   | Op_pp_sign -> "pp_sign"
   | Op_pp_auth -> "pp_auth"
 
-(* The caller guards on [t.recording]; this allocates one op record. *)
-let record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
+let flight_window t =
+  let cap = Array.length t.fr_buf in
+  let n = min t.fr_next cap in
+  List.init n (fun i -> t.fr_buf.((t.fr_next - n + i) mod cap))
+
+(* The caller guards on [t.recording]. The op is stamped where it ran:
+   its segment's totals are already counted, so the cycles and steps
+   after it come off. A failing op also makes the incident; it is in
+   the ring by then, so the window ends with it. *)
+let record t kind ~at ~func ~key ~static_mod ~modifier ~src ~result ~ok =
+  let cycle = t.cycles - at.cycles_after and instr = t.counts.instrs - at.steps_after in
   let op =
     {
       op_kind = kind;
       op_func = func;
-      op_line = t.cur_line;
+      op_line = at.line;
       op_key = key;
       op_static_mod = static_mod;
       op_modifier = modifier;
       op_src = src;
       op_result = result;
       op_ok = ok;
-      op_cycle = t.cycles;
-      op_instr = t.counts.instrs;
+      op_cycle = cycle;
+      op_instr = instr;
     }
   in
   t.fr_buf.(t.fr_next mod Array.length t.fr_buf) <- op;
   t.fr_next <- t.fr_next + 1;
-  match kind with
+  (match kind with
   | Op_sign | Op_pp_sign | Op_resign ->
       if ok && (I64tbl.length t.signers < signers_cap || I64tbl.mem t.signers result)
       then I64tbl.replace t.signers result op
-  | Op_auth | Op_pp_auth | Op_strip -> ()
-
-let flight_window t =
-  let cap = Array.length t.fr_buf in
-  let n = min t.fr_next cap in
-  List.init n (fun i -> t.fr_buf.((t.fr_next - n + i) mod cap))
-
-(* Build and store the incident for a failing auth. The failing op has
-   already been pushed into the ring, so the window ends with it. *)
-let record_incident t ~func ~key ~static_mod ~modifier ~ptr =
-  let corrupt = t.corrupt_at in
-  let latency f =
-    Option.map (fun (cy, ins) -> f (t.cycles, t.counts.instrs) (cy, ins)) corrupt
-  in
-  let inc =
-    {
-      inc_func = func;
-      inc_line = t.cur_line;
-      inc_key = key;
-      inc_static_mod = static_mod;
-      inc_modifier = modifier;
-      inc_ptr = ptr;
-      inc_signer = I64tbl.find_opt t.signers ptr;
-      inc_window = flight_window t;
-      inc_cycle = t.cycles;
-      inc_instr = t.counts.instrs;
-      inc_corrupt = corrupt;
-      inc_latency_cycles = latency (fun (now, _) (cy, _) -> now - cy);
-      inc_latency_instrs = latency (fun (_, now) (_, ins) -> now - ins);
-    }
-  in
-  t.incidents <- inc :: t.incidents
+  | Op_auth | Op_pp_auth | Op_strip -> ());
+  if not ok then
+    let latency f = Option.map f t.corrupt_at in
+    t.incidents <-
+      {
+        inc_func = func;
+        inc_line = at.line;
+        inc_key = key;
+        inc_static_mod = static_mod;
+        inc_modifier = modifier;
+        inc_ptr = src;
+        inc_signer = I64tbl.find_opt t.signers src;
+        inc_window = flight_window t;
+        inc_cycle = cycle;
+        inc_instr = instr;
+        inc_corrupt = t.corrupt_at;
+        inc_latency_cycles = latency (fun (cy, _) -> cycle - cy);
+        inc_latency_instrs = latency (fun (_, ins) -> instr - ins);
+      }
+      :: t.incidents
 
 (* Every PAC-unit operation, on either backend or in the pp runtime, is
-   accounted here and nowhere else: its counters and the profiler's
-   per-site copy, its flight-recorder entry and, when the check failed,
-   the incident and the FPAC trap. Its cycles are the instruction's
-   static charge ([cost_of]), which the backends set apart. With the profiler
-   and the recorder off, each costs one branch and nothing allocates. *)
-let account t kind ~func ~key ~static_mod ~modifier ~src ~result ~ok =
-  let signs, auths, strips, charges =
+   accounted here and nowhere else: its counters, its flight-recorder
+   entry and, when the check failed, the incident and the FPAC trap. Its
+   cycles are the instruction's static charge ([cost_of]), which the
+   backends set apart. With the recorder off, each costs one branch and
+   nothing allocates. *)
+let account t kind ~at ~func ~key ~static_mod ~modifier ~src ~result ~ok =
+  let signs, auths, strips =
     match kind with
-    | Op_sign -> (1, 0, 0, 1)
-    | Op_auth -> (0, 1, 0, 1)
-    | Op_resign -> (1, 1, 0, 2)
-    | Op_strip -> (0, 0, 1, 0)
-    (* the pp runtime's sign/auth price is [pp], counted in [pp_calls] *)
-    | Op_pp_sign -> (1, 0, 0, 0)
-    | Op_pp_auth -> (0, 1, 0, 0)
+    | Op_sign | Op_pp_sign -> (1, 0, 0)
+    | Op_auth | Op_pp_auth -> (0, 1, 0)
+    | Op_resign -> (1, 1, 0)
+    | Op_strip -> (0, 0, 1)
   in
   let c = t.counts in
   c.pac_signs <- c.pac_signs + signs;
   c.pac_auths <- c.pac_auths + auths;
   c.pac_strips <- c.pac_strips + strips;
-  if t.profiling then begin
-    let s = t.cur_site in
-    s.s_strips <- s.s_strips + strips;
-    s.s_pac_charges <- s.s_pac_charges + charges
-  end;
-  if t.recording then
-    record_op t ~kind ~func ~key ~static_mod ~modifier ~src ~result ~ok;
+  if t.recording then record t kind ~at ~func ~key ~static_mod ~modifier ~src ~result ~ok;
   if not ok then begin
     t.auth_failed <- true;
-    if t.recording then
-      record_incident t ~func ~key ~static_mod ~modifier ~ptr:src;
     (* ARMv8.6 FPAC (implemented by the M1): a failing aut* traps
        synchronously instead of leaving a corrupted pointer behind.
        Without it, a later xpac strip could launder the corruption. *)
@@ -1242,15 +1203,18 @@ let mem_fault t func fault =
     (Mem_fault
        { fault = Memory.fault_to_string fault; func; after_auth_fail = t.auth_failed })
 
-(* Instruction [i] of [b]'s segment [k], which starts at [start], raised
-   after the segment was accounted whole: take back the totals of the
-   instructions after [i] and, in the last segment, the terminator's, so
-   the counters stop where stepping and charging each instruction would
-   have stopped them. *)
-let take_back t b k start i =
+(* The run stops at instruction [i] of [b]'s segment [k], which starts at
+   [start], after the segment was accounted whole: take back the totals
+   of the instructions after [i], of [i] itself unless it was [charged]
+   (the step limit only steps it) and, in the last segment, the
+   terminator's, so the counters stop where stepping and charging each
+   instruction would have stopped them; and record the cut, unless a
+   deeper frame already has. *)
+let take_back t b k start i ~charged =
+  (match t.cut with None -> t.cut <- Some { block = b; seg = k; at = i; charged } | Some _ -> ());
   let c = t.counts and segs = b.segs in
   let cycles = ref segs.(k + 1) and loads = ref segs.(k + 3) and stores = ref segs.(k + 4) in
-  for j = start to i do
+  for j = start to (if charged then i else i - 1) do
     cycles := !cycles - b.cost.(j);
     loads := !loads - loads_of b.body.(j);
     stores := !stores - stores_of b.body.(j)
@@ -1316,13 +1280,13 @@ let copy t ~dst ~src n =
 (* ------------------------------------------------------------------ *)
 
 (* The one place the pre-checked forms' semantics live. It is inlined
-   into both instruction loops, [exec_block]'s and [exec_each], and hands
-   every [Generic] instruction to [generic], which is [exec_generic]: so
-   a pre-checked instruction, a load or store that hits the page cache
-   included, runs with no call. The caller has stepped and charged the
-   instruction and counted its load or store. Each case stores its own
-   result: an [int64] yielded by a [match] or returned from a call would
-   be boxed. *)
+   into the instruction loop, [exec_block]'s, and hands every [Generic]
+   instruction to [generic], which is [exec_generic]: so a pre-checked
+   instruction, a load or store that hits the page cache included, runs
+   with no call. The caller has stepped and charged the instruction and
+   counted its load or store. Each case stores its own result: an
+   [int64] yielded by a [match] or returned from a call would be
+   boxed. *)
 let exec t f regs (c : code) generic =
   match c with
   | Ld { dst; addr } -> Memory.load_word t.mem regs ~dst ~addr
@@ -1458,7 +1422,7 @@ let rec run_builtin t i (args : int64 array) : int64 =
   let name = t.libc.(i) in
   let n = t.extern_counts.(i) + 1 in
   t.extern_counts.(i) <- n;
-  charge t t.costs.extern_call;
+  t.cycles <- t.cycles + t.costs.extern_call;
   let result =
     try run_builtin_body t name args
     with Memory.Fault fault -> raise (mem_fault t name fault)
@@ -1634,7 +1598,7 @@ and run_builtin_body t name (args : int64 array) : int64 =
    the modifier in [f.md], the result in [f.res] until [account] has
    seen it, and then into [dst], so a bad destination still fails after
    the op is accounted. Nothing here boxes an [int64]. *)
-and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
+and exec_shadow_mac t f regs (p : Ir.pac) ~at ~dst ~src ~slot =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
@@ -1651,7 +1615,7 @@ and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
         Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src:(src lsl 3) ~modifier:f.md;
         I64tbl.replace t.shadow slot (Bytes.get_int64_ne regs f.res)
       end;
-      account t Op_sign ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok:true;
+      account t Op_sign ~at ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok:true;
       set regs dst v
   | Ir.Kauth ->
       let ok =
@@ -1663,22 +1627,22 @@ and exec_shadow_mac t f regs (p : Ir.pac) ~dst ~src ~slot =
               Int64.equal expected (Bytes.get_int64_ne regs f.res)
           | exception Not_found -> false
       in
-      account t Op_auth ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok;
+      account t Op_auth ~at ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok;
       if ok then set regs dst v
       else
         Rsti_pa.Vaddr.corrupt_at (Rsti_pa.Pac.layout t.pac) regs ~dst:(dst lsl 3)
           ~src:(src lsl 3)
   | Ir.Kresign ->
-      account t Op_resign ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v
+      account t Op_resign ~at ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v
         ~ok:true;
       set regs dst v
   | Ir.Kstrip ->
-      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
+      account t Op_strip ~at ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
         ~result:v ~ok:true;
       set regs dst v
 
-and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
-  if t.backend = `Shadow_mac then exec_shadow_mac t f regs p ~dst ~src ~slot
+and exec_pac t f regs (p : Ir.pac) ~at ~dst ~src ~slot =
+  if t.backend = `Shadow_mac then exec_shadow_mac t f regs p ~at ~dst ~src ~slot
   else begin
   let fname = f.name in
   let v = get f regs src in
@@ -1689,14 +1653,14 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
       set_modifier f regs p.p_mod slot;
       Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src ~modifier:md;
       let signed = Bytes.get_int64_ne regs res in
-      account t Op_sign ~func:fname ~key ~static_mod
+      account t Op_sign ~at ~func:fname ~key ~static_mod
         ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
       set regs dst signed
   | Ir.Kauth ->
       set_modifier f regs p.p_mod slot;
       let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
       let r = Bytes.get_int64_ne regs res in
-      account t Op_auth ~func:fname ~key ~static_mod
+      account t Op_auth ~at ~func:fname ~key ~static_mod
         ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
       set regs dst r
   | Ir.Kresign ->
@@ -1707,7 +1671,7 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
       set_modifier f regs p.p_mod slot;
       let mt = Bytes.get_int64_ne regs md in
       if not (Rsti_pa.Pac.is_signed t.pac regs src) then begin
-        account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src:v ~result:v
+        account t Op_resign ~at ~func:fname ~key ~static_mod ~modifier:mt ~src:v ~result:v
           ~ok:true;
         set regs dst v
       end
@@ -1717,13 +1681,13 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
           Bytes.set_int64_ne regs md mt;
           Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src:res ~modifier:md;
           let resigned = Bytes.get_int64_ne regs res in
-          account t Op_resign ~func:fname ~key ~static_mod ~modifier:mt ~src:v
+          account t Op_resign ~at ~func:fname ~key ~static_mod ~modifier:mt ~src:v
             ~result:resigned ~ok:true;
           set regs dst resigned
         end
         else begin
           let corrupted = Bytes.get_int64_ne regs res in
-          account t Op_resign ~func:fname ~key
+          account t Op_resign ~at ~func:fname ~key
             ~static_mod:(static_modifier p.p_mod_from)
             ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:corrupted ~ok:false;
           set regs dst corrupted
@@ -1732,14 +1696,13 @@ and exec_pac t f regs (p : Ir.pac) ~dst ~src ~slot =
   | Ir.Kstrip ->
       Rsti_pa.Pac.strip t.pac regs ~dst:res ~src;
       let stripped = Bytes.get_int64_ne regs res in
-      account t Op_strip ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
+      account t Op_strip ~at ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
         ~result:stripped ~ok:true;
       set regs dst stripped
   end
 
-and exec_pp t f regs (pp : pp) =
+and exec_pp t f regs (pp : pp) at =
   t.counts.pp_calls <- t.counts.pp_calls + 1;
-  prof_pp t;
   let fname = f.name and md = f.md and res = f.res in
   let key = Rsti_pa.Key.DA in
   match pp with
@@ -1751,7 +1714,7 @@ and exec_pp t f regs (pp : pp) =
       let v = get f regs src in
       Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src:(src lsl 3) ~modifier:md;
       let signed = Bytes.get_int64_ne regs res in
-      account t Op_pp_sign ~func:fname ~key ~static_mod:fe
+      account t Op_pp_sign ~at ~func:fname ~key ~static_mod:fe
         ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
       set regs dst signed
   | Pp_add_tbi { dst; src; ce } ->
@@ -1765,7 +1728,7 @@ and exec_pp t f regs (pp : pp) =
       Bytes.set_int64_ne regs md (Int64.logxor fe (get f regs slot));
       let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
       let r = Bytes.get_int64_ne regs res in
-      account t Op_pp_auth ~func:fname ~key ~static_mod:fe
+      account t Op_pp_auth ~at ~func:fname ~key ~static_mod:fe
         ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
       if ok then Rsti_pa.Vaddr.with_top_byte_at regs ~dst:(dst lsl 3) ~src:res 0
       else set regs dst r
@@ -1802,7 +1765,7 @@ and call_function t i (g : func) regs : int64 =
   let n = t.call_counts.(i) + 1 in
   t.call_counts.(i) <- n;
   (match t.attacks with [] -> () | _ -> fire_attacks t (On_call (g.name, n)));
-  charge t t.costs.call;
+  t.cycles <- t.cycles + t.costs.call;
   let saved_sp = t.sp in
   let result = exec_block t g regs 0 in
   t.sp <- saved_sp;
@@ -1817,16 +1780,14 @@ and call_values t i (argv : int64 array) : int64 =
   call_function t i g regs
 
 (* Block [label] of [f], then the blocks it branches to; returns what
-   [f] returns. Each segment counts its visit as it is entered. A plain
-   machine accounts per segment: it adds the segment's totals once,
-   before its first instruction, and runs the instructions with no step,
-   charge or observer test. A segment that would take [counts.instrs]
-   past [whole_limit] (one that would cross the step limit, and every
-   segment of a profiled or flight-recorded machine) goes through
-   [exec_each] instead, so the profiler's site and the recorder's line
-   are current whenever either reads them. Resolution built [segs] with
-   [seg_width] slots a segment and each segment's stop at most the
-   body's length, so both are read unchecked. *)
+   [f] returns. Each segment counts its visit as it is entered, adds its
+   totals once, before its first instruction, and runs the instructions
+   with no step, charge or observer test. A segment that would take
+   [counts.instrs] past the step limit runs only the instructions that
+   fit, and the run stops with the next one stepped but not charged, or
+   with the terminator's step when every instruction fit. Resolution
+   built [segs] with [seg_width] slots a segment and each segment's stop
+   at most the body's length, so both are read unchecked. *)
 and exec_block t f regs label : int64 =
   let b = f.blocks.(label) in
   let segs = b.segs and body = b.body and c = t.counts in
@@ -1835,24 +1796,27 @@ and exec_block t f regs label : int64 =
   while !k <= last do
     let stop = Array.unsafe_get segs !k and steps = Array.unsafe_get segs (!k + 2) in
     Array.unsafe_set segs (!k + visit_slot) (Array.unsafe_get segs (!k + visit_slot) + 1);
-    if c.instrs + steps > t.whole_limit then exec_each t f regs b !i stop (!k = last)
-    else begin
-      t.cycles <- t.cycles + Array.unsafe_get segs (!k + 1);
-      c.instrs <- c.instrs + steps;
-      c.loads <- c.loads + Array.unsafe_get segs (!k + 3);
-      c.stores <- c.stores + Array.unsafe_get segs (!k + 4);
-      let start = !i in
-      try
-        while !i < stop do
-          exec t f regs (Array.unsafe_get body !i) exec_generic;
-          incr i
-        done
-      with e -> (
-        take_back t b !k start !i;
-        match e with
-        | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
-            raise (mem_fault t f.name fault)
-        | e -> raise e)
+    let room = t.step_limit - c.instrs in
+    let fit = if steps <= room then stop else !i + room in
+    t.cycles <- t.cycles + Array.unsafe_get segs (!k + 1);
+    c.instrs <- c.instrs + steps;
+    c.loads <- c.loads + Array.unsafe_get segs (!k + 3);
+    c.stores <- c.stores + Array.unsafe_get segs (!k + 4);
+    let start = !i in
+    (try
+       while !i < fit do
+         exec t f regs (Array.unsafe_get body !i) exec_generic;
+         incr i
+       done
+     with e -> (
+       take_back t b !k start !i ~charged:true;
+       match e with
+       | Memory.Fault fault when loads_of body.(!i) + stores_of body.(!i) > 0 ->
+           raise (mem_fault t f.name fault)
+       | e -> raise e));
+    if steps > room then begin
+      if fit < stop then take_back t b !k start fit ~charged:false;
+      raise (Trap_exn Step_limit_exceeded)
     end;
     i := stop;
     k := !k + seg_width
@@ -1862,33 +1826,6 @@ and exec_block t f regs label : int64 =
   | Br l -> exec_block t f regs l
   | Condbr (c, l1, l2) -> exec_block t f regs (if get f regs c = 0L then l2 else l1)
   | Unreachable -> raise (Trap_exn (Unknown_function (f.name ^ ":unreachable")))
-
-(* Instructions [start, stop) of [b], each stepped and charged just
-   before it runs, each load and store under its own fault handler, and
-   then, when [last] says they end the block, the terminator's charge and
-   step: the loop of profiled and flight-recorded machines and of a
-   segment that would cross the step limit. *)
-and exec_each t f regs b start stop last =
-  let c = t.counts in
-  for i = start to stop - 1 do
-    let code = b.body.(i) in
-    if t.profiling then set_site t f.name b.lines.(i);
-    if t.recording then t.cur_line <- b.lines.(i);
-    step t;
-    charge t b.cost.(i);
-    c.loads <- c.loads + loads_of code;
-    c.stores <- c.stores + stores_of code;
-    try exec t f regs code exec_generic
-    with Memory.Fault fault when loads_of code + stores_of code > 0 ->
-      raise (mem_fault t f.name fault)
-  done;
-  if last then
-    match b.term with
-    | Ret _ -> charge t t.costs.branch
-    | Br _ | Condbr _ ->
-        charge t t.costs.branch;
-        step t
-    | Unreachable -> ()
 
 (* Calls, the PA unit and the pp runtime, and the instructions that
    fail. *)
@@ -1921,8 +1858,8 @@ and exec_generic t f regs (g : generic) : unit =
                         { target; func = f.name; after_auth_fail = t.auth_failed })))
       in
       (match dst with Some d -> set regs d result | None -> ())
-  | Pac { p; dst; src; slot } -> exec_pac t f regs p ~dst ~src ~slot
-  | Pp pp -> exec_pp t f regs pp
+  | Pac { p; dst; src; slot; at } -> exec_pac t f regs p ~at ~dst ~src ~slot
+  | Pp (pp, at) -> exec_pp t f regs pp at
   | Fail exn -> raise exn
 
 (* ------------------------------------------------------------------ *)
@@ -1935,29 +1872,24 @@ let profile name counts =
   Array.iteri (fun i n -> if n > 0 then acc := (name i, n) :: !acc) counts;
   List.sort (fun (a, m) (b, n) -> match compare n m with 0 -> compare a b | c -> c) !acc
 
-let run ?(attacks = []) ?step_limit ?(entry = "main") t =
+let run ?(attacks = []) ?step_limit t =
   if t.ran then invalid_arg "Interp.run: machine already ran; create a fresh one";
   t.ran <- true;
   t.attacks <- attacks;
-  Option.iter (fun l -> t.step_limit <- l) step_limit;
-  t.whole_limit <- (if t.profiling || t.recording then -1 else t.step_limit);
+  (* [counts.instrs] never passes the limit untrapped, so the room a
+     segment has under it is never negative *)
+  Option.iter (fun l -> t.step_limit <- Int.max 0 l) step_limit;
   let status =
     try
       (match Hashtbl.find_opt t.defs Ir.global_init_name with
       | Some i -> ignore (call_values t i [||])
       | None -> ());
-      match Hashtbl.find_opt t.defs entry with
+      match Hashtbl.find_opt t.defs "main" with
       | Some i -> Exited (call_values t i [||])
-      | None -> Trapped (Unknown_function entry)
+      | None -> Trapped (Unknown_function "main")
     with
     | Trap_exn tr -> Trapped tr
     | Exit_exn code -> Exited code
-  in
-  let sites =
-    if not t.profiling then []
-    else
-      Hashtbl.fold (fun _ s acc -> s :: acc) t.prof_sites []
-      |> List.sort by_cycles
   in
   {
     status;
@@ -1966,38 +1898,31 @@ let run ?(attacks = []) ?step_limit ?(entry = "main") t =
     output = Buffer.contents t.out;
     call_profile = profile (fun i -> t.funcs.(i).name) t.call_counts;
     extern_profile = profile (fun i -> t.libc.(i)) t.extern_counts;
-    sites;
     incidents = List.rev t.incidents;
     notes = List.rev t.notes;
-    visits = { funcs = t.funcs; code = t.resolved };
+    visits = { funcs = t.funcs; code = t.resolved; costs = t.costs; cut = t.cut };
   }
 
-(* What executing [c] adds to the PA unit's counts, as [account] and
-   [exec_pp] count them, [v] times over. *)
-let count_pa (n : counts) v c =
+(* What executing [c] once adds to the PA unit's counts, as [account]
+   and [exec_pp] count them: signs, auths, strips and pp calls. *)
+let pa_of c =
   match c with
-  | Generic (Pac { p; _ }) -> (
-      match p.p_kind with
-      | Ir.Ksign -> n.pac_signs <- n.pac_signs + v
-      | Ir.Kauth -> n.pac_auths <- n.pac_auths + v
-      | Ir.Kresign ->
-          n.pac_signs <- n.pac_signs + v;
-          n.pac_auths <- n.pac_auths + v
-      | Ir.Kstrip -> n.pac_strips <- n.pac_strips + v)
-  | Generic (Pp pp) -> (
-      n.pp_calls <- n.pp_calls + v;
-      match pp with
-      | Pp_sign _ -> n.pac_signs <- n.pac_signs + v
-      | Pp_auth _ -> n.pac_auths <- n.pac_auths + v
-      | Pp_add | Pp_add_tbi _ -> ())
-  | _ -> ()
+  | Generic (Pac { p = { p_kind = Ir.Ksign; _ }; _ }) -> (1, 0, 0, 0)
+  | Generic (Pac { p = { p_kind = Ir.Kauth; _ }; _ }) -> (0, 1, 0, 0)
+  | Generic (Pac { p = { p_kind = Ir.Kresign; _ }; _ }) -> (1, 1, 0, 0)
+  | Generic (Pac { p = { p_kind = Ir.Kstrip; _ }; _ }) -> (0, 0, 1, 0)
+  | Generic (Pp (Pp_sign _, _)) -> (1, 0, 0, 1)
+  | Generic (Pp (Pp_auth _, _)) -> (0, 1, 0, 1)
+  | Generic (Pp ((Pp_add | Pp_add_tbi _), _)) -> (0, 0, 0, 1)
+  | _ -> (0, 0, 0, 0)
 
 (* Every charge is an instruction's static cost, a terminator's, [call]
    or [extern_call], and every count an instruction's, so a run that
    exited is the sum of its segment visits times their totals plus its
    calls. A module that enters the same segments as often (RSTI only
    inserts instructions into blocks, never a block or a call) is priced
-   from [base]'s visits and its own resolved segments. *)
+   from [base]'s visits and its own resolved segments, which then carry
+   those visits. *)
 let price ?costs ?backend modul (base : outcome) =
   (match base.status with
   | Exited _ -> ()
@@ -2024,14 +1949,18 @@ let price ?costs ?backend modul (base : outcome) =
               for k = 0 to (Array.length segs / seg_width) - 1 do
                 let k = k * seg_width in
                 let v = entered.(k + visit_slot) in
+                segs.(k + visit_slot) <- v;
                 t.cycles <- t.cycles + (v * segs.(k + 1));
                 n.instrs <- n.instrs + (v * segs.(k + 2));
                 n.loads <- n.loads + (v * segs.(k + 3));
                 n.stores <- n.stores + (v * segs.(k + 4));
-                if v > 0 then
-                  for j = !start to segs.(k) - 1 do
-                    count_pa n v b.body.(j)
-                  done;
+                for j = !start to segs.(k) - 1 do
+                  let signs, auths, strips, pp = pa_of b.body.(j) in
+                  n.pac_signs <- n.pac_signs + (v * signs);
+                  n.pac_auths <- n.pac_auths + (v * auths);
+                  n.pac_strips <- n.pac_strips + (v * strips);
+                  n.pp_calls <- n.pp_calls + (v * pp)
+                done;
                 start := segs.(k)
               done)
             f.blocks)
@@ -2044,13 +1973,74 @@ let price ?costs ?backend modul (base : outcome) =
       + (t.costs.call * calls base.call_profile)
       + (t.costs.extern_call * calls base.extern_profile);
     counts = n;
-    sites = [];
     incidents = [];
+    visits = { funcs = t.funcs; code = t.resolved; costs = t.costs; cut = None };
   }
 
-(* A perf-report-style rendering of {!outcome.sites}. The percentage
-   column is of the run's total cycles, so the top-N rows under-count
-   exactly what the final "other" row holds. *)
+(* Every charge lands on a site: an instruction's static charge, step
+   and PA charges on its own line, a terminator's on the line of its
+   block's last instruction (0 when the block has none), and each call's
+   [call] or [extern_call] on the callee's line 0. A segment counts
+   [visits] times, except that in the segment a trap cut, what follows
+   the instruction it stopped at (and that instruction's charge, when
+   the step limit only stepped it) ran one time fewer. *)
+let sites (o : outcome) =
+  let p = o.visits and tbl = Hashtbl.create 64 in
+  let add func line cycles instrs pac strips pp =
+    if cycles + instrs + pac + strips + pp > 0 then begin
+      let s =
+        match Hashtbl.find_opt tbl (func, line) with
+        | Some s -> s
+        | None ->
+            let s =
+              { s_func = func; s_line = line; s_cycles = 0; s_instrs = 0; s_pac_charges = 0;
+                s_strips = 0; s_pp_calls = 0 }
+            in
+            Hashtbl.replace tbl (func, line) s;
+            s
+      in
+      s.s_cycles <- s.s_cycles + cycles;
+      s.s_instrs <- s.s_instrs + instrs;
+      s.s_pac_charges <- s.s_pac_charges + pac;
+      s.s_strips <- s.s_strips + strips;
+      s.s_pp_calls <- s.s_pp_calls + pp
+    end
+  in
+  List.iter (fun (g, n) -> add g 0 (n * p.costs.call) 0 0 0 0) o.call_profile;
+  List.iter (fun (g, n) -> add g 0 (n * p.costs.extern_call) 0 0 0 0) o.extern_profile;
+  let block name b =
+    let n = Array.length b.body and start = ref 0 in
+    for k = 0 to (Array.length b.segs / seg_width) - 1 do
+      let k = k * seg_width in
+      let v = b.segs.(k + visit_slot) in
+      let at, was_charged =
+        match p.cut with Some c when c.block == b && c.seg = k -> (c.at, c.charged) | _ -> (n, true)
+      in
+      (* how often instruction [j] (the terminator's [j] is [n]) was
+         stepped, and charged *)
+      let stepped j = if j > at then v - 1 else v in
+      let charged j = if j > at || (j = at && not was_charged) then v - 1 else v in
+      let cycles = ref b.segs.(k + 1) and steps = ref b.segs.(k + 2) in
+      for j = !start to b.segs.(k) - 1 do
+        let signs, auths, strips, pp = pa_of b.body.(j) and w = charged j in
+        (* a pp op's sign or auth is priced at [pp], not [pac] *)
+        let pac = if pp > 0 then 0 else signs + auths in
+        add name b.lines.(j) (w * b.cost.(j)) (stepped j) (w * pac) (w * strips) (w * pp);
+        cycles := !cycles - b.cost.(j);
+        decr steps
+      done;
+      (* what the instructions leave of the totals is the terminator's *)
+      add name (if n = 0 then 0 else b.lines.(n - 1)) (charged n * !cycles) (charged n * !steps)
+        0 0 0;
+      start := b.segs.(k)
+    done
+  in
+  Array.iter (Option.iter (fun f -> Array.iter (block f.name) f.blocks)) p.code;
+  List.sort by_cycles (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
+
+(* A perf-report-style rendering of {!sites}. The percentage column is
+   of the run's total cycles, so the top-N rows under-count exactly what
+   the final "other" row holds. *)
 let profile_report ?(top = 20) (o : outcome) =
   let total = max 1 o.cycles in
   let shown, rest =
@@ -2061,7 +2051,7 @@ let profile_report ?(top = 20) (o : outcome) =
           let a, b = split (n - 1) tl in
           (x :: a, b)
     in
-    split top o.sites
+    split top (sites o)
   in
   let pct c = Printf.sprintf "%5.1f%%" (100. *. float_of_int c /. float_of_int total) in
   let row s =

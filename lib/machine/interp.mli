@@ -13,13 +13,13 @@
     flight recorder's [incidents] say which PAC operation failed and who
     signed the value. [notes] holds what the attack hooks wrote.
 
-    A machine charges each basic block's static cost at once, not each
-    instruction's, unless it profiles or records; either way the
-    outcome is the same. The cycle total and {!counts} are exact at
-    every call (a callee, and an attack hook it fires, starts from the
-    counts of the instructions that ran before it), at every trap and
-    at exit: they count the instruction that trapped or called [exit]
-    and nothing after it. *)
+    A machine charges each block segment's static cost at once, not each
+    instruction's, whether or not it records. The cycle total and
+    {!counts} are exact at every call (a callee, and an attack hook it
+    fires, starts from the counts of the instructions that ran before
+    it), at every trap and at exit: they count the instruction that
+    trapped or called [exit] and nothing after it. Every flight-recorder
+    stamp is as exact. *)
 
 type trap =
   | Mem_fault of { fault : string; func : string; after_auth_fail : bool }
@@ -47,21 +47,15 @@ type counts = {
   mutable pp_calls : int;
 }
 
-(** One profiled (function, source line) pair of the exact hot-site
-    profiler ([create ~profile:true]). Attribution is exact, not
-    sampled: every cycle the machine charges is added to the site of the
-    last instruction dispatched (terminator and call-overhead charges
-    land on that site too; pre-[entry] setup lands on the ["_start"]
-    pseudo-site), so an outcome's sites partition its cycle total —
-    [sum s_cycles = cycles], [sum s_instrs = counts.instrs], and
-    likewise [s_strips] and [s_pp_calls] against [pac_strips] and
-    [pp_calls]. [s_pac_charges] counts the [pac] prices charged at the
-    site (a resign's two; a pp op's sign or auth is priced at [pp]
-    instead), so in a run without pp ops the sites' [s_pac_charges] sum
-    to [pac_signs + pac_auths]. *)
+(** One (function, source line) pair of an outcome's exact hot-site
+    profile ({!sites}). [s_pac_charges] counts the [pac] prices charged
+    at the site (a resign's two; a pp op's sign or auth is priced at
+    [pp] instead). *)
 type site = {
   s_func : string;
-  s_line : int;  (** 0 when the instruction carries no !dbg location *)
+  s_line : int;
+      (** 0 when the instruction carries no !dbg location, and for a
+          function's call charges *)
   mutable s_cycles : int;
   mutable s_instrs : int;
   mutable s_pac_charges : int;
@@ -138,8 +132,9 @@ val signers_cap : int
 
 type profile
 (** How often a run entered each block segment (a block is cut after
-    each call) of each function: what {!price} sums. An outcome reads it
-    in place from the machine that ran, so reporting it copies nothing. *)
+    each call) of each function, and where a trap cut a segment short:
+    what {!price} and {!sites} sum. An outcome reads it in place from the
+    machine that ran, so reporting it copies nothing. *)
 
 type outcome = {
   status : status;
@@ -153,9 +148,6 @@ type outcome = {
   extern_profile : (string * int) list;
       (** simulated-libc call counts, in the same order as
           [call_profile]; a function that never ran is absent *)
-  sites : site list;
-      (** hot-site profile, cycles descending (ties by site); [] unless
-          the machine was created with [~profile:true] *)
   incidents : incident list;
       (** chronological; [] unless the machine was created with a
           [flight] capacity (under FPAC a run holds at most one, since
@@ -163,18 +155,39 @@ type outcome = {
   notes : string list;
       (** the strings attack hooks passed to [intruder.note],
           chronological *)
-  visits : profile;  (** the run's segment visits, which {!price} sums *)
+  visits : profile;
+      (** the run's segment visits, which {!price} and {!sites} sum *)
 }
 
 val detected : outcome -> bool
 (** True when execution ended in a trap that followed a PAC authentication
     failure — i.e. RSTI detected and stopped an attack. *)
 
+val sites : outcome -> site list
+(** The outcome's exact hot-site profile, cycles descending (ties by
+    site), added up from its segment visits and call profiles, so every
+    outcome has one: executed, trapped, served from a cache or priced.
+    The attribution rules:
+    - an instruction's static charge, its step and its PA charges land
+      on its own (function, line);
+    - a block's terminator lands on the site of the block's last
+      instruction, or on (function, 0) when the block has none;
+    - each call's [call] or [extern_call] charge lands on the callee's
+      (callee, 0) pseudo-site, so the entry calls land on
+      [("__rsti_global_init", 0)] and [("main", 0)];
+    - the one segment a trap or the step limit cut short counts only
+      what ran; at the step limit, the instruction that was stepped but
+      not charged keeps its step.
+    So the sites partition the outcome: [sum s_cycles = cycles],
+    [sum s_instrs = counts.instrs], and likewise [s_strips] and
+    [s_pp_calls] against [pac_strips] and [pp_calls]; in a run without
+    pp ops the sites' [s_pac_charges] sum to [pac_signs + pac_auths]. *)
+
 val profile_report : ?top:int -> outcome -> string
-(** A perf-report-style table of the hottest [top] (default 20) sites —
-    cycles, share of total, instructions, pac/strip/pp charges — with
-    one trailing row aggregating the rest. Empty profile renders just
-    the header. *)
+(** A perf-report-style table of the hottest [top] (default 20) of
+    {!sites} — cycles, share of total, instructions, pac/strip/pp
+    charges — with one trailing row aggregating the rest. An empty
+    profile renders just the header. *)
 
 type t
 (** A loaded machine instance (module + memory image + PA keys). *)
@@ -203,17 +216,16 @@ type attack = { trigger : trigger; action : intruder -> unit }
 
 val create :
   ?costs:Cost.t ->
-  ?seed:int64 ->
   ?pp_table:(int * int64) list ->
   ?fpac:bool ->
   ?cfi:bool ->
   ?backend:[ `Pac | `Shadow_mac ] ->
-  ?profile:bool ->
   ?flight:int ->
   Rsti_ir.Ir.modul ->
   t
 (** Load a module: lay out globals/strings/code, generate PA keys from
-    [seed], install the read-only pointer-to-pointer metadata table.
+    one fixed seed (which also seeds [rand]), install the read-only
+    pointer-to-pointer metadata table.
     Code is resolved lazily: a function's instructions are turned into
     the form the machine executes on its first call, so a run pays only
     for the functions it enters, and a name, type or register the IR
@@ -232,46 +244,42 @@ val create :
     CCFI-style alternative — a full-width MAC of (pointer, modifier)
     held in a runtime-protected shadow table keyed by the slot address,
     with pointers left raw. Same STI policy, different mechanism.
-    [profile] (default false) turns on the exact hot-site profiler.
-    A machine with neither the profiler nor the flight recorder charges
-    each basic block once; either one makes it step and charge each
-    instruction as it runs, so every charge and every recorded
-    operation has its site and line, and the outcome does not change.
     [flight] (default 0 = off) is the PAC flight recorder's ring
     capacity: every sign/auth/resign/strip/pp op is captured as a
     {!pac_op}, the last [flight] of them are kept, and a failing auth
     emits an {!incident} carrying that window plus detection latency.
-    When off, each PAC op pays one boolean test and nothing allocates.
-    Flight timestamps are cycle numbers under the run's own costs. *)
+    Each op knows its line and the cycles and steps that follow it in
+    its segment, so the recorder stamps it exactly on the machine's one
+    segment loop; recording changes nothing else of the run. When off,
+    each PAC op pays one boolean test and nothing allocates. Flight
+    timestamps are cycle numbers under the run's own costs. *)
 
 val global_addr : t -> string -> int64
 val func_addr : t -> string -> int64
 
-val run :
-  ?attacks:attack list ->
-  ?step_limit:int ->
-  ?entry:string ->
-  t ->
-  outcome
-(** Execute [__rsti_global_init] then [entry] (default ["main"]).
-    [step_limit] bounds interpreted instructions, [counts.instrs]
-    (default 200 million): the instruction past it traps, with
-    [counts.instrs = step_limit + 1] and nothing charged for it.
-    A machine can be run only once; create a fresh one per run. *)
+val run : ?attacks:attack list -> ?step_limit:int -> t -> outcome
+(** Execute [__rsti_global_init] then [main]; a module without [main]
+    traps with [Unknown_function "main"]. [step_limit] bounds
+    interpreted instructions, [counts.instrs] (default 200 million; a
+    negative one counts as 0): the instruction past it traps, with
+    [counts.instrs = step_limit + 1] and nothing charged for it. A
+    machine can be run only once; create a fresh one per run. *)
 
 val price :
   ?costs:Cost.t -> ?backend:[ `Pac | `Shadow_mac ] -> Rsti_ir.Ir.modul -> outcome -> outcome
 (** [price modul base] is the outcome [modul] would have on a machine
-    with neither the profiler nor the flight recorder, under [costs] and
-    [backend] as in {!create}, if it enters every block segment as often
-    as [base]'s run did, as an RSTI build of [base]'s module does. It
+    without the flight recorder, under [costs] and [backend] as in
+    {!create}, if it enters every block segment as often as [base]'s run
+    did, as an RSTI build of [base]'s module does. It
     resolves [modul] as a machine would; its cycles are, per segment,
     [base]'s visits times [modul]'s static cycles, plus [call] per
     defined-function call and [extern_call] per libc call of [base]'s
     profiles, and every count is summed the same way (the PA counts from
     each segment's PA and pp instructions). Status, output, both call
-    profiles, notes and visits are [base]'s; [sites] and [incidents] are
-    empty. Nothing executes.
+    profiles and notes are [base]'s, and [incidents] is empty. Its
+    visits are [modul]'s own resolved segments carrying [base]'s visit
+    counts, so its {!sites} are the profile of [modul]'s build. Nothing
+    executes.
     @raise Invalid_argument when [base] did not exit, or [modul]'s
     functions, an entered function's blocks or a block's segments
     (calls) differ from [base]'s. *)

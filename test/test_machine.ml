@@ -373,7 +373,9 @@ let test_interp_step_limit () =
 (* A callee starts from exact counters. For every limit in a window
    longer than one iteration of a loop that calls [tick] mid-block, so
    that it spans the instructions before the call, the callee and those
-   after it, the plain and the profiled machine stop alike. *)
+   after it, the machine stops with the cycles a machine that stepped
+   and charged each instruction stopped with, and the sites partition
+   the run. *)
 let test_interp_step_limit_across_call () =
   let m =
     Pipeline.ir
@@ -382,18 +384,24 @@ let test_interp_step_limit_across_call () =
           int main(void) { int s = 0; while (1) { s = s + 1; s = tick(s); s = s - 1; } \
           return s; }")
   in
+  let cycles =
+    [| 228; 229; 232; 233; 233; 236; 237; 239; 242; 248; 249; 251; 252; 255; 256; 258; 261;
+       264; 266; 268; 271; 272; 275; 276; 276; 279; 280; 282; 285; 291; 292; 294; 295; 298;
+       299; 301; 304; 307; 309; 311; 314; 315; 318; 319; 319; 322; 323; 325; 328; 334; 335;
+       337; 338; 341; 342; 344; 347; 350; 352; 354; 357 |]
+  in
   for limit = 100 to 160 do
-    let run profile = Interp.run ~step_limit:limit (Interp.create ~profile m) in
-    let plain = run false and profiled = run true in
+    let at what = Printf.sprintf "%s at limit %d" what limit in
     List.iter
-      (fun (what, (o : Interp.outcome)) ->
+      (fun flight ->
+        let o = Interp.run ~step_limit:limit (Interp.create ~flight m) in
         (match o.status with
         | Interp.Trapped Interp.Step_limit_exceeded -> ()
-        | _ -> Alcotest.failf "%s run at limit %d: expected step limit" what limit);
-        checki (Printf.sprintf "%s instrs at limit %d" what limit) (limit + 1)
-          o.counts.instrs)
-      [ ("plain", plain); ("profiled", profiled) ];
-    checki (Printf.sprintf "cycles at limit %d" limit) profiled.cycles plain.cycles
+        | _ -> Alcotest.fail (at "expected step limit"));
+        checki (at "instrs") (limit + 1) o.counts.instrs;
+        checki (at "cycles") cycles.(limit - 100) o.cycles;
+        Test_observe.check_partition (at "sites") o)
+      [ 0; 16 ]
   done
 
 let test_interp_cycles_positive_and_counted () =
@@ -481,9 +489,9 @@ let test_interp_atoi_putchar () =
 let test_interp_unknown_function_traps () =
   (* the type checker rejects undeclared calls, so the runtime trap is
      only reachable through a missing entry point *)
-  let c = compiled "int main(void) { return 0; }" in
-  match (Pipeline.run_baseline ~entry:"not_main" c).Interp.status with
-  | Interp.Trapped (Interp.Unknown_function _) -> ()
+  let c = compiled "int helper(void) { return 0; }" in
+  match (Pipeline.run_baseline c).Interp.status with
+  | Interp.Trapped (Interp.Unknown_function "main") -> ()
   | _ -> Alcotest.fail "expected unknown-function trap"
 
 (* Resolving a function never raises. An instruction that names an
@@ -613,9 +621,9 @@ let reference_binop (op : Rsti_minic.Ast.binop) (fl : Rsti_ir.Ir.float_op) x y =
 
 (* Every arithmetic instruction, on constant operands drawn from
    boundary values (integers, shift counts and float bits), runs to its
-   reference result, or to a division-by-zero trap, on a plain, a
-   profiled and a flight-recorded machine, with the same instructions
-   and cycles on all three. *)
+   reference result, or to a division-by-zero trap, on a plain and a
+   flight-recorded machine, with the same instructions and cycles on
+   both. *)
 let test_interp_operator_table () =
   let module Ir = Rsti_ir.Ir in
   let module Ctype = Rsti_minic.Ctype in
@@ -643,8 +651,8 @@ let test_interp_operator_table () =
   let check name i want =
     let runs =
       List.map
-        (fun (profile, flight) -> Interp.run (Interp.create ~profile ~flight (modul i)))
-        [ (false, 0); (true, 0); (false, 16) ]
+        (fun flight -> Interp.run (Interp.create ~flight (modul i)))
+        [ 0; 16 ]
     in
     List.iter2
       (fun machine (o : Interp.outcome) ->
@@ -655,7 +663,7 @@ let test_interp_operator_table () =
           | Interp.Trapped tr -> Interp.trap_to_string tr
         in
         if got <> show want then Alcotest.failf "%s on the %s machine: %s, want %s" name machine got (show want))
-      [ "plain"; "profiled"; "flight-recorded" ] runs;
+      [ "plain"; "flight-recorded" ] runs;
     match runs with
     | plain :: others ->
         List.iter
@@ -845,6 +853,39 @@ let test_interp_profile_order () =
   checks "calls" "tick:2 __rsti_global_init:1 main:1 tock:1" (show o.Interp.call_profile);
   checks "libc" "putchar:1 puts:1" (show o.Interp.extern_profile)
 
+(* A loop whose body block ends in a call: the [br] after the call is
+   main's, on the call's line, and the call's charge is the callee's, on
+   its line 0; g's own line holds only g's instructions. *)
+let test_interp_sites_of_call_ending_loop () =
+  let o =
+    run
+      "long acc;\n\
+       void g(long x) {\n\
+      \  acc = acc + x;\n\
+       }\n\
+       int main(void) {\n\
+      \  long i;\n\
+      \  for (i = 0; i < 100; i = i + 1) {\n\
+      \    g(i);\n\
+      \  }\n\
+      \  return (int) acc;\n\
+       }\n"
+  in
+  let sites = Interp.sites o in
+  let site func line =
+    match List.find_opt (fun (s : Interp.site) -> s.s_func = func && s.s_line = line) sites with
+    | Some s -> (s.s_cycles, s.s_instrs)
+    | None -> Alcotest.failf "no site %s:%d" func line
+  in
+  let c = Cost.default in
+  checkb "main:8 holds the load, the call and the br" true
+    (site "main" 8 = (100 * (c.load + c.branch), 300));
+  checki "g:3 holds g's instructions" 400 (snd (site "g" 3));
+  checkb "g:0 holds the calls" true (site "g" 0 = (100 * c.call, 0));
+  checki "cycles" 3527 o.Interp.cycles;
+  checki "instrs" 1608 o.Interp.counts.instrs;
+  Test_observe.check_partition "call-ending loop" o
+
 (* An outcome holds counters and profiles, not a trace of the run, so its
    size does not grow with the number of calls the program made. *)
 let test_interp_outcome_size_bounded () =
@@ -981,9 +1022,9 @@ let test_attack_heap_allocs_listed () =
 (* One uninstrumented run at the default prices, priced as the baseline,
    STWC on both backends and a syntactically elided STWC build, under
    other PA prices and another base-ISA record: each must equal the
-   build executed under those prices, whether the run was plain,
-   profiled or flight-recorded. Of the SPEC2006 kernels, namd is one
-   whose syntactic elision drops sites. *)
+   build executed under those prices, its sites included, whether the
+   run was plain or flight-recorded. Of the SPEC2006 kernels, namd is
+   one whose syntactic elision drops sites. *)
 let test_interp_price_matches_execution () =
   let kernel name =
     (List.find (fun (w : Rsti_workloads.Workload.t) -> w.name = name) Rsti_workloads.Spec2006.all)
@@ -1017,9 +1058,8 @@ let test_interp_price_matches_execution () =
       in
       let bases =
         List.map
-          (fun (how, profile, flight) ->
-            (how, Interp.run (Interp.create ~profile ~flight (Pipeline.ir c))))
-          [ ("plain", false, 0); ("profiled", true, 0); ("flight-recorded", false, 16) ]
+          (fun (how, flight) -> (how, Interp.run (Interp.create ~flight (Pipeline.ir c))))
+          [ ("plain", 0); ("flight-recorded", 16) ]
       in
       List.iter
         (fun (label, costs) ->
@@ -1028,10 +1068,11 @@ let test_interp_price_matches_execution () =
               let run = Interp.run (Interp.create ~costs ~backend ~pp_table modul) in
               List.iter
                 (fun (how, base) ->
-                  Test_observe.check_same_outcome
-                    (Printf.sprintf "%s %s at %s from a %s run" prog build label how)
-                    run
-                    (Interp.price ~costs ~backend modul base))
+                  let name = Printf.sprintf "%s %s at %s from a %s run" prog build label how in
+                  let priced = Interp.price ~costs ~backend modul base in
+                  Test_observe.check_same_outcome name run priced;
+                  Test_observe.check_partition name priced;
+                  checkb (name ^ ": sites") true (Interp.sites priced = Interp.sites run))
                 bases)
             builds;
           (* the engine's outcome cache keys on the whole cost record *)
@@ -1124,6 +1165,8 @@ let tests =
       test_interp_hot_loop_allocates_nothing;
     Alcotest.test_case "interp: profiles" `Quick test_interp_profiles_populated;
     Alcotest.test_case "interp: profile order" `Quick test_interp_profile_order;
+    Alcotest.test_case "interp: sites of a call-ending loop" `Quick
+      test_interp_sites_of_call_ending_loop;
     Alcotest.test_case "interp: outcome size bounded" `Quick test_interp_outcome_size_bounded;
     Alcotest.test_case "interp: libc bad input traps" `Quick test_interp_libc_bad_input;
     Alcotest.test_case "attack: hooks fire" `Quick test_attack_hooks_fire_in_order;

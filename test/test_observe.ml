@@ -3,9 +3,10 @@
    metrics registry (roundtrip through its JSON document), the
    determinism contract (span name-tree and non-volatile counters are
    identical whether a suite runs on one domain or four), the exact
-   hot-site profiler (sites partition every global counter, and a
-   profiled run served from the cache at another PA price matches a
-   fresh simulation per-site), the per-stage cache statistics, the
+   hot-site profile (sites partition every global counter, and a run
+   served from the cache at another PA price matches a fresh
+   simulation per-site), the flight recorder's pinned stamps, the
+   per-stage cache statistics, the
    histogram percentiles, the sorted-JSONL event log (byte-identical at any job
    count, including the full incident collection), the incident
    coverage invariant (every detected attack maps into the static
@@ -204,8 +205,8 @@ let test_telemetry_identical_across_jobs () =
 (* ---------------------------- profiler ------------------------------ *)
 
 (* Two runs of one program agree on all that does not depend on the
-   profiler or the flight recorder: status, cycles, every counter,
-   output and both call profiles. *)
+   flight recorder: status, cycles, every counter, output and both call
+   profiles. *)
 let check_same_outcome name (a : Interp.outcome) (b : Interp.outcome) =
   checkb (name ^ ": status") true (a.Interp.status = b.Interp.status);
   checki (name ^ ": cycles") a.Interp.cycles b.Interp.cycles;
@@ -226,11 +227,25 @@ let check_same_outcome name (a : Interp.outcome) (b : Interp.outcome) =
   checkb (name ^ ": extern profile") true
     (a.Interp.extern_profile = b.Interp.extern_profile)
 
-(* The exact profiler's partition invariant: an outcome's sites sum to
-   the global cycle and event counters, for one kernel of each suite
-   under each Figure-9 configuration. A plain machine accounts per block
-   and a profiled or flight-recorded one per instruction, so the plain
-   run must match both observed runs in all they do not add. *)
+(* The exact profile's partition invariant: an outcome's sites sum to
+   its cycles, instructions, strips and pp calls, and in a run without
+   pp ops their pac charges sum to the signs and auths. *)
+let check_partition name (o : Interp.outcome) =
+  let sites = Interp.sites o in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 sites in
+  let c = o.Interp.counts in
+  checki (name ^ ": cycles partition") o.Interp.cycles (sum (fun s -> s.Interp.s_cycles));
+  checki (name ^ ": instrs partition") c.Interp.instrs (sum (fun s -> s.Interp.s_instrs));
+  checki (name ^ ": strip partition") c.Interp.pac_strips (sum (fun s -> s.Interp.s_strips));
+  checki (name ^ ": pp partition") c.Interp.pp_calls (sum (fun s -> s.Interp.s_pp_calls));
+  if c.Interp.pp_calls = 0 then
+    checki (name ^ ": pac-charge partition")
+      (c.Interp.pac_signs + c.Interp.pac_auths)
+      (sum (fun s -> s.Interp.s_pac_charges))
+
+(* The partition invariant for one kernel of each suite under each
+   Figure-9 configuration; the flight recorder changes neither the run
+   nor its profile. *)
 let test_profiler_partitions_totals () =
   let kernels =
     List.map List.hd
@@ -251,56 +266,54 @@ let test_profiler_partitions_totals () =
                 Pipeline.costs = { Cost.parts_codegen with pac = Cost.default.pac } }
             else config
           in
-          let o = Pipeline.run ~config ~profile:true i in
-          let sum f = List.fold_left (fun acc s -> acc + f s) 0 o.Interp.sites in
+          let o = Pipeline.run ~config i in
           let name what =
             Printf.sprintf "%s/%s: %s" w.name (RT.mechanism_to_string mech)
               what
           in
-          checkb (name "profile non-empty") true (o.Interp.sites <> []);
-          checki (name "cycles partition") o.Interp.cycles
-            (sum (fun s -> s.Interp.s_cycles));
-          checki (name "instrs partition") o.Interp.counts.Interp.instrs
-            (sum (fun s -> s.Interp.s_instrs));
+          checkb (name "profile non-empty") true (Interp.sites o <> []);
           (* a pp op's sign or auth is priced at [pp], not [pac]; no
              Figure-9 build runs one *)
           checki (name "pp-free") 0 o.Interp.counts.Interp.pp_calls;
-          checki (name "pac-charge partition")
-            (o.Interp.counts.Interp.pac_signs + o.Interp.counts.Interp.pac_auths)
-            (sum (fun s -> s.Interp.s_pac_charges));
-          checki (name "strip partition") o.Interp.counts.Interp.pac_strips
-            (sum (fun s -> s.Interp.s_strips));
-          checki (name "pp partition") o.Interp.counts.Interp.pp_calls
-            (sum (fun s -> s.Interp.s_pp_calls));
-          let o0 = Pipeline.run ~config i in
-          check_same_outcome (name "profiling does not change the outcome") o0 o;
-          check_same_outcome (name "recording does not change the outcome") o0
-            (Pipeline.run ~config ~flight:16 i);
-          checkb (name "unprofiled outcome has no sites") true
-            (o0.Interp.sites = []))
+          check_partition (name "plain") o;
+          let recorded = Pipeline.run ~config ~flight:16 i in
+          check_same_outcome (name "recording does not change the outcome") o recorded;
+          checkb (name "recording does not change the profile") true
+            (Interp.sites recorded = Interp.sites o))
         [ RT.Nop; RT.Stwc; RT.Stc; RT.Stl; RT.Parts ])
     kernels
 
-(* A plain machine accounts per block; a profiled or flight-recorded one
-   steps and charges each instruction as it runs. Runs [modul] all three
-   ways, checks they agree and returns the plain outcome. *)
-let observed_agree ?(pp_table = []) ?(attacks = []) name modul =
-  let run ~profile ~flight =
-    Interp.run ~attacks (Interp.create ~pp_table ~profile ~flight modul)
-  in
-  let plain = run ~profile:false ~flight:0 in
-  check_same_outcome (name ^ " profiled") plain (run ~profile:true ~flight:0);
-  check_same_outcome (name ^ " flight-recorded") plain (run ~profile:false ~flight:16);
+(* What a run must come to: its status ("exit N" or the trap), cycles,
+   the seven counts in [Interp.counts] order, and both call profiles.
+   The values below were taken from a machine that stepped and charged
+   each instruction as it ran. *)
+type pinned = string * int * int list * (string * int) list * (string * int) list
+
+let check_pinned name ((status, cycles, counts, calls, externs) : pinned) (o : Interp.outcome) =
+  let c = o.Interp.counts in
+  Alcotest.(check string) (name ^ ": status") status
+    (match o.Interp.status with
+    | Interp.Exited n -> Printf.sprintf "exit %Ld" n
+    | Interp.Trapped t -> Interp.trap_to_string t);
+  checki (name ^ ": cycles") cycles o.Interp.cycles;
+  Alcotest.(check (list int)) (name ^ ": counts") counts
+    Interp.[ c.instrs; c.loads; c.stores; c.pac_signs; c.pac_auths; c.pac_strips; c.pp_calls ];
+  let profile = Alcotest.(list (pair string int)) in
+  Alcotest.check profile (name ^ ": call profile") calls o.Interp.call_profile;
+  Alcotest.check profile (name ^ ": extern profile") externs o.Interp.extern_profile
+
+(* Runs [modul] plain and flight-recorded: the plain run comes to
+   [want] and its sites partition it, and the recorded run agrees with
+   it. Returns the plain outcome. *)
+let observed ?(pp_table = []) ?(attacks = []) name want modul =
+  let run flight = Interp.run ~attacks (Interp.create ~pp_table ~flight modul) in
+  let plain = run 0 in
+  check_pinned name want plain;
+  check_partition name plain;
+  check_same_outcome (name ^ " flight-recorded") plain (run 16);
   plain
 
 let compiled name src = Pipeline.compile (Pipeline.source ~file:(name ^ ".c") src)
-
-let check_status name want (o : Interp.outcome) =
-  if not (want o.Interp.status) then
-    Alcotest.failf "%s: unexpected %s" name
-      (match o.Interp.status with
-      | Interp.Exited n -> Printf.sprintf "exit %Ld" n
-      | Interp.Trapped t -> Interp.trap_to_string t)
 
 (* An exit() from nested calls: every segment it entered has run to its
    end, the exit call being the last instruction of its segment. *)
@@ -315,14 +328,17 @@ int depth(int n) {
 int main(void) { printf("%d\n", depth(3)); return 0; }
 |}
 
-(* Runs that end inside a block, where the plain machine takes back what
-   it charged for the instructions after the one that trapped, and an
+let main_only = [ ("__rsti_global_init", 1); ("main", 1) ]
+
+(* Runs that end inside a block, where the machine takes back what it
+   charged for the instructions after the one that trapped, and an
    exit() from nested calls. *)
 let test_observed_traps_agree () =
-  let agree name src = observed_agree name (Pipeline.ir (compiled name src)) in
-  check_status "division by zero"
-    (function Interp.Trapped (Interp.Div_by_zero "ratio") -> true | _ -> false)
+  let agree name want src = observed name want (Pipeline.ir (compiled name src)) in
+  ignore
     (agree "division by zero"
+       ("division by zero in ratio", 219, [ 103; 29; 22; 0; 0; 0; 0 ],
+        ("ratio", 4) :: main_only, [])
        {|int ratio(int a, int b) {
   int q = a / b;
   int r = q * 2;
@@ -334,10 +350,10 @@ int main(void) {
   return s;
 }
 |});
-  check_status "unmapped load"
-    (function
-      | Interp.Trapped (Interp.Mem_fault { func = "peek"; _ }) -> true | _ -> false)
+  ignore
     (agree "unmapped load"
+       ("memory fault in peek: unmapped address 0x0", 74, [ 27; 8; 7; 0; 0; 0; 0 ],
+        ("peek", 2) :: main_only, [])
        {|long peek(long *p) {
   long v = *p;
   long w = v + 1;
@@ -351,14 +367,19 @@ int main(void) {
   return (int) s;
 }
 |});
-  check_status "stack overflow"
-    (function Interp.Trapped Interp.Stack_overflow -> true | _ -> false)
+  ignore
     (agree "stack overflow"
+       ("stack overflow", 762623, [ 349529; 95325; 63551; 0; 0; 0; 0 ],
+        ("boom", 31776) :: main_only, [])
        {|int boom(int n) { int pad[64]; pad[0] = n; return boom(n + pad[0]); }
 int main(void) { return boom(1); }
 |});
-  let o = agree "exit" exit_nested_src in
-  check_status "exit" (fun s -> s = Interp.Exited 7L) o;
+  let o =
+    agree "exit"
+      ("exit 7", 103, [ 38; 7; 4; 0; 0; 0; 0 ], ("depth", 4) :: main_only,
+       [ ("exit", 1); ("printf", 1) ])
+      exit_nested_src
+  in
   Alcotest.(check string) "exit: output" "bye\n" o.Interp.output;
   (* an intruder swaps a raw pointer into a signed slot: the next load
      of it fails authentication mid-block *)
@@ -385,9 +406,11 @@ int main(void) {
         (fun intr -> intr.write_word (intr.global_addr "victim") (intr.global_addr "cell"));
     }
   in
-  check_status "FPAC"
-    (function Interp.Trapped (Interp.Pac_auth_failure _) -> true | _ -> false)
-    (observed_agree "FPAC" ~attacks:[ raw ]
+  ignore
+    (observed "FPAC" ~attacks:[ raw ]
+       ( "PAC authentication failure in main (modifier 0xf121901d8b0810bf, pointer \
+          0x10000000): FPAC trap",
+         40, [ 6; 1; 1; 1; 1; 0; 0 ], main_only @ [ ("mark", 1) ], [] )
        (Pipeline.result fpac).Instrument.modul);
   (* a catalog attack with its hooks *)
   let sc = Rsti_attacks.Catalog.cve_libtiff in
@@ -398,14 +421,109 @@ int main(void) {
            (analyze (compiled sc.Rsti_attacks.Scenario.id sc.Rsti_attacks.Scenario.program))))
   in
   let o =
-    observed_agree sc.Rsti_attacks.Scenario.id ~attacks:sc.Rsti_attacks.Scenario.attacks
-      ~pp_table:r.Instrument.pp_table r.Instrument.modul
+    observed sc.Rsti_attacks.Scenario.id ~attacks:sc.Rsti_attacks.Scenario.attacks
+      ~pp_table:r.Instrument.pp_table
+      ( "PAC authentication failure in TIFFWriteScanline (modifier 0x67ecf2f5419efdd9, \
+         pointer 0xf002b0): FPAC trap",
+        250, [ 78; 24; 17; 3; 4; 1; 0 ],
+        [ ("TIFFWriteScanline", 2); ("TIFFOpen", 1); ("_TIFFNoRowEncode", 1);
+          ("_TIFFSetDefaultCompressionState", 1) ] @ main_only,
+        [ ("malloc", 2); ("printf", 1) ] )
+      r.Instrument.modul
   in
   checkb "catalog attack detected" true (Interp.detected o)
 
-(* A profiled run cached at one PA price is never served at another:
-   the outcome key holds the whole cost record, so the run served at
-   each price equals a fresh profiled simulation's, per-site. *)
+(* The flight recorder stamps each PA op from its place in its segment.
+   An intruder swaps a raw pointer into [victim] at the call of [mark];
+   the auth at line 16 then fails, after nine ops in segments that end
+   at a call, at a branch and at the failing op's own block's return.
+   Every stamp is pinned: an FPAC trap, a corrupted dereference without
+   FPAC, and the same run with the step limit cutting the failing op's
+   segment right after it. The values were taken from a machine that
+   stepped and charged each instruction as it ran. *)
+let test_flight_stamps_pinned () =
+  let r =
+    Pipeline.(
+      result
+        (instrument RT.Stl
+           (analyze
+              (compiled "stamps"
+                 {|long cell;
+long other;
+long *victim;
+long *spare;
+void mark(void) { }
+long peek(long *p) { return *p; }
+int main(void) {
+  long s = 0;
+  victim = &cell;
+  spare = &other;
+  for (int i = 0; i < 2; i++) {
+    s = s + peek(spare);
+    s = s + *victim;
+  }
+  mark();
+  long v = *victim;
+  return (int) (v + s);
+}
+|}))))
+  in
+  let raw =
+    {
+      Interp.trigger = Interp.On_call ("mark", 1);
+      action =
+        (fun intr -> intr.write_word (intr.global_addr "victim") (intr.global_addr "cell"));
+    }
+  in
+  let window =
+    [ ("sign", 9, 23, 3); ("sign", 10, 32, 5); ("auth", 12, 56, 15); ("resign", 12, 70, 16);
+      ("auth", 13, 102, 26); ("auth", 12, 134, 40); ("resign", 12, 148, 41);
+      ("auth", 13, 180, 51); ("auth", 16, 217, 66) ]
+  in
+  let calls = [ ("peek", 2); ("__rsti_global_init", 1); ("main", 1); ("mark", 1) ] in
+  let fault =
+    "memory fault in main: non-canonical address 0x60000010000000 (corrupted pointer?) [after \
+     PAC authentication failure]"
+  in
+  List.iter
+    (fun (name, fpac, step_limit, want) ->
+      let run flight =
+        Interp.run ~attacks:[ raw ] ?step_limit
+          (Interp.create ~fpac ~flight ~pp_table:r.Instrument.pp_table r.Instrument.modul)
+      in
+      let o = run 16 in
+      check_pinned name want o;
+      check_partition name o;
+      check_same_outcome (name ^ " plain") o (run 0);
+      match o.Interp.incidents with
+      | [ inc ] ->
+          Alcotest.(check (list (pair string (pair int (pair int int)))))
+            (name ^ ": window") (List.map (fun (k, l, c, i) -> (k, (l, (c, i)))) window)
+            (List.map
+               (fun (op : Interp.pac_op) ->
+                 ( Interp.op_kind_to_string op.Interp.op_kind,
+                   (op.Interp.op_line, (op.Interp.op_cycle, op.Interp.op_instr)) ))
+               inc.Interp.inc_window);
+          checki (name ^ ": incident line") 16 inc.Interp.inc_line;
+          checki (name ^ ": incident cycle") 217 inc.Interp.inc_cycle;
+          checki (name ^ ": incident instr") 66 inc.Interp.inc_instr;
+          checkb (name ^ ": corruption point") true (inc.Interp.inc_corrupt = Some (199, 63));
+          checkb (name ^ ": latencies") true
+            (inc.Interp.inc_latency_cycles = Some 18 && inc.Interp.inc_latency_instrs = Some 3)
+      | l -> Alcotest.failf "%s: %d incidents" name (List.length l))
+    [
+      ( "FPAC", true, None,
+        ( "PAC authentication failure in main (modifier 0xf121901d8b0810a7, pointer \
+           0x10000000): FPAC trap",
+          217, [ 66; 20; 12; 4; 7; 0; 0 ], calls, [] ) );
+      ("non-FPAC", false, None, (fault, 220, [ 67; 21; 12; 4; 7; 0; 0 ], calls, []));
+      ( "non-FPAC cut at the failing op", false, Some 66,
+        ("step limit exceeded", 217, [ 67; 20; 12; 4; 7; 0; 0 ], calls, []) );
+    ]
+
+(* A run served from the cache at one PA price is never served at
+   another: the outcome key holds the whole cost record, so the run
+   served at each price equals a fresh simulation's, per-site. *)
 let test_profile_reprice_exact () =
   Cache.clear ();
   let w = List.hd Rsti_workloads.Nbench.all in
@@ -418,14 +536,12 @@ let test_profile_reprice_exact () =
       Pipeline.costs = Rsti_machine.Cost.(with_pac default pac);
     }
   in
-  ignore (Pipeline.run ~config:(config 7) ~profile:true i);
+  ignore (Pipeline.run ~config:(config 7) i);
   List.iter
     (fun pac ->
-      let served = Pipeline.run ~config:(config pac) ~profile:true i in
+      let served = Pipeline.run ~config:(config pac) i in
       let fresh =
-        Pipeline.run
-          ~config:{ (config pac) with Pipeline.cache = false }
-          ~profile:true i
+        Pipeline.run ~config:{ (config pac) with Pipeline.cache = false } i
       in
       checki
         (Printf.sprintf "cycles at pac=%d" pac)
@@ -433,12 +549,8 @@ let test_profile_reprice_exact () =
       checkb
         (Printf.sprintf "per-site profile at pac=%d" pac)
         true
-        (served.Interp.sites = fresh.Interp.sites);
-      checki
-        (Printf.sprintf "served sites still partition at pac=%d" pac)
-        served.Interp.cycles
-        (List.fold_left (fun acc s -> acc + s.Interp.s_cycles) 0
-           served.Interp.sites))
+        (Interp.sites served = Interp.sites fresh);
+      check_partition (Printf.sprintf "served at pac=%d" pac) served)
     [ 3; 12 ]
 
 (* ------------------------- per-stage cache -------------------------- *)
@@ -619,11 +731,11 @@ let test_incident_coverage_invariant () =
         | [] -> false))
     cov.Incident.cov_records
 
-(* Latency attribution vs the exact profiler, over random catalog picks:
+(* Latency attribution vs the exact profile, over random catalog picks:
    the corrupting store and the failing auth are both stamped with the
    machine's cycle/instruction counters, so the latency is their exact
-   difference and can never exceed the profiler's totals for the same
-   run. *)
+   difference and can never exceed the run's totals, which its sites
+   partition. *)
 let prop_incident_latency_consistent =
   let scenarios =
     Rsti_attacks.Catalog.all
@@ -647,12 +759,9 @@ let prop_incident_latency_consistent =
       in
       let o =
         Pipeline.run ~config ~attacks:sc.Rsti_attacks.Scenario.attacks
-          ~flight:8 ~profile:true i
+          ~flight:8 i
       in
-      let site_cycles =
-        List.fold_left (fun acc s -> acc + s.Interp.s_cycles) 0 o.Interp.sites
-      in
-      checki "profiled sites partition cycles" o.Interp.cycles site_cycles;
+      check_partition "replay" o;
       List.iter
         (fun (inc : Interp.incident) ->
           checkb "incident cycle within run" true
@@ -747,6 +856,8 @@ let tests =
       test_profile_reprice_exact;
     Alcotest.test_case "observed: traps and exit alike plain, profiled, recorded"
       `Quick test_observed_traps_agree;
+    Alcotest.test_case "flight: stamps pinned across segments" `Quick
+      test_flight_stamps_pinned;
     Alcotest.test_case "cache: per-stage statistics" `Quick
       test_cache_stage_stats;
     Alcotest.test_case "metrics: histogram percentiles" `Quick

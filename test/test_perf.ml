@@ -53,7 +53,8 @@ let geomean ms mech =
 
 (* Executes [w]'s baseline and each row's build: every build exits as
    the baseline does and prints what it prints, the baseline costs the
-   row's [base_cycles], and each build the row's cycles and counts. *)
+   row's [base_cycles], and each build the row's cycles and counts and
+   has the profile its priced row has. *)
 let check_executed (w : Workload.t) ms =
   let a = Pipeline.analyze (Pipeline.compile (Pipeline.source ~file:(w.name ^ ".c") w.source)) in
   let base = Pipeline.run_baseline (Pipeline.compiled_of_analyzed a) in
@@ -61,7 +62,8 @@ let check_executed (w : Workload.t) ms =
     (fun (m : Run.measurement) ->
       let name what = Printf.sprintf "%s/%s: %s" w.name (RT.mechanism_to_string m.mech) what in
       Alcotest.(check int) (name "base cycles") base.Interp.cycles m.base_cycles;
-      let o = Pipeline.run (Pipeline.instrument m.mech a) in
+      let i = Pipeline.instrument m.mech a in
+      let o = Pipeline.run i in
       checkb (name "status") true (o.Interp.status = base.Interp.status);
       Alcotest.(check string) (name "output") base.Interp.output o.Interp.output;
       Alcotest.(check int) (name "cycles") o.Interp.cycles m.mech_cycles;
@@ -75,7 +77,9 @@ let check_executed (w : Workload.t) ms =
           ("pac_auths", fun c -> c.pac_auths);
           ("pac_strips", fun c -> c.pac_strips);
           ("pp_calls", fun c -> c.pp_calls);
-        ])
+        ];
+      checkb (name "sites") true
+        (Interp.sites (Interp.price (Pipeline.instrumented_ir i) base) = Interp.sites o))
     ms
 
 (* one test per workload: every mechanism's build, executed, behaves as

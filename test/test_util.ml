@@ -1,9 +1,7 @@
-(* Tests for rsti_util: RNG, statistics, bit manipulation, union-find,
-   table rendering. *)
+(* Tests for rsti_util: RNG, statistics, union-find, table rendering. *)
 
 module Sm = Rsti_util.Splitmix
 module Stats = Rsti_util.Stats
-module Bits = Rsti_util.Bits
 module Uf = Rsti_util.Uf
 module Tab = Rsti_util.Tab
 
@@ -142,46 +140,6 @@ let test_pearson_mismatch () =
 let test_stddev () =
   checkf "stddev" (sqrt 2.5) (Stats.stddev [ 1.; 2.; 3.; 4.; 5. ])
 
-(* ------------------------------ bits ------------------------------- *)
-
-let test_mask () =
-  check Alcotest.int64 "mask 0" 0L (Bits.mask 0);
-  check Alcotest.int64 "mask 4" 0xFL (Bits.mask 4);
-  check Alcotest.int64 "mask 64" (-1L) (Bits.mask 64)
-
-let test_field_roundtrip () =
-  let x = 0xDEADBEEF12345678L in
-  let v = Bits.field x ~lo:8 ~width:16 in
-  let y = Bits.set_field 0L ~lo:8 ~width:16 v in
-  check Alcotest.int64 "field back" v (Bits.field y ~lo:8 ~width:16)
-
-let test_set_field_preserves_rest () =
-  let x = -1L in
-  let y = Bits.set_field x ~lo:4 ~width:8 0L in
-  check Alcotest.int64 "low nibble kept" 0xFL (Bits.field y ~lo:0 ~width:4);
-  check Alcotest.int64 "cleared field" 0L (Bits.field y ~lo:4 ~width:8);
-  check Alcotest.int64 "rest kept" (Bits.mask 52) (Bits.field y ~lo:12 ~width:52)
-
-let test_bit_ops () =
-  checkb "bit set" true (Bits.bit 8L 3);
-  checkb "bit clear" false (Bits.bit 8L 2);
-  check Alcotest.int64 "set_bit" 9L (Bits.set_bit 8L 0 true);
-  check Alcotest.int64 "clear_bit" 0L (Bits.set_bit 8L 3 false)
-
-let test_rot () =
-  check Alcotest.int64 "rotl identity" 5L (Bits.rotl 5L 64);
-  check Alcotest.int64 "rotl 1" 2L (Bits.rotl 1L 1);
-  check Alcotest.int64 "rotr inverse" 0x123456789ABCDEF0L
-    (Bits.rotr (Bits.rotl 0x123456789ABCDEF0L 17) 17)
-
-let test_popcount () =
-  checki "popcount 0" 0 (Bits.popcount 0L);
-  checki "popcount -1" 64 (Bits.popcount (-1L));
-  checki "popcount f0" 4 (Bits.popcount 0xF0L)
-
-let test_to_hex () =
-  check Alcotest.string "hex" "0x00000000000000ff" (Bits.to_hex 0xFFL)
-
 (* ------------------------------- uf -------------------------------- *)
 
 let test_uf_singleton () =
@@ -231,17 +189,6 @@ let prop_quantile_monotone =
       let lo = min q1 q2 and hi = max q1 q2 in
       Stats.quantile lo xs <= Stats.quantile hi xs +. 1e-9)
 
-let prop_bits_field_roundtrip =
-  QCheck.Test.make ~name:"set_field/field roundtrip" ~count:500
-    QCheck.(triple int64 (int_bound 56) (int_bound 7))
-    (fun (x, lo, w) ->
-      let width = w + 1 in
-      if lo + width > 64 then true
-      else begin
-        let v = Int64.logand x (Bits.mask width) in
-        Bits.field (Bits.set_field 0L ~lo ~width v) ~lo ~width = v
-      end)
-
 let tests =
   [
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
@@ -269,13 +216,6 @@ let tests =
     Alcotest.test_case "stats: pearson degenerate" `Quick test_pearson_constant;
     Alcotest.test_case "stats: pearson mismatch" `Quick test_pearson_mismatch;
     Alcotest.test_case "stats: stddev" `Quick test_stddev;
-    Alcotest.test_case "bits: mask" `Quick test_mask;
-    Alcotest.test_case "bits: field roundtrip" `Quick test_field_roundtrip;
-    Alcotest.test_case "bits: set_field preserves" `Quick test_set_field_preserves_rest;
-    Alcotest.test_case "bits: bit ops" `Quick test_bit_ops;
-    Alcotest.test_case "bits: rotations" `Quick test_rot;
-    Alcotest.test_case "bits: popcount" `Quick test_popcount;
-    Alcotest.test_case "bits: to_hex" `Quick test_to_hex;
     Alcotest.test_case "uf: singleton" `Quick test_uf_singleton;
     Alcotest.test_case "uf: union" `Quick test_uf_union;
     Alcotest.test_case "uf: classes" `Quick test_uf_classes;
@@ -283,5 +223,4 @@ let tests =
     Alcotest.test_case "tab: short rows" `Quick test_tab_pads_short_rows;
     Alcotest.test_case "tab: wide rows rejected" `Quick test_tab_rejects_wide_rows;
     QCheck_alcotest.to_alcotest prop_quantile_monotone;
-    QCheck_alcotest.to_alcotest prop_bits_field_roundtrip;
   ]
