@@ -396,6 +396,20 @@ let print_attack_surface file (results : Rsti_dataflow.Equiv.result list) =
           (List.length collisions - List.length shown))
     results
 
+(* The [--format] of [analyze] and [lint]. *)
+let format_conv : [ `Text | `Json | `Sarif ] Arg.conv =
+  let parse = function
+    | "text" -> Ok `Text
+    | "json" -> Ok `Json
+    | "sarif" -> Ok `Sarif
+    | s -> Error (`Msg (Printf.sprintf "unknown format %S (text|json|sarif)" s))
+  in
+  let print fmt f =
+    Format.pp_print_string fmt
+      (match f with `Text -> "text" | `Json -> "json" | `Sarif -> "sarif")
+  in
+  Arg.conv (parse, print)
+
 let analyze_cmd =
   let doc = "Print the STI analysis of a MiniC program." in
   let file_pt =
@@ -425,24 +439,9 @@ let analyze_cmd =
              used.")
   in
   let analyze_format_arg =
-    let fmt_conv =
-      let parse = function
-        | "text" -> Ok `Text
-        | "json" -> Ok `Json
-        | "sarif" -> Ok `Sarif
-        | s ->
-            Error
-              (`Msg (Printf.sprintf "unknown format %S (text|json|sarif)" s))
-      in
-      let print fmt f =
-        Format.pp_print_string fmt
-          (match f with `Text -> "text" | `Json -> "json" | `Sarif -> "sarif")
-      in
-      Arg.conv (parse, print)
-    in
     Arg.(
       value
-      & opt fmt_conv `Text
+      & opt format_conv `Text
       & info [ "format" ] ~docv:"FMT"
           ~doc:
             "Output format: text (default), json, or sarif (a SARIF \
@@ -617,24 +616,9 @@ let lint_cmd =
      otherwise (warnings and notes do not affect it)."
   in
   let lint_format_arg =
-    let fmt_conv =
-      let parse = function
-        | "text" -> Ok `Text
-        | "json" -> Ok `Json
-        | "sarif" -> Ok `Sarif
-        | s ->
-            Error
-              (`Msg (Printf.sprintf "unknown format %S (text|json|sarif)" s))
-      in
-      let print fmt f =
-        Format.pp_print_string fmt
-          (match f with `Text -> "text" | `Json -> "json" | `Sarif -> "sarif")
-      in
-      Arg.conv (parse, print)
-    in
     Arg.(
       value
-      & opt fmt_conv `Text
+      & opt format_conv `Text
       & info [ "format" ] ~docv:"FMT"
           ~doc:
             "Output format: text (default), json (one report object per \

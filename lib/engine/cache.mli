@@ -3,12 +3,12 @@
     The cache knows nothing about the pipeline. A {!stage} is one typed
     memo table; the module that computes an artifact owns its stage,
     declares it once at top level with {!stage}, and looks artifacts up
-    with {!memo}. {!Pipeline} owns compile, analysis, points_to,
-    points_to_cs, scope_escape, elide, elide_pt, elide_ctx, instrument,
-    validate, outcome and attack_surface; [Rsti_attacks.Incident] owns
-    incident. Keys are strings the owner builds: the source digest the
-    stage values carry, plus one key part per stage (the points-to mode
-    with its k, the mechanism, the elision mode, ...).
+    with {!memo}. {!Pipeline} owns every stage: compile, analysis,
+    points_to, points_to_cs, scope_escape, elide, elide_pt, elide_ctx,
+    instrument, outcome and attack_surface. Keys are strings the owner
+    builds: the source digest the stage values carry, plus one key part
+    per stage (the points-to mode with its k, the mechanism, the elision
+    mode, ...).
 
     Every stage is a pure function of its key, so an artifact is built
     once per key per process: the seed harness recompiled and

@@ -144,18 +144,12 @@ external swap64 : int64 -> int64 = "%bswap_int64"
 let get64u_le b i = if Sys.big_endian then swap64 (get64u b i) else get64u b i [@@inline]
 let set64u_le b i v = set64u b i (if Sys.big_endian then swap64 v else v) [@@inline]
 
-(* A register file is a [bytes] of native-endian 64-bit registers. The
-   pre-checked forms hold each register as its byte offset; resolution
-   gave every operand a register of the file, so a read is unchecked,
-   and a destination is a register of the file or -8, the bad
-   destination, whose write raises what an out-of-bounds register
-   always raised. *)
+(* A register file is a [bytes] of native-endian 64-bit registers.
+   Resolved code holds each register as its byte offset, and resolution
+   hands out only offsets of the file, so reads and writes are
+   unchecked. *)
 let get_at regs o = get64u regs o [@@inline]
-
-let set_at regs o v =
-  if o < 0 then invalid_arg "index out of bounds";
-  set64u regs o v
-[@@inline]
+let set_at regs o v = set64u regs o v [@@inline]
 
 let get_f regs o = Int64.float_of_bits (get64u regs o) [@@inline]
 
@@ -394,35 +388,24 @@ end
 (* A function's resolved view, built on its first call: the same IR
    with every name, layout and type decision taken once.
 
-   Every operand is a register of the function's register file, a
-   [bytes] of 64-bit registers. A constant operand (an immediate, a
-   float's bits, null, or the address of a global, a function or a
-   string) reads a register above [nregs] that each call's register file
-   holds from the start. An operand that cannot be resolved, or names a
-   register the function does not have, is a negative index [lnot k]
-   whose read raises [bad.(k)]; a destination outside the registers is
-   [-1], whose write raises [Invalid_argument] as an out-of-bounds
-   register did. An instruction that cannot be resolved becomes [Fail].
-   So a bad name, type or register fails only when it runs.
+   Every operand and destination is the byte offset of a register of the
+   function's register file, a [bytes] of 64-bit registers. A constant
+   operand (an immediate, a float's bits, null, or the address of a
+   global, a function or a string) reads a register above [nregs] that
+   each call's register file holds from the start. *)
 
-   Every instruction but a call, a PA op and a pp op takes a pre-checked
-   form: it holds each register as its byte offset in the file, so it
-   runs with no negative-operand test. One with an operand that cannot
-   be resolved becomes [Fail] of what reading that operand raises (the
-   first bad one, in the order the instruction reads them). *)
-type operand = int
-
-type callee =
+(* Code a call can reach. *)
+type code_ref =
   | Defined of int  (* index into [t.funcs] *)
   | Libc of int     (* index into [t.libc] *)
-  | Missing of string
-  | Via of operand
+
+type callee = Direct of code_ref | Via of int
 
 type pp =
   | Pp_add
-  | Pp_sign of { dst : int; src : operand; ce : int; slot : operand }
-  | Pp_auth of { dst : int; src : operand; slot : operand }
-  | Pp_add_tbi of { dst : int; src : operand; ce : int }
+  | Pp_sign of { dst : int; src : int; ce : int; slot : int }
+  | Pp_auth of { dst : int; src : int; slot : int }
+  | Pp_add_tbi of { dst : int; src : int; ce : int }
 
 (* Where a PA or pp op sits in its segment: its !dbg line, and the
    cycles and steps its segment accounts after it (in a block's last
@@ -432,10 +415,9 @@ type place = { line : int; cycles_after : int; steps_after : int }
 
 (* What [exec] hands on to [exec_generic]. *)
 type generic =
-  | Call of { dst : int option; callee : callee; args : operand array; arg_tys : Ctype.t list }
-  | Pac of { p : Ir.pac; dst : int; src : operand; slot : operand; at : place }
+  | Call of { dst : int option; callee : callee; args : int array; arg_tys : Ctype.t list }
+  | Pac of { p : Ir.pac; dst : int; src : int; slot : int; at : place }
   | Pp of pp * place
-  | Fail of exn
 
 (* The binary operators without a pre-checked form of their own: float
    [%] and comparisons, and the logical operators, which read float bits
@@ -488,7 +470,7 @@ let loads_of = function Ld _ | Ldb _ -> 1 | _ -> 0
 let stores_of = function St _ | Stb _ -> 1 | _ -> 0
 
 (* [Ret] of a void return reads a constant 0. *)
-type term = Ret of operand | Br of int | Condbr of operand * int * int | Unreachable
+type term = Ret of int | Br of int | Condbr of int * int * int | Unreachable
 
 (* A block runs in segments: a cut follows each call, so a callee always
    starts from exact counters. [segs] holds [seg_width] ints a segment:
@@ -511,10 +493,9 @@ type func = {
   nregs : int;
   frame : bytes;
       (* a fresh register file: [nregs] zeros, the constants, then the
-         PA unit's two operand registers at byte offsets [md] and [res] *)
+         PA unit's two registers at byte offsets [md] and [res] *)
   md : int;  (* a PAC op's runtime modifier *)
-  res : int;  (* its result, until [account] has seen it *)
-  bad : exn array;
+  res : int;  (* the PA unit's scratch: a pp op's metadata address, a MAC *)
   blocks : block array;
 }
 
@@ -768,19 +749,18 @@ let global_addr t name =
   | None -> invalid_arg ("Interp.global_addr: unknown global " ^ name)
 
 (* What a name calls: a defined function shadows a libc symbol. *)
-let callee_of t name =
+let code_of t name =
   match Hashtbl.find t.defs name with
   | i -> Defined i
   | exception Not_found -> (
       match Hashtbl.find t.libc_index name with
       | i -> Libc i
-      | exception Not_found -> Missing name)
+      | exception Not_found -> invalid_arg ("Interp.func_addr: unknown function " ^ name))
 
 let func_addr t name =
-  match callee_of t name with
+  match code_of t name with
   | Defined i -> Layout.code_addr_of_index Layout.text_base i
   | Libc i -> Layout.code_addr_of_index Layout.libc_base i
-  | _ -> invalid_arg ("Interp.func_addr: unknown function " ^ name)
 
 (* The function or libc symbol whose code starts at [a], if any. *)
 let code_at t a =
@@ -803,15 +783,6 @@ let code_at t a =
 (* ------------------------------------------------------------------ *)
 (* Resolution                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Register [r] of an operand that did not take a pre-checked form; a
-   negative operand raises what resolution kept for it. *)
-let get f regs r =
-  if r < 0 then raise f.bad.(lnot r);
-  get_at regs (r lsl 3)
-[@@inline]
-
-let set regs r v = set_at regs (r lsl 3) v [@@inline]
 
 let truth c = Int64.of_int (Bool.to_int c) [@@inline]
 
@@ -842,8 +813,15 @@ let cost_of t (ins : Ir.instr) =
 (* A PA or pp op's place until its block has been laid out. *)
 let nowhere = { line = 0; cycles_after = 0; steps_after = 0 }
 
-(* Never raises: whatever executing a piece of [fn] would raise is kept
-   in [bad] or in a [Fail] instruction. *)
+(* The one place the machine rejects malformed IR: resolving [fn]
+   raises, before any of its instructions runs, what resolving its first
+   bad piece raises (an unknown global, function, callee, string, struct
+   or field, a type without a size, or a register or block [fn] does not
+   have).
+   Each instruction resolves its operands in the order it reads them (a
+   binary operator [a] before [b], a store its value before its address,
+   a gepidx its index before its base, a call its arguments before its
+   callee), then its destination. *)
 let resolve t i =
   let fn = t.funcs.(i) in
   let nregs = max 0 fn.nregs in
@@ -854,60 +832,54 @@ let resolve t i =
   let const v =
     consts := v :: !consts;
     incr nconsts;
-    nregs + !nconsts - 1
+    (nregs + !nconsts - 1) lsl 3
   in
-  let bad = ref [] and nbad = ref 0 in
-  let fail exn =
-    bad := exn :: !bad;
-    incr nbad;
-    lnot (!nbad - 1)
-  in
-  let in_file r = r >= 0 && r < nregs in
-  let dst r = if in_file r then r else -1 in
-  (* [v]'s register; raises what reading [v] would raise *)
+  (* register [r]'s byte offset, as a destination or an operand *)
+  let dst r = if r >= 0 && r < nregs then r lsl 3 else invalid_arg "index out of bounds" in
   let reg (v : Ir.value) =
     match v with
     | Ir.Imm n -> const n
     | Ir.Fimm x -> const (Int64.bits_of_float x)
-    | Ir.Reg r -> if in_file r then r else invalid_arg "index out of bounds"
+    | Ir.Reg r -> dst r
     | Ir.Null -> const 0L
     | Ir.Global g -> const (global_addr t g)
     | Ir.Funcaddr f -> const (func_addr t f)
     | Ir.Str s -> const t.string_addrs.(s)
   in
-  let operand v = match reg v with r -> r | exception e -> fail e in
+  let label l =
+    if l >= 0 && l < Array.length fn.blocks then l else invalid_arg "index out of bounds"
+  in
   (* char is one byte, everything else a 64-bit word *)
   let byte ty = match Ctype.strip_const ty with Ctype.Char -> true | _ -> false in
-  (* The pre-checked forms: an operand that does not resolve raises here,
-     and the instruction becomes [Fail] of it. Each reads its operands in
-     the order the instruction executes them: a binary operator [a]
-     before [b], a store its value before its address, a gepidx its index
-     before its base. *)
   let code (ins : Ir.instr) =
     match ins.i with
     | Ir.Alloca { dst = d; ty; _ } ->
         let size = max 8 (Ir.sizeof t.m ty) in
-        Alloca { dst = dst d lsl 3; size = (size + 15) / 16 * 16 }
+        Alloca { dst = dst d; size = (size + 15) / 16 * 16 }
     | Ir.Load { dst = d; addr; ty; _ } ->
-        let d = dst d lsl 3 and addr = reg addr lsl 3 in
+        let addr = reg addr in
+        let d = dst d in
         if byte ty then Ldb { dst = d; addr } else Ld { dst = d; addr }
     | Ir.Store { src; addr; ty; _ } ->
-        let src = reg src lsl 3 in
-        let addr = reg addr lsl 3 in
+        let src = reg src in
+        let addr = reg addr in
         if byte ty then Stb { src; addr } else St { src; addr }
     | Ir.Gep { dst = d; base; sname; field } ->
         let off, _ = Ir.field_offset t.m sname field in
-        Gep { dst = dst d lsl 3; base = reg base lsl 3; off }
+        let base = reg base in
+        Gep { dst = dst d; base; off }
     | Ir.Gepidx { dst = d; base; elem; idx } ->
         let size = Ir.sizeof t.m elem in
-        let idx = reg idx lsl 3 in
-        let base = reg base lsl 3 in
-        Gepidx { dst = dst d lsl 3; base; size; idx }
-    | Ir.Bitcast { dst = d; src; _ } -> Move { dst = dst d lsl 3; src = reg src lsl 3 }
+        let idx = reg idx in
+        let base = reg base in
+        Gepidx { dst = dst d; base; size; idx }
+    | Ir.Bitcast { dst = d; src; _ } ->
+        let src = reg src in
+        Move { dst = dst d; src }
     | Ir.Binop { dst = d; op; fl; a; b } -> (
-        let a = reg a lsl 3 in
-        let b = reg b lsl 3 in
-        let dst = dst d lsl 3 in
+        let a = reg a in
+        let b = reg b in
+        let dst = dst d in
         let rare op = Binop { dst; op; a; b } in
         match (op, fl) with
         | Ast.Add, Ir.Iop -> Add { dst; a; b }
@@ -940,46 +912,53 @@ let resolve t i =
         | Ast.Logand, _ -> rare Logand
         | Ast.Logor, _ -> rare Logor)
     | Ir.Neg { dst = d; fl; src } -> (
-        let src = reg src lsl 3 and dst = dst d lsl 3 in
+        let src = reg src in
+        let dst = dst d in
         match fl with Ir.Iop -> Neg { dst; src } | Ir.Fop -> Fneg { dst; src })
-    | Ir.Lognot { dst = d; src } -> Lognot { dst = dst d lsl 3; src = reg src lsl 3 }
-    | Ir.Bitnot { dst = d; src } -> Bitnot { dst = dst d lsl 3; src = reg src lsl 3 }
+    | Ir.Lognot { dst = d; src } ->
+        let src = reg src in
+        Lognot { dst = dst d; src }
+    | Ir.Bitnot { dst = d; src } ->
+        let src = reg src in
+        Bitnot { dst = dst d; src }
     | Ir.Cast_num { dst = d; src; from_ty; to_ty } -> (
-        let src = reg src lsl 3 and dst = dst d lsl 3 in
+        let src = reg src in
+        let dst = dst d in
         match (Ctype.strip_all_quals from_ty, Ctype.strip_all_quals to_ty) with
         | (Ctype.Char | Ctype.Int | Ctype.Long), Ctype.Double -> To_double { dst; src }
         | Ctype.Double, (Ctype.Char | Ctype.Int | Ctype.Long) -> To_integer { dst; src }
         | _, Ctype.Char -> To_char { dst; src }
         | _ -> Move { dst; src })
     | Ir.Call { dst = d; callee; args; arg_tys; _ } ->
+        let args = Array.map reg (Array.of_list args) in
         let callee =
           match callee with
-          | Ir.Direct name -> callee_of t name
-          | Ir.Indirect c -> Via (operand c)
+          | Ir.Direct name -> Direct (code_of t name)
+          | Ir.Indirect c -> Via (reg c)
         in
-        Generic
-          (Call
-             { dst = Option.map dst d; callee; args = Array.of_list (List.map operand args);
-               arg_tys })
+        Generic (Call { dst = Option.map dst d; callee; args; arg_tys })
     | Ir.Pac p ->
-        Generic
-          (Pac
-             { p; dst = dst p.p_dst; src = operand p.p_src; slot = operand p.p_slot_addr;
-               at = nowhere })
+        let src = reg p.p_src in
+        let slot = reg p.p_slot_addr in
+        Generic (Pac { p; dst = dst p.p_dst; src; slot; at = nowhere })
     | Ir.Pp pp ->
         let pp =
           match pp with
           | Ir.Pp_add _ -> Pp_add
           | Ir.Pp_sign { dst = d; src; ce; slot_addr } ->
-              Pp_sign { dst = dst d; src = operand src; ce; slot = operand slot_addr }
+              let slot = reg slot_addr in
+              let src = reg src in
+              Pp_sign { dst = dst d; src; ce; slot }
           | Ir.Pp_auth { dst = d; src; slot_addr } ->
-              Pp_auth { dst = dst d; src = operand src; slot = operand slot_addr }
+              let src = reg src in
+              let slot = reg slot_addr in
+              Pp_auth { dst = dst d; src; slot }
           | Ir.Pp_add_tbi { dst = d; src; ce } ->
-              Pp_add_tbi { dst = dst d; src = operand src; ce }
+              let src = reg src in
+              Pp_add_tbi { dst = dst d; src; ce }
         in
         Generic (Pp (pp, nowhere))
   in
-  let code ins = match code ins with c -> c | exception exn -> Generic (Fail exn) in
   let line (ins : Ir.instr) =
     match ins.dbg with Some d -> d.Rsti_ir.Dinfo.dl_line | None -> 0
   in
@@ -989,9 +968,11 @@ let resolve t i =
     let lines = Array.map line instrs in
     let term =
       match b.term with
-      | Ir.Ret v -> Ret (operand (Option.value v ~default:(Ir.Imm 0L)))
-      | Ir.Br l -> Br l
-      | Ir.Condbr (c, l1, l2) -> Condbr (operand c, l1, l2)
+      | Ir.Ret v -> Ret (reg (Option.value v ~default:(Ir.Imm 0L)))
+      | Ir.Br l -> Br (label l)
+      | Ir.Condbr (c, l1, l2) ->
+          let c = reg c in
+          Condbr (c, label l1, label l2)
       | Ir.Unreachable -> Unreachable
     in
     (* a segment ends after each call, and the last one at the terminator *)
@@ -1041,9 +1022,8 @@ let resolve t i =
   let blocks = Array.map block fn.blocks in
   let md = 8 * (nregs + !nconsts) in
   let frame = Bytes.make (md + 16) '\000' in
-  List.iteri (fun k v -> set frame (nregs + !nconsts - 1 - k) v) !consts;
-  { name = fn.name; nregs; frame; md; res = md + 8; bad = Array.of_list (List.rev !bad);
-    blocks }
+  List.iteri (fun k v -> set_at frame (md - 8 * (k + 1)) v) !consts;
+  { name = fn.name; nregs; frame; md; res = md + 8; blocks }
 
 let resolved t i =
   match t.resolved.(i) with
@@ -1054,13 +1034,12 @@ let resolved t i =
       f
 
 (* Function [g]'s register file for a call: its constants, and the
-   argument values in its first registers. Every argument is read, in
-   order; one past [g]'s registers is dropped. *)
-let frame_of f regs (g : func) (args : operand array) =
+   argument values in its first registers; one past [g]'s registers is
+   dropped. *)
+let frame_of regs (g : func) (args : int array) =
   let frame = Bytes.copy g.frame in
-  for j = 0 to Array.length args - 1 do
-    let v = get f regs args.(j) in
-    if j < g.nregs then set frame j v
+  for j = 0 to min (Array.length args) g.nregs - 1 do
+    set_at frame (j lsl 3) (get_at regs args.(j))
   done;
   frame
 
@@ -1229,15 +1208,15 @@ let take_back t b k start i ~charged =
    value, so nothing is boxed. *)
 let set_modifier f regs (m : Ir.modifier) slot =
   match m with
-  | Ir.Mconst c -> Bytes.set_int64_ne regs f.md c
-  | Ir.Mloc c -> Bytes.set_int64_ne regs f.md (Int64.logxor c (get f regs slot))
+  | Ir.Mconst c -> set_at regs f.md c
+  | Ir.Mloc c -> set_at regs f.md (Int64.logxor c (get_at regs slot))
 [@@inline]
 
 (* The pointer-to-pointer FE modifier of CE tag [ce], read from the
    read-only metadata into [f.md] through the load/store unit ([f.res]
    holds the address meanwhile). *)
 let load_fe t f regs ce =
-  Bytes.set_int64_ne regs f.res (Int64.add pp_meta_base (Int64.of_int (ce * 8)));
+  set_at regs f.res (Int64.add pp_meta_base (Int64.of_int (ce * 8)));
   try Memory.load_word t.mem regs ~dst:f.md ~addr:f.res
   with Memory.Fault fault -> raise (mem_fault t f.name fault)
 
@@ -1454,10 +1433,10 @@ and run_builtin_body t name (args : int64 array) : int64 =
       Buffer.add_string t.out s;
       Int64.of_int (String.length s)
   | "snprintf" ->
-      let s = format_printf t (sarg 2) args 3 in
-      let cap = Int64.to_int (arg 1) in
-      let s' = if String.length s >= cap && cap > 0 then String.sub s 0 (cap - 1) else s in
-      Memory.write_cstring t.mem (arg 0) s';
+      (* a size of 0 writes nothing, not even the NUL *)
+      let s = format_printf t (sarg 2) args 3 and cap = length (arg 1) in
+      if cap > 0 then
+        Memory.write_cstring t.mem (arg 0) (String.sub s 0 (min (String.length s) (cap - 1)));
       Int64.of_int (String.length s)
   | "puts" ->
       Buffer.add_string t.out (sarg 0 ^ "\n");
@@ -1516,7 +1495,23 @@ and run_builtin_body t name (args : int64 array) : int64 =
       match String.index_opt s c with
       | Some i -> Int64.add (arg 0) (Int64.of_int i)
       | None -> 0L)
-  | "atoi" -> ( try Int64.of_string (String.trim (sarg 0)) with _ -> 0L)
+  | "atoi" -> (
+      (* as C parses it: white space, an optional sign, then decimal
+         digits up to the first non-digit *)
+      let s = sarg 0 in
+      let at i = if i < String.length s then s.[i] else '\000' in
+      let rec digits i v =
+        match at i with
+        | '0' .. '9' as c ->
+            digits (i + 1) (Int64.add (Int64.mul v 10L) (Int64.of_int (Char.code c - 48)))
+        | _ -> v
+      in
+      let rec skip i = match at i with ' ' | '\t' .. '\r' -> skip (i + 1) | _ -> i in
+      let i = skip 0 in
+      match at i with
+      | '-' -> Int64.neg (digits (i + 1) 0L)
+      | '+' -> digits (i + 1) 0L
+      | _ -> digits i 0L)
   | "abs" -> Int64.abs (arg 0)
   | "exit" -> raise (Exit_exn (arg 0))
   | "rand" -> Int64.of_int (Rsti_util.Splitmix.int t.rng 0x7FFFFFFF)
@@ -1595,143 +1590,122 @@ and run_builtin_body t name (args : int64 array) : int64 =
 (* ------------------------------------------------------------------ *)
 
 (* The PA unit's operands and results pass through the register file:
-   the modifier in [f.md], the result in [f.res] until [account] has
-   seen it, and then into [dst], so a bad destination still fails after
-   the op is accounted. Nothing here boxes an [int64]. *)
+   the modifier in [f.md], and the result straight into [dst], from
+   where [account] reads it. Nothing here boxes an [int64]. *)
 and exec_shadow_mac t f regs (p : Ir.pac) ~at ~dst ~src ~slot =
   (* section 7: the same scope-type modifiers enforced through a
      CCFI-style MAC stored beside the object instead of in pointer bits.
      Pointers stay raw; each op pays the MAC plus a shadow access. *)
   let fname = f.name in
-  let v = get f regs src in
+  let v = get_at regs src in
   set_modifier f regs p.p_mod slot;
-  let m = Bytes.get_int64_ne regs f.md in
-  let slot = get f regs slot in
+  let m = get_at regs f.md in
+  let slot = get_at regs slot in
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       if Int64.equal v 0L then I64tbl.remove t.shadow slot
       else begin
-        Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src:(src lsl 3) ~modifier:f.md;
-        I64tbl.replace t.shadow slot (Bytes.get_int64_ne regs f.res)
+        Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src ~modifier:f.md;
+        I64tbl.replace t.shadow slot (get_at regs f.res)
       end;
       account t Op_sign ~at ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok:true;
-      set regs dst v
+      set_at regs dst v
   | Ir.Kauth ->
       let ok =
         if Int64.equal v 0L then not (I64tbl.mem t.shadow slot)
         else
           match I64tbl.find t.shadow slot with
           | expected ->
-              Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src:(src lsl 3) ~modifier:f.md;
-              Int64.equal expected (Bytes.get_int64_ne regs f.res)
+              Rsti_pa.Pac.mac t.pac ~key regs ~dst:f.res ~src ~modifier:f.md;
+              Int64.equal expected (get_at regs f.res)
           | exception Not_found -> false
       in
       account t Op_auth ~at ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v ~ok;
-      if ok then set regs dst v
-      else
-        Rsti_pa.Vaddr.corrupt_at (Rsti_pa.Pac.layout t.pac) regs ~dst:(dst lsl 3)
-          ~src:(src lsl 3)
+      if ok then set_at regs dst v
+      else Rsti_pa.Vaddr.corrupt_at (Rsti_pa.Pac.layout t.pac) regs ~dst ~src
   | Ir.Kresign ->
       account t Op_resign ~at ~func:fname ~key ~static_mod ~modifier:m ~src:v ~result:v
         ~ok:true;
-      set regs dst v
+      set_at regs dst v
   | Ir.Kstrip ->
       account t Op_strip ~at ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
         ~result:v ~ok:true;
-      set regs dst v
+      set_at regs dst v
 
 and exec_pac t f regs (p : Ir.pac) ~at ~dst ~src ~slot =
   if t.backend = `Shadow_mac then exec_shadow_mac t f regs p ~at ~dst ~src ~slot
   else begin
   let fname = f.name in
-  let v = get f regs src in
-  let src = src lsl 3 and md = f.md and res = f.res in
+  let v = get_at regs src in
+  let md = f.md in
   let key = p.p_key and static_mod = static_modifier p.p_mod in
   match p.p_kind with
   | Ir.Ksign ->
       set_modifier f regs p.p_mod slot;
-      Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src ~modifier:md;
-      let signed = Bytes.get_int64_ne regs res in
-      account t Op_sign ~at ~func:fname ~key ~static_mod
-        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
-      set regs dst signed
+      Rsti_pa.Pac.sign t.pac ~key regs ~dst ~src ~modifier:md;
+      account t Op_sign ~at ~func:fname ~key ~static_mod ~modifier:(get_at regs md) ~src:v
+        ~result:(get_at regs dst) ~ok:true
   | Ir.Kauth ->
       set_modifier f regs p.p_mod slot;
-      let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
-      let r = Bytes.get_int64_ne regs res in
-      account t Op_auth ~at ~func:fname ~key ~static_mod
-        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
-      set regs dst r
+      let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst ~src ~modifier:md in
+      account t Op_auth ~at ~func:fname ~key ~static_mod ~modifier:(get_at regs md) ~src:v
+        ~result:(get_at regs dst) ~ok
   | Ir.Kresign ->
       (* Fused aut+pac. In this codebase's discipline in-flight values are
          raw (canonical), so the pair acts as a checked identity; a signed
          value (the pp mechanism) gets a real authenticate + re-sign. A
          failure is the auth half's, so it reports the source modifier. *)
       set_modifier f regs p.p_mod slot;
-      let mt = Bytes.get_int64_ne regs md in
+      let mt = get_at regs md in
       if not (Rsti_pa.Pac.is_signed t.pac regs src) then begin
         account t Op_resign ~at ~func:fname ~key ~static_mod ~modifier:mt ~src:v ~result:v
           ~ok:true;
-        set regs dst v
+        set_at regs dst v
       end
       else begin
         set_modifier f regs p.p_mod_from slot;
-        if Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md then begin
-          Bytes.set_int64_ne regs md mt;
-          Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src:res ~modifier:md;
-          let resigned = Bytes.get_int64_ne regs res in
+        if Rsti_pa.Pac.auth t.pac ~key regs ~dst ~src ~modifier:md then begin
+          set_at regs md mt;
+          Rsti_pa.Pac.sign t.pac ~key regs ~dst ~src:dst ~modifier:md;
           account t Op_resign ~at ~func:fname ~key ~static_mod ~modifier:mt ~src:v
-            ~result:resigned ~ok:true;
-          set regs dst resigned
+            ~result:(get_at regs dst) ~ok:true
         end
-        else begin
-          let corrupted = Bytes.get_int64_ne regs res in
+        else
           account t Op_resign ~at ~func:fname ~key
             ~static_mod:(static_modifier p.p_mod_from)
-            ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:corrupted ~ok:false;
-          set regs dst corrupted
-        end
+            ~modifier:(get_at regs md) ~src:v ~result:(get_at regs dst) ~ok:false
       end
   | Ir.Kstrip ->
-      Rsti_pa.Pac.strip t.pac regs ~dst:res ~src;
-      let stripped = Bytes.get_int64_ne regs res in
+      Rsti_pa.Pac.strip t.pac regs ~dst ~src;
       account t Op_strip ~at ~func:fname ~key ~static_mod ~modifier:static_mod ~src:v
-        ~result:stripped ~ok:true;
-      set regs dst stripped
+        ~result:(get_at regs dst) ~ok:true
   end
 
 and exec_pp t f regs (pp : pp) at =
   t.counts.pp_calls <- t.counts.pp_calls + 1;
-  let fname = f.name and md = f.md and res = f.res in
+  let fname = f.name and md = f.md in
   let key = Rsti_pa.Key.DA in
   match pp with
   | Pp_add -> () (* table is static in our model; cost only *)
   | Pp_sign { dst; src; ce; slot } ->
       load_fe t f regs ce;
-      let fe = Bytes.get_int64_ne regs md in
-      Bytes.set_int64_ne regs md (Int64.logxor fe (get f regs slot));
-      let v = get f regs src in
-      Rsti_pa.Pac.sign t.pac ~key regs ~dst:res ~src:(src lsl 3) ~modifier:md;
-      let signed = Bytes.get_int64_ne regs res in
-      account t Op_pp_sign ~at ~func:fname ~key ~static_mod:fe
-        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:signed ~ok:true;
-      set regs dst signed
-  | Pp_add_tbi { dst; src; ce } ->
-      if src < 0 then raise f.bad.(lnot src);
-      Rsti_pa.Vaddr.with_top_byte_at regs ~dst:(dst lsl 3) ~src:(src lsl 3) ce
+      let fe = get_at regs md in
+      set_at regs md (Int64.logxor fe (get_at regs slot));
+      let v = get_at regs src in
+      Rsti_pa.Pac.sign t.pac ~key regs ~dst ~src ~modifier:md;
+      account t Op_pp_sign ~at ~func:fname ~key ~static_mod:fe ~modifier:(get_at regs md)
+        ~src:v ~result:(get_at regs dst) ~ok:true
+  | Pp_add_tbi { dst; src; ce } -> Rsti_pa.Vaddr.with_top_byte_at regs ~dst ~src ce
   | Pp_auth { dst; src; slot } ->
-      let v = get f regs src in
-      let src = src lsl 3 in
+      let v = get_at regs src in
       load_fe t f regs (Rsti_pa.Vaddr.top_byte_at regs src);
-      let fe = Bytes.get_int64_ne regs md in
-      Bytes.set_int64_ne regs md (Int64.logxor fe (get f regs slot));
-      let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst:res ~src ~modifier:md in
-      let r = Bytes.get_int64_ne regs res in
-      account t Op_pp_auth ~at ~func:fname ~key ~static_mod:fe
-        ~modifier:(Bytes.get_int64_ne regs md) ~src:v ~result:r ~ok;
-      if ok then Rsti_pa.Vaddr.with_top_byte_at regs ~dst:(dst lsl 3) ~src:res 0
-      else set regs dst r
+      let fe = get_at regs md in
+      set_at regs md (Int64.logxor fe (get_at regs slot));
+      let ok = Rsti_pa.Pac.auth t.pac ~key regs ~dst ~src ~modifier:md in
+      account t Op_pp_auth ~at ~func:fname ~key ~static_mod:fe ~modifier:(get_at regs md)
+        ~src:v ~result:(get_at regs dst) ~ok;
+      if ok then Rsti_pa.Vaddr.with_top_byte_at regs ~dst ~src:dst 0
 
 (* Signature-based CFI (the LLVM cfi-icall / vfGuard style baseline the
    paper's introduction contrasts RSTI with): an indirect call may only
@@ -1776,7 +1750,7 @@ and call_function t i (g : func) regs : int64 =
 and call_values t i (argv : int64 array) : int64 =
   let g = resolved t i in
   let regs = Bytes.copy g.frame in
-  Array.iteri (fun j v -> if j < g.nregs then set regs j v) argv;
+  Array.iteri (fun j v -> if j < g.nregs then set_at regs (j lsl 3) v) argv;
   call_function t i g regs
 
 (* Block [label] of [f], then the blocks it branches to; returns what
@@ -1822,28 +1796,24 @@ and exec_block t f regs label : int64 =
     k := !k + seg_width
   done;
   match b.term with
-  | Ret v -> get f regs v
+  | Ret v -> get_at regs v
   | Br l -> exec_block t f regs l
-  | Condbr (c, l1, l2) -> exec_block t f regs (if get f regs c = 0L then l2 else l1)
+  | Condbr (c, l1, l2) -> exec_block t f regs (if get_at regs c = 0L then l2 else l1)
   | Unreachable -> raise (Trap_exn (Unknown_function (f.name ^ ":unreachable")))
 
-(* Calls, the PA unit and the pp runtime, and the instructions that
-   fail. *)
+(* Calls, the PA unit and the pp runtime. *)
 and exec_generic t f regs (g : generic) : unit =
   match g with
   | Call { dst; callee; args; arg_tys } ->
       let result =
         match callee with
-        | Defined i ->
+        | Direct (Defined i) ->
             let g = resolved t i in
-            call_function t i g (frame_of f regs g args)
-        | Libc i -> run_builtin t i (Array.map (get f regs) args)
-        | Missing name ->
-            ignore (Array.map (get f regs) args);
-            raise (Trap_exn (Unknown_function name))
+            call_function t i g (frame_of regs g args)
+        | Direct (Libc i) -> run_builtin t i (Array.map (get_at regs) args)
         | Via c -> (
-            let argv = Array.map (get f regs) args in
-            let target = get f regs c in
+            let argv = Array.map (get_at regs) args in
+            let target = get_at regs c in
             match code_at t target with
             | Some (Defined i) ->
                 if t.cfi then check_cfi t f.name arg_tys t.funcs.(i);
@@ -1857,10 +1827,9 @@ and exec_generic t f regs (g : generic) : unit =
                      (Bad_indirect_call
                         { target; func = f.name; after_auth_fail = t.auth_failed })))
       in
-      (match dst with Some d -> set regs d result | None -> ())
+      (match dst with Some d -> set_at regs d result | None -> ())
   | Pac { p; dst; src; slot; at } -> exec_pac t f regs p ~at ~dst ~src ~slot
   | Pp (pp, at) -> exec_pp t f regs pp at
-  | Fail exn -> raise exn
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)

@@ -28,6 +28,8 @@ type trap =
   | Stack_overflow
   | Step_limit_exceeded
   | Unknown_function of string
+      (** ["main"] for a module without one, or ["f:unreachable"] when a
+          block of [f] runs to an [unreachable] terminator *)
   | Pac_auth_failure of { func : string; modifier : int64; ptr : int64 }
       (** a failing [aut*] under FPAC (the default machine config) *)
   | Cfi_violation of { func : string; target : string }
@@ -228,8 +230,12 @@ val create :
     pointer-to-pointer metadata table.
     Code is resolved lazily: a function's instructions are turned into
     the form the machine executes on its first call, so a run pays only
-    for the functions it enters, and a name, type or register the IR
-    gets wrong raises only when the instruction that uses it executes.
+    for the functions it enters. Malformed IR raises when its function
+    is first called, before any of the function's instructions runs: an
+    unknown global, function, direct callee, string, struct or field, a
+    type without a size, or a register or block the function does not
+    have raises what resolving it raises ([Invalid_argument], or
+    [Not_found] for a field).
     Each call runs on a register file of unboxed 64-bit registers, its
     constants held in registers above the function's own.
     [fpac] (default true) selects ARMv8.6 FPAC semantics — a failing

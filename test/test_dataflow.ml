@@ -861,16 +861,26 @@ let mutants =
     ("auth turned into a strip", plain auth_to_strip);
   ]
 
-(* Every mutant kind of every SPEC2006 kernel under each PAC mechanism
-   (elision off) must be rejected. A dropped sign leaves the slot's auths
-   behind, so the all-or-nothing summary trips; a wrong modifier and a
-   strip in an auth's place fail the per-instruction checks; a second
-   definition of a register is reported as such. *)
+(* Every mutant kind of every SPEC2006 kernel and of the generated
+   programs of seeds 1-40 under each PAC mechanism (elision off) must be
+   rejected. A dropped sign leaves the slot's auths behind, so the
+   all-or-nothing summary trips; a wrong modifier and a strip in an
+   auth's place fail the per-instruction checks; a second definition of
+   a register is reported as such. *)
 let test_validator_red_on_mutants () =
+  let spec =
+    List.map
+      (fun (w : Rsti_workloads.Workload.t) ->
+        (w.name, Rsti_workloads.Workload.analysis_source w))
+      Rsti_workloads.Spec2006.all
+  and generated =
+    List.init 40 (fun k ->
+        ( Printf.sprintf "gen%d" (k + 1),
+          Rsti_workloads.Generator.generate ~seed:(Int64.of_int (k + 1)) () ))
+  in
   List.iter
-    (fun (w : Rsti_workloads.Workload.t) ->
-      let src = Rsti_workloads.Workload.analysis_source w in
-      let m = Rsti_ir.Lower.compile ~file:(w.name ^ ".c") src in
+    (fun (name, src) ->
+      let m = Rsti_ir.Lower.compile ~file:(name ^ ".c") src in
       let anal = Analysis.analyze m in
       List.iter
         (fun mech ->
@@ -878,7 +888,7 @@ let test_validator_red_on_mutants () =
           List.iter
             (fun (kind, mutate) ->
               let where =
-                Printf.sprintf "%s/%s/%s" w.name
+                Printf.sprintf "%s/%s/%s" name
                   (RT.mechanism_to_string mech) kind
               in
               match mutate r.Instrument.modul with
@@ -895,7 +905,7 @@ let test_validator_red_on_mutants () =
                   | None -> ()))
             mutants)
         mechanisms)
-    Rsti_workloads.Spec2006.all
+    (spec @ generated)
 
 (* ---------------------- validator: attack victims ------------------ *)
 

@@ -409,15 +409,24 @@ let test_interp_cycles_positive_and_counted () =
   checkb "cycles > instrs" true (o.Interp.cycles > o.Interp.counts.instrs);
   checkb "loads counted" true (o.Interp.counts.loads > 0)
 
+(* Each call's buffer, which starts as "x", and its result: a size of 0
+   writes nothing, and takes a null buffer. *)
 let test_interp_snprintf () =
-  let o =
-    run
-      "extern int snprintf(char* buf, long n, const char* f, ...);\n\
-       extern int printf(const char* f, ...);\n\
-       int main(void) { char b[16]; snprintf(b, 16, \"%d-%d\", 4, 2);\n\
-       printf(\"%s\", b); return 0; }"
-  in
-  checks "snprintf" "4-2" o.Interp.output
+  List.iter
+    (fun (call, expected) ->
+      let o =
+        run
+          ("extern int snprintf(char* buf, long n, const char* f, ...);\n\
+            extern int printf(const char* f, ...);\n\
+            int main(void) { char b[16]; b[0] = 120; b[1] = 0; long n = " ^ call ^ ";\n\
+            printf(\"%s %d\", b, n); return 0; }")
+      in
+      checks call expected o.Interp.output)
+    [
+      ("snprintf(b, 16, \"%d-%d\", 4, 2)", "4-2 3");
+      ("snprintf(b, 0, \"%d-%d\", 4, 2)", "x 3");
+      ("snprintf(0, 0, \"%d\", 12345)", "x 5");
+    ]
 
 let test_interp_machine_single_use () =
   let m = Pipeline.ir (compiled "int main(void) { return 0; }") in
@@ -484,7 +493,16 @@ let test_interp_atoi_putchar () =
        extern int putchar(int c);\n\
        int main(void) { int n = atoi(\"65\"); putchar(n); putchar(n + 1); return n; }"
   in
-  checks "putchar" "AB" o.Interp.output
+  checks "putchar" "AB" o.Interp.output;
+  (* as C parses it: white space, an optional sign, then decimal digits
+     up to the first non-digit *)
+  List.iter
+    (fun (s, v) ->
+      check64 s v
+        (exit_code
+           (Printf.sprintf
+              "extern int atoi(const char* s);\nint main(void) { return atoi(%S); }" s)))
+    [ ("42abc", 42L); ("0x10", 0L); ("1_000", 1L); ("0b11", 0L); ("  -12", -12L) ]
 
 let test_interp_unknown_function_traps () =
   (* the type checker rejects undeclared calls, so the runtime trap is
@@ -494,15 +512,18 @@ let test_interp_unknown_function_traps () =
   | Interp.Trapped (Interp.Unknown_function "main") -> ()
   | _ -> Alcotest.fail "expected unknown-function trap"
 
-(* Resolving a function never raises. An instruction that names an
-   unknown global, function, string, struct or field, or takes the size
-   of void, fails only when it executes, with the exception it always
-   raised; the same instruction on a branch not taken is harmless. *)
-let test_interp_bad_ir_fails_when_run () =
+(* Resolution is the one place the machine rejects malformed IR. An
+   instruction that names an unknown global, function, callee, string,
+   struct or field, takes the size of void, or names a register its
+   function does not have, and a branch to a block it does not have,
+   raise when the function is first called, before any of its
+   instructions runs, so whichever branch the run would take; with two
+   bad operands, the one the instruction reads first raises. *)
+let test_interp_bad_ir_fails_on_first_call () =
   let module Ir = Rsti_ir.Ir in
   let module Ctype = Rsti_minic.Ctype in
   let ins i = { Ir.i; dbg = None } in
-  let modul taken bad =
+  let modul taken bad term =
     let block label instrs term = { Ir.label; instrs = List.map ins instrs; term } in
     let main =
       {
@@ -512,7 +533,7 @@ let test_interp_bad_ir_fails_when_run () =
         blocks =
           [|
             block 0 [] (Ir.Condbr (Ir.Imm taken, 1, 2));
-            block 1 [ bad ] (Ir.Ret (Some (Ir.Imm 1L)));
+            block 1 bad term;
             block 2 [] (Ir.Ret (Some (Ir.Imm 7L)));
           |];
         nregs = 2;
@@ -529,13 +550,16 @@ let test_interp_bad_ir_fails_when_run () =
   in
   let load v = Ir.Load { dst = 0; addr = v; ty = Ctype.Long; slot = Ir.Sanon Ctype.Long } in
   let gep sname field = Ir.Gep { dst = 0; base = Ir.Reg 1; sname; field } in
+  let raises name exn bad term =
+    List.iter
+      (fun (branch, taken) ->
+        Alcotest.check_raises (name ^ ", " ^ branch) exn (fun () ->
+            ignore (Interp.run (Interp.create (modul taken bad term)))))
+      [ ("branch taken", 1L); ("branch not taken", 0L) ]
+  in
+  raises "branch label" (Invalid_argument "index out of bounds") [] (Ir.Br 3);
   List.iter
-    (fun (name, bad, exn) ->
-      let run taken = Interp.run (Interp.create (modul taken bad)) in
-      (match (run 0L).Interp.status with
-      | Interp.Exited 7L -> ()
-      | _ -> Alcotest.failf "%s: the branch not taken must not fail" name);
-      Alcotest.check_raises name exn (fun () -> ignore (run 1L)))
+    (fun (name, bad, exn) -> raises name exn [ bad ] (Ir.Ret (Some (Ir.Imm 1L))))
     [
       ("global", load (Ir.Global "nope"),
        Invalid_argument "Interp.global_addr: unknown global nope");
@@ -577,6 +601,14 @@ let test_interp_bad_ir_fails_when_run () =
        Ir.Binop { dst = 0; op = Rsti_minic.Ast.Mod; fl = Ir.Iop; a = Ir.Funcaddr "nope";
                   b = Ir.Global "nope" },
        Invalid_argument "Interp.func_addr: unknown function nope");
+      ("direct callee",
+       Ir.Call { dst = None; callee = Ir.Direct "nope"; args = []; arg_tys = [];
+                 ret_ty = Ctype.Void },
+       Invalid_argument "Interp.func_addr: unknown function nope");
+      ("PAC destination register",
+       Ir.Pac { p_kind = Ir.Ksign; p_dst = 2; p_src = Ir.Reg 1; p_key = Rsti_pa.Key.DA;
+                p_mod = Ir.Mconst 1L; p_mod_from = Ir.Mconst 1L; p_slot_addr = Ir.Null },
+       Invalid_argument "index out of bounds");
     ]
 
 (* The reference semantics of the machine's arithmetic: each operator
@@ -1156,7 +1188,8 @@ let tests =
     Alcotest.test_case "interp: strncpy/strcat" `Quick test_interp_strncpy_strcat;
     Alcotest.test_case "interp: atoi/putchar" `Quick test_interp_atoi_putchar;
     Alcotest.test_case "interp: unknown function" `Quick test_interp_unknown_function_traps;
-    Alcotest.test_case "interp: bad IR fails when run" `Quick test_interp_bad_ir_fails_when_run;
+    Alcotest.test_case "interp: bad IR fails on first call" `Quick
+      test_interp_bad_ir_fails_on_first_call;
     Alcotest.test_case "interp: operator table" `Quick test_interp_operator_table;
     Alcotest.test_case "interp: pp op without metadata traps" `Quick
       test_interp_pp_without_metadata_traps;
